@@ -26,15 +26,23 @@ import numpy as np
 
 from . import __version__
 from .ctmc import (
+    TruncationError,
+    _exact_sum,
     moment as chain_moment,
     moment_bound_report,
     stationary_pmf,
     stein_identity_residual,
 )
 from .diffusion import build_density, density_sup_check
-from .metrics import distance_report, mean_error, moment_error, universality_sweep
-from .model import ModelParams, ValidationError
-from .poisson import TestFunction, build_solution, gradient_bound_report
+from .metrics import (
+    distance_report,
+    kolmogorov_distance,
+    mean_error,
+    moment_error,
+    universality_sweep,
+)
+from .model import Check, ModelParams, ValidationError, drift
+from .poisson import TestFunction, _anchors, build_solution, gradient_bound_report
 from .stein_verify import kolmogorov_decomposition, wasserstein_decomposition
 
 __all__ = [
@@ -170,7 +178,8 @@ def run_table3(tail_tol: float = 1e-14) -> list[dict]:
 
 def run_distance(params: ModelParams, tail_tol: float = 1e-14) -> list[dict]:
     dist = stationary_pmf(params, tail_tol, moment_order=1)
-    rep = distance_report(dist, build_density(dist.derived))
+    d = build_density(dist.derived)
+    rep = distance_report(dist, d)
     return [
         {
             "lam": params.lam,
@@ -185,165 +194,97 @@ def run_distance(params: ModelParams, tail_tol: float = 1e-14) -> list[dict]:
             "bound_w": rep.bound_w,
             "bound_k": rep.bound_k,
             "dwdk_ok": rep.dwdk_ok,
-            "mean_error": mean_error(dist, build_density(dist.derived)),
+            "mean_error": mean_error(dist, d),
         }
     ]
 
 
-def _residual_rows(dist, d) -> list[dict]:
-    rows = []
+_GRADIENT_SUITES = ("wasserstein_C", "kolmogorov_C", "wasserstein_A", "kolmogorov_A")
+
+
+def _at_most(name: str, observed: float, bound: float) -> Check:
+    return Check(name, observed, bound, bool(observed <= bound))
+
+
+def _residual_rows(dist, sol_id, sol_kink) -> list[Check]:
     checks = [
         ("f_linear", lambda x: x),
         ("f_quadratic", lambda x: np.asarray(x) ** 2),
+        ("f_poisson_identity", sol_id.antiderivative),
+        ("f_poisson_indicator", sol_kink.antiderivative),
     ]
-    sol_id = build_solution(d, TestFunction.identity())
-    checks.append(("f_poisson_identity", sol_id.antiderivative))
-    sol_ind = build_solution(d, TestFunction.indicator(-dist.derived.zeta))
-    checks.append(("f_poisson_indicator", sol_ind.antiderivative))
-    for name, f in checks:
-        res = stein_identity_residual(dist, f)
-        rows.append(
-            {
-                "name": name,
-                "lhs": res.residual,
-                "rhs": 1e-8,
-                "satisfied": bool(res.residual <= 1e-8),
-            }
-        )
-    return rows
+    return [
+        _at_most(name, stein_identity_residual(dist, f).residual, 1e-8)
+        for name, f in checks
+    ]
 
 
-def _generator_identity_rows(dist, d) -> list[dict]:
+def _generator_identity_rows(dist, sols) -> list[Check]:
     """|E h(X~) - E h(Y)| against |E G_Y f_h(X~)| for the anchor functions."""
-    from .ctmc import _exact_sum
-    from .model import drift
-
     rows = []
-    zeta = dist.derived.zeta
-    hs = [TestFunction.identity()] + [
-        TestFunction.indicator(a) for a in (-zeta - 1.0, -zeta, 0.0, -zeta + 1.0)
-    ]
     x = dist.x
     b = drift(dist.derived, x)
-    for h in hs:
-        sol = build_solution(d, h)
-        fp = sol.f_prime(x)
-        fpp = sol.f_second(x)
-        gen_y = _exact_sum(dist.pmf * (b * fp + d.mu * fpp))
+    for sol in sols:
+        h = sol.h
+        fp, fpp, _ = sol.derivatives(x)
+        gen_y = _exact_sum(dist.pmf * (b * fp + sol.density.mu * fpp))
         lhs = abs(_exact_sum(dist.pmf * h.value(x)) - sol.h_mean)
         gap = abs(lhs - abs(gen_y))
-        rows.append(
-            {
-                "name": f"generator_identity[{h.kind}@{h.parameter:+.3g}]",
-                "lhs": gap,
-                "rhs": 1e-8,
-                "satisfied": bool(gap <= 1e-8),
-            }
-        )
+        rows.append(_at_most(f"generator_identity[{h.kind}@{h.parameter:+.3g}]", gap, 1e-8))
     return rows
 
 
-def _decomposition_rows(dist, d) -> list[dict]:
-    rows = []
+def _decomposition_rows(dist, sol_id, anchor_sols, d_k: float) -> list[Check]:
     der = dist.derived
     delta = der.delta
-    sol = build_solution(d, TestFunction.identity())
-    dec = wasserstein_decomposition(dist, sol)
-    rows.append(
-        {
-            "name": "wasserstein_lhs_le_total",
-            "lhs": dec.lhs,
-            "rhs": dec.total + 1e-8,
-            "satisfied": bool(dec.lhs <= dec.total + 1e-8),
-        }
-    )
-    if der.is_erlang_c and der.R >= 1.0:
+    universal = der.is_erlang_c and der.R >= 1.0
+    dec = wasserstein_decomposition(dist, sol_id)
+    rows = [_at_most("wasserstein_lhs_le_total", dec.lhs, dec.total + 1e-8)]
+    if universal:
+        rows.append(_at_most("wasserstein_total_le_205delta", dec.total, 205.0 * delta))
+        rows.append(_at_most("wasserstein_f2b_le_111", dec.extras["mean_abs_f2b"], 111.0))
+    for sol in anchor_sols:
+        tag = f"[a={sol.h.parameter:+.3g}]"
+        deck = kolmogorov_decomposition(dist, sol, d_k)
+        extras = deck.extras
+        rows.append(_at_most(f"kolmogorov_lhs_le_total{tag}", deck.lhs, deck.total + 1e-8))
         rows.append(
-            {
-                "name": "wasserstein_total_le_205delta",
-                "lhs": dec.total,
-                "rhs": 205.0 * delta,
-                "satisfied": bool(dec.total <= 205.0 * delta),
-            }
-        )
-        rows.append(
-            {
-                "name": "wasserstein_f2b_le_111",
-                "lhs": dec.extras["mean_abs_f2b"],
-                "rhs": 111.0,
-                "satisfied": bool(dec.extras["mean_abs_f2b"] <= 111.0),
-            }
-        )
-    zeta = der.zeta
-    for a in (-zeta - 1.0, -zeta, 0.0, -zeta + 1.0):
-        deck = kolmogorov_decomposition(dist, build_solution(d, TestFunction.indicator(a)))
-        rows.append(
-            {
-                "name": f"kolmogorov_lhs_le_total[a={a:+.3g}]",
-                "lhs": deck.lhs,
-                "rhs": deck.total + 1e-8,
-                "satisfied": bool(deck.lhs <= deck.total + 1e-8),
-            }
-        )
-        rows.append(
-            {
-                "name": f"kolmogorov_straddle_majorant[a={a:+.3g}]",
-                "lhs": deck.extras["straddle"],
-                "rhs": deck.extras["straddle_majorant"],
-                "satisfied": bool(deck.extras["straddle_ok"]),
-            }
-        )
-        if der.is_erlang_c and der.R >= 1.0:
-            rows.append(
-                {
-                    "name": f"kolmogorov_interm[a={a:+.3g}]",
-                    "lhs": deck.lhs,
-                    "rhs": deck.extras["interm_rhs"],
-                    "satisfied": bool(deck.lhs <= deck.extras["interm_rhs"]),
-                }
+            Check(
+                f"kolmogorov_straddle_majorant{tag}",
+                extras["straddle"],
+                extras["straddle_majorant"],
+                extras["straddle_ok"],
             )
+        )
+        if universal:
+            rows.append(_at_most(f"kolmogorov_interm{tag}", deck.lhs, extras["interm_rhs"]))
     return rows
 
 
 def run_verify(params: ModelParams, tail_tol: float = 1e-14) -> dict:
-    """All desk-checkable suites for one parameter set."""
+    """All desk-checkable suites for one parameter set.
+
+    Returns ``{"suites": [(suite, [Check, ...]), ...], "all_passed": bool}``.
+    The pmf, the density, the identity and anchor solutions and d_K are
+    built once and shared by every suite.
+    """
     dist = stationary_pmf(params, tail_tol, moment_order=2)
     der = dist.derived
     d = build_density(der)
-    suites = []
-    suites.append({"suite": "moment_bounds", "rows": moment_bound_report(dist)})
-    grad_suites = (
-        ["wasserstein_C", "kolmogorov_C"]
-        if der.is_erlang_c
-        else ["wasserstein_A", "kolmogorov_A"]
-    )
-    for name in grad_suites:
-        rows = gradient_bound_report(der, name)
-        suites.append({"suite": name, "rows": rows})
-    sup = density_sup_check(d)
-    suites.append(
-        {
-            "suite": "density_sup",
-            "rows": [
-                {
-                    "name": "density_sup",
-                    "lhs": sup["sup"],
-                    "rhs": sup["bound"],
-                    "satisfied": sup["satisfied"],
-                }
-            ],
-        }
-    )
-    suites.append({"suite": "stein_identity", "rows": _residual_rows(dist, d)})
-    suites.append(
-        {"suite": "generator_identity", "rows": _generator_identity_rows(dist, d)}
-    )
-    suites.append({"suite": "decompositions", "rows": _decomposition_rows(dist, d)})
-    all_passed = all(
-        row.get("satisfied") is not False
-        for suite in suites
-        for row in suite["rows"]
-    )
+    sol_id = build_solution(d, TestFunction.identity())
+    anchor_sols = [build_solution(d, TestFunction.indicator(a)) for a in _anchors(der.zeta)]
+    d_k = kolmogorov_distance(dist, d)
+    grad_suites = _GRADIENT_SUITES[:2] if der.is_erlang_c else _GRADIENT_SUITES[2:]
+    suites = [("moment_bounds", moment_bound_report(dist))]
+    suites += [(name, gradient_bound_report(der, name)) for name in grad_suites]
+    suites += [
+        ("density_sup", [density_sup_check(d)]),
+        # anchor_sols[1] is the indicator at the drift kink -zeta
+        ("stein_identity", _residual_rows(dist, sol_id, anchor_sols[1])),
+        ("generator_identity", _generator_identity_rows(dist, [sol_id] + anchor_sols)),
+        ("decompositions", _decomposition_rows(dist, sol_id, anchor_sols, d_k)),
+    ]
+    all_passed = all(c.satisfied is not False for _, checks in suites for c in checks)
     return {"suites": suites, "all_passed": all_passed}
 
 
@@ -383,21 +324,47 @@ def _csv_cell(v):
 
 
 def _flatten_verify(report: dict) -> list[dict]:
-    rows = []
-    for suite in report["suites"]:
-        for row in suite["rows"]:
-            flat = {"suite": suite["suite"]}
-            flat["name"] = row.get("name", row.get("bound_id", ""))
-            if "lhs" in row:
-                flat["observed"] = row["lhs"]
-                flat["bound"] = row["rhs"]
-            else:
-                flat["observed"] = row["max_observed"]
-                flat["bound"] = row["bound"]
-            flat["satisfied"] = row.get("satisfied")
-            flat["mode"] = row.get("mode", "strict")
-            rows.append(flat)
-    return rows
+    return [
+        {
+            "suite": suite,
+            "name": c.name,
+            "observed": c.observed,
+            "bound": c.bound,
+            "satisfied": c.satisfied,
+            "mode": c.mode,
+        }
+        for suite, checks in report["suites"]
+        for c in checks
+    ]
+
+
+def _schema1_suites(report: dict) -> list[dict]:
+    """The JSON ``suites`` block in its schema-1 row shapes.
+
+    Gradient-bound rows are ``{bound_id, max_observed, bound, mode,
+    satisfied}``; every other suite's rows are ``{name, lhs, rhs,
+    satisfied}``.
+    """
+    out = []
+    for suite, checks in report["suites"]:
+        if suite in _GRADIENT_SUITES:
+            rows = [
+                {
+                    "bound_id": c.name,
+                    "max_observed": c.observed,
+                    "bound": c.bound,
+                    "mode": c.mode,
+                    "satisfied": c.satisfied,
+                }
+                for c in checks
+            ]
+        else:
+            rows = [
+                {"name": c.name, "lhs": c.observed, "rhs": c.bound, "satisfied": c.satisfied}
+                for c in checks
+            ]
+        out.append({"suite": suite, "rows": rows})
+    return out
 
 
 def _json_default(obj):
@@ -515,13 +482,13 @@ def main(argv: list[str] | None = None) -> int:
             )
             report = run_verify(params, config.tail_tol)
             rows = _flatten_verify(report)
-            _write(config, _emit(config, rows, suites=report["suites"]))
+            _write(config, _emit(config, rows, suites=_schema1_suites(report)))
             return EXIT_OK if report["all_passed"] else EXIT_VIOLATION
         elif config.command == "sweep":
             rows = run_sweep(config)
         else:  # pragma: no cover - argparse guards this
             raise ValidationError(f"unknown command {config.command}")
-    except (ValidationError, ValueError) as exc:
+    except (ValidationError, ValueError, TruncationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     _write(config, _emit(config, rows))

@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 from scipy.special import gammaln
 
-from .model import DerivedQuantities, ModelParams, departure_rate, derive, scaled_state
+from .model import Check, DerivedQuantities, ModelParams, departure_rate, derive, scaled_state
 
 __all__ = [
     "DiscreteStationary",
@@ -197,14 +197,11 @@ def stationary_pmf(
 
 
 def _moments_certified(dist: DiscreteStationary, moment_order: int) -> bool:
-    for m in (moment_order,):
-        bound = dist.moment_tail_bound(m)
-        if not math.isfinite(bound):
-            return False
-        current = _exact_sum(np.abs(dist.x) ** m * dist.pmf)
-        if bound > _REL_MOMENT_TOL * current:
-            return False
-    return True
+    bound = dist.moment_tail_bound(moment_order)
+    if not math.isfinite(bound):
+        return False
+    current = _exact_sum(np.abs(dist.x) ** moment_order * dist.pmf)
+    return bound <= _REL_MOMENT_TOL * current
 
 
 def _region_mask(dist: DiscreteStationary, region: str) -> np.ndarray:
@@ -315,16 +312,11 @@ def stein_identity_residual(
     return SteinResidual(residual=residual, tolerance=boundary + rounding)
 
 
-def _bound_row(name: str, lhs: float, rhs: float) -> dict:
-    return {
-        "name": name,
-        "lhs": lhs,
-        "rhs": rhs,
-        "satisfied": bool(lhs <= rhs * (1.0 + 1e-12) + 1e-12),
-    }
+def _bound_row(name: str, observed: float, bound: float) -> Check:
+    return Check(name, observed, bound, bool(observed <= bound * (1.0 + 1e-12) + 1e-12))
 
 
-def moment_bound_report(dist: DiscreteStationary) -> list[dict]:
+def moment_bound_report(dist: DiscreteStationary) -> list[Check]:
     """Evaluate every closed-form stationary moment bound for the regime.
 
     Left sides come exactly from the pmf, right sides from the printed
@@ -336,7 +328,7 @@ def moment_bound_report(dist: DiscreteStationary) -> list[dict]:
     zeta = derived.zeta
     az = abs(zeta)
     mu, alpha = derived.mu, derived.alpha
-    rows: list[dict] = []
+    rows: list[Check] = []
 
     def mom(m, region, shift="none"):
         return moment(dist, m, region, shift)
@@ -362,12 +354,12 @@ def moment_bound_report(dist: DiscreteStationary) -> list[dict]:
             )
         idle_expect = mom(1, "below", "plus_zeta")
         rows.append(
-            {
-                "name": "idle_expect_identity",
-                "lhs": idle_expect,
-                "rhs": az,
-                "satisfied": bool(abs(idle_expect - az) <= 1e-10 * max(1.0, az)),
-            }
+            Check(
+                "idle_expect_identity",
+                idle_expect,
+                az,
+                bool(abs(idle_expect - az) <= 1e-10 * max(1.0, az)),
+            )
         )
         return rows
 

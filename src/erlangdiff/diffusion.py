@@ -27,13 +27,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .model import DerivedQuantities
+from .model import Check, DerivedQuantities
 
 __all__ = [
     "DiffusionDensity",
     "build_density",
-    "pdf",
-    "cdf",
     "moment",
     "density_sup_check",
     "zeta_scaling_limit",
@@ -570,14 +568,6 @@ def build_density(derived: DerivedQuantities) -> DiffusionDensity:
     )
 
 
-def pdf(d: DiffusionDensity, x):
-    return d.pdf(x)
-
-
-def cdf(d: DiffusionDensity, x):
-    return d.cdf(x)
-
-
 def moment(
     d: DiffusionDensity,
     m: int,
@@ -622,7 +612,7 @@ def moment(
     return below_part + above_part
 
 
-def density_sup_check(d: DiffusionDensity) -> dict:
+def density_sup_check(d: DiffusionDensity) -> Check:
     """Supremum of the density against its regime bound.
 
     sqrt(2/pi) for Erlang-C and underloaded Erlang-A; an extra factor
@@ -636,7 +626,7 @@ def density_sup_check(d: DiffusionDensity) -> dict:
         bound = math.sqrt(2.0 / math.pi) * math.sqrt(d.alpha / d.mu)
     else:
         bound = math.sqrt(2.0 / math.pi)
-    return {"sup": sup, "bound": bound, "satisfied": bool(sup <= bound * (1.0 + 1e-12))}
+    return Check("density_sup", sup, bound, bool(sup <= bound * (1.0 + 1e-12)))
 
 
 def zeta_scaling_limit(mu: float, n: int, m: int, zeta_sequence) -> list[float]:

@@ -18,7 +18,13 @@ import numpy as np
 from scipy import special
 
 from .ctmc import DiscreteStationary, _exact_sum, moment as chain_moment, stationary_pmf
-from .diffusion import DiffusionDensity, _ExpPiece, build_density, moment as diff_moment
+from .diffusion import (
+    DiffusionDensity,
+    _ExpPiece,
+    build_density,
+    density_sup_check,
+    moment as diff_moment,
+)
 from .model import ModelParams
 
 __all__ = [
@@ -193,10 +199,7 @@ def distance_report(dist: DiscreteStationary, d: DiffusionDensity) -> DistanceRe
     d_k = kolmogorov_distance(dist, d)
     delta = der.delta
     is_c = der.is_erlang_c
-    density_cap = math.sqrt(2.0 / math.pi)
-    if d.regime == "erlangA_over":
-        density_cap *= math.sqrt(der.alpha / der.mu)
-    dwdk_bound = math.sqrt(2.0 * density_cap * d_w)
+    dwdk_bound = math.sqrt(2.0 * density_sup_check(d).bound * d_w)
     return DistanceReport(
         d_w=d_w,
         d_k=d_k,

@@ -15,19 +15,35 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "Check",
     "ModelParams",
     "DerivedQuantities",
     "ValidationError",
     "derive",
     "departure_rate",
     "drift",
-    "drift_slope",
     "scaled_state",
 ]
 
 
 class ValidationError(ValueError):
     """Raised when model parameters violate the admissibility rules."""
+
+
+@dataclass(frozen=True)
+class Check:
+    """One verification row: an observed value against its bound.
+
+    ``satisfied`` is the producer's verdict (each suite has its own slack);
+    ``mode="empirical"`` rows track a quantity with no stated constant and
+    carry ``satisfied=None``.
+    """
+
+    name: str
+    observed: float
+    bound: float
+    satisfied: bool | None
+    mode: str = "strict"
 
 
 @dataclass(frozen=True)
@@ -159,20 +175,6 @@ def drift(derived: DerivedQuantities, x):
     neg_part = np.maximum(-shifted, 0.0) - max(-z, 0.0)
     pos_part = np.maximum(shifted, 0.0) - max(z, 0.0)
     val = neg_part * derived.mu - pos_part * derived.alpha
-    if np.isscalar(x) or x_arr.ndim == 0:
-        return float(val)
-    return val
-
-
-def drift_slope(derived: DerivedQuantities, x):
-    """Derivative of the drift: -mu left of -zeta, -alpha right of it.
-
-    Undefined exactly at the kink; callers must not pass x == -zeta.
-    """
-    x_arr = np.asarray(x, dtype=float)
-    if np.any(x_arr == -derived.zeta):
-        raise ValueError("drift slope is undefined at the kink x = -zeta")
-    val = np.where(x_arr < -derived.zeta, -derived.mu, -derived.alpha)
     if np.isscalar(x) or x_arr.ndim == 0:
         return float(val)
     return val

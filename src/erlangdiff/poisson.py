@@ -26,7 +26,7 @@ import numpy as np
 
 from . import _quad
 from .diffusion import DiffusionDensity, build_density, moment as _diffusion_moment
-from .model import DerivedQuantities, drift, drift_slope
+from .model import Check, DerivedQuantities, drift
 
 __all__ = [
     "TestFunction",
@@ -34,9 +34,6 @@ __all__ = [
     "EvaluationRangeError",
     "mean_h",
     "build_solution",
-    "f_prime",
-    "f_second",
-    "f_third",
     "gradient_bound_report",
 ]
 
@@ -211,13 +208,27 @@ class PoissonSolution:
 
     # -- higher derivatives ----------------------------------------------------
 
+    def derivatives(self, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(f', f'', f''') on a point array, sharing one f' evaluation.
+
+        f'' comes from the equation (the left limit at the indicator jump),
+        f''' from differentiating it once more.  At the drift kink itself
+        f''' carries the right-side slope; panel integrals split there, so
+        that measure-zero value never enters one.
+        """
+        x_arr = np.atleast_1d(np.asarray(x, dtype=float))
+        der = self.derived
+        mu = self.density.mu
+        fp = self.f_prime(x_arr)
+        b = drift(der, x_arr)
+        fpp = (self.h_mean - self.h.value(x_arr) - b * fp) / mu
+        bp = np.where(x_arr < -der.zeta, -der.mu, -der.alpha)
+        f3 = (-self.h.slope(x_arr) - fpp * b - fp * bp) / mu
+        return fp, fpp, f3
+
     def f_second(self, x):
         """f'' from the equation; at the indicator jump, the left limit."""
-        x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-        b = np.atleast_1d(drift(self.derived, x_arr))
-        h_val = np.atleast_1d(self.h.value(x_arr))
-        fp = np.atleast_1d(self.f_prime(x_arr))
-        out = (self.h_mean - h_val - b * fp) / self.density.mu
+        out = self.derivatives(x)[1]
         return out if np.ndim(x) else float(out[0])
 
     def f_third(self, x):
@@ -230,12 +241,7 @@ class PoissonSolution:
             kink is not None and np.any(x_arr == kink)
         ):
             raise ValueError("third derivative undefined at a kink")
-        b = np.atleast_1d(drift(self.derived, x_arr))
-        bp = np.atleast_1d(drift_slope(self.derived, x_arr))
-        hp = np.atleast_1d(self.h.slope(x_arr))
-        fp = np.atleast_1d(self.f_prime(x_arr))
-        fpp = np.atleast_1d(self.f_second(x_arr))
-        out = (-hp - fpp * b - fp * bp) / self.density.mu
+        out = self.derivatives(x_arr)[2]
         return out if np.ndim(x) else float(out[0])
 
     def poisson_residual(self, x):
@@ -285,18 +291,6 @@ def build_solution(d: DiffusionDensity, h: TestFunction) -> PoissonSolution:
     return PoissonSolution(density=d, h=h, h_mean=mean_h(d, h))
 
 
-def f_prime(sol: PoissonSolution, x):
-    return sol.f_prime(x)
-
-
-def f_second(sol: PoissonSolution, x):
-    return sol.f_second(x)
-
-
-def f_third(sol: PoissonSolution, x):
-    return sol.f_third(x)
-
-
 # ---------------------------------------------------------------------------
 # Gradient-bound verification suites.
 # ---------------------------------------------------------------------------
@@ -326,31 +320,18 @@ def _sample_grid(d: DiffusionDensity, points: int) -> np.ndarray:
     return grid
 
 
-def _row(bound_id: str, observed: float, bound: float, mode: str = "strict") -> dict:
-    row = {
-        "bound_id": bound_id,
-        "max_observed": float(observed),
-        "bound": float(bound),
-        "mode": mode,
-    }
-    if mode == "strict":
-        row["satisfied"] = bool(observed <= bound * (1.0 + 1e-9) + 1e-300)
-    else:
-        row["satisfied"] = None
-    return row
+def _row(bound_id: str, observed: float, bound: float, mode: str = "strict") -> Check:
+    satisfied = (
+        bool(observed <= bound * (1.0 + 1e-9) + 1e-300) if mode == "strict" else None
+    )
+    return Check(bound_id, float(observed), float(bound), satisfied, mode)
 
 
-def _pointwise_row(bound_id: str, ratios: np.ndarray, mode: str = "strict") -> dict:
+def _pointwise_row(bound_id: str, ratios: np.ndarray, mode: str = "strict") -> Check:
     """Row for x-dependent bounds, reported as max observed/bound ratio."""
     worst = float(np.max(ratios)) if ratios.size else 0.0
-    row = {
-        "bound_id": bound_id,
-        "max_observed": worst,
-        "bound": 1.0,
-        "mode": mode,
-    }
-    row["satisfied"] = bool(worst <= 1.0 + 1e-9) if mode == "strict" else None
-    return row
+    satisfied = bool(worst <= 1.0 + 1e-9) if mode == "strict" else None
+    return Check(bound_id, worst, 1.0, satisfied, mode)
 
 
 def _anchors(zeta: float) -> list[float]:
@@ -360,7 +341,7 @@ def _anchors(zeta: float) -> list[float]:
 
 def gradient_bound_report(
     derived: DerivedQuantities, suite: str, points: int = 2001
-) -> list[dict]:
+) -> list[Check]:
     """Sample f', f'', f''' on a dense grid and check the printed bounds.
 
     Suites: ``wasserstein_C`` (identity h; plus the Erlang-C auxiliary
@@ -374,7 +355,7 @@ def gradient_bound_report(
     az = abs(zeta)
     j = -zeta
     grid = _sample_grid(d, points)
-    rows: list[dict] = []
+    rows: list[Check] = []
 
     if suite == "wasserstein_C":
         if not derived.is_erlang_c:
@@ -488,7 +469,7 @@ def gradient_bound_report(
     raise ValueError(f"unknown suite {suite!r}")
 
 
-def _aux_rows_erlang_c(d: DiffusionDensity, grid: np.ndarray) -> list[dict]:
+def _aux_rows_erlang_c(d: DiffusionDensity, grid: np.ndarray) -> list[Check]:
     """Density-ratio bounds specific to the Erlang-C density."""
     az = abs(d.zeta)
     j = -d.zeta
@@ -537,7 +518,7 @@ def _mean_abs(d: DiffusionDensity) -> float:
     return _diffusion_moment(d, 1, absolute=True)
 
 
-def _aux_rows_erlang_a_under(d: DiffusionDensity, grid: np.ndarray) -> list[dict]:
+def _aux_rows_erlang_a_under(d: DiffusionDensity, grid: np.ndarray) -> list[Check]:
     az = abs(d.zeta)
     j = -d.zeta
     mu, alpha = d.mu, d.alpha
@@ -580,7 +561,7 @@ def _aux_rows_erlang_a_under(d: DiffusionDensity, grid: np.ndarray) -> list[dict
     return rows
 
 
-def _aux_rows_erlang_a_over(d: DiffusionDensity, grid: np.ndarray) -> list[dict]:
+def _aux_rows_erlang_a_over(d: DiffusionDensity, grid: np.ndarray) -> list[Check]:
     zeta = d.zeta
     j = -zeta
     mu, alpha = d.mu, d.alpha
@@ -641,7 +622,7 @@ def _aux_rows_erlang_a_over(d: DiffusionDensity, grid: np.ndarray) -> list[dict]
 
 def _log_ratio_above_row(
     bound_id: str, d: DiffusionDensity, pts: np.ndarray, log_bound: float, first: bool
-) -> dict:
+) -> Check:
     """Upper-tail ratio bound compared in log scale.
 
     Deep in the overloaded regime both the bound exp((alpha/2mu) zeta^2) and
@@ -667,7 +648,7 @@ def _log_ratio_above_row(
 
 def _shape_rows_erlang_a(
     sol: PoissonSolution, grid: np.ndarray, under: bool
-) -> list[dict]:
+) -> list[Check]:
     """Wasserstein gradient rows whose universal constant is unstated.
 
     Reported as the empirical maximum of mu * |f^(k)| / shape so boundedness

@@ -57,31 +57,11 @@ def _active(dist: DiscreteStationary) -> np.ndarray:
     return np.arange(idx[0], idx[-1] + 1)
 
 
-def _derivative_arrays(sol: PoissonSolution, pts: np.ndarray):
-    """f', f'' and f''' on a flat point array without duplicate work.
-
-    At the drift kink itself f''' carries the right-side slope; the value at
-    that measure-zero point never enters a panel integral (panels split
-    there) and is discarded where only f'/f'' are used.
-    """
-    der = sol.derived
-    mu = sol.density.mu
-    fp = sol.f_prime(pts)
-    b = drift(der, pts)
-    h_val = sol.h.value(pts)
-    fpp = (sol.h_mean - h_val - b * fp) / mu
-    bp = np.where(np.asarray(pts) < -der.zeta, -der.mu, -der.alpha)
-    hp = sol.h.slope(pts)
-    f3 = (-hp - fpp * b - fp * bp) / mu
-    return fp, fpp, f3
-
-
 def _panel_abs_f3(sol: PoissonSolution, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """int |f'''| over panels [lo_i, hi_i], splitting at kinks/sign changes."""
     splits = sol._split_points()
     pts, wts = _quad.panel_nodes(lo, hi, _ORDER)
-    _, _, f3 = _derivative_arrays(sol, pts.ravel())
-    f3 = f3.reshape(pts.shape)
+    f3 = sol.derivatives(pts.ravel())[2].reshape(pts.shape)
     plain = np.abs(np.sum(f3 * wts, axis=1))
     # sign changes below rounding noise (f''' is exactly zero on the
     # constant-drift side for Erlang-C) do not warrant a panel split
@@ -118,7 +98,7 @@ def wasserstein_decomposition(
     x = dist.x[ks]
     p = dist.pmf[ks]
     b = drift(der, x)
-    fp, fpp, _ = _derivative_arrays(sol, x)
+    fpp = sol.derivatives(x)[1]
     f2b = np.abs(fpp * b)
     term1 = 0.5 * delta * _exact_sum(p * f2b)
 
@@ -175,8 +155,7 @@ def _weighted_f2_panels(
     """
     splits = sol._split_points()
     pts, wts = _quad.panel_nodes(lo, hi, _ORDER)
-    _, fpp, _ = _derivative_arrays(sol, pts.ravel())
-    fpp = fpp.reshape(pts.shape)
+    fpp = sol.derivatives(pts.ravel())[1].reshape(pts.shape)
     fwd_w = hi[:, None] - pts
     bwd_w = pts - lo[:, None]
     a_panel = np.sum(fpp * fwd_w * wts, axis=1)
@@ -196,7 +175,7 @@ def _weighted_f2_panels(
 
 
 def kolmogorov_decomposition(
-    dist: DiscreteStationary, sol: PoissonSolution
+    dist: DiscreteStationary, sol: PoissonSolution, d_k: float
 ) -> ErrorDecomposition:
     """Expansion bound for an indicator test function at anchor a.
 
@@ -206,7 +185,9 @@ def kolmogorov_decomposition(
     term4_drift_eps (1/delta) E|b(X~) eps2(X~)|
 
     Also evaluates the straddle probability P(a - delta < X~ <= a + delta)
-    and its birth-death majorant from the pmf-maximizer argument.
+    and its birth-death majorant from the pmf-maximizer argument, which
+    needs the Kolmogorov distance ``d_k`` between the chain and the density
+    of ``sol``.
     """
     if sol.h.kind != "indicator":
         raise ValueError("the Kolmogorov decomposition needs an indicator h")
@@ -218,9 +199,7 @@ def kolmogorov_decomposition(
     x = dist.x[ks]
     p = dist.pmf[ks]
     b = drift(der, x)
-    fp = sol.f_prime(x)
-    h_val = np.where(x <= a, 1.0, 0.0)
-    fpp_left = (sol.h_mean - h_val - b * fp) / der.mu
+    fpp_left = sol.derivatives(x)[1]
     term1 = 0.5 * delta * _exact_sum(p * np.abs(fpp_left * b))
 
     lo_edges = np.concatenate(([x[0] - delta], x))
@@ -235,15 +214,11 @@ def kolmogorov_decomposition(
 
     lhs = abs(dist.cdf(a) - sol.h_mean)
     straddle = dist.prob_interval(a - delta, a + delta)
-    d = sol.density
-    omega = density_sup_check(d)["sup"]
-    from .metrics import kolmogorov_distance
-
-    dk = kolmogorov_distance(dist, d)
+    omega = density_sup_check(sol.density).observed
     load_factor = max(der.alpha / der.mu, 1.0)
     majorant = (
         2.0 * delta * omega
-        + dk
+        + d_k
         + 9.0 * load_factor * delta**2
         + 8.0 * load_factor**2 * delta**4
     )

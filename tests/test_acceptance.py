@@ -249,7 +249,7 @@ def test_criterion_09_moment_bounds():
         dist = pmf_for(params, 1e-12)
         rows = moment_bound_report(dist)
         for row in rows:
-            assert row["satisfied"], (params, row)
+            assert row.satisfied, (params, row)
         checked += len(rows)
     _report("criterion 9: moment-bound suites", True, f"{checked} rows")
 
@@ -266,12 +266,12 @@ def test_criterion_10_gradient_bounds():
         )
         for suite in suites:
             for row in gradient_bound_report(der, suite):
-                if row["mode"] == "strict":
+                if row.mode == "strict":
                     strict_rows += 1
-                    assert row["satisfied"], (params, suite, row)
+                    assert row.satisfied, (params, suite, row)
                 else:
                     empirical_rows += 1
-                    assert np.isfinite(row["max_observed"]), (params, suite, row)
+                    assert np.isfinite(row.observed), (params, suite, row)
     _report(
         "criterion 10: gradient-bound suites",
         True,
@@ -280,7 +280,7 @@ def test_criterion_10_gradient_bounds():
 
 
 def test_criterion_11_proof_path_decompositions():
-    for params, dist, d, _dw, _dk in _erlang_c_reports():
+    for params, dist, d, _dw, dk in _erlang_c_reports():
         delta = dist.derived.delta
         dec = wasserstein_decomposition(
             dist, build_solution(d, TestFunction.identity())
@@ -290,7 +290,7 @@ def test_criterion_11_proof_path_decompositions():
         zeta = dist.derived.zeta
         for a in (-zeta - 1.0, -zeta, 0.0, -zeta + 1.0):
             deck = kolmogorov_decomposition(
-                dist, build_solution(d, TestFunction.indicator(a))
+                dist, build_solution(d, TestFunction.indicator(a)), dk
             )
             assert deck.lhs <= 0.5 * deck.extras["straddle"] + 75.0 * delta, (params, a)
             assert deck.lhs <= deck.total + 1e-8

@@ -3,6 +3,8 @@ import json
 import pytest
 
 from erlangdiff import cli
+from erlangdiff.ctmc import TruncationError
+from erlangdiff.model import Check
 
 
 def run_cli(args, tmp_path, name="out.txt"):
@@ -56,6 +58,42 @@ class TestOutputFormats:
         assert doc["command"] == "distance"
         assert len(doc["rows"]) == 1
 
+    @pytest.mark.parametrize(
+        "params",
+        [
+            ["--lambda", "4.9", "--n", "5"],
+            ["--lambda", "3", "--n", "5", "--alpha", "4"],
+            ["--lambda", "12", "--n", "5", "--alpha", "2"],
+        ],
+        ids=["erlang_c", "erlang_a_under", "erlang_a_over"],
+    )
+    def test_verify_suites_match_rows(self, tmp_path, params):
+        # the schema-1 suites block and the flat rows describe the same checks
+        _, payload = run_cli(["verify", *params, "--format", "json"], tmp_path)
+        doc = json.loads(payload)
+        expected = []
+        for suite in doc["suites"]:
+            for row in suite["rows"]:
+                if "bound_id" in row:
+                    assert list(row) == ["bound_id", "max_observed", "bound", "mode", "satisfied"]
+                    keys = ("bound_id", "max_observed", "bound")
+                else:
+                    assert list(row) == ["name", "lhs", "rhs", "satisfied"]
+                    keys = ("name", "lhs", "rhs")
+                name, observed, bound = (row[k] for k in keys)
+                expected.append(
+                    {
+                        "suite": suite["suite"],
+                        "name": name,
+                        "observed": observed,
+                        "bound": bound,
+                        "satisfied": row["satisfied"],
+                        "mode": row.get("mode", "strict"),
+                    }
+                )
+        assert doc["rows"] == expected
+        assert len(expected) > 40
+
     def test_csv_is_lf_terminated(self, tmp_path):
         _, payload = run_cli(["table1"], tmp_path)
         assert b"\r\n" not in payload
@@ -84,7 +122,7 @@ class TestExitCodes:
     def test_violation_exit_code(self, monkeypatch, tmp_path):
         # force a failing row to check the exit-code plumbing
         def fake_report(dist):
-            return [{"name": "forced", "lhs": 2.0, "rhs": 1.0, "satisfied": False}]
+            return [Check("forced", 2.0, 1.0, False)]
 
         monkeypatch.setattr(cli, "moment_bound_report", fake_report)
         code, payload = run_cli(
@@ -92,6 +130,16 @@ class TestExitCodes:
         )
         assert code == 2
         assert b"forced" in payload
+
+    def test_truncation_error_exit_code(self, monkeypatch, capsys):
+        def fake_pmf(*args, **kwargs):
+            raise TruncationError("stationary grid would exceed the state cap")
+
+        monkeypatch.setattr(cli, "stationary_pmf", fake_pmf)
+        assert cli.main(["distance", "--lambda", "4.9", "--n", "5"]) == 1
+        assert capsys.readouterr().err == (
+            "error: stationary grid would exceed the state cap\n"
+        )
 
 
 class TestSweepCommand:

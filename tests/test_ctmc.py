@@ -215,33 +215,33 @@ class TestSteinIdentity:
 class TestMomentBoundReport:
     def test_erlang_c_rows(self):
         dist = pmf_for(ModelParams(lam=4.9, mu=1.0, n=5, alpha=0.0))
-        rows = {r["name"]: r for r in moment_bound_report(dist)}
+        rows = {r.name: r for r in moment_bound_report(dist)}
         delta = dist.derived.delta
         r = rows["xsquare_below"]
-        assert r["rhs"] == pytest.approx(4.0 / 3.0 + 2.0 * delta**2 / 3.0, rel=1e-14)
-        assert r["satisfied"]
+        assert r.bound == pytest.approx(4.0 / 3.0 + 2.0 * delta**2 / 3.0, rel=1e-14)
+        assert r.satisfied
         r = rows["idle_prob"]
-        assert r["rhs"] == pytest.approx((2.0 + delta) * abs(dist.derived.zeta), rel=1e-14)
-        assert r["satisfied"]
-        assert all(row["satisfied"] for row in rows.values())
+        assert r.bound == pytest.approx((2.0 + delta) * abs(dist.derived.zeta), rel=1e-14)
+        assert r.satisfied
+        assert all(row.satisfied for row in rows.values())
 
     def test_erlang_a_overloaded_rows(self):
         dist = pmf_for(ModelParams(lam=12.0, mu=1.0, n=5, alpha=2.0))
-        rows = {r["name"]: r for r in moment_bound_report(dist)}
+        rows = {r.name: r for r in moment_bound_report(dist)}
         delta = dist.derived.delta
         r = rows["o_xsquare_above"]
-        assert r["rhs"] == pytest.approx((delta**2 + 4.0 / 2.0) / 3.0, rel=1e-14)
-        assert all(row["satisfied"] for row in rows.values())
+        assert r.bound == pytest.approx((delta**2 + 4.0 / 2.0) / 3.0, rel=1e-14)
+        assert all(row.satisfied for row in rows.values())
 
     def test_erlang_a_underloaded_rows(self):
         dist = pmf_for(ModelParams(lam=3.0, mu=1.0, n=5, alpha=0.5))
-        assert all(r["satisfied"] for r in moment_bound_report(dist))
+        assert all(r.satisfied for r in moment_bound_report(dist))
 
     def test_critical_load_uses_under_branch(self):
         dist = pmf_for(ModelParams(lam=5.0, mu=1.0, n=5, alpha=1.0))
         rows = moment_bound_report(dist)
-        assert any(r["name"].startswith("u_") for r in rows)
-        assert all(r["satisfied"] for r in rows)
+        assert any(r.name.startswith("u_") for r in rows)
+        assert all(r.satisfied for r in rows)
 
 
 class TestIdleMonotone:

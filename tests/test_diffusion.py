@@ -7,10 +7,8 @@ from scipy import integrate
 from conftest import density_for
 from erlangdiff.diffusion import (
     build_density,
-    cdf,
     density_sup_check,
     moment,
-    pdf,
     zeta_scaling_limit,
 )
 from erlangdiff.model import DerivedQuantities, ModelParams, derive, drift
@@ -99,28 +97,28 @@ class TestBuild:
 class TestPdfCdf:
     def test_deep_left_tail(self):
         d = density_for(ModelParams(lam=4.0, mu=1.0, n=5, alpha=0.0))
-        assert cdf(d, -40.0) < 1e-300
+        assert d.cdf(-40.0) < 1e-300
 
     def test_cdf_at_junction_vs_quadrature(self):
         d = density_for(ModelParams(lam=4.0, mu=1.0, n=5, alpha=0.0))
         j = d.switch_point
         oracle = integrate.quad(d.pdf, -np.inf, j, limit=300)[0]
-        assert cdf(d, j) == pytest.approx(oracle, abs=1e-12)
+        assert d.cdf(j) == pytest.approx(oracle, abs=1e-12)
 
     def test_pdf_sup_erlang_c(self):
         for lam, n in [(3.0, 5), (4.9, 5), (499.0, 500)]:
             d = density_for(ModelParams(lam=lam, mu=1.0, n=n, alpha=0.0))
             xs = np.linspace(-8, 30, 4001)
-            assert np.max(pdf(d, xs)) <= math.sqrt(2.0 / math.pi) * (1 + 1e-12)
+            assert np.max(d.pdf(xs)) <= math.sqrt(2.0 / math.pi) * (1 + 1e-12)
 
     def test_cdf_monotone_with_limits(self):
         for params in REGIME_EXAMPLES.values():
             d = density_for(params)
             xs = np.linspace(-12, 12, 501)
-            vals = cdf(d, xs)
+            vals = d.cdf(xs)
             assert np.all(np.diff(vals) >= -1e-15)
-            assert cdf(d, -60.0) < 1e-12
-            assert cdf(d, 1e4) == pytest.approx(1.0, abs=1e-12)
+            assert d.cdf(-60.0) < 1e-12
+            assert d.cdf(1e4) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("params", list(REGIME_EXAMPLES.values()))
     def test_cdf_matches_quadrature_random_points(self, params):
@@ -136,7 +134,7 @@ class TestPdfCdf:
                     integrate.quad(d.pdf, -np.inf, j, limit=300)[0]
                     + integrate.quad(d.pdf, j, x, limit=300)[0]
                 )
-            assert cdf(d, x) == pytest.approx(oracle, abs=1e-10)
+            assert d.cdf(x) == pytest.approx(oracle, abs=1e-10)
 
     def test_stationary_ode(self):
         # -(d/dx) log pdf = -b(x)/mu away from the kink
@@ -183,17 +181,17 @@ class TestDensitySup:
     def test_erlang_c_grid(self):
         for lam, n in [(1.0, 2), (3.0, 5), (4.9, 5), (499.0, 500)]:
             check = density_sup_check(density_for(ModelParams(lam=lam, mu=1.0, n=n, alpha=0.0)))
-            assert check["satisfied"]
+            assert check.satisfied
 
     def test_gaussian_case(self):
         check = density_sup_check(density_for(ModelParams(lam=5.0, mu=1.0, n=5, alpha=1.0)))
-        assert check["sup"] == pytest.approx(1.0 / math.sqrt(2 * math.pi), rel=1e-12)
-        assert check["sup"] < math.sqrt(2.0 / math.pi)
+        assert check.observed == pytest.approx(1.0 / math.sqrt(2 * math.pi), rel=1e-12)
+        assert check.observed < math.sqrt(2.0 / math.pi)
 
     def test_overloaded_scaling(self):
         check = density_sup_check(density_for(ModelParams(lam=10.0, mu=1.0, n=5, alpha=4.0)))
-        assert check["bound"] == pytest.approx(math.sqrt(2.0 / math.pi) * 2.0, rel=1e-14)
-        assert check["satisfied"]
+        assert check.bound == pytest.approx(math.sqrt(2.0 / math.pi) * 2.0, rel=1e-14)
+        assert check.satisfied
 
 
 class TestZetaScaling:

@@ -11,7 +11,6 @@ from erlangdiff.model import (
     departure_rate,
     derive,
     drift,
-    drift_slope,
     scaled_state,
 )
 
@@ -165,14 +164,6 @@ class TestDrift:
         der = derive(ModelParams(lam=5.0, mu=1.0, n=5, alpha=1.0))
         xs = np.linspace(-4.0, 4.0, 33)
         assert np.allclose(drift(der, xs), -der.mu * xs, rtol=0, atol=1e-15)
-
-    def test_single_kink(self):
-        der = derive(ModelParams(lam=6.0, mu=1.0, n=5, alpha=2.0))
-        z = der.zeta
-        assert drift_slope(der, -z - 1e-9) == -der.mu
-        assert drift_slope(der, -z + 1e-9) == -der.alpha
-        with pytest.raises(ValueError):
-            drift_slope(der, -z)
 
     def test_continuous_at_kink(self):
         der = derive(ModelParams(lam=6.0, mu=1.0, n=5, alpha=2.0))

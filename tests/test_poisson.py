@@ -9,8 +9,6 @@ from erlangdiff.model import ModelParams, derive
 from erlangdiff.poisson import (
     TestFunction,
     build_solution,
-    f_prime,
-    f_third,
     gradient_bound_report,
     mean_h,
 )
@@ -97,7 +95,7 @@ class TestSolutionEvaluation:
     def test_switch_continuity(self):
         sol = build_solution(density_for(C_HEAVY), TestFunction.identity())
         eps = 1e-9
-        assert f_prime(sol, -eps) == pytest.approx(f_prime(sol, eps), rel=1e-8)
+        assert sol.f_prime(-eps) == pytest.approx(sol.f_prime(eps), rel=1e-8)
 
     def test_constant_like_h_gives_zero(self):
         # an indicator far beyond the support behaves as a constant h
@@ -134,13 +132,13 @@ class TestSolutionEvaluation:
     def test_third_derivative_rejections(self):
         sol = build_solution(density_for(C_PARAMS), TestFunction.identity())
         with pytest.raises(ValueError):
-            f_third(sol, -sol.derived.zeta)
+            sol.f_third(-sol.derived.zeta)
         sol_abs = build_solution(density_for(C_PARAMS), TestFunction.abs_dev(0.3))
         with pytest.raises(ValueError):
-            f_third(sol_abs, 0.3)
+            sol_abs.f_third(0.3)
         sol_ind = build_solution(density_for(C_PARAMS), TestFunction.indicator(0.0))
         with pytest.raises(ValueError):
-            f_third(sol_ind, 1.0)
+            sol_ind.f_third(1.0)
 
     def test_stable_far_into_tails(self):
         sol = build_solution(density_for(C_PARAMS), TestFunction.identity())
@@ -201,24 +199,24 @@ class TestGradientBoundReport:
         for suite in ("wasserstein_C", "kolmogorov_C"):
             rows = gradient_bound_report(der, suite)
             assert rows, suite
-            assert all(r["satisfied"] is not False for r in rows)
+            assert all(r.satisfied is not False for r in rows)
 
     def test_fbound_rows_present(self):
         rows = gradient_bound_report(derive(C_HEAVY), "wasserstein_C")
-        ids = {r["bound_id"] for r in rows}
+        ids = {r.name for r in rows}
         assert {"fbound1_neg", "fbound2_right", "fbound5", "fbound6", "fbound7"} <= ids
 
     def test_erlang_a_suites(self):
         for params in (A_UNDER, A_OVER, ModelParams(lam=5.0, mu=1.0, n=5, alpha=1.0)):
             der = derive(params)
             k_rows = gradient_bound_report(der, "kolmogorov_A")
-            assert all(r["satisfied"] is not False for r in k_rows)
+            assert all(r.satisfied is not False for r in k_rows)
             w_rows = gradient_bound_report(der, "wasserstein_A")
-            strict = [r for r in w_rows if r["mode"] == "strict"]
-            empirical = [r for r in w_rows if r["mode"] == "empirical"]
+            strict = [r for r in w_rows if r.mode == "strict"]
+            empirical = [r for r in w_rows if r.mode == "empirical"]
             assert strict and empirical
-            assert all(r["satisfied"] for r in strict)
-            assert all(np.isfinite(r["max_observed"]) for r in empirical)
+            assert all(r.satisfied for r in strict)
+            assert all(np.isfinite(r.observed) for r in empirical)
 
     def test_regime_mismatch_rejected(self):
         with pytest.raises(ValueError):

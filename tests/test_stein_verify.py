@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import SPOT_SETS, density_for, pmf_for
+from erlangdiff.metrics import kolmogorov_distance
 from erlangdiff.model import ModelParams
 from erlangdiff.poisson import TestFunction, build_solution
 from erlangdiff.stein_verify import (
@@ -56,7 +57,8 @@ class TestKolmogorovDecomposition:
         dist = pmf_for(C_HEAVY, 1e-14)
         d = density_for(C_HEAVY)
         a = -dist.derived.zeta
-        dec = kolmogorov_decomposition(dist, build_solution(d, TestFunction.indicator(a)))
+        sol = build_solution(d, TestFunction.indicator(a))
+        dec = kolmogorov_decomposition(dist, sol, kolmogorov_distance(dist, d))
         delta = dist.derived.delta
         assert dec.lhs <= 0.5 * dec.extras["straddle"] + 75.0 * delta
         assert dec.extras["straddle_ok"]
@@ -68,7 +70,8 @@ class TestKolmogorovDecomposition:
         dist = pmf_for(params, 1e-14)
         d = density_for(params)
         a = -dist.derived.zeta + 40.0
-        dec = kolmogorov_decomposition(dist, build_solution(d, TestFunction.indicator(a)))
+        sol = build_solution(d, TestFunction.indicator(a))
+        dec = kolmogorov_decomposition(dist, sol, kolmogorov_distance(dist, d))
         assert all(abs(v) < 1e-12 for v in dec.terms.values())
 
     @pytest.mark.parametrize("pars", SPOT_SETS)
@@ -76,8 +79,9 @@ class TestKolmogorovDecomposition:
         params = ModelParams(*pars)
         dist = pmf_for(params, 1e-14)
         d = density_for(params)
+        d_k = kolmogorov_distance(dist, d)
         for a in (-params.n * 0.0 - dist.derived.zeta, 0.0):
-            dec = kolmogorov_decomposition(dist, build_solution(d, TestFunction.indicator(a)))
+            dec = kolmogorov_decomposition(dist, build_solution(d, TestFunction.indicator(a)), d_k)
             assert dec.lhs <= dec.total + 1e-8
             assert dec.extras["straddle_ok"]
 
@@ -85,7 +89,7 @@ class TestKolmogorovDecomposition:
         dist = pmf_for(C_HEAVY, 1e-14)
         sol = build_solution(density_for(C_HEAVY), TestFunction.identity())
         with pytest.raises(ValueError):
-            kolmogorov_decomposition(dist, sol)
+            kolmogorov_decomposition(dist, sol, 0.0)
 
 
 class _QuadraticSolution:
