@@ -59,15 +59,17 @@ def _exact_sum(terms: np.ndarray) -> float:
     return math.fsum(arr.tolist())
 
 
-def _log_weights(params: ModelParams, k_hi: int) -> np.ndarray:
-    """log of the unnormalized stationary weights for k = 0..k_hi.
+def _log_weights(params: ModelParams, k_lo: int, k_hi: int) -> np.ndarray:
+    """log of the unnormalized stationary weights for k = k_lo..k_hi.
 
     Closed form: prod_{j<=k} lam/d(j) becomes log-gamma sums, split at the
     server count where the death rate switches from mu*k to n*mu + alpha*q.
+    Each entry depends on its own k only, so a sub-range carries the same
+    values as the full grid.
     """
     n, mu, alpha = params.n, params.mu, params.alpha
     r = params.offered_load
-    k = np.arange(k_hi + 1, dtype=float)
+    k = np.arange(k_lo, k_hi + 1, dtype=float)
     served = np.minimum(k, float(n))
     ell = served * math.log(r) - gammaln(served + 1.0)
     queue = k - served
@@ -81,23 +83,82 @@ def _log_weights(params: ModelParams, k_hi: int) -> np.ndarray:
     return ell
 
 
+def _log_weight(params: ModelParams, k: int) -> float:
+    return float(_log_weights(params, k, k)[0])
+
+
+# States whose weight is below 1e-32 of the mode's are left out of the
+# arrays.  Cutting shallower changes the rounding path of the chain CDF
+# (``np.cumsum``) and with it the last digits of d_W.
+_WINDOW_CUT = math.log(1e-32)
+
+
+def _mode(derived: DerivedQuantities) -> int:
+    """Largest k with d(k) <= lam: the weights rise up to it, fall after."""
+    params = derived.params
+    k = int(derived.x_inf)  # d(x_inf) = lam, up to rounding
+    while departure_rate(params, k + 1) <= params.lam:
+        k += 1
+    while k > 0 and departure_rate(params, k) > params.lam:
+        k -= 1
+    return k
+
+
+def _first_true(pred: Callable[[int], bool], lo: int, hi: int) -> int:
+    """Smallest k in [lo, hi] with pred(k), for pred monotone on [lo, hi].
+
+    pred(hi) is taken as true without being evaluated.
+    """
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if pred(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def _geometric_majorant(p: float, ratio: float, a: float, m: int, delta: float) -> float:
+    """Bound on sum_{j>=1} p ratio^j (a + j delta)^m.
+
+    (a + j delta)^m <= a^m exp(j m delta / a), so the sum is geometric with
+    ratio ``ratio * exp(m delta / a)``.
+    """
+    if m == 0:
+        return p * ratio / (1.0 - ratio) if ratio < 1.0 else math.inf
+    q_eff = ratio * math.exp(m * delta / a)
+    if q_eff >= 1.0:
+        return math.inf
+    return p * a**m * q_eff / (1.0 - q_eff)
+
+
 @dataclass(frozen=True)
 class DiscreteStationary:
-    """Truncated exact stationary pmf of the chain on the scaled grid.
+    """Exact stationary pmf of the chain on the states that carry mass.
 
-    States k = 0..k_max with scaled coordinates x_k = delta*(k - x_inf);
-    ``tail_bound`` certifies the mass dropped beyond k_max.
+    The arrays (``log_pmf``, ``pmf``, ``states``, ``x``, ``cdf_values``,
+    ``death_rates``) cover the window of states k_min..k_top whose weight is
+    within 1e-32 of the mode's, with scaled coordinates
+    x_k = delta*(k - x_inf).  ``k_max >= k_top`` is the certified truncation
+    index; ``log_pmf_end`` and ``tail_ratio`` = lam/d(k_max + 1) are its pmf
+    and tail ratio.  ``tail_bound`` certifies all the mass left out: the head
+    below k_min, the gap (k_top, k_max] and the tail beyond k_max.
     """
 
     derived: DerivedQuantities
+    k_min: int
     k_max: int
     log_pmf: np.ndarray = field(repr=False)
-    tail_bound: float
+    log_pmf_end: float
     tail_ratio: float
 
     @property
     def params(self) -> ModelParams:
         return self.derived.params
+
+    @property
+    def k_top(self) -> int:
+        return self.k_min + self.log_pmf.size - 1
 
     @cached_property
     def pmf(self) -> np.ndarray:
@@ -105,11 +166,16 @@ class DiscreteStationary:
 
     @cached_property
     def states(self) -> np.ndarray:
-        return np.arange(self.k_max + 1)
+        return np.arange(self.k_min, self.k_top + 1)
 
     @cached_property
     def x(self) -> np.ndarray:
         return self.derived.delta * (self.states - self.derived.x_inf)
+
+    @property
+    def x_max(self) -> float:
+        """Scaled coordinate of k_max."""
+        return self.derived.delta * (self.k_max - self.derived.x_inf)
 
     @cached_property
     def cdf_values(self) -> np.ndarray:
@@ -117,12 +183,16 @@ class DiscreteStationary:
 
     @cached_property
     def k_star(self) -> int:
-        """First index maximizing the pmf."""
-        return int(np.argmax(self.log_pmf))
+        """First state maximizing the pmf."""
+        return self.k_min + int(np.argmax(self.log_pmf))
 
     @property
     def death_rates(self) -> np.ndarray:
         return departure_rate(self.params, self.states)
+
+    @cached_property
+    def tail_bound(self) -> float:
+        return self.moment_tail_bound(0)
 
     def cdf(self, t) -> np.ndarray:
         """P(scaled state <= t); right-continuous step function."""
@@ -138,16 +208,60 @@ class DiscreteStationary:
         return float(_exact_sum(self.pmf[i:jj])) if jj > i else 0.0
 
     def moment_tail_bound(self, m: int, shift: float = 0.0) -> float:
-        """Upper bound on the dropped-tail contribution to E|X+shift|^m."""
-        q = self.tail_ratio
-        x_end = float(self.x[-1]) + abs(shift)
-        if m == 0 or x_end <= 0.0:
-            return self.pmf[-1] * q / (1.0 - q) if q < 1.0 else math.inf
-        growth = math.exp(m * self.derived.delta / x_end)
-        q_eff = q * growth
-        if q_eff >= 1.0:
-            return math.inf
-        return float(self.pmf[-1]) * x_end**m * q_eff / (1.0 - q_eff)
+        """Upper bound on what the states left out add to E|X+shift|^m.
+
+        Each region gets a geometric majorant from its edge state, with
+        |x_k + shift| <= |x_edge| + |shift| + delta*|k - edge|: the head
+        below k_min backwards (nu_{k-1}/nu_k = d(k)/lam <= d(k_min)/lam
+        there), the gap past k_top and the tail past k_max forwards
+        (nu_{k+1}/nu_k = lam/d(k+1) <= lam/d(edge+1)).
+        """
+        params = self.params
+        delta = self.derived.delta
+        s = abs(shift)
+        bound = _geometric_majorant(
+            float(np.exp(self.log_pmf_end)), self.tail_ratio, self.x_max + s, m, delta
+        )
+        if self.k_min > 0:
+            ratio = departure_rate(params, self.k_min) / params.lam
+            a = max(abs(float(self.x[0])) + s, delta)
+            bound += _geometric_majorant(float(self.pmf[0]), ratio, a, m, delta)
+        if self.k_top < self.k_max:
+            ratio = params.lam / departure_rate(params, self.k_top + 1)
+            a = max(abs(float(self.x[-1])) + s, delta)
+            bound += _geometric_majorant(float(self.pmf[-1]), ratio, a, m, delta)
+        return bound
+
+
+def _min_useful_k_hi(params: ModelParams, tail_tol: float, ell_mode: float) -> float:
+    """A lower bound on every k_hi that can pass the q and tail tests.
+
+    Erlang-A insists on q = lam/d(k_hi + 1) <= 1/2, so d(k_hi + 1) >= 2 lam.
+    Erlang-C weights fall by q = R/n per state above n, and the window
+    normalizer is at most n mode weights plus nu_n/(1 - q), so a k_hi >= n
+    passes the tail test only ``steps`` states or more past n.  Below n the
+    weights fall more slowly than that, so the bound says nothing there
+    unless even k_hi = n fails: then every k_hi in [mode, n) has a larger
+    weight and ratio, hence a larger tail, and fails too (below the mode
+    q >= 1).  A bound that rules out nothing is -inf.  It is shaded down by
+    0.1% and one state, so rounding never rules out a k_hi that could
+    succeed.
+    """
+    lam, mu, n = params.lam, params.mu, params.n
+    if not params.is_erlang_c:
+        need = 2.0 * lam
+        k_q = need / mu if need <= n * mu else n + (need - n * mu) / params.alpha
+        return 0.999 * k_q - 2.0
+    q = params.offered_load / n
+    log_q = math.log(q)
+    log_1mq = math.log((n - params.offered_load) / n)
+    log_wn = _log_weight(params, n) - ell_mode
+    log_z = float(np.logaddexp(math.log(n), log_wn - log_1mq))
+    excess = math.log(tail_tol) + log_z + log_1mq - log_q - log_wn
+    steps = excess / log_q
+    if steps <= 1.0:
+        return -math.inf
+    return n + 0.999 * steps - 1.0
 
 
 def stationary_pmf(
@@ -161,39 +275,78 @@ def stationary_pmf(
 
     ``moment_order`` additionally certifies that moments up to that order are
     unperturbed beyond 1e-8 relative, which requires a longer grid than the
-    mass criterion alone when the load is near critical.
+    mass criterion alone when the load is near critical.  The truncation
+    index k_max is chosen on the full grid 0..k_max, but only the window of
+    states that carry mass is built (see ``DiscreteStationary``); the window
+    edges are found by bisection on the concave closed-form log weight.
     """
     if not 0.0 < tail_tol < 1.0:
         raise ValueError("tail_tol must be in (0, 1)")
     derived = derive(params)
+    k_mode = _mode(derived)
+    ell_mode = _log_weight(params, k_mode)
+    floor = ell_mode + _WINDOW_CUT
+    k_min = _first_true(lambda k: _log_weight(params, k) >= floor, 0, k_mode)
     k_hi = int(derived.x_inf + 12.0 * math.sqrt(derived.x_inf) + 60.0)
+    k_need = _min_useful_k_hi(params, tail_tol, ell_mode)
+    # the first k_hi of the doubling sequence that can succeed: past the
+    # state cap, fail now instead of doubling up to it
+    k_first = k_hi
+    while k_first < k_need and k_first <= state_cap:
+        k_first = 2 * k_first + 64
     while True:
-        if k_hi > state_cap:
+        if max(k_hi, k_first) > state_cap:
             raise TruncationError(
                 f"stationary grid would exceed {state_cap} states; "
                 "parameters are pathological for exact summation"
             )
-        ell = _log_weights(params, k_hi)
-        shifted = ell - ell.max()
-        w = np.exp(shifted)
-        z = _exact_sum(w)
         q = params.lam / departure_rate(params, k_hi + 1)
         # Erlang-A keeps shrinking q; insist on q <= 1/2 there so the
         # geometric majorant is comfortably certified.
         q_ok = q < 1.0 if params.is_erlang_c else q <= 0.5
         if q_ok:
-            tail = (w[-1] / z) * q / (1.0 - q)
-            if tail <= tail_tol:
-                dist = DiscreteStationary(
-                    derived=derived,
-                    k_max=k_hi,
-                    log_pmf=shifted - math.log(z),
-                    tail_bound=float(tail),
-                    tail_ratio=float(q),
-                )
-                if moment_order == 0 or _moments_certified(dist, moment_order):
-                    return dist
+            dist = _truncated_pmf(derived, k_min, floor, k_hi, q, tail_tol)
+            if dist is not None and (
+                moment_order == 0 or _moments_certified(dist, moment_order)
+            ):
+                return dist
         k_hi = 2 * k_hi + 64
+
+
+def _truncated_pmf(
+    derived: DerivedQuantities,
+    k_min: int,
+    floor: float,
+    k_hi: int,
+    q: float,
+    tail_tol: float,
+) -> DiscreteStationary | None:
+    """The window pmf truncated at k_hi, or None if its tail exceeds tail_tol.
+
+    The window ends at the last state up to k_hi whose log weight is at
+    least ``floor``.  The tail test reads the weight at k_hi from the closed
+    form, against the window's normalizer.
+    """
+    params = derived.params
+    k_top = _first_true(lambda k: _log_weight(params, k) < floor, k_min, k_hi + 1) - 1
+    ell = _log_weights(params, k_min, k_top)
+    ell_max = ell.max()
+    ell -= ell_max
+    shifted_end = np.float64(_log_weight(params, k_hi) - ell_max)
+    z = _exact_sum(np.exp(ell))
+    tail = (np.exp(shifted_end) / z) * q / (1.0 - q)
+    if tail > tail_tol:
+        return None
+    log_z = math.log(z)
+    ell -= log_z
+    return DiscreteStationary(
+        derived=derived,
+        k_min=k_min,
+        k_max=k_hi,
+        log_pmf=ell,
+        log_pmf_end=float(shifted_end - log_z),
+        tail_ratio=float(q),
+    )
 
 
 def _moments_certified(dist: DiscreteStationary, moment_order: int) -> bool:
@@ -233,9 +386,12 @@ def moment(
     Regions cut exactly at the grid point -zeta (state k = n); "below" and
     "above" are the weak inequalities, with ``below_strict``/``above_strict``
     available for bounds stated with strict ones.  ``absolute=False`` yields
-    the signed moment.  Terms are summed exactly; the truncated tail is
-    re-certified for this order and a TruncationError signals if it could
-    move the result by more than 1e-8 relative.
+    the signed moment.  Terms are summed exactly over the pmf window; the
+    mass left out (head, gap and tail) is re-certified for this order and a
+    TruncationError signals if it could move the result by more than 1e-8
+    of the full-support absolute moment.  A region whose mass lies wholly
+    outside the window, such as P(X <= n) in an overloaded Erlang-A model
+    with n < k_min, therefore reads exactly 0.
     """
     if m < 0 or m > 20:
         raise ValueError("moment order must be in 0..20")
@@ -249,18 +405,17 @@ def moment(
     g = dist.x[mask] + offset
     vals = np.abs(g) ** m if absolute else g**m
     result = _exact_sum(vals * dist.pmf[mask])
-    if region in ("all", "above", "above_strict"):
-        # certify against the full-support absolute moment: a region whose
-        # true mass sits below the truncation floor is exactly 0 in double
-        # precision and no tail tolerance could make it relatively accurate
-        scale = _exact_sum(np.abs(dist.x + offset) ** m * dist.pmf)
-        tail = dist.moment_tail_bound(m, shift=offset)
-        if tail > _REL_MOMENT_TOL * max(scale, np.finfo(float).tiny):
-            raise TruncationError(
-                f"truncated tail could perturb moment of order {m} by more "
-                f"than {_REL_MOMENT_TOL} relative; rebuild the pmf with "
-                "moment_order or a smaller tail_tol"
-            )
+    # certify against the full-support absolute moment: a region whose true
+    # mass sits below the window's cut is exactly 0 in double precision and
+    # no tail tolerance could make it relatively accurate
+    scale = _exact_sum(np.abs(dist.x + offset) ** m * dist.pmf)
+    tail = dist.moment_tail_bound(m, shift=offset)
+    if tail > _REL_MOMENT_TOL * max(scale, np.finfo(float).tiny):
+        raise TruncationError(
+            f"truncated tail could perturb moment of order {m} by more "
+            f"than {_REL_MOMENT_TOL} relative; rebuild the pmf with "
+            "moment_order or a smaller tail_tol"
+        )
     return result
 
 
@@ -289,8 +444,10 @@ def stein_identity_residual(
 
     ``f`` must accept numpy arrays and have at-most-quadratic growth (checked
     numerically on the truncated support).  For the stationary law the
-    expectation telescopes through flow balance, so the residual is pure
-    truncation (lam * nu_K * forward difference at the edge) plus rounding.
+    expectation over the window k_min..k_top telescopes through flow balance,
+    so the residual is pure truncation (lam * nu_top * forward difference at
+    the top, d(k_min) * nu_min * backward difference at the bottom) plus
+    rounding.
     """
     derived = dist.derived
     params = dist.params
@@ -305,7 +462,9 @@ def stein_identity_residual(
     rates = dist.death_rates
     terms = dist.pmf * (params.lam * fwd + rates * bwd)
     residual = abs(_exact_sum(terms))
-    boundary = params.lam * float(dist.pmf[-1]) * abs(float(fwd[-1]))
+    boundary = params.lam * float(dist.pmf[-1]) * abs(float(fwd[-1])) + float(
+        rates[0] * dist.pmf[0] * abs(bwd[0])
+    )
     rounding = 64.0 * np.finfo(float).eps * _exact_sum(
         dist.pmf * (params.lam * np.abs(fwd) + rates * np.abs(bwd))
     )

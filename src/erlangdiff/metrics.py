@@ -62,18 +62,25 @@ def kolmogorov_distance(dist: DiscreteStationary, d) -> float:
 
     The chain CDF is flat on each cell, so the supremum is attained at a
     grid point approached from one side or the other; both candidates are
-    checked at every state.  ``d`` only needs a vectorized ``cdf`` (plus
+    checked at every state.  Past the window the chain CDF stays at its
+    last value up to k_max, where |c - F| peaks at an end point, so x(k_max)
+    joins the candidates.  ``d`` only needs a vectorized ``cdf`` (plus
     ``cdf_left`` when it is itself a step law, where the left limit at a
     jump differs from the CDF value).
     """
-    f_y = np.asarray(d.cdf(dist.x), dtype=float)
+    x = dist.x
+    c = dist.cdf_values
+    c_prev = np.concatenate(([0.0], c[:-1]))
+    if dist.k_top < dist.k_max:
+        x = np.append(x, dist.x_max)
+        c_prev = np.append(c_prev, c[-1])
+        c = np.append(c, c[-1])
+    f_y = np.asarray(d.cdf(x), dtype=float)
     f_left = (
-        np.asarray(d.cdf_left(dist.x), dtype=float)
+        np.asarray(d.cdf_left(x), dtype=float)
         if hasattr(d, "cdf_left")
         else f_y
     )
-    c = dist.cdf_values
-    c_prev = np.concatenate(([0.0], c[:-1]))
     return float(np.max(np.maximum(np.abs(c - f_y), np.abs(c_prev - f_left))))
 
 
@@ -143,12 +150,23 @@ def wasserstein_distance(dist: DiscreteStationary, d: DiffusionDensity) -> float
     Cell by cell: if the diffusion CDF stays on one side of the chain level,
     the area is a closed-form antiderivative difference; otherwise the unique
     crossing is found by the piece inverse CDF and the area split there.
-    Tails beyond the grid are closed-form partial first moments.
+    From the last window state to k_max the chain CDF is flat, so that
+    stretch is one cell (two if the density's kink x_n = -zeta falls
+    inside).  Tails beyond the grid are closed-form partial first moments.
     """
     x = dist.x
     c = dist.cdf_values
     u, v = x[:-1], x[1:]
     level = c[:-1]
+    x_end = x[-1]
+    if dist.k_top < dist.k_max:
+        x_end = dist.x_max
+        edges = [x[-1], x_end]
+        if dist.k_top < dist.params.n < dist.k_max:
+            edges.insert(1, -dist.derived.zeta)
+        u = np.append(u, edges[:-1])
+        v = np.append(v, edges[1:])
+        level = np.append(level, np.full(len(edges) - 1, c[-1]))
     f_u = np.asarray(d.cdf(u), dtype=float)
     f_v = np.asarray(d.cdf(v), dtype=float)
     area_full = _cdf_antiderivative(d, u, v, f_u)
@@ -171,7 +189,7 @@ def wasserstein_distance(dist: DiscreteStationary, d: DiffusionDensity) -> float
         cell_area[crossing] = left_part + right_part
 
     left_tail = x[0] * float(d.cdf(x[0])) - d.partial_raw_moment(1, -np.inf, x[0])
-    right_tail = d.partial_raw_moment(1, x[-1], np.inf) - x[-1] * float(d.sf(x[-1]))
+    right_tail = d.partial_raw_moment(1, x_end, np.inf) - x_end * float(d.sf(x_end))
     return float(_exact_sum(cell_area) + left_tail + right_tail)
 
 

@@ -264,7 +264,7 @@ def _f_values(sol, xs: np.ndarray) -> np.ndarray:
 
 
 def taylor_remainder_audit(dist: DiscreteStationary, sol, k: int) -> dict:
-    """Reconstruct the chain generator at state k from the expansion terms.
+    """Reconstruct the chain generator at state k (in the pmf window).
 
     Returns the directly evaluated generator, the reconstruction
     ``G_Y f - (delta/2) b f''(-) + lam (eps1 + eps2) - (1/delta) b eps2``,
@@ -272,12 +272,14 @@ def taylor_remainder_audit(dist: DiscreteStationary, sol, k: int) -> dict:
     ``f_prime``, ``f_second``, ``_split_points`` and either ``value`` or
     ``antiderivative``.
     """
+    if not dist.k_min <= k <= dist.k_top:
+        raise ValueError(f"state {k} is outside the window {dist.k_min}..{dist.k_top}")
     der = dist.derived
     params = dist.params
     delta = der.delta
-    x = float(dist.x[k])
+    x = float(dist.x[k - dist.k_min])
     f_vals = _f_values(sol, np.array([x - delta, x, x + delta]))
-    dk = float(dist.death_rates[k])
+    dk = float(dist.death_rates[k - dist.k_min])
     exact = params.lam * (f_vals[2] - f_vals[1]) + dk * (f_vals[0] - f_vals[1])
 
     splits = sol._split_points()

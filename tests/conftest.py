@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
-from erlangdiff.ctmc import stationary_pmf
+import numpy as np
+from hypothesis import strategies as st
+
+from erlangdiff.ctmc import DiscreteStationary, _log_weights, stationary_pmf
 from erlangdiff.diffusion import build_density
-from erlangdiff.model import ModelParams
+from erlangdiff.model import ModelParams, departure_rate, derive
 
 STANDARD_NS = (1, 2, 5, 50, 500)
 STANDARD_RHOS = (0.3, 0.7, 0.9, 0.99, 0.999)
@@ -70,3 +74,44 @@ def pmf_for(params: ModelParams, tail_tol: float = 1e-12, moment_order: int = 0)
 
 def density_for(params: ModelParams):
     return cached_density(params.lam, params.mu, params.n, params.alpha)
+
+
+def full_grid_pmf(params: ModelParams, tail_tol: float = 1e-12) -> DiscreteStationary:
+    """Reference pmf on every state 0..k_max, normalized with ``math.fsum``.
+
+    It applies the truncation rule of ``stationary_pmf`` (the same k_hi
+    doubling, q tests and tail test) to full grids, with no window.
+    """
+    der = derive(params)
+    k_hi = int(der.x_inf + 12.0 * math.sqrt(der.x_inf) + 60.0)
+    while True:
+        q = params.lam / departure_rate(params, k_hi + 1)
+        ell = _log_weights(params, 0, k_hi)
+        w = np.exp(ell - ell.max())
+        z = math.fsum(w.tolist())
+        q_ok = q < 1.0 if params.is_erlang_c else q <= 0.5
+        if q_ok and (w[-1] / z) * q / (1.0 - q) <= tail_tol:
+            log_pmf = ell - ell.max() - math.log(z)
+            return DiscreteStationary(der, 0, k_hi, log_pmf, float(log_pmf[-1]), q)
+        k_hi = 2 * k_hi + 64
+
+
+@st.composite
+def window_params(draw) -> ModelParams:
+    """R in [1e-3, 1e5]: Erlang-C staffed n = ceil(R + beta sqrt(R)), beta in
+    [0.5, 2], or at load R/n in [0.05, 0.95]; or Erlang-A with alpha/mu in
+    [1e-2, 1e2] and beta in [-1, 1].  Erlang-A keeps R (1 + mu/alpha) <= 1e5
+    so the reference grid stays small."""
+    if draw(st.booleans()):
+        r = 10.0 ** draw(st.floats(-3.0, 5.0))
+        if draw(st.booleans()):
+            n = math.ceil(r / draw(st.floats(0.05, 0.95)))
+        else:
+            n = math.ceil(r + draw(st.floats(0.5, 2.0)) * math.sqrt(r))
+        return ModelParams(lam=r, mu=1.0, n=n, alpha=0.0)
+    ratio = 10.0 ** draw(st.floats(-2.0, 2.0))
+    r_cap = 1e5 / (1.0 + 1.0 / ratio)
+    r = 10.0 ** draw(st.floats(-3.0, math.log10(min(1e5, r_cap))))
+    beta = draw(st.floats(-1.0, 1.0))
+    n = max(1, math.ceil(r + beta * math.sqrt(r)))
+    return ModelParams(lam=r, mu=1.0, n=n, alpha=ratio)

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +12,27 @@ def run_cli(args, tmp_path, name="out.txt"):
     path = tmp_path / name
     code = cli.main(args + ["--out", str(path)])
     return code, path.read_bytes()
+
+
+# Golden outputs in tests/data/<name>.<format>, written by
+# ``erlangdiff <command> --format <format> --out tests/data/<name>.<format>``.
+# Rewrite one only with a change that means to alter that output.
+GOLDEN = Path(__file__).parent / "data"
+REFERENCE_COMMANDS = {
+    "table1": ["table1"],
+    "table2": ["table2"],
+    "table3": ["table3"],
+    "sweep_qed": ["sweep", "--regime", "qed", "--beta", "1", "--sizes", "4,25"],
+    "verify_4.9_5": ["verify", "--lambda", "4.9", "--n", "5"],
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("name", list(REFERENCE_COMMANDS))
+def test_reference_outputs_stable(tmp_path, name, fmt):
+    code, payload = run_cli(REFERENCE_COMMANDS[name] + ["--format", fmt], tmp_path)
+    assert code == 0
+    assert payload == (GOLDEN / f"{name}.{fmt}").read_bytes()
 
 
 class TestTables:

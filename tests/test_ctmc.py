@@ -1,13 +1,16 @@
 import math
+import time
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import pmf_for, density_for
+from conftest import density_for, full_grid_pmf, pmf_for, window_params
 from erlangdiff.ctmc import (
     TruncationError,
+    _mode,
     apply_generator,
     idle_probability_monotone,
     moment,
@@ -37,8 +40,8 @@ class TestStationaryPmf:
             w.append(w[-1] / (min(k, 1) + max(k - 1, 0)))
         oracle = np.array(w) / math.fsum(w)
         dist = pmf_for(ModelParams(lam=1.0, mu=1.0, n=1, alpha=1.0))
-        m = min(len(oracle), dist.k_max + 1)
-        assert np.max(np.abs(oracle[:m] - dist.pmf[:m])) < 1e-15
+        ks = dist.states[dist.states < len(oracle)]
+        assert np.max(np.abs(oracle[ks] - dist.pmf[: ks.size])) < 1e-15
 
     @pytest.mark.parametrize(
         "params",
@@ -61,7 +64,7 @@ class TestStationaryPmf:
         # literal recursions both ways agree with the closed-form weights
         params = ModelParams(lam=4.0, mu=1.0, n=5, alpha=0.7)
         dist = pmf_for(params)
-        kmax = min(dist.k_max, 400)
+        kmax = min(dist.k_top, 400)
         up = [0.0]
         for k in range(1, kmax + 1):
             up.append(up[-1] + math.log(params.lam) - math.log(departure_rate(params, k)))
@@ -70,8 +73,9 @@ class TestStationaryPmf:
         down[kmax] = up[kmax]
         for k in range(kmax, 0, -1):
             down[k - 1] = down[k] - math.log(params.lam) + math.log(departure_rate(params, k))
-        log_pmf = dist.log_pmf[: kmax + 1]
-        for rec in (up, down):
+        ks = dist.states[dist.states <= kmax]
+        log_pmf = dist.log_pmf[: ks.size]
+        for rec in (up[ks], down[ks]):
             rel = (rec - rec[0]) - (log_pmf - log_pmf[0])
             assert np.max(np.abs(rel)) < 1e-10
 
@@ -113,10 +117,125 @@ class TestStationaryPmf:
         dist = stationary_pmf(params, 1e-12)
         assert math.fsum(dist.pmf.tolist()) == pytest.approx(1.0, abs=1e-12)
         mid = dist.k_star
-        if mid >= 1:
-            assert params.lam * dist.pmf[mid - 1] == pytest.approx(
-                departure_rate(params, mid) * dist.pmf[mid], rel=1e-10
+        i = mid - dist.k_min
+        if i >= 1:
+            assert params.lam * dist.pmf[i - 1] == pytest.approx(
+                departure_rate(params, mid) * dist.pmf[i], rel=1e-10
             )
+
+
+def _mp_outside_window(params, dist):
+    """(mass left of k_min, mass right of k_top, pmf at the mode) at 50 digits.
+
+    Weights come from the flow-balance recursion outward from the mode, at
+    50 digits, until they fall below 1e-70 of the mode's weight.
+    """
+    n = params.n
+    with mpmath.workdps(50):
+        lam, mu, alpha = (mpmath.mpf(v) for v in (params.lam, params.mu, params.alpha))
+
+        def death(k):
+            return mu * min(k, n) + alpha * max(k - n, 0)
+
+        mode = _mode(dist.derived)
+        tiny = mpmath.mpf(10) ** -70
+        weights = {mode: mpmath.mpf(1)}
+        k, w = mode, mpmath.mpf(1)
+        while k > 0 and w > tiny:
+            w = w * death(k) / lam
+            k -= 1
+            weights[k] = w
+        k, w = mode, mpmath.mpf(1)
+        while w > tiny or k <= dist.k_top:
+            w = w * lam / death(k + 1)
+            k += 1
+            weights[k] = w
+        z = mpmath.fsum(weights.values())
+        head = mpmath.fsum(v for k, v in weights.items() if k < dist.k_min)
+        beyond = mpmath.fsum(v for k, v in weights.items() if k > dist.k_top)
+        return head / z, beyond / z, 1 / z
+
+
+class TestWindow:
+    @settings(max_examples=30, deadline=None)
+    @given(params=window_params())
+    def test_matches_full_grid(self, params):
+        dist = stationary_pmf(params, 1e-12)
+        ref = full_grid_pmf(params, 1e-12)
+        assert dist.k_max == ref.k_max
+        # the early failure gives up on no grid the doubling reaches
+        assert stationary_pmf(params, 1e-12, state_cap=ref.k_max).k_max == ref.k_max
+        window = ref.pmf[dist.k_min : dist.k_top + 1]
+        np.testing.assert_allclose(dist.pmf, window, rtol=1e-12, atol=0.0)
+        outside = np.concatenate((ref.pmf[: dist.k_min], ref.pmf[dist.k_top + 1 :]))
+        # an Erlang-C tail is exactly geometric, so there the majorant is
+        # tight and only the two normalizations' rounding separates them
+        assert math.fsum(outside.tolist()) <= dist.tail_bound * (1.0 + 1e-12)
+
+    def test_size_at_large_r(self):
+        dist = stationary_pmf(ModelParams(lam=4.9e6, mu=1.0, n=4_998_000, alpha=0.0))
+        assert dist.log_pmf.size <= 100_000
+        assert dist.k_max == 4_926_623
+        assert dist.k_min > 0
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            ModelParams(lam=4.9e6, mu=1.0, n=4_998_000, alpha=0.0),
+            ModelParams(lam=1000.0, mu=1.0, n=1000, alpha=0.01),
+        ],
+    )
+    def test_mpmath_head_and_normalizer(self, params):
+        dist = stationary_pmf(params)
+        head, beyond, mode_pmf = _mp_outside_window(params, dist)
+        assert dist.k_min > 0
+        assert 0.0 < float(head) < 1e-32
+        # the certificate covers the head, the gap and the tail
+        assert float(head + beyond) <= dist.tail_bound <= 1e-14
+        # the closed-form log weights are accurate to ~|log weight| * eps in
+        # absolute terms, which is 1.8e-8 relative at R = 4.9e6
+        i = _mode(dist.derived) - dist.k_min
+        assert dist.pmf[i] == pytest.approx(float(mode_pmf), rel=1e-7)
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            ModelParams(lam=4.99, mu=1.0, n=5, alpha=0.0),
+            ModelParams(lam=0.999, mu=1.0, n=1, alpha=0.0),
+            ModelParams(lam=99.95, mu=1.0, n=100, alpha=0.0),
+            ModelParams(lam=5.0, mu=1.0, n=5, alpha=0.01),
+            ModelParams(lam=40.0, mu=1.0, n=5, alpha=0.05),
+            ModelParams(lam=1e4, mu=1.0, n=20_000, alpha=0.0),
+        ],
+    )
+    def test_fail_fast_keeps_k_max(self, params):
+        # near critical load the first k_hi that can pass lies past the
+        # first doublings, at light load it lies below n; the early failure
+        # must not give up on it, even with the state cap right at it
+        k_max = full_grid_pmf(params, 1e-12).k_max
+        assert stationary_pmf(params, 1e-12).k_max == k_max
+        assert stationary_pmf(params, 1e-12, state_cap=k_max).k_max == k_max
+
+    def test_fail_fast_at_light_load_and_large_n(self):
+        # the tail test passes well below n = 1e8 here, so the geometric
+        # bound above n must not force a grid past the default state cap
+        dist = stationary_pmf(ModelParams(lam=5e7, mu=1.0, n=10**8, alpha=0.0))
+        assert dist.k_max == 50_084_912
+
+    @pytest.mark.parametrize("alpha", [0.0, 1e-9])
+    def test_hopeless_grid_fails_fast(self, alpha):
+        params = ModelParams(lam=5.0 - 1e-9, mu=1.0, n=5, alpha=alpha)
+        start = time.perf_counter()
+        with pytest.raises(TruncationError):
+            stationary_pmf(params, 1e-14)
+        assert time.perf_counter() - start < 1.0
+
+    def test_stein_residual_on_window_above_zero(self):
+        # with k_min > 0 the telescoped sum keeps a term at the bottom edge
+        dist = stationary_pmf(ModelParams(lam=1000.0, mu=1.0, n=1100, alpha=0.0))
+        assert dist.k_min > 0
+        res = stein_identity_residual(dist, lambda x: np.asarray(x) ** 2)
+        assert res.residual <= res.tolerance
 
 
 class TestMoment:
@@ -151,6 +270,17 @@ class TestMoment:
         dist = stationary_pmf(ModelParams(lam=4.99, mu=1.0, n=5, alpha=0.0), 1e-6)
         with pytest.raises(TruncationError):
             moment(dist, 10)
+        # every region is certified against the full-support moment
+        with pytest.raises(TruncationError):
+            moment(dist, 10, "below")
+
+    def test_region_outside_window_reads_zero(self):
+        # overloaded Erlang-A: P(X <= n) ~ 1e-46 lies wholly in the head
+        # below k_min, which the certificate bounds next to the total mass
+        dist = stationary_pmf(ModelParams(lam=2000.0, mu=1.0, n=1400, alpha=1.0))
+        assert dist.k_min > dist.params.n
+        assert moment(dist, 0, "below") == 0.0
+        assert dist.tail_bound <= 1e-8
 
     def test_moment_order_cap(self):
         dist = pmf_for(ModelParams(lam=4.0, mu=1.0, n=5, alpha=0.0))

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 from scipy import integrate
 
-from conftest import SPOT_SETS, density_for, pmf_for
+from conftest import SPOT_SETS, density_for, full_grid_pmf, pmf_for, window_params
+from erlangdiff.ctmc import stationary_pmf
+from erlangdiff.diffusion import build_density
 from erlangdiff.ctmc import moment as chain_moment
 from erlangdiff.diffusion import moment as diff_moment
 from erlangdiff.metrics import (
@@ -70,6 +73,92 @@ class TestWasserstein:
             d = density_for(params)
             gap = abs(chain_moment(dist, 1, absolute=False) - diff_moment(d, 1))
             assert gap <= wasserstein_distance(dist, d) * (1 + 1e-12) + 1e-12
+
+
+class _KinkGuard:
+    """A density that refuses the cells its cell integrals cannot take: those
+    that straddle the kink -zeta."""
+
+    def __init__(self, d):
+        self._d = d
+
+    def __getattr__(self, name):
+        return getattr(self._d, name)
+
+    def _check(self, u, v):
+        j = self._d.switch_point
+        assert not np.any((np.asarray(u) < j) & (j < np.asarray(v)))
+
+    def cell_mass(self, u, v):
+        self._check(u, v)
+        return self._d.cell_mass(u, v)
+
+    def cell_first_moment(self, u, v):
+        self._check(u, v)
+        return self._d.cell_first_moment(u, v)
+
+
+class _JumpAtKMax:
+    """The chain's own step CDF, except that it reaches 1 at x(k_max)."""
+
+    def __init__(self, dist):
+        self._dist = dist
+
+    def cdf(self, t):
+        return np.where(np.asarray(t) >= self._dist.x_max, 1.0, self._dist.cdf(t))
+
+    def cdf_left(self, t):
+        return self._dist.cdf(np.asarray(t) - 1e-12)
+
+
+class TestWindowedDistances:
+    """The window's merged flat cell against the full grid's cell-by-cell sum."""
+
+    @staticmethod
+    def _pair(params):
+        dist = stationary_pmf(params, 1e-12)
+        ref = full_grid_pmf(params, 1e-12)
+        d = build_density(dist.derived)
+        return dist, ref, d
+
+    @settings(max_examples=30, deadline=None)
+    @given(params=window_params())
+    def test_match_full_grid(self, params):
+        dist, ref, d = self._pair(params)
+        assert wasserstein_distance(dist, d) == pytest.approx(
+            wasserstein_distance(ref, d), rel=1e-9, abs=1e-15
+        )
+        assert kolmogorov_distance(dist, d) == pytest.approx(
+            kolmogorov_distance(ref, d), rel=1e-9, abs=1e-15
+        )
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            ModelParams(lam=100.0, mu=1.0, n=250, alpha=1.0),
+            ModelParams(lam=100.0, mu=1.0, n=260, alpha=0.5),
+        ],
+    )
+    def test_kink_inside_flat_cell(self, params):
+        # the mass ends below n while k_max lies above it, so the flat cell
+        # is split at the density's kink x_n = -zeta
+        dist, ref, d = self._pair(params)
+        assert dist.k_top < params.n < dist.k_max
+        assert wasserstein_distance(dist, _KinkGuard(d)) == pytest.approx(
+            wasserstein_distance(ref, d), rel=1e-12
+        )
+        assert kolmogorov_distance(dist, d) == pytest.approx(
+            kolmogorov_distance(ref, d), rel=1e-12
+        )
+
+    def test_k_max_is_a_kolmogorov_candidate(self):
+        # past the window the chain CDF stays at its last value, which
+        # cumsum rounding leaves short of 1; the gap to a law that reaches 1
+        # at k_max shows only at that end point
+        dist = stationary_pmf(ModelParams(lam=4900.0, mu=1.0, n=5000, alpha=0.0), 1e-12)
+        gap = 1.0 - dist.cdf_values[-1]
+        assert dist.k_top < dist.k_max and gap > 0.0
+        assert kolmogorov_distance(dist, _JumpAtKMax(dist)) == gap
 
 
 class TestOracles:

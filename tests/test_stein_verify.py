@@ -115,6 +115,14 @@ class TestTaylorAudit:
             audit = taylor_remainder_audit(dist, _QuadraticSolution(), k)
             assert audit["gap"] < 1e-12 * max(1.0, abs(audit["exact_gen"]))
 
+    def test_states_index_the_window(self):
+        dist = pmf_for(ModelParams(lam=1000.0, mu=1.0, n=1100, alpha=0.0), 1e-14)
+        assert dist.k_min > 0
+        audit = taylor_remainder_audit(dist, _QuadraticSolution(), dist.k_top)
+        assert audit["gap"] < 1e-12 * max(1.0, abs(audit["exact_gen"]))
+        with pytest.raises(ValueError):
+            taylor_remainder_audit(dist, _QuadraticSolution(), dist.k_min - 1)
+
     def test_identity_solution_at_kink_state(self):
         dist = pmf_for(C_HEAVY, 1e-14)
         sol = build_solution(density_for(C_HEAVY), TestFunction.identity())
