@@ -48,6 +48,11 @@ def integrate_panels(
     return np.sum(vals * wts, axis=1)
 
 
+def _split_edges(lo: float, hi: float, splits: tuple[float, ...]) -> list[float]:
+    """Panel edges of [lo, hi] with the splits strictly inside it."""
+    return [lo] + sorted(s for s in splits if lo < s < hi) + [hi]
+
+
 def integrate_with_splits(
     fun: Callable[[np.ndarray], np.ndarray],
     lo: float,
@@ -56,8 +61,7 @@ def integrate_with_splits(
     order: int = _ORDER,
 ) -> float:
     """int_lo^hi fun with interior breakpoints inserted as panel edges."""
-    edges = [lo] + sorted(s for s in splits if lo < s < hi) + [hi]
-    edges_arr = np.asarray(edges)
+    edges_arr = np.asarray(_split_edges(lo, hi, splits))
     return float(np.sum(integrate_panels(fun, edges_arr[:-1], edges_arr[1:], order)))
 
 
@@ -72,7 +76,7 @@ def integrate_abs_with_splits(
 
     fun must be continuous on each split panel.
     """
-    edges = [lo] + sorted(s for s in splits if lo < s < hi) + [hi]
+    edges = _split_edges(lo, hi, splits)
     total = 0.0
     for a, b in zip(edges[:-1], edges[1:]):
         total += _abs_panel(fun, a, b, order)

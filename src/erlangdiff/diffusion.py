@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .model import Check, DerivedQuantities
+from .model import Check, DerivedQuantities, ModelParams, derive
 
 __all__ = [
     "DiffusionDensity",
@@ -86,35 +86,18 @@ class _GaussPiece:
         b = (np.asarray(v, dtype=float) - self.mean) / s
         return math.log(s * _SQRT_2PI) + _log_phi_diff(a, b)
 
-    def ratio_right(self, x, v=np.inf):
-        """int_x^v shape(y) dy / shape(x).
-
-        Tail-side form (difference of falling erfcx terms) when the interval
-        reaches the falling side of the shape; when [x, v] lies entirely on
-        the rising side the difference would cancel catastrophically, so the
-        dominant endpoint is factored out instead.
-        """
-        s = self.std
-        z = (np.asarray(x, dtype=float) - self.mean) / (s * _SQRT2)
-        v_arr = np.asarray(v, dtype=float)
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = s * _SQRT_HALF_PI * special.erfcx(z)
-            finite = np.isfinite(v_arr)
-            if np.any(finite):
-                zv = (np.where(finite, v_arr, 0.0) - self.mean) / (s * _SQRT2)
-                corr = s * _SQRT_HALF_PI * special.erfcx(zv) * np.exp(z * z - zv * zv)
-                out = out - np.where(finite, corr, 0.0)
-                rising = finite & (zv < 0.0)
-                if np.any(rising):
-                    grow = s * _SQRT_HALF_PI * (
-                        special.erfcx(-zv) * np.exp(z * z - zv * zv)
-                        - special.erfcx(-z)
-                    )
-                    out = np.where(rising, grow, out)
-        return out
+    def reflected(self) -> "_GaussPiece":
+        """The piece mirrored by y -> -y."""
+        return _GaussPiece(mean=-self.mean, var=self.var, lo=-self.hi, hi=-self.lo)
 
     def ratio_left(self, x, u=-np.inf):
-        """int_u^x shape(y) dy / shape(x); mirror of ratio_right."""
+        """int_u^x shape(y) dy / shape(x).
+
+        Tail-side form (difference of erfcx terms) when the interval reaches
+        the rising side of the shape; when [u, x] lies entirely on the
+        falling side the difference would cancel catastrophically, so the
+        dominant endpoint is factored out instead.
+        """
         s = self.std
         z = (np.asarray(x, dtype=float) - self.mean) / (s * _SQRT2)
         u_arr = np.asarray(u, dtype=float)
@@ -140,11 +123,20 @@ class _GaussPiece:
 
 @dataclass(frozen=True)
 class _ExpPiece:
-    """Shape exp(-rate * x) on [lo, hi] with rate > 0."""
+    """Shape exp(-rate * x) on [lo, hi].
+
+    The density's piece has rate > 0 and hi = inf.  Its reflection has
+    rate < 0 and lo = -inf and is used only by the tail ratios; ``log_mass``
+    and ``mode_in`` assume rate > 0.
+    """
 
     rate: float
     lo: float
     hi: float
+
+    def reflected(self) -> "_ExpPiece":
+        """The piece mirrored by y -> -y."""
+        return _ExpPiece(rate=-self.rate, lo=-self.hi, hi=-self.lo)
 
     def log_shape(self, x):
         return -self.rate * np.asarray(x, dtype=float)
@@ -161,21 +153,45 @@ class _ExpPiece:
         out = -self.rate * u_arr + tail - math.log(self.rate)
         return np.where(v_arr <= u_arr, -np.inf, out)
 
-    def ratio_right(self, x, v=np.inf):
-        x_arr = np.asarray(x, dtype=float)
-        v_arr = np.asarray(v, dtype=float)
-        span = np.where(np.isfinite(v_arr), v_arr - x_arr, np.inf)
-        return -np.expm1(-self.rate * span) / self.rate
-
     def ratio_left(self, x, u):
         x_arr = np.asarray(x, dtype=float)
         u_arr = np.asarray(u, dtype=float)
-        with np.errstate(over="ignore"):
-            out = np.expm1(self.rate * (x_arr - u_arr)) / self.rate
-        return out
+        with np.errstate(over="ignore", invalid="ignore"):
+            span = np.where(np.isfinite(u_arr), x_arr - u_arr, np.inf)
+            return np.expm1(self.rate * span) / self.rate
 
     def mode_in(self, u: float, v: float) -> float:
         return u
+
+
+def _piece_ratio(piece: _GaussPiece | _ExpPiece, t, first: bool):
+    """int_lo^t w(y) shape(y) dy / shape(t) within one piece, w = 1 or y."""
+    floor = piece.lo
+    r0 = piece.ratio_left(t, floor)
+    if not first:
+        return r0
+    shape_floor = (
+        np.exp(piece.log_shape(floor) - piece.log_shape(t))
+        if math.isfinite(floor)
+        else 0.0
+    )
+    return _first_moment(piece, r0, floor, shape_floor, t, 1.0)
+
+
+def _first_moment(piece: _GaussPiece | _ExpPiece, m0, lo, nu_lo, hi, nu_hi):
+    """int_lo^hi y shape(y) dy, in the units of m0 = int_lo^hi shape.
+
+    nu_lo and nu_hi are the shape at the ends in those same units.  An end
+    is a scalar or an array of finite points; an infinite end carries 0 and
+    drops out.
+    """
+    if isinstance(piece, _GaussPiece):
+        return piece.mean * m0 + piece.var * (nu_lo - nu_hi)
+    r = piece.rate
+    # one expression, so numpy reuses the buffers of the cell-sized temporaries
+    return (nu_lo * (lo / r + 1.0 / (r * r)) if np.isfinite(lo).all() else 0.0) - (
+        nu_hi * (hi / r + 1.0 / (r * r)) if np.isfinite(hi).all() else 0.0
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -237,29 +253,23 @@ class DiffusionDensity:
         return out if np.ndim(x) else float(out)
 
     def cdf(self, x):
-        x_arr = np.asarray(x, dtype=float)
-        j = self.switch_point
-        left_mass = np.exp(
-            self.log_a_minus + self.left.log_mass(-np.inf, np.minimum(x_arr, j))
-        )
-        right_mass = np.exp(
-            self.log_a_plus + self.right.log_mass(j, np.maximum(x_arr, j))
-        )
-        out = np.clip(left_mass + right_mass, 0.0, 1.0)
-        return out if x_arr.ndim else float(out)
+        return self._mass_between(-np.inf, x)
 
     def sf(self, x):
         """Upper-tail probability, computed tail-first (no 1 - cdf)."""
-        x_arr = np.asarray(x, dtype=float)
+        return self._mass_between(x, np.inf)
+
+    def _mass_between(self, u, v):
+        """int_u^v nu for u <= v, one closed-form mass per piece."""
         j = self.switch_point
-        right_mass = np.exp(
-            self.log_a_plus + self.right.log_mass(np.maximum(x_arr, j), np.inf)
-        )
         left_mass = np.exp(
-            self.log_a_minus + self.left.log_mass(np.minimum(x_arr, j), j)
+            self.log_a_minus + self.left.log_mass(np.minimum(u, j), np.minimum(v, j))
         )
-        out = np.clip(right_mass + left_mass, 0.0, 1.0)
-        return out if x_arr.ndim else float(out)
+        right_mass = np.exp(
+            self.log_a_plus + self.right.log_mass(np.maximum(u, j), np.maximum(v, j))
+        )
+        out = np.clip(left_mass + right_mass, 0.0, 1.0)
+        return out if out.ndim else float(out)
 
     # -- amplitude-weighted cell integrals (u, v within a single piece) ------
 
@@ -296,13 +306,7 @@ class DiffusionDensity:
             m0 = np.exp(self._log_amp(w) + piece.log_mass(uu, vv))
             nu_u = self._nu_or_zero(w, uu)
             nu_v = self._nu_or_zero(w, vv)
-            if isinstance(piece, _GaussPiece):
-                out[mask] = piece.mean * m0 + piece.var * (nu_u - nu_v)
-            else:
-                r = piece.rate
-                out[mask] = nu_u * (uu / r + 1.0 / (r * r)) - nu_v * (
-                    vv / r + 1.0 / (r * r)
-                )
+            out[mask] = _first_moment(piece, m0, uu, nu_u, vv, nu_v)
         return out
 
     def _nu_or_zero(self, which: int, t):
@@ -364,64 +368,50 @@ class DiffusionDensity:
         contributions are assembled from log quantities so that a negligible
         piece under a large 1/nu never produces 0 * inf.
         """
-        x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-        t_arr = np.minimum(x_arr, cutoff)
-        j = self.switch_point
-        log_nu_x = np.atleast_1d(self.log_pdf(x_arr))
-        out = np.zeros_like(x_arr)
-
-        # contribution of the piece containing t, up from the piece floor
-        for w in (0, 1):
-            piece = self._piece(w)
-            in_piece = (t_arr <= j) if w == 0 else (t_arr > j)
-            if not np.any(in_piece):
-                continue
-            t_in = t_arr[in_piece]
-            floor = piece.lo
-            if first:
-                base = self._first_ratio_left(w, t_in, floor)
-            else:
-                base = piece.ratio_left(t_in, floor)
-            scale = np.exp(
-                self._log_amp(w) + piece.log_shape(t_in) - log_nu_x[in_piece]
-            )
-            out[in_piece] += base * scale
-
-        # full left piece when t sits in the right piece
-        right_side = t_arr > j
-        if np.any(right_side):
-            out[right_side] += self._full_piece_over_nu(
-                0, first, log_nu_x[right_side]
-            )
-        return out if np.ndim(x) else float(out[0])
+        return self._tail_ratio(x, cutoff, first, below=True)
 
     def ratio_above(self, x, cutoff: float = -np.inf, first: bool = False):
         """(1/nu(x)) * int_{max(x, cutoff)}^{inf} w(y) nu(y) dy, w = 1 or y."""
+        return self._tail_ratio(x, cutoff, first, below=False)
+
+    def _tail_ratio(self, x, cutoff: float, first: bool, below: bool):
+        """Shared body of ratio_below and ratio_above.
+
+        An upper-tail integral of a piece is a lower-tail integral of the
+        piece reflected by y -> -y, taken at -t: int_t^hi w(y) shape(y) dy =
+        int_{-hi}^{-t} w(-y) shape(-y) dy, and w(-y) = -w(y) for w = y, so
+        the first-moment ratio changes sign.  IEEE negation is exact, so this
+        gives the bits of the hand-mirrored formulas.  Only the piece is
+        reflected, not the density: t <= -zeta still picks the left piece, so
+        the junction belongs to the same piece on both sides.
+        """
         x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-        t_arr = np.maximum(x_arr, cutoff)
+        t_arr = np.minimum(x_arr, cutoff) if below else np.maximum(x_arr, cutoff)
         j = self.switch_point
         log_nu_x = np.atleast_1d(self.log_pdf(x_arr))
         out = np.zeros_like(x_arr)
+        sign = -1.0 if first and not below else 1.0
 
+        # contribution of the piece containing t, out to that piece's edge
         for w in (0, 1):
-            piece = self._piece(w)
             in_piece = (t_arr <= j) if w == 0 else (t_arr > j)
             if not np.any(in_piece):
                 continue
-            t_in = t_arr[in_piece]
-            ceil_ = piece.hi
-            if first:
-                base = self._first_ratio_right(w, t_in, ceil_)
-            else:
-                base = piece.ratio_right(t_in, ceil_)
+            piece, t_in = self._piece(w), t_arr[in_piece]
+            if not below:
+                piece, t_in = piece.reflected(), -t_in
+            base = sign * _piece_ratio(piece, t_in, first)
             scale = np.exp(
                 self._log_amp(w) + piece.log_shape(t_in) - log_nu_x[in_piece]
             )
             out[in_piece] += base * scale
 
-        left_side = t_arr <= j
-        if np.any(left_side):
-            out[left_side] += self._full_piece_over_nu(1, first, log_nu_x[left_side])
+        # the whole other piece when t lies past the junction
+        past = (t_arr > j) if below else (t_arr <= j)
+        if np.any(past):
+            out[past] += self._full_piece_over_nu(
+                0 if below else 1, first, log_nu_x[past]
+            )
         return out if np.ndim(x) else float(out[0])
 
     def _full_piece_over_nu(self, which: int, first: bool, log_nu_x):
@@ -432,68 +422,18 @@ class DiffusionDensity:
         """
         piece = self._piece(which)
         log_amp = self._log_amp(which)
-        j = self.switch_point
-        lo = piece.lo if which == 0 else j
-        hi = j if which == 0 else piece.hi
+        lo, hi = piece.lo, piece.hi
         log_mass = log_amp + float(piece.log_mass(lo, hi))
         m0 = np.exp(log_mass - log_nu_x)
         if not first:
             return m0
-        nu_lo = (
-            np.exp(log_amp + float(piece.log_shape(lo)) - log_nu_x)
-            if math.isfinite(lo)
+        nu_lo, nu_hi = (
+            np.exp(log_amp + float(piece.log_shape(y)) - log_nu_x)
+            if math.isfinite(y)
             else 0.0
+            for y in (lo, hi)
         )
-        nu_hi = (
-            np.exp(log_amp + float(piece.log_shape(hi)) - log_nu_x)
-            if math.isfinite(hi)
-            else 0.0
-        )
-        if isinstance(piece, _GaussPiece):
-            return piece.mean * m0 + piece.var * (nu_lo - nu_hi)
-        r = piece.rate
-        lo_term = nu_lo * (lo / r + 1.0 / (r * r)) if math.isfinite(lo) else 0.0
-        hi_term = nu_hi * (hi / r + 1.0 / (r * r)) if math.isfinite(hi) else 0.0
-        return lo_term - hi_term
-
-    def _first_ratio_left(self, which: int, t, floor: float):
-        """int_floor^t y shape / shape(t) within one piece."""
-        piece = self._piece(which)
-        t_arr = np.asarray(t, dtype=float)
-        if isinstance(piece, _GaussPiece):
-            r0 = piece.ratio_left(t_arr, floor)
-            shape_floor = (
-                np.exp(piece.log_shape(floor) - piece.log_shape(t_arr))
-                if math.isfinite(floor)
-                else 0.0
-            )
-            return piece.mean * r0 + piece.var * (shape_floor - 1.0)
-        r = piece.rate
-        shape_floor = np.exp(piece.log_shape(floor) - piece.log_shape(t_arr))
-        return shape_floor * (floor / r + 1.0 / (r * r)) - (
-            t_arr / r + 1.0 / (r * r)
-        )
-
-    def _first_ratio_right(self, which: int, t, ceil_: float):
-        """int_t^ceil y shape / shape(t) within one piece."""
-        piece = self._piece(which)
-        t_arr = np.asarray(t, dtype=float)
-        if isinstance(piece, _GaussPiece):
-            r0 = piece.ratio_right(t_arr, ceil_)
-            shape_ceil = (
-                np.exp(piece.log_shape(ceil_) - piece.log_shape(t_arr))
-                if math.isfinite(ceil_)
-                else 0.0
-            )
-            return piece.mean * r0 + piece.var * (1.0 - shape_ceil)
-        r = piece.rate
-        shape_ceil = (
-            np.exp(piece.log_shape(ceil_) - piece.log_shape(t_arr))
-            if math.isfinite(ceil_)
-            else 0.0
-        )
-        ceil_term = shape_ceil * (ceil_ / r + 1.0 / (r * r)) if math.isfinite(ceil_) else 0.0
-        return (t_arr / r + 1.0 / (r * r)) - ceil_term
+        return _first_moment(piece, m0, lo, nu_lo, hi, nu_hi)
 
     # -- quantiles -------------------------------------------------------------
 
@@ -635,8 +575,6 @@ def zeta_scaling_limit(mu: float, n: int, m: int, zeta_sequence) -> list[float]:
     Converges to m! as zeta -> 0-.  Each zeta maps back to the arrival rate
     through sqrt(R) = (zeta + sqrt(zeta^2 + 4n)) / 2.
     """
-    from .model import ModelParams, derive
-
     out = []
     for zeta in zeta_sequence:
         if zeta >= 0.0:

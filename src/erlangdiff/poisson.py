@@ -269,22 +269,15 @@ class PoissonSolution:
         only differences enter the chain generator.
         """
         xs_arr = np.asarray(xs, dtype=float)
-        order = np.argsort(xs_arr)
-        sorted_x = xs_arr[order]
-        splits = self._split_points()
-        edges = [sorted_x[0]]
-        breaks: list[float] = []
-        for a, b in zip(sorted_x[:-1], sorted_x[1:]):
-            inner = sorted(s for s in splits if a < s < b)
-            edges.extend(inner + [b])
-        edges_arr = np.asarray(edges)
-        lo, hi = edges_arr[:-1], edges_arr[1:]
-        vals = _quad.integrate_panels(lambda t: np.atleast_1d(self.f_prime(t)), lo, hi)
+        splits = np.asarray(self._split_points())
+        inner = splits[(xs_arr.min() < splits) & (splits < xs_arr.max())]
+        # panel edges: the sorted grid with the interior split points merged in
+        edges = np.unique(np.concatenate((xs_arr, inner)))
+        vals = _quad.integrate_panels(
+            lambda t: np.atleast_1d(self.f_prime(t)), edges[:-1], edges[1:]
+        )
         cum = np.concatenate(([0.0], np.cumsum(vals)))
-        keep = np.searchsorted(edges_arr, sorted_x)
-        out = np.empty_like(xs_arr)
-        out[order] = cum[keep]
-        return out
+        return cum[np.searchsorted(edges, xs_arr)]
 
 
 def build_solution(d: DiffusionDensity, h: TestFunction) -> PoissonSolution:

@@ -57,6 +57,12 @@ def _active(dist: DiscreteStationary) -> np.ndarray:
     return np.arange(idx[0], idx[-1] + 1)
 
 
+def _has_split(lo: np.ndarray, hi: np.ndarray, splits: tuple[float, ...]) -> np.ndarray:
+    """Mask of the panels [lo_i, hi_i] with a split point strictly inside."""
+    s = np.asarray(splits)
+    return np.any((lo[:, None] < s) & (s < hi[:, None]), axis=1)
+
+
 def _panel_abs_f3(sol: PoissonSolution, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """int |f'''| over panels [lo_i, hi_i], splitting at kinks/sign changes."""
     splits = sol._split_points()
@@ -67,10 +73,7 @@ def _panel_abs_f3(sol: PoissonSolution, lo: np.ndarray, hi: np.ndarray) -> np.nd
     # constant-drift side for Erlang-C) do not warrant a panel split
     noise = 1e-12 * np.max(np.abs(f3))
     mixed = (np.min(f3, axis=1) < -noise) & (np.max(f3, axis=1) > noise)
-    has_split = np.zeros(lo.shape, dtype=bool)
-    for s in splits:
-        has_split |= (lo < s) & (s < hi)
-    redo = np.nonzero(mixed | has_split)[0]
+    redo = np.nonzero(mixed | _has_split(lo, hi, splits))[0]
     out = plain
     for i in redo:
         out[i] = _quad.integrate_abs_with_splits(
@@ -160,10 +163,7 @@ def _weighted_f2_panels(
     bwd_w = pts - lo[:, None]
     a_panel = np.sum(fpp * fwd_w * wts, axis=1)
     b_panel = np.sum(fpp * bwd_w * wts, axis=1)
-    has_split = np.zeros(lo.shape, dtype=bool)
-    for s in splits:
-        has_split |= (lo < s) & (s < hi)
-    for i in np.nonzero(has_split)[0]:
+    for i in np.nonzero(_has_split(lo, hi, splits))[0]:
         lo_i, hi_i = float(lo[i]), float(hi[i])
         a_panel[i] = _quad.integrate_with_splits(
             lambda t: (hi_i - t) * np.atleast_1d(sol.f_second(t)), lo_i, hi_i, splits

@@ -24,6 +24,9 @@ REFERENCE_COMMANDS = {
     "table3": ["table3"],
     "sweep_qed": ["sweep", "--regime", "qed", "--beta", "1", "--sizes", "4,25"],
     "verify_4.9_5": ["verify", "--lambda", "4.9", "--n", "5"],
+    "verify_12_5_2": ["verify", "--lambda", "12", "--n", "5", "--alpha", "2"],
+    "verify_3_5_0.5": ["verify", "--lambda", "3", "--n", "5", "--alpha", "0.5"],
+    "distance_12_5_2": ["distance", "--lambda", "12", "--n", "5", "--alpha", "2"],
 }
 
 

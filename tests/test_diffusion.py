@@ -209,3 +209,75 @@ class TestZetaScaling:
     def test_rejects_nonnegative_zeta(self):
         with pytest.raises(ValueError):
             zeta_scaling_limit(1.0, 500, 2, [0.0])
+
+
+class TestTailRatios:
+    """ratio_below/ratio_above against the masses and moments they divide by nu(x)."""
+
+    @staticmethod
+    def points(d):
+        """Evaluation points and cutoffs, including the junction -zeta and 0."""
+        j = d.switch_point
+        return [j, 0.0, j - 1.5, j + 1.5, -3.0, 4.0], [j, 0.0, 1.0, -2.5]
+
+    @pytest.mark.parametrize("regime", list(REGIME_EXAMPLES))
+    def test_mass_ratios_match_cdf_and_sf(self, regime):
+        d = density_for(REGIME_EXAMPLES[regime])
+        xs, cutoffs = self.points(d)
+        for x in xs:
+            assert d.pdf(x) * d.ratio_below(x) == pytest.approx(d.cdf(x), rel=1e-10)
+            assert d.pdf(x) * d.ratio_above(x) == pytest.approx(d.sf(x), rel=1e-10)
+            for c in cutoffs:
+                lo, hi = min(x, c), max(x, c)
+                below = d.pdf(x) * d.ratio_below(x, cutoff=c)
+                above = d.pdf(x) * d.ratio_above(x, cutoff=c)
+                assert below == pytest.approx(d.cdf(lo), rel=1e-10, abs=1e-15)
+                assert above == pytest.approx(d.sf(hi), rel=1e-10, abs=1e-15)
+                outside = 1.0 - (d.cdf(hi) - d.cdf(lo))
+                assert below + above == pytest.approx(outside, rel=1e-10, abs=1e-14)
+
+    @pytest.mark.parametrize("regime", list(REGIME_EXAMPLES))
+    def test_first_moment_ratios_match_partial_moments(self, regime):
+        d = density_for(REGIME_EXAMPLES[regime])
+        xs, cutoffs = self.points(d)
+        for x in xs:
+            for c in cutoffs + [None]:
+                kw = {} if c is None else {"cutoff": c}
+                lo = x if c is None else min(x, c)
+                hi = x if c is None else max(x, c)
+                below = d.pdf(x) * d.ratio_below(x, first=True, **kw)
+                above = d.pdf(x) * d.ratio_above(x, first=True, **kw)
+                want_below = d.partial_raw_moment(1, -np.inf, lo)
+                want_above = d.partial_raw_moment(1, hi, np.inf)
+                assert below == pytest.approx(want_below, rel=1e-10, abs=1e-14)
+                assert above == pytest.approx(want_above, rel=1e-10, abs=1e-14)
+
+    @pytest.mark.parametrize("regime", list(REGIME_EXAMPLES))
+    def test_empty_range_is_zero(self, regime):
+        d = density_for(REGIME_EXAMPLES[regime])
+        xs = np.array([-3.0, d.switch_point, 0.0, 4.0])
+        for first in (False, True):
+            assert np.array_equal(d.ratio_above(xs, cutoff=np.inf, first=first), np.zeros(4))
+            assert np.array_equal(d.ratio_below(xs, cutoff=-np.inf, first=first), np.zeros(4))
+
+    def test_vectorized_matches_scalar(self):
+        for params in REGIME_EXAMPLES.values():
+            d = density_for(params)
+            xs = np.array([d.switch_point, 0.0, -3.0, 4.0])
+            for first in (False, True):
+                vec = d.ratio_above(xs, cutoff=d.switch_point, first=first)
+                assert list(vec) == [
+                    d.ratio_above(x, cutoff=d.switch_point, first=first) for x in xs
+                ]
+                vec = d.ratio_below(xs, first=first)
+                assert list(vec) == [d.ratio_below(x, first=first) for x in xs]
+
+    @pytest.mark.parametrize("regime", list(REGIME_EXAMPLES))
+    def test_sf_deep_right_tail_vs_quadrature(self, regime):
+        d = density_for(REGIME_EXAMPLES[regime])
+        for eps in (1e-10, 1e-30, 1e-80):
+            x = d.tail_points(eps)[1]
+            oracle = integrate.quad(d.pdf, x, np.inf, epsabs=0.0, epsrel=1e-13, limit=300)[0]
+            assert 0.0 < oracle < 1e-9
+            assert d.sf(x) == pytest.approx(oracle, rel=1e-9)
+            assert np.array_equal(d.sf(np.array([x])), [d.sf(x)])
