@@ -42,7 +42,7 @@ from .metrics import (
     universality_sweep,
 )
 from .model import Check, ModelParams, ValidationError, drift
-from .poisson import TestFunction, _anchors, build_solution, gradient_bound_report
+from .poisson import TestFunction, _SUITE_NAMES, _anchors, build_solution, gradient_bound_report
 from .stein_verify import kolmogorov_decomposition, wasserstein_decomposition
 
 __all__ = [
@@ -199,23 +199,23 @@ def run_distance(params: ModelParams, tail_tol: float = 1e-14) -> list[dict]:
     ]
 
 
-_GRADIENT_SUITES = ("wasserstein_C", "kolmogorov_C", "wasserstein_A", "kolmogorov_A")
-
-
 def _at_most(name: str, observed: float, bound: float) -> Check:
     return Check(name, observed, bound, bool(observed <= bound))
 
 
 def _residual_rows(dist, sol_id, sol_kink) -> list[Check]:
+    # E G f scales with the rates, so the polynomial residuals are read per
+    # unit mu; a Poisson solution carries a 1/mu factor that already cancels it
+    mu = dist.params.mu
     checks = [
-        ("f_linear", lambda x: x),
-        ("f_quadratic", lambda x: np.asarray(x) ** 2),
-        ("f_poisson_identity", sol_id.antiderivative),
-        ("f_poisson_indicator", sol_kink.antiderivative),
+        ("f_linear", lambda x: x, mu),
+        ("f_quadratic", lambda x: np.asarray(x) ** 2, mu),
+        ("f_poisson_identity", sol_id.antiderivative, 1.0),
+        ("f_poisson_indicator", sol_kink.antiderivative, 1.0),
     ]
     return [
-        _at_most(name, stein_identity_residual(dist, f).residual, 1e-8)
-        for name, f in checks
+        _at_most(name, stein_identity_residual(dist, f).residual / scale, 1e-8)
+        for name, f, scale in checks
     ]
 
 
@@ -274,7 +274,7 @@ def run_verify(params: ModelParams, tail_tol: float = 1e-14) -> dict:
     sol_id = build_solution(d, TestFunction.identity())
     anchor_sols = [build_solution(d, TestFunction.indicator(a)) for a in _anchors(der.zeta)]
     d_k = kolmogorov_distance(dist, d)
-    grad_suites = _GRADIENT_SUITES[:2] if der.is_erlang_c else _GRADIENT_SUITES[2:]
+    grad_suites = _SUITE_NAMES[:2] if der.is_erlang_c else _SUITE_NAMES[2:]
     suites = [("moment_bounds", moment_bound_report(dist))]
     suites += [(name, gradient_bound_report(der, name)) for name in grad_suites]
     suites += [
@@ -347,7 +347,7 @@ def _schema1_suites(report: dict) -> list[dict]:
     """
     out = []
     for suite, checks in report["suites"]:
-        if suite in _GRADIENT_SUITES:
+        if suite in _SUITE_NAMES:
             rows = [
                 {
                     "bound_id": c.name,

@@ -288,6 +288,10 @@ def build_solution(d: DiffusionDensity, h: TestFunction) -> PoissonSolution:
 # Gradient-bound verification suites.
 # ---------------------------------------------------------------------------
 
+# Erlang-C suites first, then Erlang-A; cli takes its regime's half.
+_SUITE_NAMES = ("wasserstein_C", "kolmogorov_C", "wasserstein_A", "kolmogorov_A")
+_GRID_POINTS = 2001
+
 
 def _abs_first_ratio_below(d: DiffusionDensity, x: np.ndarray) -> np.ndarray:
     """(1/nu(x)) int_{-inf}^x |y| nu(y) dy."""
@@ -299,14 +303,14 @@ def _abs_first_ratio_above(d: DiffusionDensity, x: np.ndarray) -> np.ndarray:
     return 2.0 * d.ratio_above(x, cutoff=0.0, first=True) - d.ratio_above(x, first=True)
 
 
-def _sample_grid(d: DiffusionDensity, points: int) -> np.ndarray:
+def _sample_grid(d: DiffusionDensity) -> np.ndarray:
     j = d.switch_point
     lo_tail, hi_tail = d.tail_points(1e-16)
     lo = min(j - 10.0, lo_tail)
     hi = max(j + 10.0, hi_tail)
-    grid = np.linspace(lo, hi, points)
+    grid = np.linspace(lo, hi, _GRID_POINTS)
     # nudge samples off the kink so one-sided quantities stay well defined
-    step = (hi - lo) / (points - 1)
+    step = (hi - lo) / (_GRID_POINTS - 1)
     for kink in (j, 0.0):
         hit = np.isclose(grid, kink, rtol=0.0, atol=step * 1e-9)
         grid[hit] += step * 1e-6
@@ -332,186 +336,80 @@ def _anchors(zeta: float) -> list[float]:
     return [j - 1.0, j, 0.0, j + 1.0]
 
 
-def gradient_bound_report(
-    derived: DerivedQuantities, suite: str, points: int = 2001
-) -> list[Check]:
+def gradient_bound_report(derived: DerivedQuantities, suite: str) -> list[Check]:
     """Sample f', f'', f''' on a dense grid and check the printed bounds.
 
     Suites: ``wasserstein_C`` (identity h; plus the Erlang-C auxiliary
     density-ratio bounds), ``kolmogorov_C`` and ``kolmogorov_A`` (indicator
     h at four anchors), ``wasserstein_A`` (identity h; rows carry an unstated
     universal constant, so they are reported as empirical shape ratios, while
-    the auxiliary density-ratio bounds remain strict).
+    the auxiliary density-ratio bounds remain strict).  Each solution is
+    evaluated once on the grid; every row takes its sup over a region of
+    those arrays.
     """
+    if suite not in _SUITE_NAMES:
+        raise ValueError(f"unknown suite {suite!r}")
+    erlang_c_suite = suite.endswith("_C")
+    if erlang_c_suite != derived.is_erlang_c:
+        raise ValueError(f"{suite} requires alpha {'= 0' if erlang_c_suite else '> 0'}")
     d = build_density(derived)
     mu, alpha, zeta = derived.mu, derived.alpha, derived.zeta
     az = abs(zeta)
     j = -zeta
-    grid = _sample_grid(d, points)
-    rows: list[Check] = []
+    inv_az = math.inf if az == 0.0 else 1.0 / az
+    # Erlang-C is always underloaded and shares the underloaded rows
+    under = derived.R <= derived.n
+    grid = _sample_grid(d)
+    left, right = grid <= j, grid >= j
 
-    if suite == "wasserstein_C":
-        if not derived.is_erlang_c:
-            raise ValueError("wasserstein_C requires alpha = 0")
-        sol = build_solution(d, TestFunction.identity())
-        left = grid[grid <= j]
-        right = grid[grid >= j]
-        fp_l = np.abs(sol.f_prime(left)) * mu
-        fp_r = np.abs(sol.f_prime(right)) * mu
-        rows.append(_row("WCder1_left", fp_l.max(), 6.5 + 4.2 / az))
-        rows.append(
-            _pointwise_row("WCder1_right", fp_r * az / (right + 1.0 + 2.0 / az))
-        )
-        fpp_l = np.abs(sol.f_second(left)) * mu
-        fpp_r = np.abs(sol.f_second(right)) * mu
-        rows.append(_row("WCder2_left", fpp_l.max(), 32.0 * (1.0 + 1.0 / az)))
-        rows.append(_row("WCder2_right", fpp_r.max(), 1.0 / az))
-        strict_left = grid[grid < j]
-        strict_right = grid[grid > j]
-        f3_l = np.abs(sol.f_third(strict_left)) * mu
-        f3_r = np.abs(sol.f_third(strict_right)) * mu
-        rows.append(_row("WCder3_left", f3_l.max(), 23.0 + 13.0 / az))
-        rows.append(_row("WCder3_right", f3_r.max(), 2.0))
-        rows.extend(_aux_rows_erlang_c(d, grid))
-        return rows
-
-    if suite == "kolmogorov_C":
-        if not derived.is_erlang_c:
-            raise ValueError("kolmogorov_C requires alpha = 0")
-        for a in _anchors(zeta):
-            sol = build_solution(d, TestFunction.indicator(a))
-            tag = f"[a={a:+.3g}]"
-            left = grid[grid <= j]
-            right = grid[grid >= j]
-            rows.append(
-                _row(f"KCder1_left{tag}", np.abs(sol.f_prime(left)).max() * mu, 5.0)
-            )
-            rows.append(
-                _row(
-                    f"KCder1_right{tag}",
-                    np.abs(sol.f_prime(right)).max() * mu,
-                    1.0 / az,
-                )
-            )
-            rows.append(
-                _row(f"KCder2{tag}", np.abs(sol.f_second(grid)).max() * mu, 3.0)
-            )
-        return rows
-
-    if suite == "kolmogorov_A":
+    if suite.startswith("kolmogorov"):
         if derived.is_erlang_c:
-            raise ValueError("kolmogorov_A requires alpha > 0")
-        under = derived.R <= derived.n
+            regime, bound_left, bound_right = "KC", 5.0, inv_az
+        elif under:
+            regime, bound_left = "ACu", _SQRT_2PI * math.exp(0.5)
+            bound_right = min(math.sqrt(math.pi / 2.0 * mu / alpha), inv_az)
+        else:
+            regime, bound_left = "ACo", _SQRT_HALF_PI
+            bound_right = _SQRT_HALF_PI * (1.0 + math.sqrt(mu / alpha))
+        rows = []
         for a in _anchors(zeta):
-            sol = build_solution(d, TestFunction.indicator(a))
+            fp, fpp, _ = build_solution(d, TestFunction.indicator(a)).derivatives(grid)
             tag = f"[a={a:+.3g}]"
-            left = grid[grid <= j]
-            right = grid[grid >= j]
-            if under:
-                rows.append(
-                    _row(
-                        f"ACuder1_left{tag}",
-                        np.abs(sol.f_prime(left)).max() * mu,
-                        _SQRT_2PI * math.exp(0.5),
-                    )
-                )
-                cap = min(
-                    math.sqrt(math.pi / 2.0 * mu / alpha),
-                    math.inf if az == 0.0 else 1.0 / az,
-                )
-                rows.append(
-                    _row(
-                        f"ACuder1_right{tag}",
-                        np.abs(sol.f_prime(right)).max() * mu,
-                        cap,
-                    )
-                )
-            else:
-                rows.append(
-                    _row(
-                        f"ACoder1_left{tag}",
-                        np.abs(sol.f_prime(left)).max() * mu,
-                        _SQRT_HALF_PI,
-                    )
-                )
-                rows.append(
-                    _row(
-                        f"ACoder1_right{tag}",
-                        np.abs(sol.f_prime(right)).max() * mu,
-                        _SQRT_HALF_PI * (1.0 + math.sqrt(mu / alpha)),
-                    )
-                )
-            rows.append(
-                _row(f"ACder2{tag}", np.abs(sol.f_second(grid)).max() * mu, 3.0)
-            )
+            rows += [
+                _row(f"{regime}der1_left{tag}", np.abs(fp[left]).max() * mu, bound_left),
+                _row(f"{regime}der1_right{tag}", np.abs(fp[right]).max() * mu, bound_right),
+                _row(f"{regime[:2]}der2{tag}", np.abs(fpp).max() * mu, 3.0),
+            ]
         return rows
 
-    if suite == "wasserstein_A":
-        if derived.is_erlang_c:
-            raise ValueError("wasserstein_A requires alpha > 0")
-        sol = build_solution(d, TestFunction.identity())
-        under = derived.R <= derived.n
-        rows.extend(_shape_rows_erlang_a(sol, grid, under))
-        rows.extend(
-            _aux_rows_erlang_a_under(d, grid)
-            if under
-            else _aux_rows_erlang_a_over(d, grid)
-        )
-        return rows
-
-    raise ValueError(f"unknown suite {suite!r}")
-
-
-def _aux_rows_erlang_c(d: DiffusionDensity, grid: np.ndarray) -> list[Check]:
-    """Density-ratio bounds specific to the Erlang-C density."""
-    az = abs(d.zeta)
-    j = -d.zeta
-    mu = d.mu
-    neg = grid[grid <= 0.0]
-    mid = grid[(grid >= 0.0) & (grid <= j)]
-    right = grid[grid >= j]
-    nonneg = grid[grid >= 0.0]
-    b_over_mu = lambda x: np.abs(drift(d.derived, x)) / mu  # noqa: E731
-    rows = [
-        _row("fbound1_neg", d.ratio_below(neg).max(), _SQRT_HALF_PI),
-        _row(
-            "fbound1_mid",
-            d.ratio_below(mid).max() if mid.size else 0.0,
-            _SQRT_2PI * math.exp(0.5 * d.zeta**2),
-        ),
-        _row(
-            "fbound2_mid",
-            d.ratio_above(mid).max() if mid.size else 0.0,
-            _SQRT_HALF_PI + 1.0 / az,
-        ),
-        _row("fbound2_right", d.ratio_above(right).max(), 1.0 / az),
-        _row("fbound3_neg", _abs_first_ratio_below(d, neg).max(), 1.0),
-        _row(
-            "fbound3_mid",
-            _abs_first_ratio_below(d, mid).max() if mid.size else 0.0,
-            2.0 * math.exp(0.5 * d.zeta**2) - 1.0,
-        ),
-        _row(
-            "fbound4_mid",
-            _abs_first_ratio_above(d, mid).max() if mid.size else 0.0,
-            2.0 + 1.0 / d.zeta**2,
-        ),
-        _pointwise_row(
-            "fbound4_right",
-            _abs_first_ratio_above(d, right) / (right / az + 1.0 / d.zeta**2),
-        ),
-        _row("fbound5", (b_over_mu(neg) * d.ratio_below(neg)).max(), 1.0),
-        _row("fbound6", (b_over_mu(nonneg) * d.ratio_above(nonneg)).max(), 2.0),
-        _row("fbound7", _mean_abs(d), 1.0 / az + 1.0),
-    ]
-    return rows
+    sol = build_solution(d, TestFunction.identity())
+    fp, fpp, f3 = (np.abs(v) * mu for v in sol.derivatives(grid))
+    if derived.is_erlang_c:
+        rows = [
+            _row("WCder1_left", fp[left].max(), 6.5 + 4.2 / az),
+            _pointwise_row("WCder1_right", fp[right] * az / (grid[right] + 1.0 + 2.0 / az)),
+            _row("WCder2_left", fpp[left].max(), 32.0 * (1.0 + 1.0 / az)),
+            _row("WCder2_right", fpp[right].max(), 1.0 / az),
+            _row("WCder3_left", f3[grid < j].max(), 23.0 + 13.0 / az),
+            _row("WCder3_right", f3[grid > j].max(), 2.0),
+        ]
+    else:
+        rows = _shape_rows_erlang_a(d, grid, fp, fpp, f3, under)
+    return rows + (_aux_rows_under(d, grid) if under else _aux_rows_erlang_a_over(d, grid))
 
 
 def _mean_abs(d: DiffusionDensity) -> float:
     return _diffusion_moment(d, 1, absolute=True)
 
 
-def _aux_rows_erlang_a_under(d: DiffusionDensity, grid: np.ndarray) -> list[Check]:
+def _aux_rows_under(d: DiffusionDensity, grid: np.ndarray) -> list[Check]:
+    """Density-ratio bounds for Erlang-C and the underloaded Erlang-A density.
+
+    Erlang-C is the alpha -> 0 member: its rows are named ``fbound*``, its
+    caps are 1/|zeta| where Erlang-A has min(sqrt(pi mu / 2 alpha), 1/|zeta|)
+    and min(sqrt(mu / alpha), 1/|zeta|), and its fourth ratio is bounded
+    pointwise on the right.
+    """
     az = abs(d.zeta)
     j = -d.zeta
     mu, alpha = d.mu, d.alpha
@@ -521,35 +419,48 @@ def _aux_rows_erlang_a_under(d: DiffusionDensity, grid: np.ndarray) -> list[Chec
     right = grid[grid >= j]
     nonneg = grid[grid >= 0.0]
     b_over_mu = lambda x: np.abs(drift(d.derived, x)) / mu  # noqa: E731
-    cap2 = min(math.sqrt(math.pi / 2.0 * mu / alpha), inv_az)
+    abs_above_right = _abs_first_ratio_above(d, right)
+    if d.derived.is_erlang_c:
+        tag, last = "fbound", ("5", "6", "7")
+        cap2 = cap5 = inv_az
+        bound4_mid = 2.0 + 1.0 / d.zeta**2
+        row4_right = _pointwise_row(
+            "fbound4_right", abs_above_right / (right / az + 1.0 / d.zeta**2)
+        )
+    else:
+        tag, last = "ingredient", ("6", "7", "5")
+        cap2 = min(math.sqrt(math.pi / 2.0 * mu / alpha), inv_az)
+        cap5 = min(math.sqrt(mu / alpha), inv_az)
+        bound4_mid = (2.0 + inv_az**2) if az > 0.0 else math.inf
+        row4_right = _row("ingredient4_right", abs_above_right.max(), 1.0 + mu / alpha)
     rows = [
-        _row("ingredient1_neg", d.ratio_below(neg).max(), _SQRT_HALF_PI),
+        _row(f"{tag}1_neg", d.ratio_below(neg).max(), _SQRT_HALF_PI),
         _row(
-            "ingredient1_mid",
+            f"{tag}1_mid",
             d.ratio_below(mid).max() if mid.size else 0.0,
             _SQRT_2PI * math.exp(0.5 * d.zeta**2),
         ),
         _row(
-            "ingredient2_mid",
+            f"{tag}2_mid",
             d.ratio_above(mid).max() if mid.size else 0.0,
             _SQRT_HALF_PI + cap2,
         ),
-        _row("ingredient2_right", d.ratio_above(right).max(), cap2),
-        _row("ingredient3_neg", _abs_first_ratio_below(d, neg).max(), 1.0),
+        _row(f"{tag}2_right", d.ratio_above(right).max(), cap2),
+        _row(f"{tag}3_neg", _abs_first_ratio_below(d, neg).max(), 1.0),
         _row(
-            "ingredient3_mid",
+            f"{tag}3_mid",
             _abs_first_ratio_below(d, mid).max() if mid.size else 0.0,
             2.0 * math.exp(0.5 * d.zeta**2) - 1.0,
         ),
         _row(
-            "ingredient4_mid",
+            f"{tag}4_mid",
             _abs_first_ratio_above(d, mid).max() if mid.size else 0.0,
-            (2.0 + inv_az**2) if az > 0.0 else math.inf,
+            bound4_mid,
         ),
-        _row("ingredient4_right", _abs_first_ratio_above(d, right).max(), 1.0 + mu / alpha),
-        _row("ingredient6", (b_over_mu(neg) * d.ratio_below(neg)).max(), 1.0),
-        _row("ingredient7", (b_over_mu(nonneg) * d.ratio_above(nonneg)).max(), 2.0),
-        _row("ingredient5", _mean_abs(d), 1.0 + min(math.sqrt(mu / alpha), inv_az)),
+        row4_right,
+        _row(f"{tag}{last[0]}", (b_over_mu(neg) * d.ratio_below(neg)).max(), 1.0),
+        _row(f"{tag}{last[1]}", (b_over_mu(nonneg) * d.ratio_above(nonneg)).max(), 2.0),
+        _row(f"{tag}{last[2]}", _mean_abs(d), 1.0 + cap5),
     ]
     return rows
 
@@ -626,12 +537,8 @@ def _log_ratio_above_row(
         return _row(f"{bound_id}_log", -math.inf, log_bound)
     if first:
         # int_x^inf |y| nu dy for x <= 0: -int_x^0 y nu + int_0^inf y nu
-        tail = np.array(
-            [
-                -d.partial_raw_moment(1, x, 0.0) + d.partial_raw_moment(1, 0.0, np.inf)
-                for x in pts
-            ]
-        )
+        upper = d.partial_raw_moment(1, 0.0, np.inf)
+        tail = np.array([-d.partial_raw_moment(1, x, 0.0) + upper for x in pts])
     else:
         tail = np.asarray(d.sf(pts), dtype=float)
     with np.errstate(divide="ignore"):
@@ -640,14 +547,19 @@ def _log_ratio_above_row(
 
 
 def _shape_rows_erlang_a(
-    sol: PoissonSolution, grid: np.ndarray, under: bool
+    d: DiffusionDensity,
+    grid: np.ndarray,
+    fp: np.ndarray,
+    fpp: np.ndarray,
+    f3: np.ndarray,
+    under: bool,
 ) -> list[Check]:
     """Wasserstein gradient rows whose universal constant is unstated.
 
-    Reported as the empirical maximum of mu * |f^(k)| / shape so boundedness
-    can be tracked across sweeps; no pass/fail verdict.
+    ``fp``, ``fpp``, ``f3`` are mu * |f^(k)| on the grid.  Reported as the
+    empirical maximum of mu * |f^(k)| / shape so boundedness can be tracked
+    across sweeps; no pass/fail verdict.
     """
-    d = sol.density
     mu, alpha, zeta = d.mu, d.alpha, d.zeta
     az = abs(zeta)
     j = -zeta
@@ -655,26 +567,23 @@ def _shape_rows_erlang_a(
     sm = math.sqrt(mu / alpha)
     sa = math.sqrt(alpha / mu)
     r = alpha / mu
-    left = grid[grid < j]
-    right = grid[grid > j]
-    rows = []
+    left = grid < j
+    right = grid > j
     if under:
-        neg = grid[grid <= 0.0]
-        mid = grid[(grid >= 0.0) & (grid <= j)]
+        neg = grid <= 0.0
+        mid = (grid >= 0.0) & (grid <= j)
+        in_mid = (grid > 0.0) & (grid < j)
         su = min(sm, inv_az)
-        fp = lambda xs: np.abs(sol.f_prime(xs)) * mu  # noqa: E731
-        fpp = lambda xs: np.abs(sol.f_second(xs)) * mu  # noqa: E731
-        f3 = lambda xs: np.abs(sol.f_third(xs)) * mu  # noqa: E731
-        rows.append(_row("gwu1_left", fp(left).max() / (su + 1.0), 1.0, "empirical"))
-        rows.append(
-            _row("gwu1_right", fp(right).max() / (mu / alpha + su + 1.0), 1.0, "empirical")
-        )
-        rows.append(_row("gwu2_neg", fpp(neg).max() / (su + 1.0), 1.0, "empirical"))
-        if mid.size:
+        rows = [
+            _row("gwu1_left", fp[left].max() / (su + 1.0), 1.0, "empirical"),
+            _row("gwu1_right", fp[right].max() / (mu / alpha + su + 1.0), 1.0, "empirical"),
+            _row("gwu2_neg", fpp[neg].max() / (su + 1.0), 1.0, "empirical"),
+        ]
+        if mid.any():
             rows.append(
                 _row(
                     "gwu2_mid",
-                    fpp(mid).max() / ((r + sa + 1.0) * su + 1.0),
+                    fpp[mid].max() / ((r + sa + 1.0) * su + 1.0),
                     1.0,
                     "empirical",
                 )
@@ -682,46 +591,40 @@ def _shape_rows_erlang_a(
         rows.append(
             _row(
                 "gwu2_right",
-                fpp(right).max() / ((r + sa + 1.0) * max(su, 1e-300)),
+                fpp[right].max() / ((r + sa + 1.0) * max(su, 1e-300)),
                 1.0,
                 "empirical",
             )
         )
         rows.append(
-            _row("gwu3_neg", f3(neg[neg < j]).max() / (su + 1.0), 1.0, "empirical")
+            _row("gwu3_neg", f3[neg & left].max() / (su + 1.0), 1.0, "empirical")
         )
-        if mid.size:
-            in_mid = mid[(mid > 0.0) & (mid < j)]
-            if in_mid.size:
-                rows.append(
-                    _row(
-                        "gwu3_mid",
-                        f3(in_mid).max() / (su + r + sa + 1.0),
-                        1.0,
-                        "empirical",
-                    )
+        if in_mid.any():
+            rows.append(
+                _row(
+                    "gwu3_mid",
+                    f3[in_mid].max() / (su + r + sa + 1.0),
+                    1.0,
+                    "empirical",
                 )
+            )
         rows.append(
-            _row("gwu3_right", f3(right).max() / (r + sa + 1.0), 1.0, "empirical")
+            _row("gwu3_right", f3[right].max() / (r + sa + 1.0), 1.0, "empirical")
         )
         return rows
 
-    mid = grid[(grid >= j) & (grid <= 0.0)]
+    xr = grid[right]
     shape1_left = 1.0 + sm + min(zeta, mu / alpha)
     shape1_right = 1.0 + sm + mu / alpha
-    fp = lambda xs: np.abs(sol.f_prime(xs)) * mu  # noqa: E731
-    fpp = lambda xs: np.abs(sol.f_second(xs)) * mu  # noqa: E731
-    f3 = lambda xs: np.abs(sol.f_third(xs)) * mu  # noqa: E731
-    rows.append(_row("gwo1_left", fp(left).max() / shape1_left, 1.0, "empirical"))
-    rows.append(_row("gwo1_right", fp(right).max() / shape1_right, 1.0, "empirical"))
-    rows.append(_row("gwo2_left", fpp(left).max() / shape1_left, 1.0, "empirical"))
-    shape2_right = (r + sa + 1.0) * np.abs(right) + 1.0 + sm
-    rows.append(
-        _pointwise_row("gwo2_right", fpp(right) / shape2_right, "empirical")
-    )
-    rows.append(_row("gwo3_left", f3(left).max() / shape1_left, 1.0, "empirical"))
-    shape3_right = (r + sa + 1.0) * (1.0 + r * right**2) + (r + sa) * np.abs(right)
-    rows.append(_pointwise_row("gwo41_right", f3(right) / shape3_right, "empirical"))
-    shape3_alt = (r + sa + 1.0) + (r + sa + 1.0) ** 2 * np.abs(right)
-    rows.append(_pointwise_row("gwo42_right", f3(right) / shape3_alt, "empirical"))
-    return rows
+    shape2_right = (r + sa + 1.0) * np.abs(xr) + 1.0 + sm
+    shape3_right = (r + sa + 1.0) * (1.0 + r * xr**2) + (r + sa) * np.abs(xr)
+    shape3_alt = (r + sa + 1.0) + (r + sa + 1.0) ** 2 * np.abs(xr)
+    return [
+        _row("gwo1_left", fp[left].max() / shape1_left, 1.0, "empirical"),
+        _row("gwo1_right", fp[right].max() / shape1_right, 1.0, "empirical"),
+        _row("gwo2_left", fpp[left].max() / shape1_left, 1.0, "empirical"),
+        _pointwise_row("gwo2_right", fpp[right] / shape2_right, "empirical"),
+        _row("gwo3_left", f3[left].max() / shape1_left, 1.0, "empirical"),
+        _pointwise_row("gwo41_right", f3[right] / shape3_right, "empirical"),
+        _pointwise_row("gwo42_right", f3[right] / shape3_alt, "empirical"),
+    ]

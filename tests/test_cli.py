@@ -26,6 +26,12 @@ REFERENCE_COMMANDS = {
     "verify_4.9_5": ["verify", "--lambda", "4.9", "--n", "5"],
     "verify_12_5_2": ["verify", "--lambda", "12", "--n", "5", "--alpha", "2"],
     "verify_3_5_0.5": ["verify", "--lambda", "3", "--n", "5", "--alpha", "0.5"],
+    # critical load: zeta = 0, infinite bounds and an empty `mid` region
+    "verify_5_5_1": ["verify", "--lambda", "5", "--n", "5", "--alpha", "1"],
+    # overloaded Erlang-A with the log-scale upper-tail rows
+    "verify_100_90_0.01": ["verify", "--lambda", "100", "--n", "90", "--alpha", "0.01"],
+    # light-load underloaded Erlang-A
+    "verify_0.5_1_0.001": ["verify", "--lambda", "0.5", "--n", "1", "--alpha", "0.001"],
     "distance_12_5_2": ["distance", "--lambda", "12", "--n", "5", "--alpha", "2"],
 }
 
@@ -143,6 +149,14 @@ class TestExitCodes:
             tmp_path,
         )
         assert code == 0
+
+    @pytest.mark.parametrize("lam, mu", [("4.9e8", "1e8"), ("4.9e-6", "1e-6")])
+    def test_verify_time_units(self, tmp_path, lam, mu):
+        # the queue of verify_4.9_5 in other time units: the polynomial Stein
+        # residuals scale with the rates and are read per unit mu
+        code, payload = run_cli(["verify", "--lambda", lam, "--mu", mu, "--n", "5"], tmp_path)
+        assert code == 0
+        assert b"False" not in payload
 
     def test_violation_exit_code(self, monkeypatch, tmp_path):
         # force a failing row to check the exit-code plumbing

@@ -7,6 +7,7 @@ from scipy import integrate
 from conftest import density_for
 from erlangdiff.model import ModelParams, derive
 from erlangdiff.poisson import (
+    PoissonSolution,
     TestFunction,
     build_solution,
     gradient_bound_report,
@@ -217,6 +218,31 @@ class TestGradientBoundReport:
             assert strict and empirical
             assert all(r.satisfied for r in strict)
             assert all(np.isfinite(r.observed) for r in empirical)
+
+    @pytest.mark.parametrize(
+        "params, suite, calls",
+        [
+            (C_HEAVY, "wasserstein_C", 1),
+            (C_HEAVY, "kolmogorov_C", 4),
+            (A_UNDER, "wasserstein_A", 1),
+            (A_UNDER, "kolmogorov_A", 4),
+            (A_OVER, "wasserstein_A", 1),
+            (A_OVER, "kolmogorov_A", 4),
+        ],
+    )
+    def test_each_solution_evaluated_once(self, monkeypatch, params, suite, calls):
+        # one f' evaluation on the whole grid per solution: the identity, or
+        # the indicator at each of the four anchors
+        sizes = []
+        f_prime = PoissonSolution.f_prime
+
+        def counting(sol, x):
+            sizes.append(np.size(x))
+            return f_prime(sol, x)
+
+        monkeypatch.setattr(PoissonSolution, "f_prime", counting)
+        gradient_bound_report(derive(params), suite)
+        assert sizes == [2001] * calls
 
     def test_regime_mismatch_rejected(self):
         with pytest.raises(ValueError):
