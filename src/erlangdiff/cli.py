@@ -20,7 +20,6 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,13 +45,11 @@ from .poisson import TestFunction, _SUITE_NAMES, _anchors, build_solution, gradi
 from .stein_verify import kolmogorov_decomposition, wasserstein_decomposition
 
 __all__ = [
-    "RunConfig",
     "run_table1",
     "run_table2",
     "run_table3",
     "run_distance",
     "run_verify",
-    "run_sweep",
     "main",
 ]
 
@@ -74,22 +71,6 @@ TABLE3_LOADS = [499.0, 499.9, 499.95, 499.99]
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_VIOLATION = 2
-
-
-@dataclass
-class RunConfig:
-    command: str
-    lam: float | None = None
-    mu: float = 1.0
-    n: int | None = None
-    alpha: float = 0.0
-    tail_tol: float = 1e-14
-    fmt: str = "csv"
-    out: str | None = None
-    regime: str | None = None
-    beta: float = 1.0
-    sizes: list = field(default_factory=list)
-    alpha_over_mu: float = 0.0
 
 
 def _round_like_paper(value: float, decimals: int = 2) -> str:
@@ -288,17 +269,6 @@ def run_verify(params: ModelParams, tail_tol: float = 1e-14) -> dict:
     return {"suites": suites, "all_passed": all_passed}
 
 
-def run_sweep(config: RunConfig) -> list[dict]:
-    return universality_sweep(
-        config.regime,
-        config.sizes,
-        config.beta,
-        alpha_over_mu=config.alpha_over_mu,
-        mu=config.mu,
-        tail_tol=config.tail_tol,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Serialization.
 # ---------------------------------------------------------------------------
@@ -377,26 +347,26 @@ def _json_default(obj):
     raise TypeError(f"not serializable: {type(obj)}")
 
 
-def _emit(config: RunConfig, rows: list[dict], suites: list | None = None) -> str:
-    if config.fmt == "json":
+def _emit(args: argparse.Namespace, rows: list[dict], suites: list | None = None) -> str:
+    if args.format == "json":
         doc = {
             "schema_version": 1,
-            "command": config.command,
+            "command": args.command,
             "config": {
-                "lam": config.lam,
-                "mu": config.mu,
-                "n": config.n,
-                "alpha": config.alpha,
-                "tail_tol": config.tail_tol,
-                "regime": config.regime,
-                "beta": config.beta,
-                "sizes": config.sizes,
-                "alpha_over_mu": config.alpha_over_mu,
+                "lam": args.lam,
+                "mu": args.mu,
+                "n": args.n,
+                "alpha": args.alpha,
+                "tail_tol": args.tail_tol,
+                "regime": args.regime,
+                "beta": args.beta,
+                "sizes": args.sizes,
+                "alpha_over_mu": args.alpha_over_mu,
             },
             "rows": rows,
             "suites": suites if suites is not None else [],
             "tolerances": {
-                "tail_tol": config.tail_tol,
+                "tail_tol": args.tail_tol,
                 "stein_residual": 1e-8,
                 "generator_identity": 1e-8,
             },
@@ -405,9 +375,9 @@ def _emit(config: RunConfig, rows: list[dict], suites: list | None = None) -> st
     return _emit_csv(rows)
 
 
-def _write(config: RunConfig, text: str) -> None:
-    if config.out:
-        with open(config.out, "w", encoding="utf-8", newline="") as fh:
+def _write(out: str | None, text: str) -> None:
+    if out:
+        with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -445,53 +415,44 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument("--alpha-over-mu", type=float, default=0.0)
     sweep.add_argument("--mu", type=float, default=1.0)
+    # the JSON config block lists every key, also those a subcommand lacks
+    parser.set_defaults(
+        lam=None, mu=1.0, n=None, alpha=0.0, regime=None, beta=1.0, sizes=[], alpha_over_mu=0.0
+    )
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    config = RunConfig(
-        command=args.command,
-        lam=getattr(args, "lam", None),
-        mu=getattr(args, "mu", 1.0),
-        n=getattr(args, "n", None),
-        alpha=getattr(args, "alpha", 0.0),
-        tail_tol=args.tail_tol,
-        fmt=args.format,
-        out=args.out,
-        regime=getattr(args, "regime", None),
-        beta=getattr(args, "beta", 1.0),
-        sizes=getattr(args, "sizes", []),
-        alpha_over_mu=getattr(args, "alpha_over_mu", 0.0),
-    )
     try:
-        if config.command == "table1":
-            rows = run_table1(config.tail_tol)
-        elif config.command == "table2":
-            rows = run_table2(config.tail_tol)
-        elif config.command == "table3":
-            rows = run_table3(config.tail_tol)
-        elif config.command == "distance":
-            params = ModelParams(
-                lam=config.lam, mu=config.mu, n=config.n, alpha=config.alpha
-            )
-            rows = run_distance(params, config.tail_tol)
-        elif config.command == "verify":
-            params = ModelParams(
-                lam=config.lam, mu=config.mu, n=config.n, alpha=config.alpha
-            )
-            report = run_verify(params, config.tail_tol)
+        if args.command in ("distance", "verify"):
+            params = ModelParams(lam=args.lam, mu=args.mu, n=args.n, alpha=args.alpha)
+        if args.command == "table1":
+            rows = run_table1(args.tail_tol)
+        elif args.command == "table2":
+            rows = run_table2(args.tail_tol)
+        elif args.command == "table3":
+            rows = run_table3(args.tail_tol)
+        elif args.command == "distance":
+            rows = run_distance(params, args.tail_tol)
+        elif args.command == "verify":
+            report = run_verify(params, args.tail_tol)
             rows = _flatten_verify(report)
-            _write(config, _emit(config, rows, suites=_schema1_suites(report)))
+            _write(args.out, _emit(args, rows, suites=_schema1_suites(report)))
             return EXIT_OK if report["all_passed"] else EXIT_VIOLATION
-        elif config.command == "sweep":
-            rows = run_sweep(config)
-        else:  # pragma: no cover - argparse guards this
-            raise ValidationError(f"unknown command {config.command}")
+        else:
+            rows = universality_sweep(
+                args.regime,
+                args.sizes,
+                args.beta,
+                alpha_over_mu=args.alpha_over_mu,
+                mu=args.mu,
+                tail_tol=args.tail_tol,
+            )
     except (ValidationError, ValueError, TruncationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    _write(config, _emit(config, rows))
+    _write(args.out, _emit(args, rows))
     return EXIT_OK
 
 

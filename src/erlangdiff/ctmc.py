@@ -129,7 +129,10 @@ def _geometric_majorant(p: float, ratio: float, a: float, m: int, delta: float) 
     q_eff = ratio * math.exp(m * delta / a)
     if q_eff >= 1.0:
         return math.inf
-    return p * a**m * q_eff / (1.0 - q_eff)
+    try:
+        return p * a**m * q_eff / (1.0 - q_eff)
+    except OverflowError:  # a^m past the double range: the bound says nothing
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -366,10 +369,6 @@ def _region_mask(dist: DiscreteStationary, region: str) -> np.ndarray:
         return k <= n
     if region == "above":
         return k >= n
-    if region == "below_strict":
-        return k < n
-    if region == "above_strict":
-        return k > n
     raise ValueError(f"unknown region {region!r}")
 
 
@@ -384,12 +383,11 @@ def moment(
     """E[|g(X~)|^m 1(region)] with g(x) = x (shift="none") or x + zeta.
 
     Regions cut exactly at the grid point -zeta (state k = n); "below" and
-    "above" are the weak inequalities, with ``below_strict``/``above_strict``
-    available for bounds stated with strict ones.  ``absolute=False`` yields
-    the signed moment.  Terms are summed exactly over the pmf window; the
-    mass left out (head, gap and tail) is re-certified for this order and a
-    TruncationError signals if it could move the result by more than 1e-8
-    of the full-support absolute moment.  A region whose mass lies wholly
+    "above" are the weak inequalities.  ``absolute=False`` yields the signed
+    moment.  Terms are summed exactly over the pmf window; the mass left out
+    (head, gap and tail) is re-certified for this order and a TruncationError
+    signals if it could move the result by more than 1e-8 of the
+    full-support absolute moment.  A region whose mass lies wholly
     outside the window, such as P(X <= n) in an overloaded Erlang-A model
     with n < k_min, therefore reads exactly 0.
     """

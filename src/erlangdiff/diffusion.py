@@ -261,52 +261,38 @@ class DiffusionDensity:
 
     def _mass_between(self, u, v):
         """int_u^v nu for u <= v, one closed-form mass per piece."""
-        j = self.switch_point
-        left_mass = np.exp(
-            self.log_a_minus + self.left.log_mass(np.minimum(u, j), np.minimum(v, j))
-        )
-        right_mass = np.exp(
-            self.log_a_plus + self.right.log_mass(np.maximum(u, j), np.maximum(v, j))
-        )
-        out = np.clip(left_mass + right_mass, 0.0, 1.0)
+        out = np.clip(self._integral_between(u, v, first=False), 0.0, 1.0)
         return out if out.ndim else float(out)
 
-    # -- amplitude-weighted cell integrals (u, v within a single piece) ------
+    def first_moment_between(self, u, v):
+        """int_u^v y nu(y) dy for u <= v; an end array is all finite or all infinite."""
+        out = self._integral_between(u, v, first=True)
+        return out if out.ndim else float(out)
 
-    def _cell_piece_index(self, u, v):
-        mid = 0.5 * (np.asarray(u, dtype=float) + np.asarray(v, dtype=float))
-        return (mid > self.switch_point).astype(int)
+    def _integral_between(self, u, v, first: bool):
+        """int_u^v w(y) nu(y) dy for u <= v, w = 1 or y, in closed form.
 
-    def cell_mass(self, u, v):
-        """int_u^v nu, for cell arrays that do not straddle the junction."""
-        which = self._cell_piece_index(u, v)
-        out = np.empty_like(np.asarray(u, dtype=float))
+        Each piece is integrated only over the intervals that reach into it,
+        with the ends clipped to the piece, and the left piece is added
+        first: an interval inside one piece gets exactly that piece's value.
+        """
+        u_arr, v_arr = np.broadcast_arrays(
+            np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+        )
+        out = np.zeros(u_arr.shape)
         for w in (0, 1):
-            mask = which == w
-            if np.any(mask):
-                piece = self._piece(w)
-                out[mask] = np.exp(
-                    self._log_amp(w)
-                    + piece.log_mass(np.asarray(u)[mask], np.asarray(v)[mask])
-                )
-        return out
-
-    def cell_first_moment(self, u, v):
-        """int_u^v y nu(y) dy for non-straddling cell arrays."""
-        which = self._cell_piece_index(u, v)
-        u_arr = np.asarray(u, dtype=float)
-        v_arr = np.asarray(v, dtype=float)
-        out = np.empty_like(u_arr)
-        for w in (0, 1):
-            mask = which == w
-            if not np.any(mask):
-                continue
             piece = self._piece(w)
-            uu, vv = u_arr[mask], v_arr[mask]
-            m0 = np.exp(self._log_amp(w) + piece.log_mass(uu, vv))
-            nu_u = self._nu_or_zero(w, uu)
-            nu_v = self._nu_or_zero(w, vv)
-            out[mask] = _first_moment(piece, m0, uu, nu_u, vv, nu_v)
+            reach = (u_arr < piece.hi) & (v_arr > piece.lo)
+            if not np.any(reach):
+                continue
+            uu = np.maximum(u_arr[reach], piece.lo)
+            vv = np.minimum(v_arr[reach], piece.hi)
+            val = np.exp(self._log_amp(w) + piece.log_mass(uu, vv))
+            if first:
+                nu_u = self._nu_or_zero(w, uu)
+                nu_v = self._nu_or_zero(w, vv)
+                val = _first_moment(piece, val, uu, nu_u, vv, nu_v)
+            out[reach] += val
         return out
 
     def _nu_or_zero(self, which: int, t):
@@ -464,6 +450,50 @@ class DiffusionDensity:
         else:
             x_hi = j
         return min(x_lo, j) - 1.0, max(x_hi, j) + 1.0
+
+    def invert_cdf_in_cells(self, u, v, f_u, level):
+        """Points t in [u, v] with cdf(t) = level, for cell arrays with
+        f_u = cdf(u) < level <= cdf(v).
+
+        t lies in the left piece iff level <= cdf(-zeta); a cell that
+        straddles -zeta starts its right part there.  Each piece inverts in
+        closed form, with bisection where that rounds outside the cell.
+        """
+        j = self.switch_point
+        f_j = self.cdf(j)
+        out = np.empty_like(u)
+        for w in (0, 1):
+            mask = level > f_j if w else level <= f_j
+            if not np.any(mask):
+                continue
+            piece = self._piece(w)
+            uu = np.maximum(u[mask], piece.lo)
+            vv = np.minimum(v[mask], piece.hi)
+            mm = level[mask] - np.where(uu > u[mask], f_j, f_u[mask])
+            log_amp = self._log_amp(w)
+            if isinstance(piece, _ExpPiece):
+                r = piece.rate
+                w_u = np.exp(log_amp - r * uu)
+                t = (log_amp - np.log(w_u - r * mm)) / r
+            else:
+                s = piece.std
+                zu = (uu - piece.mean) / s
+                target = special.ndtr(zu) + mm * math.exp(-log_amp) / (s * _SQRT_2PI)
+                with np.errstate(invalid="ignore"):
+                    t = piece.mean + s * special.ndtri(target)
+            bad = ~np.isfinite(t) | (t < uu) | (t > vv)
+            if np.any(bad):
+                t = np.where(bad, self._bisect_cdf(uu, vv, level[mask]), t)
+            out[mask] = t
+        return np.clip(out, u, v)
+
+    def _bisect_cdf(self, lo, hi, level):
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            below = self.cdf(mid) < level
+            lo = np.where(below, mid, lo)
+            hi = np.where(below, hi, mid)
+        return 0.5 * (lo + hi)
 
 
 def build_density(derived: DerivedQuantities) -> DiffusionDensity:

@@ -15,12 +15,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .ctmc import DiscreteStationary, _exact_sum, moment as chain_moment, stationary_pmf
 from .diffusion import (
     DiffusionDensity,
-    _ExpPiece,
     build_density,
     density_sup_check,
     moment as diff_moment,
@@ -92,56 +90,10 @@ def cdf_area_between_steps(xs: np.ndarray, cdf1: np.ndarray, cdf2: np.ndarray) -
 
 
 def _cdf_antiderivative(d: DiffusionDensity, u: np.ndarray, v: np.ndarray, f_u: np.ndarray):
-    """int_u^v F_Y(x) dx for cell arrays inside a single density piece."""
-    m0 = d.cell_mass(u, v)
-    m1 = d.cell_first_moment(u, v)
+    """int_u^v F_Y(x) dx for cell arrays, given f_u = F_Y(u)."""
+    m0 = d._mass_between(u, v)
+    m1 = d.first_moment_between(u, v)
     return f_u * (v - u) + v * m0 - m1
-
-
-def _invert_cdf_in_cells(
-    d: DiffusionDensity,
-    u: np.ndarray,
-    v: np.ndarray,
-    f_u: np.ndarray,
-    level: np.ndarray,
-) -> np.ndarray:
-    """Points t in [u, v] with F_Y(t) = level; cells must not straddle."""
-    which = d._cell_piece_index(u, v)
-    out = np.empty_like(u)
-    target_mass = level - f_u
-    for w in (0, 1):
-        mask = which == w
-        if not np.any(mask):
-            continue
-        piece = d._piece(w)
-        uu, vv, mm = u[mask], v[mask], target_mass[mask]
-        log_amp = d._log_amp(w)
-        if isinstance(piece, _ExpPiece):
-            r = piece.rate
-            w_u = np.exp(log_amp - r * uu)
-            t = (log_amp - np.log(w_u - r * mm)) / r
-        else:
-            s = piece.std
-            zu = (uu - piece.mean) / s
-            target = special.ndtr(zu) + mm * math.exp(-log_amp) / (s * math.sqrt(2.0 * math.pi))
-            with np.errstate(invalid="ignore"):
-                t = piece.mean + s * special.ndtri(target)
-        bad = ~np.isfinite(t) | (t < uu) | (t > vv)
-        if np.any(bad):
-            t = np.where(bad, _bisect_cdf(d, uu, vv, level[mask]), t)
-        out[mask] = t
-    return np.clip(out, u, v)
-
-
-def _bisect_cdf(d: DiffusionDensity, lo: np.ndarray, hi: np.ndarray, level) -> np.ndarray:
-    lo = lo.copy()
-    hi = hi.copy()
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        below = d.cdf(mid) < level
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    return 0.5 * (lo + hi)
 
 
 def wasserstein_distance(dist: DiscreteStationary, d: DiffusionDensity) -> float:
@@ -162,6 +114,8 @@ def wasserstein_distance(dist: DiscreteStationary, d: DiffusionDensity) -> float
     if dist.k_top < dist.k_max:
         x_end = dist.x_max
         edges = [x[-1], x_end]
+        # one cell across the kink -zeta is integrated right too; the split
+        # keeps d_W's bits (about 1e-12 relative apart in heavily staffed Erlang-A)
         if dist.k_top < dist.params.n < dist.k_max:
             edges.insert(1, -dist.derived.zeta)
         u = np.append(u, edges[:-1])
@@ -182,7 +136,7 @@ def wasserstein_distance(dist: DiscreteStationary, d: DiffusionDensity) -> float
     if np.any(crossing):
         uu, vv = u[crossing], v[crossing]
         lev = level[crossing]
-        t = _invert_cdf_in_cells(d, uu, vv, f_u[crossing], lev)
+        t = d.invert_cdf_in_cells(uu, vv, f_u[crossing], lev)
         left_part = lev * (t - uu) - _cdf_antiderivative(d, uu, t, f_u[crossing])
         f_t = np.asarray(d.cdf(t), dtype=float)
         right_part = _cdf_antiderivative(d, t, vv, f_t) - lev * (vv - t)

@@ -538,7 +538,7 @@ def _log_ratio_above_row(
     if first:
         # int_x^inf |y| nu dy for x <= 0: -int_x^0 y nu + int_0^inf y nu
         upper = d.partial_raw_moment(1, 0.0, np.inf)
-        tail = np.array([-d.partial_raw_moment(1, x, 0.0) + upper for x in pts])
+        tail = -d.first_moment_between(pts, 0.0) + upper
     else:
         tail = np.asarray(d.sf(pts), dtype=float)
     with np.errstate(divide="ignore"):

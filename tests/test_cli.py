@@ -181,6 +181,15 @@ class TestExitCodes:
         )
 
 
+    def test_light_load_hits_state_cap(self, capsys):
+        # the tail majorant's a^m passes the double range at this load; grid
+        # doubling then ends in the typed state-cap error, not a traceback
+        assert cli.main(["verify", "--lambda", "1e-300", "--n", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: stationary grid would exceed 100000000 states")
+        assert err.count("\n") == 1
+
+
 class TestSweepCommand:
     def test_sweep_csv(self, tmp_path):
         code, payload = run_cli(

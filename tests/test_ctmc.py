@@ -260,7 +260,6 @@ class TestMoment:
         above = moment(dist, 0, "above")
         at_kink = dist.pmf[dist.params.n]
         assert below + above - at_kink == pytest.approx(1.0, abs=1e-12)
-        assert moment(dist, 0, "below_strict") == pytest.approx(below - at_kink, abs=1e-14)
 
     def test_signed_vs_absolute(self):
         dist = pmf_for(ModelParams(lam=4.0, mu=1.0, n=5, alpha=0.0))

@@ -11,6 +11,7 @@ from erlangdiff.diffusion import build_density
 from erlangdiff.ctmc import moment as chain_moment
 from erlangdiff.diffusion import moment as diff_moment
 from erlangdiff.metrics import (
+    _cdf_antiderivative,
     cdf_area_between_steps,
     distance_report,
     kolmogorov_distance,
@@ -55,6 +56,36 @@ class TestKolmogorov:
         assert np.isfinite(dk / dist.derived.delta)
 
 
+class TestCellsAcrossKink:
+    """A cell that straddles the kink -zeta, where the density changes piece."""
+
+    CASES = [
+        ModelParams(lam=4.0, mu=1.0, n=5, alpha=0.0),
+        ModelParams(lam=3.0, mu=1.0, n=5, alpha=0.5),
+        ModelParams(lam=12.0, mu=1.0, n=5, alpha=2.0),
+    ]
+
+    @pytest.mark.parametrize("params", CASES)
+    def test_cdf_antiderivative(self, params):
+        d = density_for(params)
+        j = d.switch_point
+        u, v = np.array([j - 1.0]), np.array([j + 0.2])
+        got = _cdf_antiderivative(d, u, v, np.asarray(d.cdf(u)))[0]
+        oracle = integrate.quad(
+            d.cdf, u[0], v[0], points=[j], epsabs=0.0, epsrel=1e-13, limit=200
+        )[0]
+        assert got == pytest.approx(oracle, rel=1e-12)
+
+    @pytest.mark.parametrize("params", CASES)
+    def test_inverse_cdf(self, params):
+        d = density_for(params)
+        j = d.switch_point
+        u, v = np.full(2, j - 1.0), np.full(2, j + 0.2)
+        want = np.array([j - 0.5, j + 0.1])  # one crossing on each side of -zeta
+        t = d.invert_cdf_in_cells(u, v, np.asarray(d.cdf(u)), np.asarray(d.cdf(want)))
+        assert t == pytest.approx(want, abs=1e-12)
+
+
 class TestWasserstein:
     def test_erlang_c_bound(self):
         dist = pmf_for(C_HEAVY, 1e-14)
@@ -73,29 +104,6 @@ class TestWasserstein:
             d = density_for(params)
             gap = abs(chain_moment(dist, 1, absolute=False) - diff_moment(d, 1))
             assert gap <= wasserstein_distance(dist, d) * (1 + 1e-12) + 1e-12
-
-
-class _KinkGuard:
-    """A density that refuses the cells its cell integrals cannot take: those
-    that straddle the kink -zeta."""
-
-    def __init__(self, d):
-        self._d = d
-
-    def __getattr__(self, name):
-        return getattr(self._d, name)
-
-    def _check(self, u, v):
-        j = self._d.switch_point
-        assert not np.any((np.asarray(u) < j) & (j < np.asarray(v)))
-
-    def cell_mass(self, u, v):
-        self._check(u, v)
-        return self._d.cell_mass(u, v)
-
-    def cell_first_moment(self, u, v):
-        self._check(u, v)
-        return self._d.cell_first_moment(u, v)
 
 
 class _JumpAtKMax:
@@ -144,7 +152,7 @@ class TestWindowedDistances:
         # is split at the density's kink x_n = -zeta
         dist, ref, d = self._pair(params)
         assert dist.k_top < params.n < dist.k_max
-        assert wasserstein_distance(dist, _KinkGuard(d)) == pytest.approx(
+        assert wasserstein_distance(dist, d) == pytest.approx(
             wasserstein_distance(ref, d), rel=1e-12
         )
         assert kolmogorov_distance(dist, d) == pytest.approx(
