@@ -3,7 +3,7 @@
 Integrands here are smooth on each panel once panels are split at the drift
 kink and test-function breakpoints, so a fixed high-order rule reaches
 machine precision; absolute-value integrands additionally get panels split
-at sign changes located by bisection.
+at sign changes, located in all panels at once by array bisection.
 """
 
 from __future__ import annotations
@@ -14,12 +14,8 @@ from typing import Callable
 import numpy as np
 
 _ORDER = 24
-
-
-@lru_cache(maxsize=8)
-def _gl_rule(order: int = _ORDER) -> tuple[np.ndarray, np.ndarray]:
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    return nodes, weights
+_BISECT_STEPS = 80
+_gl_rule = lru_cache(maxsize=8)(np.polynomial.legendre.leggauss)
 
 
 def panel_nodes(
@@ -48,72 +44,70 @@ def integrate_panels(
     return np.sum(vals * wts, axis=1)
 
 
-def _split_edges(lo: float, hi: float, splits: tuple[float, ...]) -> list[float]:
-    """Panel edges of [lo, hi] with the splits strictly inside it."""
-    return [lo] + sorted(s for s in splits if lo < s < hi) + [hi]
+def _inside(lo: np.ndarray, hi: np.ndarray, points) -> np.ndarray:
+    """Mask [i, j] of the points[j] strictly inside the panels [lo_i, hi_i]."""
+    return (lo[:, None] < points) & (points < hi[:, None])
+
+
+def _cut(lo: np.ndarray, hi: np.ndarray, cuts: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Pieces of the panels [lo_i, hi_i] cut at the non-nan cuts[i, :] inside them.
+
+    Returns the pieces' ends and panel indices, by panel and then left to right.
+    """
+    edges = np.sort(np.column_stack((lo, cuts, hi)), axis=1)  # nan sorts last
+    keep = ~np.isnan(edges[:, 1:])
+    return edges[:, :-1][keep], edges[:, 1:][keep], np.nonzero(keep)[0]
+
+
+def _split_panels(lo, hi, splits: tuple[float, ...]) -> tuple[np.ndarray, ...]:
+    """Pieces of the panels [lo_i, hi_i] cut at the splits strictly inside them."""
+    lo, hi = np.atleast_1d(lo).astype(float), np.atleast_1d(hi).astype(float)
+    return _cut(lo, hi, np.where(_inside(lo, hi, splits), splits, np.nan))
 
 
 def integrate_with_splits(
-    fun: Callable[[np.ndarray], np.ndarray],
-    lo: float,
-    hi: float,
-    splits: tuple[float, ...] = (),
-    order: int = _ORDER,
+    fun: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, splits: tuple[float, ...] = ()
 ) -> float:
     """int_lo^hi fun with interior breakpoints inserted as panel edges."""
-    edges_arr = np.asarray(_split_edges(lo, hi, splits))
-    return float(np.sum(integrate_panels(fun, edges_arr[:-1], edges_arr[1:], order)))
+    u, v, _ = _split_panels(lo, hi, splits)
+    return float(np.sum(integrate_panels(fun, u, v)))
 
 
 def integrate_abs_with_splits(
-    fun: Callable[[np.ndarray], np.ndarray],
-    lo: float,
-    hi: float,
-    splits: tuple[float, ...] = (),
-    order: int = _ORDER,
-) -> float:
-    """int_lo^hi |fun| with breakpoints at splits and at located sign changes.
+    fun: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray, splits=()
+) -> np.ndarray:
+    """int_{lo_i}^{hi_i} |fun| for each panel, split at the splits and at sign changes.
 
-    fun must be continuous on each split panel.
+    fun must be continuous on each split piece.  Each sub-panel is cut at a
+    root in every bracket of its nine interior probes (its ends may sit on
+    kinks where fun is undefined) with a strict sign change.  Sums run left
+    to right from 0.0: pieces into sub-panels, sub-panels into panels.
     """
-    edges = _split_edges(lo, hi, splits)
-    total = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        total += _abs_panel(fun, a, b, order)
-    return total
-
-
-def _abs_panel(fun, a: float, b: float, order: int) -> float:
-    # interior probes only: panel endpoints may sit exactly on kinks where
-    # the integrand is undefined pointwise
-    probe = a + (b - a) * np.arange(1, 10) / 10.0
-    vals = fun(probe)
+    a, b, panel = _split_panels(lo, hi, splits)
+    probe = a[:, None] + (b - a)[:, None] * np.arange(1, 10) / 10.0
+    vals = fun(probe.ravel()).reshape(probe.shape)
     signs = np.sign(vals)
-    if np.all(signs >= 0) or np.all(signs <= 0):
-        return abs(float(np.sum(integrate_panels(fun, np.array([a]), np.array([b]), order))))
-    # locate each sign change by bisection and integrate the pieces
-    roots = []
-    for i in range(len(probe) - 1):
-        if signs[i] * signs[i + 1] < 0:
-            roots.append(_bisect_root(fun, float(probe[i]), float(probe[i + 1])))
-    edges = [a] + roots + [b]
-    total = 0.0
-    for u, v in zip(edges[:-1], edges[1:]):
-        total += abs(
-            float(np.sum(integrate_panels(fun, np.array([u]), np.array([v]), order)))
-        )
-    return total
+    change = signs[:, :-1] * signs[:, 1:] < 0
+    roots = np.full(change.shape, np.nan)
+    roots[change] = _bisect(fun, probe[:, :-1][change], probe[:, 1:][change], vals[:, :-1][change])
+    u, v, sub = _cut(a, b, roots)
+    per_sub = np.bincount(sub, weights=np.abs(integrate_panels(fun, u, v)), minlength=a.size)
+    return np.bincount(panel, weights=per_sub, minlength=np.size(lo))
 
 
-def _bisect_root(fun, a: float, b: float, iters: int = 80) -> float:
-    fa = float(fun(np.array([a]))[0])
-    for _ in range(iters):
-        mid = 0.5 * (a + b)
-        fm = float(fun(np.array([mid]))[0])
-        if fa * fm <= 0.0:
-            b = mid
-        else:
-            a, fa = mid, fm
-        if b - a < 1e-15 * (1.0 + abs(a)):
+def _bisect(fun, a: np.ndarray, b: np.ndarray, fa: np.ndarray) -> np.ndarray:
+    """Bisect all brackets [a_i, b_i] (fa_i = fun(a_i)) at once, evaluating the live ones.
+
+    A bracket stops once b - a < 1e-15 (1 + |a|).
+    """
+    live = np.arange(a.size)
+    for _ in range(_BISECT_STEPS):
+        if not live.size:
             break
+        mid = 0.5 * (a[live] + b[live])
+        fm = fun(mid)
+        left = fa[live] * fm <= 0.0
+        b[live[left]] = mid[left]
+        a[live[~left]], fa[live[~left]] = mid[~left], fm[~left]
+        live = live[~(b[live] - a[live] < 1e-15 * (1.0 + np.abs(a[live])))]
     return 0.5 * (a + b)

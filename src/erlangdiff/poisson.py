@@ -314,6 +314,11 @@ def _sample_grid(d: DiffusionDensity) -> np.ndarray:
     for kink in (j, 0.0):
         hit = np.isclose(grid, kink, rtol=0.0, atol=step * 1e-9)
         grid[hit] += step * 1e-6
+    if not np.any(grid <= 0.0):
+        raise EvaluationRangeError(
+            f"zeta = {d.zeta:.6g}: the sample grid step {step:.3g} is too coarse "
+            "to hold a point at or below 0"
+        )
     return grid
 
 
@@ -414,6 +419,12 @@ def _aux_rows_under(d: DiffusionDensity, grid: np.ndarray) -> list[Check]:
     j = -d.zeta
     mu, alpha = d.mu, d.alpha
     inv_az = math.inf if az == 0.0 else 1.0 / az
+    try:
+        gauss = math.exp(0.5 * d.zeta**2)
+    except OverflowError:
+        raise EvaluationRangeError(
+            f"zeta = {d.zeta:.6g}: the bound exp(zeta^2/2) overflows a double (|zeta| > 37.7)"
+        ) from None
     neg = grid[grid <= 0.0]
     mid = grid[(grid >= 0.0) & (grid <= j)]
     right = grid[grid >= j]
@@ -438,7 +449,7 @@ def _aux_rows_under(d: DiffusionDensity, grid: np.ndarray) -> list[Check]:
         _row(
             f"{tag}1_mid",
             d.ratio_below(mid).max() if mid.size else 0.0,
-            _SQRT_2PI * math.exp(0.5 * d.zeta**2),
+            _SQRT_2PI * gauss,
         ),
         _row(
             f"{tag}2_mid",
@@ -450,7 +461,7 @@ def _aux_rows_under(d: DiffusionDensity, grid: np.ndarray) -> list[Check]:
         _row(
             f"{tag}3_mid",
             _abs_first_ratio_below(d, mid).max() if mid.size else 0.0,
-            2.0 * math.exp(0.5 * d.zeta**2) - 1.0,
+            2.0 * gauss - 1.0,
         ),
         _row(
             f"{tag}4_mid",

@@ -57,12 +57,6 @@ def _active(dist: DiscreteStationary) -> np.ndarray:
     return np.arange(idx[0], idx[-1] + 1)
 
 
-def _has_split(lo: np.ndarray, hi: np.ndarray, splits: tuple[float, ...]) -> np.ndarray:
-    """Mask of the panels [lo_i, hi_i] with a split point strictly inside."""
-    s = np.asarray(splits)
-    return np.any((lo[:, None] < s) & (s < hi[:, None]), axis=1)
-
-
 def _panel_abs_f3(sol: PoissonSolution, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """int |f'''| over panels [lo_i, hi_i], splitting at kinks/sign changes."""
     splits = sol._split_points()
@@ -73,13 +67,9 @@ def _panel_abs_f3(sol: PoissonSolution, lo: np.ndarray, hi: np.ndarray) -> np.nd
     # constant-drift side for Erlang-C) do not warrant a panel split
     noise = 1e-12 * np.max(np.abs(f3))
     mixed = (np.min(f3, axis=1) < -noise) & (np.max(f3, axis=1) > noise)
-    redo = np.nonzero(mixed | _has_split(lo, hi, splits))[0]
-    out = plain
-    for i in redo:
-        out[i] = _quad.integrate_abs_with_splits(
-            lambda t: np.atleast_1d(sol.f_third(t)), float(lo[i]), float(hi[i]), splits
-        )
-    return out
+    redo = mixed | _quad._inside(lo, hi, splits).any(axis=1)
+    plain[redo] = _quad.integrate_abs_with_splits(sol.f_third, lo[redo], hi[redo], splits)
+    return plain
 
 
 def wasserstein_decomposition(
@@ -154,23 +144,26 @@ def _weighted_f2_panels(
     """(int (hi-y) f''(y) dy, int (y-lo) f''(y) dy) over panels [lo_i, hi_i].
 
     f'' jumps at the indicator anchor and kinks at the drift kink; panels
-    containing either point are re-integrated with explicit edges.
+    containing either point are re-integrated piece by piece between them.
     """
     splits = sol._split_points()
-    pts, wts = _quad.panel_nodes(lo, hi, _ORDER)
-    fpp = sol.derivatives(pts.ravel())[1].reshape(pts.shape)
-    fwd_w = hi[:, None] - pts
-    bwd_w = pts - lo[:, None]
-    a_panel = np.sum(fpp * fwd_w * wts, axis=1)
-    b_panel = np.sum(fpp * bwd_w * wts, axis=1)
-    for i in np.nonzero(_has_split(lo, hi, splits))[0]:
-        lo_i, hi_i = float(lo[i]), float(hi[i])
-        a_panel[i] = _quad.integrate_with_splits(
-            lambda t: (hi_i - t) * np.atleast_1d(sol.f_second(t)), lo_i, hi_i, splits
+
+    def weighted(u, v, lo_w, hi_w, order):
+        # both weighted integrals over pieces [u_i, v_i] of panels [lo_w_i, hi_w_i]
+        pts, wts = _quad.panel_nodes(u, v, order)
+        fpp = sol.derivatives(pts.ravel())[1].reshape(pts.shape)
+        return (
+            np.sum((hi_w[:, None] - pts) * fpp * wts, axis=1),
+            np.sum((pts - lo_w[:, None]) * fpp * wts, axis=1),
         )
-        b_panel[i] = _quad.integrate_with_splits(
-            lambda t: (t - lo_i) * np.atleast_1d(sol.f_second(t)), lo_i, hi_i, splits
-        )
+
+    a_panel, b_panel = weighted(lo, hi, lo, hi, _ORDER)
+    redo = _quad._inside(lo, hi, splits).any(axis=1)
+    lo_r, hi_r = lo[redo], hi[redo]
+    u, v, owner = _quad._split_panels(lo_r, hi_r, splits)
+    a_piece, b_piece = weighted(u, v, lo_r[owner], hi_r[owner], _quad._ORDER)
+    a_panel[redo] = np.bincount(owner, weights=a_piece, minlength=lo_r.size)
+    b_panel[redo] = np.bincount(owner, weights=b_piece, minlength=lo_r.size)
     return a_panel, b_panel
 
 

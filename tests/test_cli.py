@@ -189,6 +189,17 @@ class TestExitCodes:
         assert err.startswith("error: stationary grid would exceed 100000000 states")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("lam, n", [("343.55", "1737"), ("1e-8", "1"), ("1e-30", "1")])
+    def test_gradient_suite_range_errors(self, capsys, lam, n):
+        # |zeta| > 37.7 overflows the exp(zeta^2/2) bounds of the underloaded
+        # density-ratio rows; at zeta = -1e15 the sample grid is also too
+        # coarse to hold a point at or below 0
+        assert cli.main(["verify", "--lambda", lam, "--n", n]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: zeta = ")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
 
 class TestSweepCommand:
     def test_sweep_csv(self, tmp_path):

@@ -4,7 +4,7 @@ import pytest
 from conftest import SPOT_SETS, density_for, pmf_for
 from erlangdiff.metrics import kolmogorov_distance
 from erlangdiff.model import ModelParams
-from erlangdiff.poisson import TestFunction, build_solution
+from erlangdiff.poisson import PoissonSolution, TestFunction, build_solution
 from erlangdiff.stein_verify import (
     kolmogorov_decomposition,
     taylor_remainder_audit,
@@ -50,6 +50,24 @@ class TestWassersteinDecomposition:
         sol = build_solution(density_for(C_HEAVY), TestFunction.indicator(0.0))
         with pytest.raises(ValueError):
             wasserstein_decomposition(dist, sol)
+
+    def test_f_third_calls_are_batched(self, monkeypatch):
+        # rounding noise in f''' reads as sign changes in about 1,100 panels
+        # here; the probes, each bisection step and the piece integrals take
+        # one array call each for all of them
+        params = ModelParams(lam=100.0, mu=1.0, n=90, alpha=0.01)
+        dist = pmf_for(params, 1e-14)
+        sol = build_solution(density_for(params), TestFunction.identity())
+        calls = []
+        f_third = PoissonSolution.f_third
+
+        def counted(self, x):
+            calls.append(np.size(x))
+            return f_third(self, x)
+
+        monkeypatch.setattr(PoissonSolution, "f_third", counted)
+        wasserstein_decomposition(dist, sol)
+        assert 0 < len(calls) <= 100
 
 
 class TestKolmogorovDecomposition:
