@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -36,6 +36,8 @@ __all__ = [
 ]
 
 _REL_MOMENT_TOL = 1e-8
+# largest truncation index the doubling may reach before TruncationError
+_STATE_CAP = 10**8
 
 
 class TruncationError(RuntimeError):
@@ -272,7 +274,6 @@ def stationary_pmf(
     tail_tol: float = 1e-14,
     *,
     moment_order: int = 0,
-    state_cap: int = 10**8,
 ) -> DiscreteStationary:
     """Exact stationary distribution, truncated with a certified tail bound.
 
@@ -295,12 +296,12 @@ def stationary_pmf(
     # the first k_hi of the doubling sequence that can succeed: past the
     # state cap, fail now instead of doubling up to it
     k_first = k_hi
-    while k_first < k_need and k_first <= state_cap:
+    while k_first < k_need and k_first <= _STATE_CAP:
         k_first = 2 * k_first + 64
     while True:
-        if max(k_hi, k_first) > state_cap:
+        if max(k_hi, k_first) > _STATE_CAP:
             raise TruncationError(
-                f"stationary grid would exceed {state_cap} states; "
+                f"stationary grid would exceed {_STATE_CAP} states; "
                 "parameters are pathological for exact summation"
             )
         q = params.lam / departure_rate(params, k_hi + 1)
@@ -469,153 +470,83 @@ def stein_identity_residual(
     return SteinResidual(residual=residual, tolerance=boundary + rounding)
 
 
-def _bound_row(name: str, observed: float, bound: float) -> Check:
-    return Check(name, observed, bound, bool(observed <= bound * (1.0 + 1e-12) + 1e-12))
+_moment_row = partial(Check.at_most, rtol=1e-12, atol=1e-12)
 
 
 def moment_bound_report(dist: DiscreteStationary) -> list[Check]:
     """Evaluate every closed-form stationary moment bound for the regime.
 
     Left sides come exactly from the pmf, right sides from the printed
-    closed forms.  Violations are reported (satisfied=False), not raised:
-    they would indicate an implementation bug, not a data error.
+    closed forms.  Each regime is a table of (name, order, region, shift,
+    bound) rows; each distinct moment is evaluated once.  Violations are
+    reported (satisfied=False), not raised: they would indicate an
+    implementation bug, not a data error.
     """
     derived = dist.derived
     delta = derived.delta
-    zeta = derived.zeta
-    az = abs(zeta)
+    az = abs(derived.zeta)
     mu, alpha = derived.mu, derived.alpha
-    rows: list[Check] = []
-
-    def mom(m, region, shift="none"):
-        return moment(dist, m, region, shift)
-
     inv_az = math.inf if az == 0.0 else 1.0 / az
+    ratio = alpha / mu
+    q = delta**2 / 4.0  # delta^2/4 enters most bounds below
 
     if derived.is_erlang_c:
         cap = 4.0 / 3.0 + 2.0 * delta**2 / 3.0
-        rows.append(_bound_row("xsquare_below", mom(2, "below"), cap))
-        rows.append(_bound_row("xabs_below_o1", mom(1, "below"), math.sqrt(cap)))
-        rows.append(_bound_row("xabs_below_zeta", mom(1, "below"), 2.0 * az))
-        rows.append(
-            _bound_row(
-                "xabs_above",
-                mom(1, "above"),
-                inv_az + delta**2 / 4.0 * inv_az + delta / 2.0,
-            )
-        )
-        rows.append(_bound_row("idle_prob", mom(0, "below"), (2.0 + delta) * az))
-        if derived.R >= 1.0:
-            rows.append(
-                _bound_row("zeta_times_above_prob", az * mom(0, "above"), 7.0 / 4.0)
-            )
-        idle_expect = mom(1, "below", "plus_zeta")
-        rows.append(
-            Check(
-                "idle_expect_identity",
-                idle_expect,
-                az,
-                bool(abs(idle_expect - az) <= 1e-10 * max(1.0, az)),
-            )
-        )
-        return rows
-
-    ratio = alpha / mu
-    if derived.R <= derived.n:
+        table = [
+            ("xsquare_below", 2, "below", "none", cap),
+            ("xabs_below_o1", 1, "below", "none", math.sqrt(cap)),
+            ("xabs_below_zeta", 1, "below", "none", 2.0 * az),
+            ("xabs_above", 1, "above", "none", inv_az + q * inv_az + delta / 2.0),
+            ("idle_prob", 0, "below", "none", (2.0 + delta) * az),
+        ]
+    elif derived.R <= derived.n:
         cap1 = (ratio * delta**2 + delta**2 + 4.0) / 3.0
         cap2 = ((1.0 / ratio) * delta**2 + 4.0 / ratio + delta**2) / 3.0
-        rows.append(_bound_row("u_xsquare_below", mom(2, "below"), cap1))
-        rows.append(_bound_row("u_xabs_below_o1", mom(1, "below"), math.sqrt(cap1)))
-        rows.append(
-            _bound_row(
-                "u_xabs_below_zeta",
-                mom(1, "below"),
-                2.0 * az + ratio * math.sqrt(cap2),
-            )
-        )
-        rows.append(
-            _bound_row(
-                "u_xabs_above",
-                mom(1, "above"),
-                (1.0 + delta**2 / 4.0 + delta / 2.0 * math.sqrt(cap1))
-                * min(mu / min(mu, alpha), inv_az),
-            )
-        )
-        rows.append(
-            _bound_row("u_shift_square_above", mom(2, "above", "plus_zeta"), cap2)
-        )
-        rows.append(
-            _bound_row(
-                "u_shift_above_o1", mom(1, "above", "plus_zeta"), math.sqrt(cap2)
-            )
-        )
-        rows.append(
-            _bound_row(
-                "u_shift_above_zeta",
-                mom(1, "above", "plus_zeta"),
-                inv_az * (delta**2 / 4.0 * ratio + delta**2 / 4.0 + 1.0),
-            )
-        )
-        rows.append(
-            _bound_row(
-                "u_idle_prob",
-                mom(0, "below"),
-                (2.0 + delta) * (az + ratio * math.sqrt(cap2)),
-            )
-        )
-        return rows
-
-    cap3 = (delta**2 + 4.0 / ratio) / 3.0
-    rows.append(
-        _bound_row(
-            "o_xabs_below_o1",
-            mom(1, "below"),
-            math.sqrt((alpha * delta**2 / 4.0 + mu) / min(alpha, mu)),
-        )
-    )
-    rows.append(
-        _bound_row(
-            "o_xabs_below_zeta", mom(1, "below"), inv_az * (delta**2 / 4.0 + 1.0 / ratio)
-        )
-    )
-    rows.append(_bound_row("o_xsquare_above", mom(2, "above"), cap3))
-    rows.append(_bound_row("o_xabs_above", mom(1, "above"), math.sqrt(cap3)))
-    rows.append(
-        _bound_row(
-            "o_shift_below_zeta",
-            mom(1, "below", "plus_zeta"),
-            inv_az * (delta**2 / 4.0 + 1.0),
-        )
-    )
-    rows.append(
-        _bound_row(
-            "o_shift_square_below",
-            mom(2, "below", "plus_zeta"),
-            delta**2 / 4.0 * ratio + 1.0,
-        )
-    )
-    rows.append(
-        _bound_row(
-            "o_shift_below_o1",
-            mom(1, "below", "plus_zeta"),
-            math.sqrt(delta**2 / 4.0 * ratio + 1.0),
-        )
-    )
-    rows.append(
-        _bound_row(
-            "o_shift_below_mix", mom(1, "below", "plus_zeta"), ratio * math.sqrt(cap3)
-        )
-    )
-    rows.append(
-        _bound_row(
-            "o_idle_prob",
-            mom(0, "below"),
+        xabs_above = (1.0 + q + delta / 2.0 * math.sqrt(cap1)) * min(mu / min(mu, alpha), inv_az)
+        table = [
+            ("u_xsquare_below", 2, "below", "none", cap1),
+            ("u_xabs_below_o1", 1, "below", "none", math.sqrt(cap1)),
+            ("u_xabs_below_zeta", 1, "below", "none", 2.0 * az + ratio * math.sqrt(cap2)),
+            ("u_xabs_above", 1, "above", "none", xabs_above),
+            ("u_shift_square_above", 2, "above", "plus_zeta", cap2),
+            ("u_shift_above_o1", 1, "above", "plus_zeta", math.sqrt(cap2)),
+            ("u_shift_above_zeta", 1, "above", "plus_zeta", inv_az * (q * ratio + q + 1.0)),
+            ("u_idle_prob", 0, "below", "none", (2.0 + delta) * (az + ratio * math.sqrt(cap2))),
+        ]
+    else:
+        cap3 = (delta**2 + 4.0 / ratio) / 3.0
+        xabs_below = math.sqrt((alpha * delta**2 / 4.0 + mu) / min(alpha, mu))
+        idle = (
             (3.0 + delta)
             * (16.0 / math.sqrt(2.0))
-            * (delta**2 / 4.0 + 1.0)
-            * min(max(inv_az, ratio), math.sqrt(ratio)),
+            * (q + 1.0)
+            * min(max(inv_az, ratio), math.sqrt(ratio))
         )
-    )
+        table = [
+            ("o_xabs_below_o1", 1, "below", "none", xabs_below),
+            ("o_xabs_below_zeta", 1, "below", "none", inv_az * (q + 1.0 / ratio)),
+            ("o_xsquare_above", 2, "above", "none", cap3),
+            ("o_xabs_above", 1, "above", "none", math.sqrt(cap3)),
+            ("o_shift_below_zeta", 1, "below", "plus_zeta", inv_az * (q + 1.0)),
+            ("o_shift_square_below", 2, "below", "plus_zeta", q * ratio + 1.0),
+            ("o_shift_below_o1", 1, "below", "plus_zeta", math.sqrt(q * ratio + 1.0)),
+            ("o_shift_below_mix", 1, "below", "plus_zeta", ratio * math.sqrt(cap3)),
+            ("o_idle_prob", 0, "below", "none", idle),
+        ]
+
+    values: dict[tuple[int, str, str], float] = {}
+    rows = []
+    for name, m, region, shift, bound in table:
+        if (m, region, shift) not in values:
+            values[m, region, shift] = moment(dist, m, region, shift)
+        rows.append(_moment_row(name, values[m, region, shift], bound))
+    if derived.is_erlang_c:
+        if derived.R >= 1.0:
+            above_prob = moment(dist, 0, "above")
+            rows.append(_moment_row("zeta_times_above_prob", az * above_prob, 7.0 / 4.0))
+        idle_expect = moment(dist, 1, "below", "plus_zeta")
+        ok = abs(idle_expect - az) <= 1e-10 * max(1.0, az)
+        rows.append(Check("idle_expect_identity", idle_expect, az, ok))
     return rows
 
 

@@ -596,7 +596,7 @@ def density_sup_check(d: DiffusionDensity) -> Check:
         bound = math.sqrt(2.0 / math.pi) * math.sqrt(d.alpha / d.mu)
     else:
         bound = math.sqrt(2.0 / math.pi)
-    return Check("density_sup", sup, bound, bool(sup <= bound * (1.0 + 1e-12)))
+    return Check.at_most("density_sup", sup, bound, rtol=1e-12)
 
 
 def zeta_scaling_limit(mu: float, n: int, m: int, zeta_sequence) -> list[float]:

@@ -34,7 +34,7 @@ class ValidationError(ValueError):
 class Check:
     """One verification row: an observed value against its bound.
 
-    ``satisfied`` is the producer's verdict (each suite has its own slack);
+    ``satisfied`` is the verdict; one-sided rows get it from ``at_most``.
     ``mode="empirical"`` rows track a quantity with no stated constant and
     carry ``satisfied=None``.
     """
@@ -44,6 +44,26 @@ class Check:
     bound: float
     satisfied: bool | None
     mode: str = "strict"
+
+    @classmethod
+    def at_most(
+        cls,
+        name: str,
+        observed: float,
+        bound: float,
+        *,
+        rtol: float = 0.0,
+        atol: float = 0.0,
+        mode: str = "strict",
+    ) -> "Check":
+        """The row for ``observed <= bound * (1 + rtol) + atol``.
+
+        ``rtol`` and ``atol`` are the producing suite's slack; a nan observed
+        value fails.  An empirical row gets no verdict.
+        """
+        observed, bound = float(observed), float(bound)
+        satisfied = observed <= bound * (1.0 + rtol) + atol if mode == "strict" else None
+        return cls(name, observed, bound, satisfied, mode)
 
 
 @dataclass(frozen=True)

@@ -235,7 +235,6 @@ def kolmogorov_decomposition(
         "anchor": a,
         "straddle": straddle,
         "straddle_majorant": majorant,
-        "straddle_ok": bool(straddle <= majorant * (1.0 + 1e-12) + 1e-12),
         "mean_abs_f2b": _exact_sum(p * np.abs(fpp_left * b)),
         "delta": delta,
         "interm_rhs": 0.5 * straddle + 75.0 * delta,

@@ -189,6 +189,28 @@ class TestExitCodes:
         assert err.startswith("error: stationary grid would exceed 100000000 states")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--lambda", "abc", "--n", "5"],
+            ["sweep", "--regime", "qed", "--sizes", "4,x"],
+        ],
+    )
+    def test_usage_error_exits_1(self, capsys, argv):
+        # exit 2 is kept for a violated bound
+        assert cli.main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage: erlangdiff ")
+        assert "error: argument " in err
+
+    @pytest.mark.parametrize("flag", ["-h", "--version"])
+    def test_help_and_version_exit_0(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([flag])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out
+
     @pytest.mark.parametrize("lam, n", [("343.55", "1737"), ("1e-8", "1"), ("1e-30", "1")])
     def test_gradient_suite_range_errors(self, capsys, lam, n):
         # |zeta| > 37.7 overflows the exp(zeta^2/2) bounds of the underloaded
@@ -211,6 +233,6 @@ class TestSweepCommand:
         assert len(lines) == 3
         assert lines[0].split(",")[0] == "regime"
 
-    def test_sweep_requires_regime(self):
-        with pytest.raises(SystemExit):
-            cli.main(["sweep", "--sizes", "4"])
+    def test_sweep_requires_regime(self, capsys):
+        assert cli.main(["sweep", "--sizes", "4"]) == 1
+        assert "required: --regime" in capsys.readouterr().err

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import density_for, full_grid_pmf, pmf_for, window_params
+from erlangdiff import ctmc
 from erlangdiff.ctmc import (
     TruncationError,
     _mode,
@@ -87,13 +88,10 @@ class TestStationaryPmf:
         with pytest.raises(ValueError):
             stationary_pmf(ModelParams(lam=1.0, mu=1.0, n=2, alpha=0.0), 0.0)
 
-    def test_state_cap_signals(self):
-        with pytest.raises(TruncationError):
-            stationary_pmf(
-                ModelParams(lam=4.999, mu=1.0, n=5, alpha=0.0),
-                1e-14,
-                state_cap=1000,
-            )
+    def test_state_cap_signals(self, monkeypatch):
+        monkeypatch.setattr(ctmc, "_STATE_CAP", 1000)
+        with pytest.raises(TruncationError, match="would exceed 1000 states"):
+            stationary_pmf(ModelParams(lam=4.999, mu=1.0, n=5, alpha=0.0), 1e-14)
 
     def test_k_star_flow_property(self):
         for params in [
@@ -164,7 +162,9 @@ class TestWindow:
         ref = full_grid_pmf(params, 1e-12)
         assert dist.k_max == ref.k_max
         # the early failure gives up on no grid the doubling reaches
-        assert stationary_pmf(params, 1e-12, state_cap=ref.k_max).k_max == ref.k_max
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ctmc, "_STATE_CAP", ref.k_max)
+            assert stationary_pmf(params, 1e-12).k_max == ref.k_max
         window = ref.pmf[dist.k_min : dist.k_top + 1]
         np.testing.assert_allclose(dist.pmf, window, rtol=1e-12, atol=0.0)
         outside = np.concatenate((ref.pmf[: dist.k_min], ref.pmf[dist.k_top + 1 :]))
@@ -208,13 +208,14 @@ class TestWindow:
             ModelParams(lam=1e4, mu=1.0, n=20_000, alpha=0.0),
         ],
     )
-    def test_fail_fast_keeps_k_max(self, params):
+    def test_fail_fast_keeps_k_max(self, params, monkeypatch):
         # near critical load the first k_hi that can pass lies past the
         # first doublings, at light load it lies below n; the early failure
         # must not give up on it, even with the state cap right at it
         k_max = full_grid_pmf(params, 1e-12).k_max
         assert stationary_pmf(params, 1e-12).k_max == k_max
-        assert stationary_pmf(params, 1e-12, state_cap=k_max).k_max == k_max
+        monkeypatch.setattr(ctmc, "_STATE_CAP", k_max)
+        assert stationary_pmf(params, 1e-12).k_max == k_max
 
     def test_fail_fast_at_light_load_and_large_n(self):
         # the tail test passes well below n = 1e8 here, so the geometric
@@ -365,6 +366,26 @@ class TestMomentBoundReport:
     def test_erlang_a_underloaded_rows(self):
         dist = pmf_for(ModelParams(lam=3.0, mu=1.0, n=5, alpha=0.5))
         assert all(r.satisfied for r in moment_bound_report(dist))
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            ModelParams(lam=4.9, mu=1.0, n=5, alpha=0.0),
+            ModelParams(lam=3.0, mu=1.0, n=5, alpha=0.5),
+            ModelParams(lam=12.0, mu=1.0, n=5, alpha=2.0),
+        ],
+    )
+    def test_each_moment_evaluated_once(self, params, monkeypatch):
+        dist = pmf_for(params)
+        calls = []
+
+        def counting_moment(dist, m, region="all", shift="none"):
+            calls.append((m, region, shift))
+            return moment(dist, m, region, shift)
+
+        monkeypatch.setattr(ctmc, "moment", counting_moment)
+        moment_bound_report(dist)
+        assert len(calls) == len(set(calls)) == 6
 
     def test_critical_load_uses_under_branch(self):
         dist = pmf_for(ModelParams(lam=5.0, mu=1.0, n=5, alpha=1.0))

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from erlangdiff.model import (
+    Check,
     ModelParams,
     ValidationError,
     departure_rate,
@@ -192,3 +193,28 @@ class TestScaledState:
         for lam, n, alpha in [(4.9, 5, 0.0), (499.0, 500, 0.0), (12.0, 5, 2.0)]:
             der = derive(ModelParams(lam=lam, mu=1.0, n=n, alpha=alpha))
             assert scaled_state(der, n) == -der.zeta
+
+
+class TestCheckAtMost:
+    def test_equal_to_bound_passes(self):
+        row = Check.at_most("r", 2.0, 2.0)
+        assert row == Check("r", 2.0, 2.0, True, "strict")
+
+    def test_nan_fails(self):
+        assert Check.at_most("r", math.nan, 1.0).satisfied is False
+        assert Check.at_most("r", math.nan, 1.0, rtol=1.0, atol=1.0).satisfied is False
+
+    def test_rtol_and_atol_widen_the_bound(self):
+        assert Check.at_most("r", 1.1, 1.0).satisfied is False
+        assert Check.at_most("r", 1.1, 1.0, rtol=0.2).satisfied is True
+        assert Check.at_most("r", 1.1, 1.0, atol=0.2).satisfied is True
+        assert Check.at_most("r", 1.1, 1.0, rtol=0.06, atol=0.05).satisfied is True
+        assert Check.at_most("r", 1.1, 1.0, rtol=0.04, atol=0.05).satisfied is False
+
+    def test_empirical_has_no_verdict(self):
+        row = Check.at_most("r", 5.0, 1.0, mode="empirical")
+        assert row == Check("r", 5.0, 1.0, None, "empirical")
+
+    def test_values_are_python_floats(self):
+        row = Check.at_most("r", np.float64(0.5), np.float32(1.0))
+        assert type(row.observed) is float and type(row.bound) is float
