@@ -385,6 +385,16 @@ def _write(out: str | None, text: str) -> None:
         sys.stdout.write(text)
 
 
+def _offered_loads(text: str) -> list[float]:
+    """The --sizes value: comma-separated offered loads, such as 4,25."""
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated offered loads such as 4,25, got {text!r}"
+        ) from None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="erlangdiff",
@@ -412,9 +422,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(sweep, with_params=False)
     sweep.add_argument("--regime", choices=("qd", "qed", "nds"), required=True)
     sweep.add_argument("--beta", type=float, default=1.0)
-    sweep.add_argument(
-        "--sizes", type=lambda s: [float(v) for v in s.split(",")], required=True
-    )
+    sweep.add_argument("--sizes", type=_offered_loads, required=True)
     sweep.add_argument("--alpha-over-mu", type=float, default=0.0)
     sweep.add_argument("--mu", type=float, default=1.0)
     # the JSON config block lists every key, also those a subcommand lacks

@@ -71,17 +71,25 @@ def _log_weights(params: ModelParams, k_lo: int, k_hi: int) -> np.ndarray:
     """
     n, mu, alpha = params.n, params.mu, params.alpha
     r = params.offered_load
+    # three range-length buffers, updated in place in the operation order of
+    # the plain array expressions, so every weight keeps its bits
     k = np.arange(k_lo, k_hi + 1, dtype=float)
     served = np.minimum(k, float(n))
-    ell = served * math.log(r) - gammaln(served + 1.0)
-    queue = k - served
+    ell = served * math.log(r)
+    queue = np.subtract(k, served, out=k)
+    served += 1.0
+    ell -= gammaln(served, out=served)
+    scratch = served
     if params.is_erlang_c:
-        ell += queue * math.log(r / n)
+        ell += np.multiply(queue, math.log(r / n), out=scratch)
     else:
         beta = alpha / mu
         base = n / beta
-        ell += queue * (math.log(r) - math.log(beta))
-        ell -= gammaln(base + 1.0 + queue) - gammaln(base + 1.0)
+        ell += np.multiply(queue, math.log(r) - math.log(beta), out=scratch)
+        queue += base + 1.0
+        queue = gammaln(queue, out=queue)
+        queue -= gammaln(base + 1.0)
+        ell -= queue
     return ell
 
 
@@ -144,10 +152,15 @@ class DiscreteStationary:
     The arrays (``log_pmf``, ``pmf``, ``states``, ``x``, ``cdf_values``,
     ``death_rates``) cover the window of states k_min..k_top whose weight is
     within 1e-32 of the mode's, with scaled coordinates
-    x_k = delta*(k - x_inf).  ``k_max >= k_top`` is the certified truncation
-    index; ``log_pmf_end`` and ``tail_ratio`` = lam/d(k_max + 1) are its pmf
-    and tail ratio.  ``tail_bound`` certifies all the mass left out: the head
-    below k_min, the gap (k_top, k_max] and the tail beyond k_max.
+    x_k = delta*(k - x_inf).  Only ``log_pmf`` is held from the start;
+    ``pmf``, ``x`` and ``cdf_values`` are kept from their first read, and
+    ``states`` and ``death_rates`` are built anew on each read.  A moment
+    therefore holds ``log_pmf``, ``pmf``, ``x`` and one scratch buffer;
+    ``cdf_values`` is read only by the distances and the Kolmogorov checks.
+    ``k_max >= k_top`` is the certified truncation index; ``log_pmf_end``
+    and ``tail_ratio`` = lam/d(k_max + 1) are its pmf and tail ratio.
+    ``tail_bound`` certifies all the mass left out: the head below k_min,
+    the gap (k_top, k_max] and the tail beyond k_max.
     """
 
     derived: DerivedQuantities
@@ -169,13 +182,18 @@ class DiscreteStationary:
     def pmf(self) -> np.ndarray:
         return np.exp(self.log_pmf)
 
-    @cached_property
+    @property
     def states(self) -> np.ndarray:
         return np.arange(self.k_min, self.k_top + 1)
 
     @cached_property
     def x(self) -> np.ndarray:
-        return self.derived.delta * (self.states - self.derived.x_inf)
+        # float states are exact below 2^53: delta*(states - x_inf) bit for
+        # bit, without an int64 copy of the window
+        x = np.arange(self.k_min, self.k_top + 1, dtype=float)
+        x -= self.derived.x_inf
+        x *= self.derived.delta
+        return x
 
     @property
     def x_max(self) -> float:
@@ -202,8 +220,7 @@ class DiscreteStationary:
     def cdf(self, t) -> np.ndarray:
         """P(scaled state <= t); right-continuous step function."""
         idx = np.searchsorted(self.x, np.asarray(t, dtype=float), side="right")
-        padded = np.concatenate(([0.0], self.cdf_values))
-        out = padded[idx]
+        out = np.where(idx > 0, self.cdf_values[idx - 1], 0.0)
         return out if np.ndim(t) else float(out)
 
     def prob_interval(self, lo: float, hi: float) -> float:
@@ -314,6 +331,7 @@ def stationary_pmf(
                 moment_order == 0 or _moments_certified(dist, moment_order)
             ):
                 return dist
+            del dist  # a failed try holds no arrays while the next is built
         k_hi = 2 * k_hi + 64
 
 
@@ -357,19 +375,31 @@ def _moments_certified(dist: DiscreteStationary, moment_order: int) -> bool:
     bound = dist.moment_tail_bound(moment_order)
     if not math.isfinite(bound):
         return False
-    current = _exact_sum(np.abs(dist.x) ** moment_order * dist.pmf)
-    return bound <= _REL_MOMENT_TOL * current
+    terms = _moment_terms(dist.x, dist.pmf, 0.0, moment_order, np.empty_like(dist.x))
+    return bound <= _REL_MOMENT_TOL * _exact_sum(terms)
 
 
-def _region_mask(dist: DiscreteStationary, region: str) -> np.ndarray:
-    n = dist.params.n
-    k = dist.states
+def _moment_terms(
+    x: np.ndarray, pmf: np.ndarray, offset: float, m: int, out: np.ndarray, absolute: bool = True
+) -> np.ndarray:
+    """|x + offset|^m * pmf (the signed power if not absolute), written into out."""
+    np.add(x, offset, out=out)
+    if absolute:
+        np.abs(out, out=out)
+    out **= m
+    out *= pmf
+    return out
+
+
+def _region_slice(dist: DiscreteStationary, region: str) -> slice:
+    """Window indices of the states k <= n ("below") or k >= n ("above")."""
+    at_n = dist.params.n - dist.k_min  # may lie outside the window
     if region == "all":
-        return np.ones_like(k, dtype=bool)
+        return slice(None)
     if region == "below":
-        return k <= n
+        return slice(0, max(at_n + 1, 0))
     if region == "above":
-        return k >= n
+        return slice(max(at_n, 0), None)
     raise ValueError(f"unknown region {region!r}")
 
 
@@ -400,14 +430,14 @@ def moment(
         offset = dist.derived.zeta
     else:
         raise ValueError(f"unknown shift {shift!r}")
-    mask = _region_mask(dist, region)
-    g = dist.x[mask] + offset
-    vals = np.abs(g) ** m if absolute else g**m
-    result = _exact_sum(vals * dist.pmf[mask])
+    part = _region_slice(dist, region)
+    x, pmf = dist.x, dist.pmf
+    scratch = np.empty_like(x)
+    result = _exact_sum(_moment_terms(x[part], pmf[part], offset, m, scratch[part], absolute))
     # certify against the full-support absolute moment: a region whose true
     # mass sits below the window's cut is exactly 0 in double precision and
     # no tail tolerance could make it relatively accurate
-    scale = _exact_sum(np.abs(dist.x + offset) ** m * dist.pmf)
+    scale = _exact_sum(_moment_terms(x, pmf, offset, m, scratch))
     tail = dist.moment_tail_bound(m, shift=offset)
     if tail > _REL_MOMENT_TOL * max(scale, np.finfo(float).tiny):
         raise TruncationError(

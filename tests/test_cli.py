@@ -204,6 +204,15 @@ class TestExitCodes:
         assert err.startswith("usage: erlangdiff ")
         assert "error: argument " in err
 
+    def test_sizes_error_names_the_expected_form(self, capsys):
+        assert cli.main(["sweep", "--regime", "qed", "--sizes", "4,x"]) == 1
+        err = capsys.readouterr().err
+        assert err.endswith(
+            "error: argument --sizes: expected comma-separated offered loads "
+            "such as 4,25, got '4,x'\n"
+        )
+        assert "<lambda>" not in err
+
     @pytest.mark.parametrize("flag", ["-h", "--version"])
     def test_help_and_version_exit_0(self, capsys, flag):
         with pytest.raises(SystemExit) as exc:

@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -19,6 +20,8 @@ from erlangdiff.ctmc import (
     stationary_pmf,
     stein_identity_residual,
 )
+from erlangdiff.diffusion import build_density
+from erlangdiff.metrics import moment_error
 from erlangdiff.model import ModelParams, departure_rate, derive, drift, scaled_state
 from erlangdiff.poisson import TestFunction, build_solution
 
@@ -282,10 +285,63 @@ class TestMoment:
         assert moment(dist, 0, "below") == 0.0
         assert dist.tail_bound <= 1e-8
 
+    @pytest.mark.parametrize(
+        "params, edge",
+        [
+            (ModelParams(lam=100.0, mu=1.0, n=5, alpha=1.0), "n < k_min"),
+            (ModelParams(lam=100.0, mu=1.0, n=7, alpha=1.0), "n == k_min"),
+            (ModelParams(lam=12.0, mu=1.0, n=5, alpha=2.0), "inside"),
+            (ModelParams(lam=4.9, mu=1.0, n=5, alpha=0.0), "inside"),
+            (ModelParams(lam=0.5, mu=1.0, n=24, alpha=0.0), "n == k_top"),
+            (ModelParams(lam=0.5, mu=1.0, n=50, alpha=0.0), "n > k_top"),
+        ],
+    )
+    def test_regions_match_mask_oracle(self, params, edge):
+        # the window slices against the boolean-mask formula, bit for bit
+        dist = stationary_pmf(params, moment_order=5)
+        n, k_min, k_top = params.n, dist.k_min, dist.k_top
+        edges = {
+            "n < k_min": n < k_min,
+            "n == k_min": n == k_min,
+            "inside": k_min < n < k_top,
+            "n == k_top": n == k_top,
+            "n > k_top": n > k_top,
+        }
+        assert edges[edge]
+        k = dist.states
+        masks = {"all": np.ones(k.size, dtype=bool), "below": k <= n, "above": k >= n}
+        for region, mask in masks.items():
+            for shift, offset in (("none", 0.0), ("plus_zeta", dist.derived.zeta)):
+                for absolute in (True, False):
+                    for m in (0, 1, 2, 5):
+                        g = dist.x[mask] + offset
+                        vals = np.abs(g) ** m if absolute else g**m
+                        want = ctmc._exact_sum(vals * dist.pmf[mask])
+                        got = moment(dist, m, region, shift, absolute=absolute)
+                        assert got.hex() == want.hex(), (region, shift, absolute, m)
+                        if not mask.any():
+                            assert got.hex() == (0.0).hex()
+
     def test_moment_order_cap(self):
         dist = pmf_for(ModelParams(lam=4.0, mu=1.0, n=5, alpha=0.0))
         with pytest.raises(ValueError):
             moment(dist, 21)
+
+
+class TestMemory:
+    def test_moment_pipeline_holds_few_window_arrays(self):
+        # about 2.2M states: the pmf window, its scaled states and the log
+        # pmf, plus one scratch buffer, with room for one more array
+        params = ModelParams(lam=1.0 - 1.5e-5, mu=1.0, n=1, alpha=0.0)
+        tracemalloc.start()
+        try:
+            dist = stationary_pmf(params, moment_order=1)
+            moment_error(dist, build_density(dist.derived), 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert dist.log_pmf.size > 2_000_000
+        assert peak <= 5 * 8 * dist.log_pmf.size
 
 
 class TestGenerator:
