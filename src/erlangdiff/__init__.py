@@ -10,12 +10,10 @@ from .model import (
     departure_rate,
     derive,
     drift,
-    scaled_state,
 )
 from .ctmc import (
     DiscreteStationary,
     TruncationError,
-    apply_generator,
     idle_probability_monotone,
     moment_bound_report,
     stationary_pmf,
@@ -37,7 +35,6 @@ from .poisson import (
 from .stein_verify import (
     ErrorDecomposition,
     kolmogorov_decomposition,
-    taylor_remainder_audit,
     wasserstein_decomposition,
 )
 from .metrics import (
@@ -57,11 +54,9 @@ __all__ = [
     "derive",
     "departure_rate",
     "drift",
-    "scaled_state",
     "DiscreteStationary",
     "TruncationError",
     "stationary_pmf",
-    "apply_generator",
     "stein_identity_residual",
     "moment_bound_report",
     "idle_probability_monotone",
@@ -77,7 +72,6 @@ __all__ = [
     "ErrorDecomposition",
     "wasserstein_decomposition",
     "kolmogorov_decomposition",
-    "taylor_remainder_audit",
     "DistanceReport",
     "distance_report",
     "kolmogorov_distance",

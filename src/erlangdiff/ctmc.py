@@ -21,14 +21,13 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 from scipy.special import gammaln
 
-from .model import Check, DerivedQuantities, ModelParams, departure_rate, derive, scaled_state
+from .model import Check, DerivedQuantities, ModelParams, departure_rate, derive
 
 __all__ = [
     "DiscreteStationary",
     "TruncationError",
     "stationary_pmf",
     "moment",
-    "apply_generator",
     "stein_identity_residual",
     "SteinResidual",
     "moment_bound_report",
@@ -204,11 +203,6 @@ class DiscreteStationary:
     def cdf_values(self) -> np.ndarray:
         return np.cumsum(self.pmf)
 
-    @cached_property
-    def k_star(self) -> int:
-        """First state maximizing the pmf."""
-        return self.k_min + int(np.argmax(self.log_pmf))
-
     @property
     def death_rates(self) -> np.ndarray:
         return departure_rate(self.params, self.states)
@@ -309,14 +303,13 @@ def stationary_pmf(
     floor = ell_mode + _WINDOW_CUT
     k_min = _first_true(lambda k: _log_weight(params, k) >= floor, 0, k_mode)
     k_hi = int(derived.x_inf + 12.0 * math.sqrt(derived.x_inf) + 60.0)
+    # no k_hi below this bound passes the q and tail tests: start the
+    # doubling at the first one that can, and past the state cap, fail now
     k_need = _min_useful_k_hi(params, tail_tol, ell_mode)
-    # the first k_hi of the doubling sequence that can succeed: past the
-    # state cap, fail now instead of doubling up to it
-    k_first = k_hi
-    while k_first < k_need and k_first <= _STATE_CAP:
-        k_first = 2 * k_first + 64
+    while k_hi < k_need and k_hi <= _STATE_CAP:
+        k_hi = 2 * k_hi + 64
     while True:
-        if max(k_hi, k_first) > _STATE_CAP:
+        if k_hi > _STATE_CAP:
             raise TruncationError(
                 f"stationary grid would exceed {_STATE_CAP} states; "
                 "parameters are pathological for exact summation"
@@ -446,19 +439,6 @@ def moment(
             "moment_order or a smaller tail_tol"
         )
     return result
-
-
-def apply_generator(
-    derived: DerivedQuantities, f: Callable[[float], float], k: int
-) -> float:
-    """Chain generator at state k: lam*(f(x+d)-f(x)) + d(k)*(f(x-d)-f(x))."""
-    if k < 0:
-        raise ValueError("state index must be nonnegative")
-    params = derived.params
-    delta = derived.delta
-    x = scaled_state(derived, k)
-    dk = departure_rate(params, k)
-    return params.lam * (f(x + delta) - f(x)) + dk * (f(x - delta) - f(x))
 
 
 class SteinResidual(NamedTuple):

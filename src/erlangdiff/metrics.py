@@ -29,7 +29,6 @@ __all__ = [
     "DistanceReport",
     "kolmogorov_distance",
     "wasserstein_distance",
-    "cdf_area_between_steps",
     "mean_error",
     "moment_error",
     "distance_report",
@@ -80,13 +79,6 @@ def kolmogorov_distance(dist: DiscreteStationary, d) -> float:
         else f_y
     )
     return float(np.max(np.maximum(np.abs(c - f_y), np.abs(c_prev - f_left))))
-
-
-def cdf_area_between_steps(xs: np.ndarray, cdf1: np.ndarray, cdf2: np.ndarray) -> float:
-    """int |F1 - F2| for two step CDFs jumping at the same points xs."""
-    gaps = np.abs(np.asarray(cdf1, dtype=float) - np.asarray(cdf2, dtype=float))
-    widths = np.diff(np.asarray(xs, dtype=float))
-    return float(_exact_sum(gaps[:-1] * widths))
 
 
 def _cdf_antiderivative(d: DiffusionDensity, u: np.ndarray, v: np.ndarray, f_u: np.ndarray):

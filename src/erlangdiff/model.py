@@ -22,7 +22,6 @@ __all__ = [
     "derive",
     "departure_rate",
     "drift",
-    "scaled_state",
 ]
 
 
@@ -196,19 +195,5 @@ def drift(derived: DerivedQuantities, x):
     pos_part = np.maximum(shifted, 0.0) - max(z, 0.0)
     val = neg_part * derived.mu - pos_part * derived.alpha
     if np.isscalar(x) or x_arr.ndim == 0:
-        return float(val)
-    return val
-
-
-def scaled_state(derived: DerivedQuantities, k):
-    """Scaled grid coordinate ``x_k = delta*(k - x_inf)`` of state k.
-
-    Strictly increasing with spacing delta; k = n lands exactly on -zeta.
-    """
-    k_arr = np.asarray(k)
-    if np.any(k_arr < 0):
-        raise ValueError("state index must be nonnegative")
-    val = derived.delta * (k_arr - derived.x_inf)
-    if np.isscalar(k) or k_arr.ndim == 0:
         return float(val)
     return val

@@ -9,8 +9,8 @@ zero) with
 
 Both representations are exact; evaluation switches between them at the
 density mode (which is 0 in every regime) so the 1/nu amplification never
-exceeds a factor two in mass.  For the three supported test-function kinds
-(identity, |x - c|, half-line indicator) every integral reduces to closed
+exceeds a factor two in mass.  For both supported test-function kinds
+(identity and half-line indicator) every integral reduces to closed
 Gaussian/exponential partial masses and first moments, so no quadrature is
 involved in f', f'' or f'''.
 
@@ -51,8 +51,7 @@ class EvaluationRangeError(ValueError):
 class TestFunction:
     """Test function for the Poisson equation.
 
-    kind "lipschitz_identity": h(x) = x        (normalized, h(0) = 0)
-    kind "lipschitz_abs":      h(x) = |x - c|  (parameter c)
+    kind "lipschitz_identity": h(x) = x  (normalized, h(0) = 0)
     kind "indicator":          h(x) = 1_(-inf, a](x)  (parameter a)
     """
 
@@ -62,16 +61,12 @@ class TestFunction:
     __test__ = False  # name collides with pytest's collection heuristic
 
     def __post_init__(self) -> None:
-        if self.kind not in ("lipschitz_identity", "lipschitz_abs", "indicator"):
+        if self.kind not in ("lipschitz_identity", "indicator"):
             raise ValueError(f"unknown test function kind {self.kind!r}")
 
     @staticmethod
     def identity() -> "TestFunction":
         return TestFunction("lipschitz_identity")
-
-    @staticmethod
-    def abs_dev(c: float) -> "TestFunction":
-        return TestFunction("lipschitz_abs", c)
 
     @staticmethod
     def indicator(a: float) -> "TestFunction":
@@ -85,45 +80,28 @@ class TestFunction:
         x_arr = np.asarray(x, dtype=float)
         if self.kind == "lipschitz_identity":
             out = x_arr
-        elif self.kind == "lipschitz_abs":
-            out = np.abs(x_arr - self.parameter)
         else:
             out = (x_arr <= self.parameter).astype(float)
         return out if np.ndim(x) else float(out)
 
     def slope(self, x):
-        """h'(x); undefined at the |.| kink, zero for indicators off the jump."""
+        """h'(x): one for the identity, zero for indicators off the jump."""
         x_arr = np.asarray(x, dtype=float)
         if self.kind == "lipschitz_identity":
             out = np.ones_like(x_arr)
-        elif self.kind == "lipschitz_abs":
-            out = np.sign(x_arr - self.parameter)
         else:
             out = np.zeros_like(x_arr)
         return out if np.ndim(x) else float(out)
 
     def kink(self) -> float | None:
-        if self.kind == "lipschitz_abs":
-            return self.parameter
-        if self.kind == "indicator":
-            return self.parameter
-        return None
+        return self.parameter if self.kind == "indicator" else None
 
 
 def mean_h(d: DiffusionDensity, h: TestFunction) -> float:
-    """E h(Y) in closed form: first moment, cdf, or folded first moments."""
+    """E h(Y) in closed form: the first moment or the cdf."""
     if h.kind == "lipschitz_identity":
         return d.mean()
-    if h.kind == "indicator":
-        return d.cdf(h.parameter)
-    c = h.parameter
-    # E|Y - c| = 2 c F(c) - c - 2 M1(-inf, c) + E Y
-    return (
-        2.0 * c * d.cdf(c)
-        - c
-        - 2.0 * d.partial_raw_moment(1, -np.inf, c)
-        + d.mean()
-    )
+    return d.cdf(h.parameter)
 
 
 @dataclass(frozen=True)
@@ -160,28 +138,14 @@ class PoissonSolution:
         d, h = self.density, self.h
         if h.kind == "lipschitz_identity":
             return d.ratio_below(x_arr, first=True)
-        if h.kind == "indicator":
-            return d.ratio_below(x_arr, cutoff=h.parameter)
-        c = h.parameter
-        m0_cut = d.ratio_below(x_arr, cutoff=c)
-        m1_cut = d.ratio_below(x_arr, cutoff=c, first=True)
-        m0 = d.ratio_below(x_arr)
-        m1 = d.ratio_below(x_arr, first=True)
-        return 2.0 * c * m0_cut - 2.0 * m1_cut + m1 - c * m0
+        return d.ratio_below(x_arr, cutoff=h.parameter)
 
     def _h_integral_above(self, x_arr: np.ndarray) -> np.ndarray:
         """(1/nu(x)) int_x^{inf} h(y) nu(y) dy."""
         d, h = self.density, self.h
         if h.kind == "lipschitz_identity":
             return d.ratio_above(x_arr, first=True)
-        if h.kind == "indicator":
-            return d.ratio_above(x_arr) - d.ratio_above(x_arr, cutoff=h.parameter)
-        c = h.parameter
-        m0_cut = d.ratio_above(x_arr, cutoff=c)
-        m1_cut = d.ratio_above(x_arr, cutoff=c, first=True)
-        m0 = d.ratio_above(x_arr)
-        m1 = d.ratio_above(x_arr, first=True)
-        return 2.0 * m1_cut - 2.0 * c * m0_cut + c * m0 - m1
+        return d.ratio_above(x_arr) - d.ratio_above(x_arr, cutoff=h.parameter)
 
     def f_prime_left_rep(self, x) -> np.ndarray:
         """f' from the integral running up from -inf."""
@@ -234,27 +198,13 @@ class PoissonSolution:
         return out if np.ndim(x) else float(out[0])
 
     def f_third(self, x):
-        """f''' where it exists; rejects the drift kink and the h kink."""
+        """f''' where it exists; rejects the drift kink."""
         if not self.h.is_lipschitz:
             raise ValueError("third derivative is only evaluated for Lipschitz h")
         x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-        kink = self.h.kink()
-        if np.any(x_arr == -self.derived.zeta) or (
-            kink is not None and np.any(x_arr == kink)
-        ):
+        if np.any(x_arr == -self.derived.zeta):
             raise ValueError("third derivative undefined at a kink")
         out = self.derivatives(x_arr)[2]
-        return out if np.ndim(x) else float(out[0])
-
-    def poisson_residual(self, x):
-        """b f' + mu f'' - (h_mean - h); zero up to rounding by construction,
-        but recomputed through both representations in the tests."""
-        x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-        b = np.atleast_1d(drift(self.derived, x_arr))
-        fp = np.atleast_1d(self.f_prime(x_arr))
-        fpp = np.atleast_1d(self.f_second(x_arr))
-        h_val = np.atleast_1d(self.h.value(x_arr))
-        out = b * fp + self.density.mu * fpp - (self.h_mean - h_val)
         return out if np.ndim(x) else float(out[0])
 
     def _split_points(self) -> tuple[float, ...]:

@@ -11,8 +11,8 @@ chain side vanishes and the correction terms bound the distance between the
 two stationary laws: four absolute-value terms for Lipschitz test functions,
 and for indicators the same with the integral remainders eps1/eps2, whose
 integrands jump at the indicator anchor.  This module evaluates the terms
-numerically over the exact pmf (panel quadrature split at the drift kink and
-the anchor) and audits the identity itself state by state.
+numerically over the exact pmf, with panel quadrature split at the drift
+kink and the anchor.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ __all__ = [
     "ErrorDecomposition",
     "wasserstein_decomposition",
     "kolmogorov_decomposition",
-    "taylor_remainder_audit",
 ]
 
 _PMF_CUT = 1e-16
@@ -121,18 +120,13 @@ def wasserstein_decomposition(
         "term4_drift_f3": term4,
     }
     total = term1 + term2 + term3 + term4
-    extras = {
-        "mean_abs_f2b": _exact_sum(p * f2b),
-        "delta": delta,
-        "total_over_delta": total / delta,
-    }
     return ErrorDecomposition(
         metric="wasserstein",
         terms=terms,
         total=total,
         lhs=lhs,
         tolerance=tolerance,
-        extras=extras,
+        extras={"mean_abs_f2b": _exact_sum(p * f2b)},
     )
 
 
@@ -232,11 +226,8 @@ def kolmogorov_decomposition(
     }
     total = term1 + term2 + term3 + term4
     extras = {
-        "anchor": a,
         "straddle": straddle,
         "straddle_majorant": majorant,
-        "mean_abs_f2b": _exact_sum(p * np.abs(fpp_left * b)),
-        "delta": delta,
         "interm_rhs": 0.5 * straddle + 75.0 * delta,
     }
     return ErrorDecomposition(
@@ -247,55 +238,3 @@ def kolmogorov_decomposition(
         tolerance=tolerance,
         extras=extras,
     )
-
-
-def _f_values(sol, xs: np.ndarray) -> np.ndarray:
-    if hasattr(sol, "value"):
-        return np.asarray(sol.value(xs), dtype=float)
-    return sol.antiderivative(xs)
-
-
-def taylor_remainder_audit(dist: DiscreteStationary, sol, k: int) -> dict:
-    """Reconstruct the chain generator at state k (in the pmf window).
-
-    Returns the directly evaluated generator, the reconstruction
-    ``G_Y f - (delta/2) b f''(-) + lam (eps1 + eps2) - (1/delta) b eps2``,
-    and their gap.  ``sol`` is a Poisson solution or any object providing
-    ``f_prime``, ``f_second``, ``_split_points`` and either ``value`` or
-    ``antiderivative``.
-    """
-    if not dist.k_min <= k <= dist.k_top:
-        raise ValueError(f"state {k} is outside the window {dist.k_min}..{dist.k_top}")
-    der = dist.derived
-    params = dist.params
-    delta = der.delta
-    x = float(dist.x[k - dist.k_min])
-    f_vals = _f_values(sol, np.array([x - delta, x, x + delta]))
-    dk = float(dist.death_rates[k - dist.k_min])
-    exact = params.lam * (f_vals[2] - f_vals[1]) + dk * (f_vals[0] - f_vals[1])
-
-    splits = sol._split_points()
-    fp = float(np.atleast_1d(sol.f_prime(x))[0])
-    fpp_left = float(np.atleast_1d(sol.f_second(x))[0])
-    b = drift(der, x)
-    a1 = _quad.integrate_with_splits(
-        lambda t: (x + delta - t) * np.atleast_1d(sol.f_second(t)), x, x + delta, splits
-    )
-    b2 = _quad.integrate_with_splits(
-        lambda t: (t - (x - delta)) * np.atleast_1d(sol.f_second(t)),
-        x - delta,
-        x,
-        splits,
-    )
-    half_d2 = 0.5 * delta * delta
-    eps1 = a1 - fpp_left * half_d2
-    eps2 = b2 - fpp_left * half_d2
-    gen_y = b * fp + der.mu * fpp_left
-    reconstructed = (
-        gen_y - 0.5 * delta * b * fpp_left + params.lam * (eps1 + eps2) - b * eps2 / delta
-    )
-    return {
-        "exact_gen": exact,
-        "reconstructed_gen": reconstructed,
-        "gap": abs(exact - reconstructed),
-    }

@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 from conftest import density_for, full_grid_pmf, pmf_for, window_params
 from erlangdiff import ctmc
 from erlangdiff.ctmc import (
+    DiscreteStationary,
     TruncationError,
     _mode,
-    apply_generator,
     idle_probability_monotone,
     moment,
     moment_bound_report,
@@ -22,7 +22,7 @@ from erlangdiff.ctmc import (
 )
 from erlangdiff.diffusion import build_density
 from erlangdiff.metrics import moment_error
-from erlangdiff.model import ModelParams, departure_rate, derive, drift, scaled_state
+from erlangdiff.model import ModelParams, departure_rate, derive, drift
 from erlangdiff.poisson import TestFunction, build_solution
 
 
@@ -103,7 +103,7 @@ class TestStationaryPmf:
             ModelParams(lam=12.0, mu=1.0, n=5, alpha=2.0),
         ]:
             dist = pmf_for(params)
-            ks = dist.k_star
+            ks = dist.k_min + int(np.argmax(dist.log_pmf))
             assert departure_rate(params, ks) <= params.lam * (1 + 1e-15)
             assert params.lam <= departure_rate(params, ks + 1) * (1 + 1e-15)
 
@@ -117,7 +117,7 @@ class TestStationaryPmf:
         params = ModelParams(lam=rho * n, mu=1.0, n=n, alpha=ratio)
         dist = stationary_pmf(params, 1e-12)
         assert math.fsum(dist.pmf.tolist()) == pytest.approx(1.0, abs=1e-12)
-        mid = dist.k_star
+        mid = dist.k_min + int(np.argmax(dist.log_pmf))
         i = mid - dist.k_min
         if i >= 1:
             assert params.lam * dist.pmf[i - 1] == pytest.approx(
@@ -219,6 +219,24 @@ class TestWindow:
         assert stationary_pmf(params, 1e-12).k_max == k_max
         monkeypatch.setattr(ctmc, "_STATE_CAP", k_max)
         assert stationary_pmf(params, 1e-12).k_max == k_max
+
+    def test_doubling_starts_at_the_first_useful_k_hi(self, monkeypatch):
+        # no k_hi below _min_useful_k_hi passes the tail test, so no window
+        # is built for one; the first k_hi that passes stays the same
+        params = ModelParams(lam=4.999, mu=1.0, n=5, alpha=0.0)
+        tries = []
+        truncated_pmf = ctmc._truncated_pmf
+
+        def recorded(derived, k_min, floor, k_hi, q, tail_tol):
+            tries.append(k_hi)
+            return truncated_pmf(derived, k_min, floor, k_hi, q, tail_tol)
+
+        monkeypatch.setattr(ctmc, "_truncated_pmf", recorded)
+        dist = stationary_pmf(params, 1e-14)
+        ell_mode = ctmc._log_weight(params, _mode(dist.derived))
+        k_need = ctmc._min_useful_k_hi(params, 1e-14, ell_mode)
+        assert dist.k_max == 317_376
+        assert tries and all(k_hi >= k_need for k_hi in tries)
 
     def test_fail_fast_at_light_load_and_large_n(self):
         # the tail test passes well below n = 1e8 here, so the geometric
@@ -344,29 +362,36 @@ class TestMemory:
         assert peak <= 5 * 8 * dist.log_pmf.size
 
 
+def _generator_at(der, f, k):
+    """|G f(x_k)| from ``stein_identity_residual`` on a point mass at state k."""
+    log_pmf = np.full(k + 2, -np.inf)
+    log_pmf[k] = 0.0
+    point = DiscreteStationary(
+        derived=der, k_min=0, k_max=k + 1, log_pmf=log_pmf, log_pmf_end=-np.inf, tail_ratio=0.5
+    )
+    return stein_identity_residual(point, f).residual, float(point.x[k])
+
+
 class TestGenerator:
     def test_kills_constants(self):
         der = derive(ModelParams(lam=4.0, mu=1.0, n=5, alpha=0.0))
         for k in range(0, 12):
-            assert apply_generator(der, lambda _x: 3.7, k) == 0.0
+            assert _generator_at(der, lambda x: np.full_like(x, 3.7), k)[0] == 0.0
 
     def test_identity_gives_drift(self):
         der = derive(ModelParams(lam=4.0, mu=1.0, n=5, alpha=1.5))
         for k in range(0, 20):
-            x = scaled_state(der, k)
-            assert apply_generator(der, lambda t: t, k) == pytest.approx(
-                drift(der, x), rel=1e-12, abs=1e-12
-            )
+            got, x = _generator_at(der, lambda t: t, k)
+            assert got == pytest.approx(abs(drift(der, x)), rel=1e-12, abs=1e-12)
 
     def test_quadratic_closed_form(self):
         # below the kink in the Erlang-C model:
         # G V(x) = mu(-2x^2 + delta x) + 2 mu for V(x) = x^2
         der = derive(ModelParams(lam=4.0, mu=1.0, n=5, alpha=0.0))
         for k in range(0, der.n + 1):
-            x = scaled_state(der, k)
-            got = apply_generator(der, lambda t: t * t, k)
+            got, x = _generator_at(der, lambda t: t * t, k)
             want = der.mu * (-2.0 * x * x + der.delta * x) + 2.0 * der.mu
-            assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+            assert got == pytest.approx(abs(want), rel=1e-12, abs=1e-12)
 
 
 class TestSteinIdentity:

@@ -12,7 +12,6 @@ from erlangdiff.ctmc import moment as chain_moment
 from erlangdiff.diffusion import moment as diff_moment
 from erlangdiff.metrics import (
     _cdf_antiderivative,
-    cdf_area_between_steps,
     distance_report,
     kolmogorov_distance,
     mean_error,
@@ -91,10 +90,6 @@ class TestWasserstein:
         dist = pmf_for(C_HEAVY, 1e-14)
         dw = wasserstein_distance(dist, density_for(C_HEAVY))
         assert dw <= 205.0 * dist.derived.delta
-
-    def test_identical_step_laws(self):
-        dist = pmf_for(C_HEAVY, 1e-14)
-        assert cdf_area_between_steps(dist.x, dist.cdf_values, dist.cdf_values) == 0.0
 
     def test_mean_gap_is_lower_bound(self):
         # h(x) = x is 1-Lipschitz, so |E X~ - E Y| <= d_W

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from erlangdiff.ctmc import stationary_pmf
 from erlangdiff.model import (
     Check,
     ModelParams,
@@ -12,8 +13,12 @@ from erlangdiff.model import (
     departure_rate,
     derive,
     drift,
-    scaled_state,
 )
+
+
+def _grid_point(dist, k):
+    """Scaled coordinate x_k of state k from the pmf window."""
+    return float(dist.x[k - dist.k_min])
 
 
 class TestValidation:
@@ -142,12 +147,12 @@ class TestDrift:
         ],
     )
     def test_grid_identity(self, params):
-        # b(x_k) = delta * (lam - d(k))
-        der = derive(params)
-        ks = np.arange(0, 10 * params.n + 1)
-        xs = scaled_state(der, ks)
-        lhs = drift(der, xs)
-        rhs = der.delta * (params.lam - departure_rate(params, ks))
+        # b(x_k) = delta * (lam - d(k)) on every state of the pmf window
+        dist = stationary_pmf(params)
+        der = dist.derived
+        assert dist.k_top >= 10 * params.n
+        lhs = drift(der, dist.x)
+        rhs = der.delta * (params.lam - dist.death_rates)
         assert np.allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
 
     @settings(max_examples=200)
@@ -174,25 +179,26 @@ class TestDrift:
 
 
 class TestScaledState:
+    """x_k = delta*(k - x_inf) as ``DiscreteStationary.x`` holds it."""
+
     def test_centering(self):
-        der = derive(ModelParams(lam=3.0, mu=1.0, n=5, alpha=0.0))
-        assert scaled_state(der, 3) == 0.0
+        dist = stationary_pmf(ModelParams(lam=3.0, mu=1.0, n=5, alpha=0.0))
+        assert _grid_point(dist, 3) == 0.0
 
     def test_derived_point(self):
-        der = derive(ModelParams(lam=4.0, mu=1.0, n=5, alpha=0.0))
-        assert scaled_state(der, 5) == pytest.approx(0.5, rel=1e-15)
-        assert scaled_state(der, 5) == -der.zeta  # exact, bit for bit
+        dist = stationary_pmf(ModelParams(lam=4.0, mu=1.0, n=5, alpha=0.0))
+        assert _grid_point(dist, 5) == pytest.approx(0.5, rel=1e-15)
+        assert _grid_point(dist, 5) == -dist.derived.zeta  # exact, bit for bit
 
     def test_spacing(self):
-        der = derive(ModelParams(lam=7.3, mu=1.1, n=9, alpha=0.2))
-        ks = np.arange(0, 200)
-        xs = scaled_state(der, ks)
-        assert np.allclose(np.diff(xs), der.delta, rtol=1e-12)
+        dist = stationary_pmf(ModelParams(lam=7.3, mu=1.1, n=9, alpha=0.2))
+        assert dist.x.size >= 40
+        assert np.allclose(np.diff(dist.x), dist.derived.delta, rtol=1e-12)
 
     def test_kink_on_grid_everywhere(self):
         for lam, n, alpha in [(4.9, 5, 0.0), (499.0, 500, 0.0), (12.0, 5, 2.0)]:
-            der = derive(ModelParams(lam=lam, mu=1.0, n=n, alpha=alpha))
-            assert scaled_state(der, n) == -der.zeta
+            dist = stationary_pmf(ModelParams(lam=lam, mu=1.0, n=n, alpha=alpha))
+            assert _grid_point(dist, n) == -dist.derived.zeta
 
 
 class TestCheckAtMost:

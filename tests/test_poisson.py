@@ -5,7 +5,7 @@ import pytest
 from scipy import integrate
 
 from conftest import density_for
-from erlangdiff.model import ModelParams, derive
+from erlangdiff.model import ModelParams, derive, drift
 from erlangdiff.poisson import (
     PoissonSolution,
     TestFunction,
@@ -19,11 +19,18 @@ C_HEAVY = ModelParams(lam=4.9, mu=1.0, n=5, alpha=0.0)
 A_UNDER = ModelParams(lam=3.0, mu=1.0, n=5, alpha=0.5)
 A_OVER = ModelParams(lam=12.0, mu=1.0, n=5, alpha=2.0)
 ALL_PARAMS = [C_PARAMS, C_HEAVY, A_UNDER, A_OVER]
+# indicators anchored on both sides of the representation switch at 0
 ALL_H = [
     TestFunction.identity(),
-    TestFunction.abs_dev(0.3),
+    TestFunction.indicator(0.3),
     TestFunction.indicator(-0.2),
 ]
+
+
+def _poisson_residual(sol, x):
+    """b f' + mu f'' - (h_mean - h), with f' and f'' evaluated separately."""
+    b = drift(sol.derived, x)
+    return b * sol.f_prime(x) + sol.density.mu * sol.f_second(x) - (sol.h_mean - sol.h.value(x))
 
 
 class TestTestFunction:
@@ -34,10 +41,8 @@ class TestTestFunction:
     def test_lipschitz_property(self):
         rng = np.random.default_rng(0)
         xs, ys = rng.uniform(-5, 5, 50), rng.uniform(-5, 5, 50)
-        for h in (TestFunction.identity(), TestFunction.abs_dev(1.2)):
-            assert np.all(
-                np.abs(h.value(xs) - h.value(ys)) <= np.abs(xs - ys) * (1 + 1e-12)
-            )
+        h = TestFunction.identity()
+        assert np.all(np.abs(h.value(xs) - h.value(ys)) <= np.abs(xs - ys) * (1 + 1e-12))
 
     def test_identity_normalized(self):
         assert TestFunction.identity().value(0.0) == 0.0
@@ -60,6 +65,8 @@ class TestMeanH:
 
     @pytest.mark.parametrize("params", ALL_PARAMS)
     def test_abs_dev_vs_quadrature(self, params):
+        # E|Y - c| = 2 c F(c) - c - 2 M1(-inf, c) + E Y checks the density's
+        # partial first moment below a cutoff c off the junction and the mode
         d = density_for(params)
         c = 0.7
         j = d.switch_point
@@ -73,7 +80,8 @@ class TestMeanH:
         oracle += integrate.quad(
             lambda y: abs(y - c) * d.pdf(y), pts[-1], np.inf, limit=300
         )[0]
-        assert mean_h(d, TestFunction.abs_dev(c)) == pytest.approx(oracle, rel=1e-10)
+        got = 2.0 * c * d.cdf(c) - c - 2.0 * d.partial_raw_moment(1, -np.inf, c) + d.mean()
+        assert got == pytest.approx(oracle, rel=1e-10)
 
 
 class TestSolutionEvaluation:
@@ -82,7 +90,7 @@ class TestSolutionEvaluation:
     def test_poisson_residual(self, params, h):
         sol = build_solution(density_for(params), h)
         xs = np.linspace(-5.0, 6.0, 211)
-        assert np.max(np.abs(sol.poisson_residual(xs))) < 1e-8
+        assert np.max(np.abs(_poisson_residual(sol, xs))) < 1e-8
 
     @pytest.mark.parametrize("params", ALL_PARAMS)
     @pytest.mark.parametrize("h", ALL_H)
@@ -134,9 +142,6 @@ class TestSolutionEvaluation:
         sol = build_solution(density_for(C_PARAMS), TestFunction.identity())
         with pytest.raises(ValueError):
             sol.f_third(-sol.derived.zeta)
-        sol_abs = build_solution(density_for(C_PARAMS), TestFunction.abs_dev(0.3))
-        with pytest.raises(ValueError):
-            sol_abs.f_third(0.3)
         sol_ind = build_solution(density_for(C_PARAMS), TestFunction.indicator(0.0))
         with pytest.raises(ValueError):
             sol_ind.f_third(1.0)

@@ -3,11 +3,11 @@ import pytest
 
 from conftest import SPOT_SETS, density_for, pmf_for
 from erlangdiff.metrics import kolmogorov_distance
-from erlangdiff.model import Check, ModelParams
+from erlangdiff.model import Check, ModelParams, drift
 from erlangdiff.poisson import PoissonSolution, TestFunction, build_solution
 from erlangdiff.stein_verify import (
+    _weighted_f2_panels,
     kolmogorov_decomposition,
-    taylor_remainder_audit,
     wasserstein_decomposition,
 )
 
@@ -44,12 +44,6 @@ class TestWassersteinDecomposition:
         params = ModelParams(*pars)
         dist = pmf_for(params, 1e-14)
         sol = build_solution(density_for(params), TestFunction.identity())
-        dec = wasserstein_decomposition(dist, sol)
-        assert dec.lhs <= dec.total + 1e-8
-
-    def test_abs_dev_test_function(self):
-        dist = pmf_for(C_HEAVY, 1e-14)
-        sol = build_solution(density_for(C_HEAVY), TestFunction.abs_dev(0.4))
         dec = wasserstein_decomposition(dist, sol)
         assert dec.lhs <= dec.total + 1e-8
 
@@ -118,56 +112,81 @@ class TestKolmogorovDecomposition:
             kolmogorov_decomposition(dist, sol, 0.0)
 
 
+def _assert_expansion(dist, sol, atol):
+    """The chain generator equals its Taylor expansion at every window state.
+
+    The chain side is lam (f(x+delta) - f(x)) + d(k) (f(x-delta) - f(x)) with
+    f from ``sol.antiderivative``; the expansion is G_Y f - (delta/2) b f''
+    + lam (eps1 + eps2) - b eps2 / delta, with eps1 and eps2 from the panels
+    that ``kolmogorov_decomposition`` integrates.  The two agree to ``atol``
+    plus 1e-12 of the chain's two terms: far in the tail f' grows like x,
+    and rounding x +- delta alone moves a term by |x| eps relative.  f is
+    taken per state on (x - delta, x, x + delta), since one cumulative f
+    over the window rounds its differences like |f|, which grows like x^2.
+    """
+    der = dist.derived
+    lam, delta = dist.params.lam, der.delta
+    x = dist.x
+    f = np.array([sol.antiderivative(np.array([t - delta, t, t + delta])) for t in x])
+    up = lam * (f[:, 2] - f[:, 1])
+    down = dist.death_rates * (f[:, 0] - f[:, 1])
+    fp, fpp, _ = sol.derivatives(x)
+    b = drift(der, x)
+    lo = np.concatenate(([x[0] - delta], x))
+    hi = np.concatenate((x, [x[-1] + delta]))
+    a_panel, b_panel = _weighted_f2_panels(sol, lo, hi)
+    eps1 = a_panel[1:] - fpp * (0.5 * delta * delta)
+    eps2 = b_panel[:-1] - fpp * (0.5 * delta * delta)
+    gen_y = b * fp + der.mu * fpp
+    expansion = gen_y - 0.5 * delta * b * fpp + lam * (eps1 + eps2) - b * eps2 / delta
+    gap = np.abs(up + down - expansion)
+    assert np.all(gap <= atol + 1e-12 * (np.abs(up) + np.abs(down)))
+
+
 class _QuadraticSolution:
     """Stand-in solution with f(x) = x^2, for which the expansion is exact."""
 
-    def value(self, x):
+    def antiderivative(self, x):
         return np.asarray(x, dtype=float) ** 2
 
-    def f_prime(self, x):
-        return 2.0 * np.asarray(x, dtype=float)
-
-    def f_second(self, x):
-        return np.full_like(np.asarray(x, dtype=float), 2.0)
+    def derivatives(self, x):
+        x = np.asarray(x, dtype=float)
+        return 2.0 * x, np.full_like(x, 2.0), np.zeros_like(x)
 
     def _split_points(self):
         return ()
 
 
 class TestTaylorAudit:
+    """The generator expansion identity behind both decompositions."""
+
     def test_quadratic_is_exact(self):
-        dist = pmf_for(C_HEAVY, 1e-14)
-        for k in (0, 3, 5, 9):
-            audit = taylor_remainder_audit(dist, _QuadraticSolution(), k)
-            assert audit["gap"] < 1e-12 * max(1.0, abs(audit["exact_gen"]))
+        _assert_expansion(pmf_for(C_HEAVY, 1e-14), _QuadraticSolution(), 1e-12)
 
     def test_states_index_the_window(self):
+        # x and the death rates of a window that starts above state 0 line up
         dist = pmf_for(ModelParams(lam=1000.0, mu=1.0, n=1100, alpha=0.0), 1e-14)
         assert dist.k_min > 0
-        audit = taylor_remainder_audit(dist, _QuadraticSolution(), dist.k_top)
-        assert audit["gap"] < 1e-12 * max(1.0, abs(audit["exact_gen"]))
-        with pytest.raises(ValueError):
-            taylor_remainder_audit(dist, _QuadraticSolution(), dist.k_min - 1)
+        _assert_expansion(dist, _QuadraticSolution(), 1e-12)
 
     def test_identity_solution_at_kink_state(self):
         dist = pmf_for(C_HEAVY, 1e-14)
         sol = build_solution(density_for(C_HEAVY), TestFunction.identity())
-        audit = taylor_remainder_audit(dist, sol, dist.params.n)
-        assert audit["gap"] < 1e-9
+        assert dist.k_min <= dist.params.n <= dist.k_top
+        _assert_expansion(dist, sol, 1e-9)
 
     def test_indicator_at_anchor_state(self):
-        dist = pmf_for(C_HEAVY, 1e-14)
-        k = dist.params.n + 2
-        sol = build_solution(
-            density_for(C_HEAVY), TestFunction.indicator(float(dist.x[k]))
-        )
-        audit = taylor_remainder_audit(dist, sol, k)
-        assert audit["gap"] < 1e-9
+        # an anchor on a grid state is a panel edge; 0 lies inside a panel
+        # here (x_inf = 4.9 and 8.5), so that panel is split at the jump of f''
+        for params in (C_HEAVY, ModelParams(lam=12.0, mu=1.0, n=5, alpha=2.0)):
+            dist = pmf_for(params, 1e-14)
+            d = density_for(params)
+            for anchor in (float(dist.x[params.n + 2 - dist.k_min]), 0.0):
+                sol = build_solution(d, TestFunction.indicator(anchor))
+                _assert_expansion(dist, sol, 1e-9)
 
     def test_generic_states(self):
         params = ModelParams(lam=12.0, mu=1.0, n=5, alpha=2.0)
         dist = pmf_for(params, 1e-14)
         sol = build_solution(density_for(params), TestFunction.identity())
-        for k in (0, 2, 5, 11):
-            audit = taylor_remainder_audit(dist, sol, k)
-            assert audit["gap"] < 1e-9
+        _assert_expansion(dist, sol, 1e-9)
