@@ -13,6 +13,9 @@ right-piece amplitude is exp(zeta^2/2)-sized and overflows a double even
 though the density itself is tame.  Every amplitude-times-integral product is
 therefore assembled from log quantities, and all tail arithmetic goes through
 the scaled complementary error function -- never through 1 - CDF subtraction.
+One closed-form piece integral serves the masses, the first moments and
+the whole-piece parts of the tail ratios (1/nu(x)) int w nu, which take it
+in units of nu(x).
 
 The density is unimodal with its mode at 0 in every regime (the left piece
 rises toward the junction or peaks at 0, the right piece falls), a fact the
@@ -287,19 +290,33 @@ class DiffusionDensity:
                 continue
             uu = np.maximum(u_arr[reach], piece.lo)
             vv = np.minimum(v_arr[reach], piece.hi)
-            val = np.exp(self._log_amp(w) + piece.log_mass(uu, vv))
-            if first:
-                nu_u = self._nu_or_zero(w, uu)
-                nu_v = self._nu_or_zero(w, vv)
-                val = _first_moment(piece, val, uu, nu_u, vv, nu_v)
+            # computed before out[reach] is read, so the two never coexist
+            val = self._piece_integral(w, uu, vv, first)
             out[reach] += val
         return out
 
-    def _nu_or_zero(self, which: int, t):
+    def _piece_integral(self, which: int, u, v, first: bool, log_unit=0.0):
+        """int_u^v w(y) nu(y) dy / exp(log_unit) for ends inside one piece.
+
+        ``log_unit`` is 0 for masses and moments and log nu(x) for the
+        whole-piece parts of the tail ratios: every term is then exp(log
+        difference), so extreme amplitude splits stay finite and a no-mass
+        piece contributes 0, never nan.  Subtracting 0.0 leaves a double as
+        it is.
+        """
+        piece = self._piece(which)
+        val = np.exp(self._log_amp(which) + piece.log_mass(u, v) - log_unit)
+        if not first:
+            return val
+        nu_u = self._nu_or_zero(which, u, log_unit)
+        nu_v = self._nu_or_zero(which, v, log_unit)
+        return _first_moment(piece, val, u, nu_u, v, nu_v)
+
+    def _nu_or_zero(self, which: int, t, log_unit=0.0):
         t_arr = np.asarray(t, dtype=float)
         piece = self._piece(which)
         with np.errstate(invalid="ignore"):
-            val = np.exp(self._log_amp(which) + piece.log_shape(t_arr))
+            val = np.exp(self._log_amp(which) + piece.log_shape(t_arr) - log_unit)
         return np.where(np.isfinite(t_arr), val, 0.0)
 
     # -- partial raw moments ---------------------------------------------------
@@ -395,31 +412,10 @@ class DiffusionDensity:
         # the whole other piece when t lies past the junction
         past = (t_arr > j) if below else (t_arr <= j)
         if np.any(past):
-            out[past] += self._full_piece_over_nu(
-                0 if below else 1, first, log_nu_x[past]
-            )
+            w = 0 if below else 1
+            piece = self._piece(w)
+            out[past] += self._piece_integral(w, piece.lo, piece.hi, first, log_nu_x[past])
         return out if np.ndim(x) else float(out[0])
-
-    def _full_piece_over_nu(self, which: int, first: bool, log_nu_x):
-        """int over one whole piece of w(y) nu(y) dy, divided by nu(x).
-
-        Every term is exp(log difference) so extreme amplitude splits stay
-        finite: a no-mass piece contributes 0, never nan.
-        """
-        piece = self._piece(which)
-        log_amp = self._log_amp(which)
-        lo, hi = piece.lo, piece.hi
-        log_mass = log_amp + float(piece.log_mass(lo, hi))
-        m0 = np.exp(log_mass - log_nu_x)
-        if not first:
-            return m0
-        nu_lo, nu_hi = (
-            np.exp(log_amp + float(piece.log_shape(y)) - log_nu_x)
-            if math.isfinite(y)
-            else 0.0
-            for y in (lo, hi)
-        )
-        return _first_moment(piece, m0, lo, nu_lo, hi, nu_hi)
 
     # -- quantiles -------------------------------------------------------------
 
@@ -538,48 +534,17 @@ def build_density(derived: DerivedQuantities) -> DiffusionDensity:
     )
 
 
-def moment(
-    d: DiffusionDensity,
-    m: int,
-    region: str = "all",
-    shift: float = 0.0,
-    absolute: bool = False,
-) -> float:
-    """E[g(Y)^m 1(region)] with g(y) = y + shift.
+def moment(d: DiffusionDensity, m: int, absolute: bool = False) -> float:
+    """E[Y^m], or E|Y|^m with ``absolute=True`` (split at 0).
 
-    region: "all", "below" (Y <= -zeta) or "above" (Y >= -zeta).  With
-    ``absolute=True`` the integrand is |g|^m (split at the zero of g).
     Exact piecewise evaluation through moment recurrences; no quadrature.
     """
     if m < 0 or m > 20:
         raise ValueError("moment order must be in 0..20")
-    j = d.switch_point
-    if region == "all":
-        lo, hi = -np.inf, np.inf
-    elif region == "below":
-        lo, hi = -np.inf, j
-    elif region == "above":
-        lo, hi = j, np.inf
-    else:
-        raise ValueError(f"unknown region {region!r}")
-
-    def shifted_partial(u: float, v: float) -> float:
-        if not v > u:
-            return 0.0
-        total = 0.0
-        left_moms = d._piece_moments(0, m, u, v)
-        right_moms = d._piece_moments(1, m, u, v)
-        for i in range(m + 1):
-            raw = left_moms[i] + right_moms[i]
-            total += math.comb(m, i) * shift ** (m - i) * raw
-        return total
-
     if not absolute:
-        return shifted_partial(lo, hi)
-    cut = -shift
-    below_part = (-1.0) ** m * shifted_partial(lo, min(hi, cut))
-    above_part = shifted_partial(max(lo, cut), hi)
-    return below_part + above_part
+        return d.partial_raw_moment(m, -np.inf, np.inf)
+    below_part = (-1.0) ** m * d.partial_raw_moment(m, -np.inf, 0.0)
+    return below_part + d.partial_raw_moment(m, 0.0, np.inf)
 
 
 def density_sup_check(d: DiffusionDensity) -> Check:

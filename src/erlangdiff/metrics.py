@@ -61,9 +61,8 @@ def kolmogorov_distance(dist: DiscreteStationary, d) -> float:
     grid point approached from one side or the other; both candidates are
     checked at every state.  Past the window the chain CDF stays at its
     last value up to k_max, where |c - F| peaks at an end point, so x(k_max)
-    joins the candidates.  ``d`` only needs a vectorized ``cdf`` (plus
-    ``cdf_left`` when it is itself a step law, where the left limit at a
-    jump differs from the CDF value).
+    joins the candidates.  ``d`` only needs a vectorized ``cdf``; it is a
+    continuous law, so its value at a grid point is also its left limit.
     """
     x = dist.x
     c = dist.cdf_values
@@ -73,12 +72,7 @@ def kolmogorov_distance(dist: DiscreteStationary, d) -> float:
         c_prev = np.append(c_prev, c[-1])
         c = np.append(c, c[-1])
     f_y = np.asarray(d.cdf(x), dtype=float)
-    f_left = (
-        np.asarray(d.cdf_left(x), dtype=float)
-        if hasattr(d, "cdf_left")
-        else f_y
-    )
-    return float(np.max(np.maximum(np.abs(c - f_y), np.abs(c_prev - f_left))))
+    return float(np.max(np.maximum(np.abs(c - f_y), np.abs(c_prev - f_y))))
 
 
 def _cdf_antiderivative(d: DiffusionDensity, u: np.ndarray, v: np.ndarray, f_u: np.ndarray):

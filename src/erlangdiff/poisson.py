@@ -7,7 +7,8 @@ zero) with
     f'(x) =  (1/nu(x)) int_{-inf}^x  (E h(Y) - h(y)) nu(y) dy / mu
          = -(1/nu(x)) int_x^{inf}    (E h(Y) - h(y)) nu(y) dy / mu.
 
-Both representations are exact; evaluation switches between them at the
+Both representations are exact and share one formula, with the sign and
+the tail ratios of their side; evaluation switches between them at the
 density mode (which is 0 in every regime) so the 1/nu amplification never
 exceeds a factor two in mass.  For both supported test-function kinds
 (identity and half-line indicator) every integral reduces to closed
@@ -16,6 +17,11 @@ involved in f', f'' or f'''.
 
 f'' comes from the equation itself, f''' from differentiating it once more;
 at the indicator jump the second derivative is the left limit.
+
+The gradient-bound suites evaluate each solution, and each density ratio
+that the auxiliary bounds use, once on one sample grid.  Every row is a
+table entry (name, values, region, bound) whose observed value is the sup
+of its values over its region.
 """
 
 from __future__ import annotations
@@ -116,12 +122,36 @@ class PoissonSolution:
     def derived(self) -> DerivedQuantities:
         return self.density.derived
 
-    @property
-    def switch_point(self) -> float:
-        """Representation switch: the density mode (0 in every regime)."""
-        return 0.0
+    # -- first derivative ------------------------------------------------------
 
-    def _range_guard(self, x_arr: np.ndarray, out: np.ndarray) -> None:
+    def f_prime_rep(self, x: np.ndarray, below: bool) -> np.ndarray:
+        """f' on a point array from the integral running up from -inf
+        (``below``) or down from +inf.
+
+        With H(x) = (1/nu(x)) int h nu over the same half-line, f' is
+        +-(E h(Y) ratio(x) - H(x)) / mu; an indicator's upper integral is
+        the upper mass ratio less the part above its anchor.
+        """
+        d, h = self.density, self.h
+        ratio = d.ratio_below if below else d.ratio_above
+        mass = ratio(x)
+        if h.kind == "lipschitz_identity":
+            h_int = ratio(x, first=True)
+        elif below:
+            h_int = ratio(x, cutoff=h.parameter)
+        else:
+            h_int = mass - ratio(x, cutoff=h.parameter)
+        sign = 1.0 if below else -1.0
+        return sign * (self.h_mean * mass - h_int) / d.mu
+
+    def f_prime(self, x):
+        """f', switching representations at the density mode (0 in every regime)."""
+        x_arr = np.atleast_1d(np.asarray(x, dtype=float))
+        out = np.empty_like(x_arr)
+        for below in (True, False):
+            side = (x_arr <= 0.0) == below
+            if np.any(side):
+                out[side] = self.f_prime_rep(x_arr[side], below)
         # the scaled-erfc formulation keeps every ratio finite far beyond the
         # 50-sigma mark, so the guard fires only if a value actually degrades
         if not np.all(np.isfinite(out)):
@@ -130,46 +160,6 @@ class PoissonSolution:
                 f"derivative evaluation degraded at x = {bad[:3]}; point is "
                 "beyond the numerically supported range"
             )
-
-    # -- first derivative ------------------------------------------------------
-
-    def _h_integral_below(self, x_arr: np.ndarray) -> np.ndarray:
-        """(1/nu(x)) int_{-inf}^x h(y) nu(y) dy."""
-        d, h = self.density, self.h
-        if h.kind == "lipschitz_identity":
-            return d.ratio_below(x_arr, first=True)
-        return d.ratio_below(x_arr, cutoff=h.parameter)
-
-    def _h_integral_above(self, x_arr: np.ndarray) -> np.ndarray:
-        """(1/nu(x)) int_x^{inf} h(y) nu(y) dy."""
-        d, h = self.density, self.h
-        if h.kind == "lipschitz_identity":
-            return d.ratio_above(x_arr, first=True)
-        return d.ratio_above(x_arr) - d.ratio_above(x_arr, cutoff=h.parameter)
-
-    def f_prime_left_rep(self, x) -> np.ndarray:
-        """f' from the integral running up from -inf."""
-        x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-        mu = self.density.mu
-        out = (self.h_mean * self.density.ratio_below(x_arr) - self._h_integral_below(x_arr)) / mu
-        return out if np.ndim(x) else float(out[0])
-
-    def f_prime_right_rep(self, x) -> np.ndarray:
-        """f' from the integral running down from +inf."""
-        x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-        mu = self.density.mu
-        out = -(self.h_mean * self.density.ratio_above(x_arr) - self._h_integral_above(x_arr)) / mu
-        return out if np.ndim(x) else float(out[0])
-
-    def f_prime(self, x):
-        x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.empty_like(x_arr)
-        below = x_arr <= self.switch_point
-        if np.any(below):
-            out[below] = self.f_prime_left_rep(x_arr[below])
-        if np.any(~below):
-            out[~below] = self.f_prime_right_rep(x_arr[~below])
-        self._range_guard(x_arr, out)
         return out if np.ndim(x) else float(out[0])
 
     # -- higher derivatives ----------------------------------------------------
@@ -243,16 +233,6 @@ def build_solution(d: DiffusionDensity, h: TestFunction) -> PoissonSolution:
 # Erlang-C suites first, then Erlang-A; cli takes its regime's half.
 _SUITE_NAMES = ("wasserstein_C", "kolmogorov_C", "wasserstein_A", "kolmogorov_A")
 _GRID_POINTS = 2001
-
-
-def _abs_first_ratio_below(d: DiffusionDensity, x: np.ndarray) -> np.ndarray:
-    """(1/nu(x)) int_{-inf}^x |y| nu(y) dy."""
-    return d.ratio_below(x, first=True) - 2.0 * d.ratio_below(x, cutoff=0.0, first=True)
-
-
-def _abs_first_ratio_above(d: DiffusionDensity, x: np.ndarray) -> np.ndarray:
-    """(1/nu(x)) int_x^{inf} |y| nu(y) dy."""
-    return 2.0 * d.ratio_above(x, cutoff=0.0, first=True) - d.ratio_above(x, first=True)
 
 
 def _sample_grid(d: DiffusionDensity) -> np.ndarray:
@@ -346,161 +326,118 @@ def gradient_bound_report(derived: DerivedQuantities, suite: str) -> list[Check]
         ]
     else:
         rows = _shape_rows_erlang_a(d, grid, fp, fpp, f3, under)
-    return rows + (_aux_rows_under(d, grid) if under else _aux_rows_erlang_a_over(d, grid))
+    return rows + _ratio_rows(d, grid, under)
 
 
-def _mean_abs(d: DiffusionDensity) -> float:
-    return _diffusion_moment(d, 1, absolute=True)
+def _ratio_rows(d: DiffusionDensity, grid: np.ndarray, under: bool) -> list[Check]:
+    """Density-ratio bounds, as one table of (name, values, region, bound) rows.
 
+    Each ratio is evaluated once on the whole grid: the tail-mass ratios,
+    the |y|-weighted ratios and |b|/mu times the mass ratios.  A row takes
+    the sup of its values over a region: the outer side of 0 and -zeta on
+    the left or right, the middle between them, or a half-line at 0.  The
+    last row is E|Y|.
 
-def _aux_rows_under(d: DiffusionDensity, grid: np.ndarray) -> list[Check]:
-    """Density-ratio bounds for Erlang-C and the underloaded Erlang-A density.
-
-    Erlang-C is the alpha -> 0 member: its rows are named ``fbound*``, its
-    caps are 1/|zeta| where Erlang-A has min(sqrt(pi mu / 2 alpha), 1/|zeta|)
-    and min(sqrt(mu / alpha), 1/|zeta|), and its fourth ratio is bounded
-    pointwise on the right.
+    Erlang-C is the alpha -> 0 member of the underloaded table: its rows are
+    named ``fbound*``, its caps are 1/|zeta| where Erlang-A has
+    min(sqrt(pi mu / 2 alpha), 1/|zeta|) and min(sqrt(mu / alpha), 1/|zeta|),
+    and its fourth ratio is bounded pointwise on the right.  Deep in the
+    overloaded regime both the bound exp((alpha/2mu) zeta^2) and the observed
+    upper-tail ratio exceed the double range, so the two middle upper-tail
+    rows compare natural logs (names end in ``_log``).  An empty middle
+    region reads as a zero ratio: 0.0, or -inf in logs.
     """
-    az = abs(d.zeta)
-    j = -d.zeta
-    mu, alpha = d.mu, d.alpha
-    inv_az = math.inf if az == 0.0 else 1.0 / az
-    try:
-        gauss = math.exp(0.5 * d.zeta**2)
-    except OverflowError:
-        raise EvaluationRangeError(
-            f"zeta = {d.zeta:.6g}: the bound exp(zeta^2/2) overflows a double (|zeta| > 37.7)"
-        ) from None
-    neg = grid[grid <= 0.0]
-    mid = grid[(grid >= 0.0) & (grid <= j)]
-    right = grid[grid >= j]
-    nonneg = grid[grid >= 0.0]
-    b_over_mu = lambda x: np.abs(drift(d.derived, x)) / mu  # noqa: E731
-    abs_above_right = _abs_first_ratio_above(d, right)
-    if d.derived.is_erlang_c:
-        tag, last = "fbound", ("5", "6", "7")
-        cap2 = cap5 = inv_az
-        bound4_mid = 2.0 + 1.0 / d.zeta**2
-        row4_right = _pointwise_row(
-            "fbound4_right", abs_above_right / (right / az + 1.0 / d.zeta**2)
-        )
-    else:
-        tag, last = "ingredient", ("6", "7", "5")
-        cap2 = min(math.sqrt(math.pi / 2.0 * mu / alpha), inv_az)
-        cap5 = min(math.sqrt(mu / alpha), inv_az)
-        bound4_mid = (2.0 + inv_az**2) if az > 0.0 else math.inf
-        row4_right = _row("ingredient4_right", abs_above_right.max(), 1.0 + mu / alpha)
-    rows = [
-        _row(f"{tag}1_neg", d.ratio_below(neg).max(), _SQRT_HALF_PI),
-        _row(
-            f"{tag}1_mid",
-            d.ratio_below(mid).max() if mid.size else 0.0,
-            _SQRT_2PI * gauss,
-        ),
-        _row(
-            f"{tag}2_mid",
-            d.ratio_above(mid).max() if mid.size else 0.0,
-            _SQRT_HALF_PI + cap2,
-        ),
-        _row(f"{tag}2_right", d.ratio_above(right).max(), cap2),
-        _row(f"{tag}3_neg", _abs_first_ratio_below(d, neg).max(), 1.0),
-        _row(
-            f"{tag}3_mid",
-            _abs_first_ratio_below(d, mid).max() if mid.size else 0.0,
-            2.0 * gauss - 1.0,
-        ),
-        _row(
-            f"{tag}4_mid",
-            _abs_first_ratio_above(d, mid).max() if mid.size else 0.0,
-            bound4_mid,
-        ),
-        row4_right,
-        _row(f"{tag}{last[0]}", (b_over_mu(neg) * d.ratio_below(neg)).max(), 1.0),
-        _row(f"{tag}{last[1]}", (b_over_mu(nonneg) * d.ratio_above(nonneg)).max(), 2.0),
-        _row(f"{tag}{last[2]}", _mean_abs(d), 1.0 + cap5),
-    ]
-    return rows
-
-
-def _aux_rows_erlang_a_over(d: DiffusionDensity, grid: np.ndarray) -> list[Check]:
-    zeta = d.zeta
+    mu, alpha, zeta = d.mu, d.alpha, d.zeta
+    az = abs(zeta)
     j = -zeta
-    mu, alpha = d.mu, d.alpha
-    left = grid[grid <= j]
-    mid = grid[(grid >= j) & (grid <= 0.0)]
-    nonneg = grid[grid >= 0.0]
-    nonpos = grid[grid <= 0.0]
-    b_over_mu = lambda x: np.abs(drift(d.derived, x)) / mu  # noqa: E731
-    inv_zeta = math.inf if zeta == 0.0 else mu / (alpha * zeta)
+    inv_az = math.inf if az == 0.0 else 1.0 / az
+    if under:
+        try:
+            gauss = math.exp(0.5 * zeta**2)
+        except OverflowError:
+            raise EvaluationRangeError(
+                f"zeta = {zeta:.6g}: the bound exp(zeta^2/2) overflows a double (|zeta| > 37.7)"
+            ) from None
+    lo, hi = (0.0, j) if under else (j, 0.0)
+    low, mid, high = grid <= lo, (grid >= lo) & (grid <= hi), grid >= hi
+    nonpos, nonneg = grid <= 0.0, grid >= 0.0
+    # off its own region a ratio may overflow or cancel; no row reads it there
+    with np.errstate(all="ignore"):
+        below, above = d.ratio_below(grid), d.ratio_above(grid)
+        abs_below = d.ratio_below(grid, first=True) - 2.0 * d.ratio_below(
+            grid, cutoff=0.0, first=True
+        )
+        abs_above = 2.0 * d.ratio_above(grid, cutoff=0.0, first=True) - d.ratio_above(
+            grid, first=True
+        )
+        b_over_mu = np.abs(drift(d.derived, grid)) / mu
+        drift_below, drift_above = b_over_mu * below, b_over_mu * above
+        if d.derived.is_erlang_c:
+            tag, last = "fbound", ("5", "6", "7")
+            cap2 = cap5 = inv_az
+            bound4_mid = 2.0 + 1.0 / zeta**2
+            values4_right, bound4_right = abs_above / (grid / az + 1.0 / zeta**2), 1.0
+        elif under:
+            tag, last = "ingredient", ("6", "7", "5")
+            cap2 = min(math.sqrt(math.pi / 2.0 * mu / alpha), inv_az)
+            cap5 = min(math.sqrt(mu / alpha), inv_az)
+            bound4_mid = (2.0 + inv_az**2) if az > 0.0 else math.inf
+            values4_right, bound4_right = abs_above, 1.0 + mu / alpha
+        else:
+            # int_x^inf |y| nu dy for x <= 0: -int_x^0 y nu + int_0^inf y nu
+            upper = d.partial_raw_moment(1, 0.0, np.inf)
+            tail = -d.first_moment_between(np.minimum(grid, 0.0), 0.0) + upper
+            log_pdf = np.atleast_1d(d.log_pdf(grid))
+            log_above = np.log(np.asarray(d.sf(grid), dtype=float)) - log_pdf
+            log_abs_above = np.log(tail) - log_pdf
+    if under:
+        table = [
+            (f"{tag}1_neg", below, low, _SQRT_HALF_PI),
+            (f"{tag}1_mid", below, mid, _SQRT_2PI * gauss),
+            (f"{tag}2_mid", above, mid, _SQRT_HALF_PI + cap2),
+            (f"{tag}2_right", above, high, cap2),
+            (f"{tag}3_neg", abs_below, low, 1.0),
+            (f"{tag}3_mid", abs_below, mid, 2.0 * gauss - 1.0),
+            (f"{tag}4_mid", abs_above, mid, bound4_mid),
+            (f"{tag}4_right", values4_right, high, bound4_right),
+            (f"{tag}{last[0]}", drift_below, nonpos, 1.0),
+            (f"{tag}{last[1]}", drift_above, nonneg, 2.0),
+        ]
+        mean_abs_row = (f"{tag}{last[2]}", 1.0 + cap5)
+    else:
+        inv_zeta = math.inf if zeta == 0.0 else mu / (alpha * zeta)
+        spread = alpha / (2.0 * mu) * zeta**2
+        cap2 = math.sqrt(math.pi / 2.0 * mu / alpha)
+        table = [
+            ("oingredient1_left", below, low, min(_SQRT_HALF_PI, inv_zeta)),
+            ("oingredient1_mid", below, mid, _SQRT_HALF_PI + min(cap2, zeta)),
+            (
+                "oingredient2_mid_log",
+                log_above,
+                mid,
+                math.log(2.0 * math.pi * mu / alpha) / 2.0 + spread,
+            ),
+            ("oingredient2_right", above, high, cap2),
+            ("oingredient3_left", abs_below, low, 1.0 + min(_SQRT_HALF_PI * zeta, mu / alpha)),
+            ("oingredient3_mid", abs_below, mid, mu / alpha + 1.0),
+            ("oingredient4_mid_log", log_abs_above, mid, math.log(2.0 * mu / alpha) + spread),
+            ("oingredient4_right", abs_above, high, mu / alpha),
+            ("oingredient6", drift_below, nonpos, 2.0),
+            ("oingredient7", drift_above, nonneg, 1.0),
+        ]
+        mean_abs_row = ("oingredient5", math.sqrt(mu / alpha) + 1.0)
     rows = [
         _row(
-            "oingredient1_left",
-            d.ratio_below(left).max(),
-            min(_SQRT_HALF_PI, inv_zeta),
-        ),
-        _row(
-            "oingredient1_mid",
-            d.ratio_below(mid).max() if mid.size else 0.0,
-            _SQRT_HALF_PI + min(math.sqrt(math.pi / 2.0 * mu / alpha), zeta),
-        ),
-        _log_ratio_above_row(
-            "oingredient2_mid",
-            d,
-            mid,
-            math.log(2.0 * math.pi * mu / alpha) / 2.0
-            + alpha / (2.0 * mu) * zeta**2,
-            first=False,
-        ),
-        _row(
-            "oingredient2_right",
-            d.ratio_above(nonneg).max(),
-            math.sqrt(math.pi / 2.0 * mu / alpha),
-        ),
-        _row(
-            "oingredient3_left",
-            _abs_first_ratio_below(d, left).max(),
-            1.0 + min(_SQRT_HALF_PI * zeta, mu / alpha),
-        ),
-        _row(
-            "oingredient3_mid",
-            _abs_first_ratio_below(d, mid).max() if mid.size else 0.0,
-            mu / alpha + 1.0,
-        ),
-        _log_ratio_above_row(
-            "oingredient4_mid",
-            d,
-            mid,
-            math.log(2.0 * mu / alpha) + alpha / (2.0 * mu) * zeta**2,
-            first=True,
-        ),
-        _row("oingredient4_right", _abs_first_ratio_above(d, nonneg).max(), mu / alpha),
-        _row("oingredient6", (b_over_mu(nonpos) * d.ratio_below(nonpos)).max(), 2.0),
-        _row("oingredient7", (b_over_mu(nonneg) * d.ratio_above(nonneg)).max(), 1.0),
-        _row("oingredient5", _mean_abs(d), math.sqrt(mu / alpha) + 1.0),
+            name,
+            values[region].max()
+            if region.any()
+            else (-math.inf if name.endswith("_log") else 0.0),
+            bound,
+        )
+        for name, values, region, bound in table
     ]
-    return rows
-
-
-def _log_ratio_above_row(
-    bound_id: str, d: DiffusionDensity, pts: np.ndarray, log_bound: float, first: bool
-) -> Check:
-    """Upper-tail ratio bound compared in log scale.
-
-    Deep in the overloaded regime both the bound exp((alpha/2mu) zeta^2) and
-    the observed ratio exceed the double range; the comparison stays exact in
-    logs.  Reported values are natural logs (bound_id carries a _log suffix).
-    """
-    if pts.size == 0:
-        return _row(f"{bound_id}_log", -math.inf, log_bound)
-    if first:
-        # int_x^inf |y| nu dy for x <= 0: -int_x^0 y nu + int_0^inf y nu
-        upper = d.partial_raw_moment(1, 0.0, np.inf)
-        tail = -d.first_moment_between(pts, 0.0) + upper
-    else:
-        tail = np.asarray(d.sf(pts), dtype=float)
-    with np.errstate(divide="ignore"):
-        log_obs = np.log(tail) - np.atleast_1d(d.log_pdf(pts))
-    return _row(f"{bound_id}_log", float(np.max(log_obs)), log_bound)
+    name, bound = mean_abs_row
+    return rows + [_row(name, _diffusion_moment(d, 1, absolute=True), bound)]
 
 
 def _shape_rows_erlang_a(

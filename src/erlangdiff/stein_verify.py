@@ -56,6 +56,18 @@ def _active(dist: DiscreteStationary) -> np.ndarray:
     return np.arange(idx[0], idx[-1] + 1)
 
 
+def _tolerance(dist: DiscreteStationary, p: np.ndarray, lhs: float, per_state) -> float:
+    """Numerical budget of a decomposition: the states left out, plus rounding.
+
+    ``per_state`` is the sum of the four terms' integrands at each kept
+    state (the terms are their p-weighted sums).  The mass outside the kept
+    states, with the chain's own tail bound, is charged 4 times the largest
+    per-state sum.
+    """
+    dropped = max(0.0, 1.0 - float(_exact_sum(p))) + dist.tail_bound
+    return 4.0 * dropped * float(np.max(per_state)) + 1e-13 * (1.0 + abs(lhs))
+
+
 def _panel_abs_f3(sol: PoissonSolution, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """int |f'''| over panels [lo_i, hi_i], splitting at kinks/sign changes."""
     splits = sol._split_points()
@@ -108,11 +120,7 @@ def wasserstein_decomposition(
 
     chain_mean_h = _exact_sum(dist.pmf * sol.h.value(dist.x))
     lhs = abs(chain_mean_h - sol.h_mean)
-    dropped = max(0.0, 1.0 - float(_exact_sum(p))) + dist.tail_bound
-    per_state_sup = float(
-        np.max(0.5 * delta * f2b + mu * panel[1:] + 0.5 * delta * np.abs(b) * bwd)
-    )
-    tolerance = 4.0 * dropped * per_state_sup + 1e-13 * (1.0 + abs(lhs))
+    per_state = 0.5 * delta * f2b + 0.5 * mu * (fwd + bwd) + 0.5 * delta * np.abs(b) * bwd
     terms = {
         "term1_drift_f2": term1,
         "term2_forward_f3": term2,
@@ -125,7 +133,7 @@ def wasserstein_decomposition(
         terms=terms,
         total=total,
         lhs=lhs,
-        tolerance=tolerance,
+        tolerance=_tolerance(dist, p, lhs, per_state),
         extras={"mean_abs_f2b": _exact_sum(p * f2b)},
     )
 
@@ -209,15 +217,11 @@ def kolmogorov_decomposition(
         + 9.0 * load_factor * delta**2
         + 8.0 * load_factor**2 * delta**4
     )
-    dropped = max(0.0, 1.0 - float(_exact_sum(p))) + dist.tail_bound
-    per_state_sup = float(
-        np.max(
-            0.5 * delta * np.abs(fpp_left * b)
-            + params.lam * (np.abs(eps1) + np.abs(eps2))
-            + np.abs(b * eps2) / delta
-        )
+    per_state = (
+        0.5 * delta * np.abs(fpp_left * b)
+        + params.lam * (np.abs(eps1) + np.abs(eps2))
+        + np.abs(b * eps2) / delta
     )
-    tolerance = 4.0 * dropped * per_state_sup + 1e-13 * (1.0 + abs(lhs))
     terms = {
         "term1_drift_f2": term1,
         "term2_eps1": term2,
@@ -235,6 +239,6 @@ def kolmogorov_decomposition(
         terms=terms,
         total=total,
         lhs=lhs,
-        tolerance=tolerance,
+        tolerance=_tolerance(dist, p, lhs, per_state),
         extras=extras,
     )

@@ -162,15 +162,6 @@ class TestMoments:
             e_abs = moment(d, 1, absolute=True)
             assert e_abs <= 1.0 / abs(d.zeta) + 1.0
 
-    def test_region_and_shift_variants(self):
-        d = density_for(ModelParams(lam=4.0, mu=1.0, n=5, alpha=0.0))
-        j = d.switch_point
-        oracle = integrate.quad(lambda y: abs(y + d.zeta) * d.pdf(y), -np.inf, j, limit=300)[0]
-        got = moment(d, 1, region="below", shift=d.zeta, absolute=True)
-        assert got == pytest.approx(oracle, rel=1e-10)
-        back = moment(d, 0, region="below") + moment(d, 0, region="above")
-        assert back == pytest.approx(1.0 + 0.0, abs=1e-12)  # junction has measure zero
-
     def test_moment_order_cap(self):
         d = density_for(ModelParams(lam=4.0, mu=1.0, n=5, alpha=0.0))
         with pytest.raises(ValueError):

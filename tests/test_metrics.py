@@ -24,28 +24,11 @@ from erlangdiff.model import ModelParams
 C_HEAVY = ModelParams(lam=4.9, mu=1.0, n=5, alpha=0.0)
 
 
-class _StepOracle:
-    """The chain's own CDF wrapped as a comparison-law stand-in."""
-
-    def __init__(self, dist):
-        self._dist = dist
-
-    def cdf(self, t):
-        return self._dist.cdf(t)
-
-    def cdf_left(self, t):
-        return self._dist.cdf(np.asarray(t) - 1e-12)
-
-
 class TestKolmogorov:
     def test_erlang_c_bound(self):
         dist = pmf_for(C_HEAVY, 1e-14)
         dk = kolmogorov_distance(dist, density_for(C_HEAVY))
         assert dk <= 188.0 * dist.derived.delta
-
-    def test_self_distance_is_zero(self):
-        dist = pmf_for(C_HEAVY, 1e-14)
-        assert kolmogorov_distance(dist, _StepOracle(dist)) <= 1e-15
 
     def test_erlang_a_finite_ratio(self):
         params = ModelParams(lam=5.0, mu=1.0, n=5, alpha=1.0)
@@ -101,17 +84,14 @@ class TestWasserstein:
             assert gap <= wasserstein_distance(dist, d) * (1 + 1e-12) + 1e-12
 
 
-class _JumpAtKMax:
-    """The chain's own step CDF, except that it reaches 1 at x(k_max)."""
+class _DropAtKMax:
+    """The chain's own CDF values, except that it reads 0 at x(k_max)."""
 
     def __init__(self, dist):
         self._dist = dist
 
     def cdf(self, t):
-        return np.where(np.asarray(t) >= self._dist.x_max, 1.0, self._dist.cdf(t))
-
-    def cdf_left(self, t):
-        return self._dist.cdf(np.asarray(t) - 1e-12)
+        return np.where(np.asarray(t) >= self._dist.x_max, 0.0, self._dist.cdf(t))
 
 
 class TestWindowedDistances:
@@ -155,13 +135,14 @@ class TestWindowedDistances:
         )
 
     def test_k_max_is_a_kolmogorov_candidate(self):
-        # past the window the chain CDF stays at its last value, which
-        # cumsum rounding leaves short of 1; the gap to a law that reaches 1
-        # at k_max shows only at that end point
+        # past the window the chain CDF stays at its last value; against a
+        # stand-in that matches it on the window and reads 0 at k_max, the
+        # gap at that end point (the last CDF value) exceeds every window
+        # candidate (one state's mass at most)
         dist = stationary_pmf(ModelParams(lam=4900.0, mu=1.0, n=5000, alpha=0.0), 1e-12)
-        gap = 1.0 - dist.cdf_values[-1]
-        assert dist.k_top < dist.k_max and gap > 0.0
-        assert kolmogorov_distance(dist, _JumpAtKMax(dist)) == gap
+        last = dist.cdf_values[-1]
+        assert dist.k_top < dist.k_max and np.max(dist.pmf) < last
+        assert kolmogorov_distance(dist, _DropAtKMax(dist)) == last
 
 
 class TestOracles:

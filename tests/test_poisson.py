@@ -5,6 +5,7 @@ import pytest
 from scipy import integrate
 
 from conftest import density_for
+from erlangdiff.diffusion import DiffusionDensity
 from erlangdiff.model import ModelParams, derive, drift
 from erlangdiff.poisson import (
     PoissonSolution,
@@ -97,8 +98,8 @@ class TestSolutionEvaluation:
     def test_representations_agree(self, params, h):
         sol = build_solution(density_for(params), h)
         xs = np.linspace(-3.0, 3.0, 61)
-        left = sol.f_prime_left_rep(xs)
-        right = sol.f_prime_right_rep(xs)
+        left = sol.f_prime_rep(xs, below=True)
+        right = sol.f_prime_rep(xs, below=False)
         assert np.max(np.abs(left - right) / (1.0 + np.abs(left))) < 1e-8
 
     def test_switch_continuity(self):
@@ -248,6 +249,42 @@ class TestGradientBoundReport:
         monkeypatch.setattr(PoissonSolution, "f_prime", counting)
         gradient_bound_report(derive(params), suite)
         assert sizes == [2001] * calls
+
+    @pytest.mark.parametrize(
+        "params", [C_HEAVY, A_UNDER, A_OVER, ModelParams(lam=5.0, mu=1.0, n=5, alpha=1.0)]
+    )
+    def test_each_ratio_evaluated_once(self, monkeypatch, params):
+        # the density-ratio rows take the mass ratio, the first-moment ratio
+        # and the first-moment ratio cut at 0 once each, on the whole grid;
+        # f' is stubbed out so that its own ratio calls do not count
+        calls = []
+        for name in ("ratio_below", "ratio_above"):
+
+            def counting(d, x, *args, _name=name, _ratio=getattr(DiffusionDensity, name), **kw):
+                calls.append((_name, np.size(x)))
+                return _ratio(d, x, *args, **kw)
+
+            monkeypatch.setattr(DiffusionDensity, name, counting)
+        monkeypatch.setattr(
+            PoissonSolution, "derivatives", lambda sol, x: (np.zeros(np.size(x)),) * 3
+        )
+        suite = "wasserstein_C" if params.alpha == 0.0 else "wasserstein_A"
+        gradient_bound_report(derive(params), suite)
+        assert sorted(calls) == [("ratio_above", 2001)] * 3 + [("ratio_below", 2001)] * 3
+
+    def test_empty_middle_rows(self):
+        # overloaded with zeta = 4.47e-9, below the grid's kink nudge: no
+        # sample lies in [-zeta, 0], so the middle rows read a zero ratio
+        der = derive(ModelParams(lam=5.00000001, mu=1.0, n=5, alpha=1.0))
+        assert 0.0 < der.zeta < 1e-8
+        rows = {r.name: r for r in gradient_bound_report(der, "wasserstein_A")}
+        for name, empty in (
+            ("oingredient1_mid", 0.0),
+            ("oingredient3_mid", 0.0),
+            ("oingredient2_mid_log", -math.inf),
+            ("oingredient4_mid_log", -math.inf),
+        ):
+            assert rows[name].observed == empty and rows[name].satisfied, name
 
     def test_regime_mismatch_rejected(self):
         with pytest.raises(ValueError):

@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 
 from conftest import SPOT_SETS, density_for, pmf_for
+from erlangdiff.ctmc import DiscreteStationary, _exact_sum
 from erlangdiff.metrics import kolmogorov_distance
 from erlangdiff.model import Check, ModelParams, drift
 from erlangdiff.poisson import PoissonSolution, TestFunction, build_solution
 from erlangdiff.stein_verify import (
+    _active,
+    _panel_abs_f3,
     _weighted_f2_panels,
     kolmogorov_decomposition,
     wasserstein_decomposition,
@@ -46,6 +49,31 @@ class TestWassersteinDecomposition:
         sol = build_solution(density_for(params), TestFunction.identity())
         dec = wasserstein_decomposition(dist, sol)
         assert dec.lhs <= dec.total + 1e-8
+
+    @pytest.mark.parametrize(
+        "pars", [(0.5, 1.0, 1, 0.001), (3.0, 1.0, 5, 0.5), (100.0, 1.0, 90, 0.01)]
+    )
+    def test_tolerance_charges_every_term(self, monkeypatch, pars):
+        # each dropped state is charged the largest per-state sum of all four
+        # terms, (delta/2)|f'' b| + (mu/2)(fwd + bwd) + (delta/2)|b| bwd; a
+        # dropped mass of 1e-6 lifts that charge above the rounding allowance
+        monkeypatch.setattr(DiscreteStationary, "tail_bound", property(lambda dist: 1e-6))
+        params = ModelParams(*pars)
+        dist = pmf_for(params, 1e-14)
+        sol = build_solution(density_for(params), TestFunction.identity())
+        dec = wasserstein_decomposition(dist, sol)
+        der = dist.derived
+        x, p = dist.x[_active(dist)], dist.pmf[_active(dist)]
+        b = np.abs(drift(der, x))
+        f2b = np.abs(sol.derivatives(x)[1]) * b
+        panel = _panel_abs_f3(
+            sol, np.concatenate(([x[0] - der.delta], x)), np.concatenate((x, [x[-1] + der.delta]))
+        )
+        fwd, bwd = panel[1:], panel[:-1]
+        sup = np.max(0.5 * der.delta * (f2b + b * bwd) + 0.5 * der.mu * (fwd + bwd))
+        dropped = max(0.0, 1.0 - _exact_sum(p)) + 1e-6
+        charged = (dec.tolerance - 1e-13 * (1.0 + dec.lhs)) / (4.0 * dropped)
+        assert charged == pytest.approx(sup, rel=1e-9)
 
     def test_rejects_indicator(self):
         dist = pmf_for(C_HEAVY, 1e-14)
