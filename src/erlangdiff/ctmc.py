@@ -14,7 +14,7 @@ critical load span thirty orders of magnitude.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
 from typing import Callable, NamedTuple, Sequence
 
@@ -37,6 +37,9 @@ __all__ = [
 _REL_MOMENT_TOL = 1e-8
 # largest truncation index the doubling may reach before TruncationError
 _STATE_CAP = 10**8
+# window passes that need no window-length result work in blocks of this
+# many states, so their scratch stays O(block), not O(window)
+_BLOCK = 1 << 16
 
 
 class TruncationError(RuntimeError):
@@ -70,25 +73,33 @@ def _log_weights(params: ModelParams, k_lo: int, k_hi: int) -> np.ndarray:
     """
     n, mu, alpha = params.n, params.mu, params.alpha
     r = params.offered_load
-    # three range-length buffers, updated in place in the operation order of
-    # the plain array expressions, so every weight keeps its bits
-    k = np.arange(k_lo, k_hi + 1, dtype=float)
-    served = np.minimum(k, float(n))
-    ell = served * math.log(r)
-    queue = np.subtract(k, served, out=k)
-    served += 1.0
-    ell -= gammaln(served, out=served)
-    scratch = served
+    log_r = math.log(r)
     if params.is_erlang_c:
-        ell += np.multiply(queue, math.log(r / n), out=scratch)
+        log_q = math.log(r / n)
     else:
         beta = alpha / mu
         base = n / beta
-        ell += np.multiply(queue, math.log(r) - math.log(beta), out=scratch)
-        queue += base + 1.0
-        queue = gammaln(queue, out=queue)
-        queue -= gammaln(base + 1.0)
-        ell -= queue
+        log_q = log_r - math.log(beta)
+        log_base = gammaln(base + 1.0)
+    ell = np.empty(k_hi - k_lo + 1)
+    # one output array, filled block by block; the two block buffers are
+    # updated in place in the operation order of the plain array
+    # expressions, so every weight keeps its bits
+    for lo in range(k_lo, k_hi + 1, _BLOCK):
+        out = ell[lo - k_lo : min(lo + _BLOCK, k_hi + 1) - k_lo]
+        k = np.arange(lo, lo + out.size, dtype=float)
+        served = np.minimum(k, float(n))
+        np.multiply(served, log_r, out=out)
+        queue = np.subtract(k, served, out=k)
+        served += 1.0
+        out -= gammaln(served, out=served)
+        scratch = served
+        out += np.multiply(queue, log_q, out=scratch)
+        if not params.is_erlang_c:
+            queue += base + 1.0
+            queue = gammaln(queue, out=queue)
+            queue -= log_base
+            out -= queue
     return ell
 
 
@@ -153,9 +164,10 @@ class DiscreteStationary:
     within 1e-32 of the mode's, with scaled coordinates
     x_k = delta*(k - x_inf).  Only ``log_pmf`` is held from the start;
     ``pmf``, ``x`` and ``cdf_values`` are kept from their first read, and
-    ``states`` and ``death_rates`` are built anew on each read.  A moment
-    therefore holds ``log_pmf``, ``pmf``, ``x`` and one scratch buffer;
-    ``cdf_values`` is read only by the distances and the Kolmogorov checks.
+    ``states`` and ``death_rates`` are built anew on each read.  Moments
+    and the tail bounds read none of them: a moment holds ``log_pmf`` and
+    one terms buffer, with x and pmf built block by block.  ``pmf``, ``x``
+    and ``cdf_values`` are read by the distances and the verify suites.
     ``k_max >= k_top`` is the certified truncation index; ``log_pmf_end``
     and ``tail_ratio`` = lam/d(k_max + 1) are its pmf and tail ratio.
     ``tail_bound`` certifies all the mass left out: the head below k_min,
@@ -168,6 +180,9 @@ class DiscreteStationary:
     log_pmf: np.ndarray = field(repr=False)
     log_pmf_end: float
     tail_ratio: float
+    # (m, sum of |x|^m pmf over the window) when stationary_pmf certified
+    # moments of order m; ``moment`` reuses the sum as its scale
+    _abs_moment_sum: tuple[int, float] | None = field(default=None, repr=False)
 
     @property
     def params(self) -> ModelParams:
@@ -198,6 +213,12 @@ class DiscreteStationary:
     def x_max(self) -> float:
         """Scaled coordinate of k_max."""
         return self.derived.delta * (self.k_max - self.derived.x_inf)
+
+    def _at(self, k: int) -> tuple[float, float]:
+        """(x, pmf) of window state k, bit for bit as in ``x`` and ``pmf``."""
+        x = (float(k) - self.derived.x_inf) * self.derived.delta
+        i = k - self.k_min
+        return x, float(np.exp(self.log_pmf[i : i + 1])[0])
 
     @cached_property
     def cdf_values(self) -> np.ndarray:
@@ -240,12 +261,12 @@ class DiscreteStationary:
         )
         if self.k_min > 0:
             ratio = departure_rate(params, self.k_min) / params.lam
-            a = max(abs(float(self.x[0])) + s, delta)
-            bound += _geometric_majorant(float(self.pmf[0]), ratio, a, m, delta)
+            x, pmf = self._at(self.k_min)
+            bound += _geometric_majorant(pmf, ratio, max(abs(x) + s, delta), m, delta)
         if self.k_top < self.k_max:
             ratio = params.lam / departure_rate(params, self.k_top + 1)
-            a = max(abs(float(self.x[-1])) + s, delta)
-            bound += _geometric_majorant(float(self.pmf[-1]), ratio, a, m, delta)
+            x, pmf = self._at(self.k_top)
+            bound += _geometric_majorant(pmf, ratio, max(abs(x) + s, delta), m, delta)
         return bound
 
 
@@ -320,9 +341,9 @@ def stationary_pmf(
         q_ok = q < 1.0 if params.is_erlang_c else q <= 0.5
         if q_ok:
             dist = _truncated_pmf(derived, k_min, floor, k_hi, q, tail_tol)
-            if dist is not None and (
-                moment_order == 0 or _moments_certified(dist, moment_order)
-            ):
+            if dist is not None and moment_order:
+                dist = _with_certified_moments(dist, moment_order)
+            if dist is not None:
                 return dist
             del dist  # a failed try holds no arrays while the next is built
         k_hi = 2 * k_hi + 64
@@ -364,24 +385,46 @@ def _truncated_pmf(
     )
 
 
-def _moments_certified(dist: DiscreteStationary, moment_order: int) -> bool:
-    bound = dist.moment_tail_bound(moment_order)
+def _with_certified_moments(dist: DiscreteStationary, m: int) -> DiscreteStationary | None:
+    """dist carrying its sum of |x|^m pmf, or None if its tails could move it."""
+    bound = dist.moment_tail_bound(m)
     if not math.isfinite(bound):
-        return False
-    terms = _moment_terms(dist.x, dist.pmf, 0.0, moment_order, np.empty_like(dist.x))
-    return bound <= _REL_MOMENT_TOL * _exact_sum(terms)
+        return None
+    total = _exact_sum(_moment_terms(dist, slice(None), 0.0, m, np.empty(dist.log_pmf.size)))
+    if bound > _REL_MOMENT_TOL * total:
+        return None
+    return replace(dist, _abs_moment_sum=(m, total))
 
 
 def _moment_terms(
-    x: np.ndarray, pmf: np.ndarray, offset: float, m: int, out: np.ndarray, absolute: bool = True
+    dist: DiscreteStationary,
+    part: slice,
+    offset: float,
+    m: int,
+    out: np.ndarray,
+    absolute: bool = True,
 ) -> np.ndarray:
-    """|x + offset|^m * pmf (the signed power if not absolute), written into out."""
-    np.add(x, offset, out=out)
-    if absolute:
-        np.abs(out, out=out)
-    out **= m
-    out *= pmf
-    return out
+    """|x + offset|^m * pmf (the signed power if not absolute) on the window
+    slice ``part``, written into ``out[part]`` and returned.
+
+    x and pmf are built block by block from the float states and
+    ``log_pmf``, in the operation order of ``dist.x`` and ``dist.pmf``, so
+    every term keeps its bits without a window-length copy of either.
+    """
+    start, stop, _ = part.indices(dist.log_pmf.size)
+    x_inf, delta = dist.derived.x_inf, dist.derived.delta
+    for lo in range(start, stop, _BLOCK):
+        terms = out[lo : min(lo + _BLOCK, stop)]
+        k0 = dist.k_min + lo
+        buf = np.arange(k0, k0 + terms.size, dtype=float)
+        buf -= x_inf
+        buf *= delta
+        np.add(buf, offset, out=terms)
+        if absolute:
+            np.abs(terms, out=terms)
+        terms **= m
+        terms *= np.exp(dist.log_pmf[lo : lo + terms.size], out=buf)
+    return out[start:stop]
 
 
 def _region_slice(dist: DiscreteStationary, region: str) -> slice:
@@ -423,14 +466,17 @@ def moment(
         offset = dist.derived.zeta
     else:
         raise ValueError(f"unknown shift {shift!r}")
-    part = _region_slice(dist, region)
-    x, pmf = dist.x, dist.pmf
-    scratch = np.empty_like(x)
-    result = _exact_sum(_moment_terms(x[part], pmf[part], offset, m, scratch[part], absolute))
+    scratch = np.empty(dist.log_pmf.size)
+    result = _exact_sum(
+        _moment_terms(dist, _region_slice(dist, region), offset, m, scratch, absolute)
+    )
     # certify against the full-support absolute moment: a region whose true
     # mass sits below the window's cut is exactly 0 in double precision and
     # no tail tolerance could make it relatively accurate
-    scale = _exact_sum(_moment_terms(x, pmf, offset, m, scratch))
+    if shift == "none" and dist._abs_moment_sum is not None and dist._abs_moment_sum[0] == m:
+        scale = dist._abs_moment_sum[1]
+    else:
+        scale = _exact_sum(_moment_terms(dist, slice(None), offset, m, scratch))
     tail = dist.moment_tail_bound(m, shift=offset)
     if tail > _REL_MOMENT_TOL * max(scale, np.finfo(float).tiny):
         raise TruncationError(

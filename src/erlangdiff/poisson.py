@@ -255,6 +255,8 @@ def _sample_grid(d: DiffusionDensity) -> np.ndarray:
 
 
 _row = partial(Check.at_most, rtol=1e-9, atol=1e-300)
+# the same 1e-9 relative slack for a row that compares natural logs
+_log_row = partial(Check.at_most, atol=math.log1p(1e-9))
 
 
 def _pointwise_row(bound_id: str, ratios: np.ndarray, mode: str = "strict") -> Check:
@@ -427,13 +429,9 @@ def _ratio_rows(d: DiffusionDensity, grid: np.ndarray, under: bool) -> list[Chec
         ]
         mean_abs_row = ("oingredient5", math.sqrt(mu / alpha) + 1.0)
     rows = [
-        _row(
-            name,
-            values[region].max()
-            if region.any()
-            else (-math.inf if name.endswith("_log") else 0.0),
-            bound,
-        )
+        _log_row(name, values[region].max() if region.any() else -math.inf, bound)
+        if name.endswith("_log")
+        else _row(name, values[region].max() if region.any() else 0.0, bound)
         for name, values, region, bound in table
     ]
     name, bound = mean_abs_row

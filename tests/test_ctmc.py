@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import gammaln
 
 from conftest import density_for, full_grid_pmf, pmf_for, window_params
 from erlangdiff import ctmc
@@ -260,6 +261,24 @@ class TestWindow:
         assert res.residual <= res.tolerance
 
 
+def _assert_moments_match_mask_oracle(dist, orders):
+    """Every region x shift x absolute moment against the boolean-mask
+    formula, bit for bit; an empty region reads 0.0."""
+    k, n = dist.states, dist.params.n
+    masks = {"all": k >= 0, "below": k <= n, "above": k >= n}
+    for region, mask in masks.items():
+        for shift, offset in (("none", 0.0), ("plus_zeta", dist.derived.zeta)):
+            for absolute in (True, False):
+                for m in orders:
+                    g = dist.x[mask] + offset
+                    vals = np.abs(g) ** m if absolute else g**m
+                    want = ctmc._exact_sum(vals * dist.pmf[mask])
+                    got = moment(dist, m, region, shift, absolute=absolute)
+                    assert got.hex() == want.hex(), (region, shift, absolute, m)
+                    if not mask.any():
+                        assert got.hex() == (0.0).hex()
+
+
 class TestMoment:
     def test_mass_moment(self):
         dist = pmf_for(ModelParams(lam=4.0, mu=1.0, n=5, alpha=0.0))
@@ -326,19 +345,7 @@ class TestMoment:
             "n > k_top": n > k_top,
         }
         assert edges[edge]
-        k = dist.states
-        masks = {"all": np.ones(k.size, dtype=bool), "below": k <= n, "above": k >= n}
-        for region, mask in masks.items():
-            for shift, offset in (("none", 0.0), ("plus_zeta", dist.derived.zeta)):
-                for absolute in (True, False):
-                    for m in (0, 1, 2, 5):
-                        g = dist.x[mask] + offset
-                        vals = np.abs(g) ** m if absolute else g**m
-                        want = ctmc._exact_sum(vals * dist.pmf[mask])
-                        got = moment(dist, m, region, shift, absolute=absolute)
-                        assert got.hex() == want.hex(), (region, shift, absolute, m)
-                        if not mask.any():
-                            assert got.hex() == (0.0).hex()
+        _assert_moments_match_mask_oracle(dist, (0, 1, 2, 5))
 
     def test_moment_order_cap(self):
         dist = pmf_for(ModelParams(lam=4.0, mu=1.0, n=5, alpha=0.0))
@@ -348,8 +355,8 @@ class TestMoment:
 
 class TestMemory:
     def test_moment_pipeline_holds_few_window_arrays(self):
-        # about 2.2M states: the pmf window, its scaled states and the log
-        # pmf, plus one scratch buffer, with room for one more array
+        # about 2.2M states: the log pmf and one terms buffer, with room for
+        # half an array of block buffers and the diffusion side
         params = ModelParams(lam=1.0 - 1.5e-5, mu=1.0, n=1, alpha=0.0)
         tracemalloc.start()
         try:
@@ -359,7 +366,67 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert dist.log_pmf.size > 2_000_000
-        assert peak <= 5 * 8 * dist.log_pmf.size
+        assert peak <= 2.5 * 8 * dist.log_pmf.size
+
+    def test_moment_path_caches_no_pmf_or_x(self):
+        for params in (
+            ModelParams(lam=4.99, mu=1.0, n=5, alpha=0.0),
+            ModelParams(lam=2000.0, mu=1.0, n=1400, alpha=1.0),
+        ):
+            dist = stationary_pmf(params, moment_order=3)
+            moment_error(dist, build_density(dist.derived), 3)
+            moment_bound_report(dist)
+            assert dist.tail_bound >= 0.0
+            assert "pmf" not in dist.__dict__ and "x" not in dist.__dict__
+
+
+def _plain_log_weights(params, k_lo, k_hi):
+    """The closed-form log weights as one-shot array expressions."""
+    k = np.arange(k_lo, k_hi + 1, dtype=float)
+    served = np.minimum(k, float(params.n))
+    r = params.offered_load
+    ell = served * math.log(r) - gammaln(served + 1.0)
+    if params.is_erlang_c:
+        return ell + (k - served) * math.log(r / params.n)
+    beta = params.alpha / params.mu
+    base = params.n / beta
+    ell = ell + (k - served) * (math.log(r) - math.log(beta))
+    return ell - (gammaln(k - served + (base + 1.0)) - gammaln(base + 1.0))
+
+
+@st.composite
+def _small_window_params(draw) -> ModelParams:
+    """R in [0.5, 300] around n = ceil(R + beta sqrt(R)): windows of tens to a
+    few thousand states, with the server count inside most of them."""
+    r = 10.0 ** draw(st.floats(math.log10(0.5), math.log10(300.0)))
+    if draw(st.booleans()):
+        n = math.ceil(r + draw(st.floats(0.5, 2.0)) * math.sqrt(r))
+        return ModelParams(lam=r, mu=1.0, n=n, alpha=0.0)
+    n = max(1, math.ceil(r + draw(st.floats(-1.0, 1.0)) * math.sqrt(r)))
+    return ModelParams(lam=r, mu=1.0, n=n, alpha=10.0 ** draw(st.floats(-2.0, 2.0)))
+
+
+class TestBlocks:
+    # window passes run in blocks of ctmc._BLOCK states; with a small odd
+    # block, block edges fall all over the window and inside every region
+    @settings(max_examples=40, deadline=None)
+    @given(
+        params=_small_window_params(),
+        block=st.integers(1, 20).map(lambda i: 2 * i + 1),
+        cut=st.floats(0.0, 1.0),
+        m=st.integers(0, 10),
+    )
+    def test_blocks_keep_every_bit(self, params, block, cut, m):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ctmc, "_BLOCK", block)
+            dist = stationary_pmf(params, moment_order=m)
+            k_hi = dist.k_top
+            full = ctmc._log_weights(params, 0, k_hi)
+            assert full.tobytes() == _plain_log_weights(params, 0, k_hi).tobytes()
+            k_lo = int(cut * k_hi)
+            sub = ctmc._log_weights(params, k_lo, k_hi)
+            assert sub.tobytes() == full[k_lo:].tobytes()
+            _assert_moments_match_mask_oracle(dist, (m,))
 
 
 def _generator_at(der, f, k):

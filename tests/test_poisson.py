@@ -10,6 +10,7 @@ from erlangdiff.model import ModelParams, derive, drift
 from erlangdiff.poisson import (
     PoissonSolution,
     TestFunction,
+    _log_row,
     build_solution,
     gradient_bound_report,
     mean_h,
@@ -285,6 +286,23 @@ class TestGradientBoundReport:
             ("oingredient4_mid_log", -math.inf),
         ):
             assert rows[name].observed == empty and rows[name].satisfied, name
+
+    def test_log_rows_get_relative_slack_on_negative_bounds(self):
+        # a log row compares log observed <= log bound + log1p(1e-9), which
+        # loosens a negative log bound as much as a positive one
+        der = derive(ModelParams(lam=1.000001 * 0.01, mu=0.01, n=1, alpha=0.1))
+        rows = {r.name: r for r in gradient_bound_report(der, "wasserstein_A")}
+        row = rows["oingredient2_mid_log"]
+        assert row.bound == pytest.approx(-0.2324, abs=1e-4)
+        slack = math.log1p(1e-9)
+        assert row.satisfied == (row.observed <= row.bound + slack)
+        for name in ("oingredient2_mid_log", "oingredient4_mid_log"):
+            bound = rows[name].bound
+            assert bound < 0.0
+            # inside the slack, where bound * (1 + 1e-9) would fail the row
+            assert bound * (1.0 + 1e-9) < bound + 0.5 * slack
+            assert _log_row(name, bound + 0.5 * slack, bound).satisfied
+            assert not _log_row(name, bound + 2.0 * slack, bound).satisfied
 
     def test_regime_mismatch_rejected(self):
         with pytest.raises(ValueError):
