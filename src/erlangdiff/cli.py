@@ -208,7 +208,7 @@ def _generator_identity_rows(dist, sols) -> list[Check]:
     for sol in sols:
         h = sol.h
         fp, fpp, _ = sol.derivatives(x)
-        gen_y = _exact_sum(dist.pmf * (b * fp + sol.density.mu * fpp))
+        gen_y = _exact_sum(dist.pmf * (b * fp + sol.derived.mu * fpp))
         lhs = abs(_exact_sum(dist.pmf * h.value(x)) - sol.h_mean)
         gap = abs(lhs - abs(gen_y))
         name = f"generator_identity[{h.kind}@{h.parameter:+.3g}]"

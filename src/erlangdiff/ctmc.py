@@ -309,12 +309,13 @@ def stationary_pmf(
 ) -> DiscreteStationary:
     """Exact stationary distribution, truncated with a certified tail bound.
 
-    ``moment_order`` additionally certifies that moments up to that order are
-    unperturbed beyond 1e-8 relative, which requires a longer grid than the
-    mass criterion alone when the load is near critical.  The truncation
-    index k_max is chosen on the full grid 0..k_max, but only the window of
-    states that carry mass is built (see ``DiscreteStationary``); the window
-    edges are found by bisection on the concave closed-form log weight.
+    ``moment_order`` = m additionally certifies that the order-m absolute
+    moments E|X~|^m and E|X~ + zeta|^m are unperturbed beyond 1e-8 relative,
+    which requires a longer grid than the mass criterion alone when the load
+    is near critical.  The truncation index k_max is chosen on the full grid
+    0..k_max, but only the window of states that carry mass is built (see
+    ``DiscreteStationary``); the window edges are found by bisection on the
+    concave closed-form log weight.
     """
     if not 0.0 < tail_tol < 1.0:
         raise ValueError("tail_tol must be in (0, 1)")
@@ -386,13 +387,28 @@ def _truncated_pmf(
 
 
 def _with_certified_moments(dist: DiscreteStationary, m: int) -> DiscreteStationary | None:
-    """dist carrying its sum of |x|^m pmf, or None if its tails could move it."""
+    """dist carrying its sum of |x|^m pmf, or None if its tails could move
+    that sum or the sum of |x + zeta|^m pmf by more than 1e-8 relative.
+
+    The window has unit mass, so Minkowski gives the floor
+    (sum |x|^m pmf)^(1/m) - |zeta| <= (sum |x + zeta|^m pmf)^(1/m); the
+    shifted sum takes a second pass only where that floor, shaded down by
+    1e-9 for rounding, is too low to certify it.
+    """
     bound = dist.moment_tail_bound(m)
     if not math.isfinite(bound):
         return None
-    total = _exact_sum(_moment_terms(dist, slice(None), 0.0, m, np.empty(dist.log_pmf.size)))
+    scratch = np.empty(dist.log_pmf.size)
+    total = _exact_sum(_moment_terms(dist, slice(None), 0.0, m, scratch))
     if bound > _REL_MOMENT_TOL * total:
         return None
+    zeta = dist.derived.zeta
+    shifted_bound = dist.moment_tail_bound(m, shift=zeta)
+    floor = max(total ** (1.0 / m) - abs(zeta), 0.0) ** m
+    if shifted_bound > _REL_MOMENT_TOL * floor * (1.0 - 1e-9):
+        shifted = _exact_sum(_moment_terms(dist, slice(None), zeta, m, scratch))
+        if shifted_bound > _REL_MOMENT_TOL * max(shifted, np.finfo(float).tiny):
+            return None
     return replace(dist, _abs_moment_sum=(m, total))
 
 

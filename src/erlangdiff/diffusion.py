@@ -8,14 +8,14 @@ kink ``-zeta``:
   Erlang-A, R <= n    N(0,1) shape left, N((mu/alpha-1)*zeta, mu/alpha) right
   Erlang-A, R >= n    N((alpha/mu-1)*zeta, 1) left, N(0, mu/alpha) right
 
-Piece amplitudes are carried in log form: in heavily staffed systems the
-right-piece amplitude is exp(zeta^2/2)-sized and overflows a double even
-though the density itself is tame.  Every amplitude-times-integral product is
-therefore assembled from log quantities, and all tail arithmetic goes through
-the scaled complementary error function -- never through 1 - CDF subtraction.
-One closed-form piece integral serves the masses, the first moments and
-the whole-piece parts of the tail ratios (1/nu(x)) int w nu, which take it
-in units of nu(x).
+Each piece carries its shape's closed forms and its amplitude, in log form:
+in heavily staffed systems the right-piece amplitude is exp(zeta^2/2)-sized
+and overflows a double even though the density itself is tame.  Every
+amplitude-times-integral product is therefore assembled from log quantities,
+and all tail arithmetic goes through the scaled complementary error function,
+never through 1 - CDF subtraction.  One closed-form piece integral serves
+the masses, the first moments and the whole-piece parts of the tail ratios
+(1/nu(x)) int w nu, which take it in units of nu(x).
 
 The density is unimodal with its mode at 0 in every regime (the left piece
 rises toward the junction or peaks at 0, the right piece falls), a fact the
@@ -25,7 +25,7 @@ Poisson-equation machinery relies on when choosing integral representations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import special
@@ -61,20 +61,21 @@ def _log_phi_diff(a, b):
 
 
 # ---------------------------------------------------------------------------
-# Piece primitives: unit-amplitude shapes.  "Ratios" are integrals of the
-# shape divided by the shape value at an evaluation point; they stay finite
-# where a naive 1/nu(x) prefactor would overflow.
+# Pieces: a shape times exp(log_amp) on [lo, hi].  "Ratios" are integrals of
+# the shape divided by the shape value at an evaluation point; they stay
+# finite where a naive 1/nu(x) prefactor would overflow.
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class _GaussPiece:
-    """Shape exp(-(x - mean)^2 / (2 var)) restricted to [lo, hi]."""
+    """exp(log_amp) * exp(-(x - mean)^2 / (2 var)) restricted to [lo, hi]."""
 
     mean: float
     var: float
     lo: float
     hi: float
+    log_amp: float = 0.0
 
     @property
     def std(self) -> float:
@@ -91,7 +92,7 @@ class _GaussPiece:
 
     def reflected(self) -> "_GaussPiece":
         """The piece mirrored by y -> -y."""
-        return _GaussPiece(mean=-self.mean, var=self.var, lo=-self.hi, hi=-self.lo)
+        return replace(self, mean=-self.mean, lo=-self.hi, hi=-self.lo)
 
     def ratio_left(self, x, u=-np.inf):
         """int_u^x shape(y) dy / shape(x).
@@ -120,26 +121,59 @@ class _GaussPiece:
                     out = np.where(falling, grow, out)
         return out
 
-    def mode_in(self, u: float, v: float) -> float:
-        return min(max(self.mean, u), v)
+    def first_moment(self, m0, lo, nu_lo, hi, nu_hi):
+        """int_lo^hi y shape(y) dy in the units of m0 = int_lo^hi shape, given the
+        shape at the ends, nu_lo and nu_hi, in those units (0 at an infinite
+        end).  An end is a scalar or an array of finite points."""
+        return self.mean * m0 + self.var * (nu_lo - nu_hi)
+
+    def raw_moments(self, m: int, u: float, v: float, mass: float, nu_u: float, nu_v: float):
+        """[M_0..M_m], M_k = int_u^v y^k nu, from M_0 = mass and nu at the ends."""
+        mom = [mass]
+        for k in range(1, m + 1):
+            bu = u ** (k - 1) * nu_u if math.isfinite(u) else 0.0
+            bv = v ** (k - 1) * nu_v if math.isfinite(v) else 0.0
+            prev2 = mom[k - 2] if k >= 2 else 0.0
+            mom.append(self.mean * mom[k - 1] + self.var * (k - 1) * prev2 + self.var * (bu - bv))
+        return mom
+
+    def upper_point(self, log_eps: float) -> float:
+        """A point with about eps of the piece's mass above it."""
+        s = self.std
+        log_target = log_eps - self.log_amp - math.log(s * _SQRT_2PI)
+        z = float(special.ndtri_exp(min(log_target, math.log(0.5))))
+        return self.mean - s * min(z, -1.0)
+
+    def invert(self, u, mass):
+        """t with int_u^t nu = mass; nan or out of range where that rounds badly."""
+        s = self.std
+        zu = (u - self.mean) / s
+        target = special.ndtr(zu) + mass * math.exp(-self.log_amp) / (s * _SQRT_2PI)
+        with np.errstate(invalid="ignore"):
+            return self.mean + s * special.ndtri(target)
+
+    @property
+    def mode(self) -> float:
+        return min(max(self.mean, self.lo), self.hi)
 
 
 @dataclass(frozen=True)
 class _ExpPiece:
-    """Shape exp(-rate * x) on [lo, hi].
+    """exp(log_amp) * exp(-rate * x) on [lo, hi].
 
     The density's piece has rate > 0 and hi = inf.  Its reflection has
-    rate < 0 and lo = -inf and is used only by the tail ratios; ``log_mass``
-    and ``mode_in`` assume rate > 0.
+    rate < 0 and lo = -inf and is used only by the tail ratios; the other
+    closed forms assume rate > 0.
     """
 
     rate: float
     lo: float
     hi: float
+    log_amp: float = 0.0
 
     def reflected(self) -> "_ExpPiece":
         """The piece mirrored by y -> -y."""
-        return _ExpPiece(rate=-self.rate, lo=-self.hi, hi=-self.lo)
+        return replace(self, rate=-self.rate, lo=-self.hi, hi=-self.lo)
 
     def log_shape(self, x):
         return -self.rate * np.asarray(x, dtype=float)
@@ -163,8 +197,78 @@ class _ExpPiece:
             span = np.where(np.isfinite(u_arr), x_arr - u_arr, np.inf)
             return np.expm1(self.rate * span) / self.rate
 
-    def mode_in(self, u: float, v: float) -> float:
-        return u
+    def first_moment(self, m0, lo, nu_lo, hi, nu_hi):
+        r = self.rate
+        # one expression, so numpy reuses the buffers of the cell-sized temporaries
+        return (nu_lo * (lo / r + 1.0 / (r * r)) if np.isfinite(lo).all() else 0.0) - (
+            nu_hi * (hi / r + 1.0 / (r * r)) if np.isfinite(hi).all() else 0.0
+        )
+
+    def raw_moments(self, m: int, u: float, v: float, mass: float, nu_u: float, nu_v: float):
+        r = self.rate
+        mom = [mass]
+        for k in range(1, m + 1):
+            bu = u**k * nu_u if math.isfinite(u) else 0.0
+            bv = v**k * nu_v if math.isfinite(v) else 0.0
+            mom.append((k / r) * mom[k - 1] + (bu - bv) / r)
+        return mom
+
+    def upper_point(self, log_eps: float) -> float:
+        return (self.log_amp - math.log(self.rate) - log_eps) / self.rate
+
+    def invert(self, u, mass):
+        r = self.rate
+        w_u = np.exp(self.log_amp - r * u)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return (self.log_amp - np.log(w_u - r * mass)) / r
+
+    @property
+    def mode(self) -> float:
+        return self.lo
+
+
+def _log_nu(piece: _GaussPiece | _ExpPiece, x):
+    return piece.log_amp + piece.log_shape(x)
+
+
+def _nu_or_zero(piece: _GaussPiece | _ExpPiece, t, log_unit=0.0):
+    t_arr = np.asarray(t, dtype=float)
+    with np.errstate(invalid="ignore"):
+        val = np.exp(_log_nu(piece, t_arr) - log_unit)
+    return np.where(np.isfinite(t_arr), val, 0.0)
+
+
+def _piece_integral(piece: _GaussPiece | _ExpPiece, u, v, first: bool, log_unit=0.0):
+    """int_u^v w(y) nu(y) dy / exp(log_unit) for ends inside the piece, w = 1 or y.
+
+    ``log_unit`` is 0 for masses and moments and log nu(x) for the
+    whole-piece parts of the tail ratios: every term is then exp(log
+    difference), so extreme amplitude splits stay finite and a no-mass
+    piece contributes 0, never nan.  Subtracting 0.0 leaves a double as
+    it is.
+    """
+    val = np.exp(piece.log_amp + piece.log_mass(u, v) - log_unit)
+    if not first:
+        return val
+    nu_u = _nu_or_zero(piece, u, log_unit)
+    nu_v = _nu_or_zero(piece, v, log_unit)
+    return piece.first_moment(val, u, nu_u, v, nu_v)
+
+
+def _piece_moments(piece: _GaussPiece | _ExpPiece, m: int, u: float, v: float) -> list[float]:
+    """[M_0..M_m] with M_j = int_u^v y^j nu(y) dy restricted to the piece.
+
+    Density-scaled recurrences: every term is a probability-weighted
+    quantity, so nothing overflows even when the raw amplitude would.
+    """
+    u = max(u, piece.lo)
+    v = min(v, piece.hi)
+    if not v > u:
+        return [0.0] * (m + 1)
+    mass = math.exp(piece.log_amp + float(piece.log_mass(u, v)))
+    nu_u = float(_nu_or_zero(piece, u))
+    nu_v = float(_nu_or_zero(piece, v))
+    return piece.raw_moments(m, u, v, mass, nu_u, nu_v)
 
 
 def _piece_ratio(piece: _GaussPiece | _ExpPiece, t, first: bool):
@@ -178,23 +282,7 @@ def _piece_ratio(piece: _GaussPiece | _ExpPiece, t, first: bool):
         if math.isfinite(floor)
         else 0.0
     )
-    return _first_moment(piece, r0, floor, shape_floor, t, 1.0)
-
-
-def _first_moment(piece: _GaussPiece | _ExpPiece, m0, lo, nu_lo, hi, nu_hi):
-    """int_lo^hi y shape(y) dy, in the units of m0 = int_lo^hi shape.
-
-    nu_lo and nu_hi are the shape at the ends in those same units.  An end
-    is a scalar or an array of finite points; an infinite end carries 0 and
-    drops out.
-    """
-    if isinstance(piece, _GaussPiece):
-        return piece.mean * m0 + piece.var * (nu_lo - nu_hi)
-    r = piece.rate
-    # one expression, so numpy reuses the buffers of the cell-sized temporaries
-    return (nu_lo * (lo / r + 1.0 / (r * r)) if np.isfinite(lo).all() else 0.0) - (
-        nu_hi * (hi / r + 1.0 / (r * r)) if np.isfinite(hi).all() else 0.0
-    )
+    return piece.first_moment(r0, floor, shape_floor, t, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -208,46 +296,26 @@ class DiffusionDensity:
 
     ``regime`` is one of ``erlangC``, ``erlangA_under``, ``erlangA_over``
     (critical load R = n is filed under the underloaded branch; the two
-    formulas coincide there).  ``switch_point`` is the gluing point -zeta.
+    formulas coincide there).  ``left`` and ``right`` are the pieces on
+    either side of the gluing point ``switch_point`` = -zeta, each with its
+    own amplitude; the density loops over them without knowing their shapes.
     """
 
     derived: DerivedQuantities
     regime: str
-    mu: float
-    alpha: float
-    zeta: float
-    log_a_minus: float
-    log_a_plus: float
     left: _GaussPiece
     right: _GaussPiece | _ExpPiece
 
     @property
     def switch_point(self) -> float:
-        return -self.zeta
-
-    @property
-    def a_minus(self) -> float:
-        return math.exp(self.log_a_minus)
-
-    @property
-    def a_plus(self) -> float:
-        with np.errstate(over="ignore"):
-            return float(np.exp(self.log_a_plus))
-
-    def _piece(self, which: int):
-        return self.left if which == 0 else self.right
-
-    def _log_amp(self, which: int) -> float:
-        return self.log_a_minus if which == 0 else self.log_a_plus
+        return -self.derived.zeta
 
     # -- pointwise evaluation -------------------------------------------------
 
     def log_pdf(self, x):
         x_arr = np.asarray(x, dtype=float)
         out = np.where(
-            x_arr <= self.switch_point,
-            self.log_a_minus + self.left.log_shape(x_arr),
-            self.log_a_plus + self.right.log_shape(x_arr),
+            x_arr <= self.switch_point, _log_nu(self.left, x_arr), _log_nu(self.right, x_arr)
         )
         return out if x_arr.ndim else float(out)
 
@@ -283,79 +351,23 @@ class DiffusionDensity:
             np.asarray(u, dtype=float), np.asarray(v, dtype=float)
         )
         out = np.zeros(u_arr.shape)
-        for w in (0, 1):
-            piece = self._piece(w)
+        for piece in (self.left, self.right):
             reach = (u_arr < piece.hi) & (v_arr > piece.lo)
             if not np.any(reach):
                 continue
             uu = np.maximum(u_arr[reach], piece.lo)
             vv = np.minimum(v_arr[reach], piece.hi)
             # computed before out[reach] is read, so the two never coexist
-            val = self._piece_integral(w, uu, vv, first)
+            val = _piece_integral(piece, uu, vv, first)
             out[reach] += val
         return out
 
-    def _piece_integral(self, which: int, u, v, first: bool, log_unit=0.0):
-        """int_u^v w(y) nu(y) dy / exp(log_unit) for ends inside one piece.
-
-        ``log_unit`` is 0 for masses and moments and log nu(x) for the
-        whole-piece parts of the tail ratios: every term is then exp(log
-        difference), so extreme amplitude splits stay finite and a no-mass
-        piece contributes 0, never nan.  Subtracting 0.0 leaves a double as
-        it is.
-        """
-        piece = self._piece(which)
-        val = np.exp(self._log_amp(which) + piece.log_mass(u, v) - log_unit)
-        if not first:
-            return val
-        nu_u = self._nu_or_zero(which, u, log_unit)
-        nu_v = self._nu_or_zero(which, v, log_unit)
-        return _first_moment(piece, val, u, nu_u, v, nu_v)
-
-    def _nu_or_zero(self, which: int, t, log_unit=0.0):
-        t_arr = np.asarray(t, dtype=float)
-        piece = self._piece(which)
-        with np.errstate(invalid="ignore"):
-            val = np.exp(self._log_amp(which) + piece.log_shape(t_arr) - log_unit)
-        return np.where(np.isfinite(t_arr), val, 0.0)
-
     # -- partial raw moments ---------------------------------------------------
-
-    def _piece_moments(self, which: int, m: int, u: float, v: float) -> list[float]:
-        """[M_0..M_m] with M_j = int_u^v y^j nu(y) dy restricted to one piece.
-
-        Density-scaled recurrences: every term is a probability-weighted
-        quantity, so nothing overflows even when the raw amplitude would.
-        """
-        piece = self._piece(which)
-        u = max(u, piece.lo)
-        v = min(v, piece.hi)
-        if not v > u:
-            return [0.0] * (m + 1)
-        log_amp = self._log_amp(which)
-        mass = math.exp(log_amp + float(piece.log_mass(u, v)))
-        nu_u = float(self._nu_or_zero(which, u))
-        nu_v = float(self._nu_or_zero(which, v))
-        mom = [mass]
-        if isinstance(piece, _GaussPiece):
-            mean, var = piece.mean, piece.var
-            for jj in range(1, m + 1):
-                bu = u ** (jj - 1) * nu_u if math.isfinite(u) else 0.0
-                bv = v ** (jj - 1) * nu_v if math.isfinite(v) else 0.0
-                prev2 = mom[jj - 2] if jj >= 2 else 0.0
-                mom.append(mean * mom[jj - 1] + var * (jj - 1) * prev2 + var * (bu - bv))
-        else:
-            r = piece.rate
-            for jj in range(1, m + 1):
-                bu = u**jj * nu_u if math.isfinite(u) else 0.0
-                bv = v**jj * nu_v if math.isfinite(v) else 0.0
-                mom.append((jj / r) * mom[jj - 1] + (bu - bv) / r)
-        return mom
 
     def partial_raw_moment(self, m: int, lo: float, hi: float) -> float:
         """int_lo^hi y^m nu(y) dy, exact per piece."""
         return (
-            self._piece_moments(0, m, lo, hi)[m] + self._piece_moments(1, m, lo, hi)[m]
+            _piece_moments(self.left, m, lo, hi)[m] + _piece_moments(self.right, m, lo, hi)[m]
         )
 
     def mean(self) -> float:
@@ -396,25 +408,20 @@ class DiffusionDensity:
         sign = -1.0 if first and not below else 1.0
 
         # contribution of the piece containing t, out to that piece's edge
-        for w in (0, 1):
-            in_piece = (t_arr <= j) if w == 0 else (t_arr > j)
+        for piece, in_piece in ((self.left, t_arr <= j), (self.right, t_arr > j)):
             if not np.any(in_piece):
                 continue
-            piece, t_in = self._piece(w), t_arr[in_piece]
+            t_in = t_arr[in_piece]
             if not below:
                 piece, t_in = piece.reflected(), -t_in
             base = sign * _piece_ratio(piece, t_in, first)
-            scale = np.exp(
-                self._log_amp(w) + piece.log_shape(t_in) - log_nu_x[in_piece]
-            )
-            out[in_piece] += base * scale
+            out[in_piece] += base * np.exp(_log_nu(piece, t_in) - log_nu_x[in_piece])
 
         # the whole other piece when t lies past the junction
         past = (t_arr > j) if below else (t_arr <= j)
         if np.any(past):
-            w = 0 if below else 1
-            piece = self._piece(w)
-            out[past] += self._piece_integral(w, piece.lo, piece.hi, first, log_nu_x[past])
+            piece = self.left if below else self.right
+            out[past] += _piece_integral(piece, piece.lo, piece.hi, first, log_nu_x[past])
         return out if np.ndim(x) else float(out[0])
 
     # -- quantiles -------------------------------------------------------------
@@ -422,29 +429,18 @@ class DiffusionDensity:
     def tail_points(self, eps: float) -> tuple[float, float]:
         """Points bracketing all but ~eps of the mass (coarse closed forms).
 
-        Each side solves the eps-quantile within its own piece through the
-        log-domain inverse normal CDF; a piece holding less than eps of mass
-        contributes its junction instead.
+        Each side solves the eps-quantile within its own piece, the lower
+        one as the negated upper point of the reflected left piece; a piece
+        holding less than eps of mass contributes its junction instead.
         """
         j = self.switch_point
         log_eps = math.log(eps)
-        lp = self.left
-        if self.log_a_minus + float(lp.log_mass(-np.inf, j)) > log_eps:
-            log_target = log_eps - self.log_a_minus - math.log(lp.std * _SQRT_2PI)
-            z = float(special.ndtri_exp(min(log_target, math.log(0.5))))
-            x_lo = lp.mean + lp.std * min(z, -1.0)
-        else:
-            x_lo = j
-        rp = self.right
-        if self.log_a_plus + float(rp.log_mass(j, np.inf)) > log_eps:
-            if isinstance(rp, _ExpPiece):
-                x_hi = (self.log_a_plus - math.log(rp.rate) - log_eps) / rp.rate
-            else:
-                log_target = log_eps - self.log_a_plus - math.log(rp.std * _SQRT_2PI)
-                z = float(special.ndtri_exp(min(log_target, math.log(0.5))))
-                x_hi = rp.mean - rp.std * min(z, -1.0)
-        else:
-            x_hi = j
+
+        def upper(piece):
+            has_mass = piece.log_amp + float(piece.log_mass(piece.lo, piece.hi)) > log_eps
+            return piece.upper_point(log_eps) if has_mass else piece.lo
+
+        x_lo, x_hi = -upper(self.left.reflected()), upper(self.right)
         return min(x_lo, j) - 1.0, max(x_hi, j) + 1.0
 
     def invert_cdf_in_cells(self, u, v, f_u, level):
@@ -455,28 +451,14 @@ class DiffusionDensity:
         straddles -zeta starts its right part there.  Each piece inverts in
         closed form, with bisection where that rounds outside the cell.
         """
-        j = self.switch_point
-        f_j = self.cdf(j)
+        f_j = self.cdf(self.switch_point)
         out = np.empty_like(u)
-        for w in (0, 1):
-            mask = level > f_j if w else level <= f_j
+        for piece, mask in ((self.left, level <= f_j), (self.right, level > f_j)):
             if not np.any(mask):
                 continue
-            piece = self._piece(w)
             uu = np.maximum(u[mask], piece.lo)
             vv = np.minimum(v[mask], piece.hi)
-            mm = level[mask] - np.where(uu > u[mask], f_j, f_u[mask])
-            log_amp = self._log_amp(w)
-            if isinstance(piece, _ExpPiece):
-                r = piece.rate
-                w_u = np.exp(log_amp - r * uu)
-                t = (log_amp - np.log(w_u - r * mm)) / r
-            else:
-                s = piece.std
-                zu = (uu - piece.mean) / s
-                target = special.ndtr(zu) + mm * math.exp(-log_amp) / (s * _SQRT_2PI)
-                with np.errstate(invalid="ignore"):
-                    t = piece.mean + s * special.ndtri(target)
+            t = piece.invert(uu, level[mask] - np.where(uu > u[mask], f_j, f_u[mask]))
             bad = ~np.isfinite(t) | (t < uu) | (t > vv)
             if np.any(bad):
                 t = np.where(bad, self._bisect_cdf(uu, vv, level[mask]), t)
@@ -518,19 +500,14 @@ def build_density(derived: DerivedQuantities) -> DiffusionDensity:
 
     log_mass_left = float(left.log_mass(-np.inf, j))
     log_mass_right = float(right.log_mass(j, np.inf))
-    # continuity at the junction: a_minus * shapeL(j) = a_plus * shapeR(j)
+    # continuity at the junction: amp_left * shapeL(j) = amp_right * shapeR(j)
     log_ratio = float(left.log_shape(j)) - float(right.log_shape(j))
-    log_a_minus = -np.logaddexp(log_mass_left, log_ratio + log_mass_right)
+    log_amp_left = -np.logaddexp(log_mass_left, log_ratio + log_mass_right)
     return DiffusionDensity(
         derived=derived,
         regime=regime,
-        mu=mu,
-        alpha=alpha,
-        zeta=zeta,
-        log_a_minus=float(log_a_minus),
-        log_a_plus=float(log_a_minus + log_ratio),
-        left=left,
-        right=right,
+        left=replace(left, log_amp=float(log_amp_left)),
+        right=replace(right, log_amp=float(log_amp_left + log_ratio)),
     )
 
 
@@ -554,13 +531,10 @@ def density_sup_check(d: DiffusionDensity) -> Check:
     sqrt(alpha/mu) for the overloaded case.  The sup is attained at a piece
     mode or the junction, so no search is needed.
     """
-    j = d.switch_point
-    candidates = [j, d.left.mode_in(-np.inf, j), d.right.mode_in(j, np.inf)]
-    sup = float(np.max(d.pdf(np.asarray(candidates))))
+    sup = float(np.max(d.pdf(np.asarray([d.switch_point, d.left.mode, d.right.mode]))))
+    bound = math.sqrt(2.0 / math.pi)
     if d.regime == "erlangA_over":
-        bound = math.sqrt(2.0 / math.pi) * math.sqrt(d.alpha / d.mu)
-    else:
-        bound = math.sqrt(2.0 / math.pi)
+        bound *= math.sqrt(d.derived.alpha / d.derived.mu)
     return Check.at_most("density_sup", sup, bound, rtol=1e-12)
 
 

@@ -142,7 +142,7 @@ class PoissonSolution:
         else:
             h_int = mass - ratio(x, cutoff=h.parameter)
         sign = 1.0 if below else -1.0
-        return sign * (self.h_mean * mass - h_int) / d.mu
+        return sign * (self.h_mean * mass - h_int) / self.derived.mu
 
     def f_prime(self, x):
         """f', switching representations at the density mode (0 in every regime)."""
@@ -174,7 +174,7 @@ class PoissonSolution:
         """
         x_arr = np.atleast_1d(np.asarray(x, dtype=float))
         der = self.derived
-        mu = self.density.mu
+        mu = der.mu
         fp = self.f_prime(x_arr)
         b = drift(der, x_arr)
         fpp = (self.h_mean - self.h.value(x_arr) - b * fp) / mu
@@ -248,7 +248,7 @@ def _sample_grid(d: DiffusionDensity) -> np.ndarray:
         grid[hit] += step * 1e-6
     if not np.any(grid <= 0.0):
         raise EvaluationRangeError(
-            f"zeta = {d.zeta:.6g}: the sample grid step {step:.3g} is too coarse "
+            f"zeta = {d.derived.zeta:.6g}: the sample grid step {step:.3g} is too coarse "
             "to hold a point at or below 0"
         )
     return grid
@@ -349,7 +349,7 @@ def _ratio_rows(d: DiffusionDensity, grid: np.ndarray, under: bool) -> list[Chec
     rows compare natural logs (names end in ``_log``).  An empty middle
     region reads as a zero ratio: 0.0, or -inf in logs.
     """
-    mu, alpha, zeta = d.mu, d.alpha, d.zeta
+    mu, alpha, zeta = d.derived.mu, d.derived.alpha, d.derived.zeta
     az = abs(zeta)
     j = -zeta
     inv_az = math.inf if az == 0.0 else 1.0 / az
@@ -453,7 +453,7 @@ def _shape_rows_erlang_a(
     can be tracked across sweeps; no pass/fail verdict.  A middle region
     with no grid point has no row.
     """
-    mu, alpha, zeta = d.mu, d.alpha, d.zeta
+    mu, alpha, zeta = d.derived.mu, d.derived.alpha, d.derived.zeta
     az = abs(zeta)
     j = -zeta
     inv_az = math.inf if az == 0.0 else 1.0 / az

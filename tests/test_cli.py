@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -135,6 +138,22 @@ class TestExitCodes:
     def test_validation_error(self, capsys):
         assert cli.main(["distance", "--lambda", "6", "--n", "5"]) == 1
         assert "error" in capsys.readouterr().err
+
+    def test_distance_writes_nothing_to_stderr(self):
+        # the exponential piece's closed-form cell inverse takes the log of a
+        # negative number here; bisection replaces that nan without a warning
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        argv = ["distance", "--lambda", "1.8437837412319305", "--n", "2"]
+        proc = subprocess.run(
+            [sys.executable, "-W", "default", "-m", "erlangdiff.cli", *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+            check=False,
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert proc.stdout
 
     def test_verify_passes(self, tmp_path):
         code, payload = run_cli(

@@ -5,7 +5,7 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln
 
@@ -352,6 +352,22 @@ class TestMoment:
         with pytest.raises(ValueError):
             moment(dist, 21)
 
+    @pytest.mark.parametrize(
+        ("lam", "n", "m"),
+        [
+            (4.37144481261109, 7, 9),
+            (6.506643848685942, 10, 9),
+            (6.90200036946078, 10, 6),
+            (1.7431295383264858, 3, 10),
+            (4.703755927359889, 7, 6),
+            (9.71977383054598, 14, 7),
+        ],
+    )
+    def test_moment_order_certifies_the_shifted_moment(self, lam, n, m):
+        # moment_order=m certifies E|X + zeta|^m as well as E|X|^m, so this returns
+        dist = stationary_pmf(ModelParams(lam=lam, mu=1.0, n=n, alpha=0.0), moment_order=m)
+        assert moment(dist, m, "all", "plus_zeta") > 0.0
+
 
 class TestMemory:
     def test_moment_pipeline_holds_few_window_arrays(self):
@@ -415,6 +431,9 @@ class TestBlocks:
         block=st.integers(1, 20).map(lambda i: 2 * i + 1),
         cut=st.floats(0.0, 1.0),
         m=st.integers(0, 10),
+    )
+    @example(
+        params=ModelParams(lam=4.37144481261109, mu=1.0, n=7, alpha=0.0), block=3, cut=0.0, m=9
     )
     def test_blocks_keep_every_bit(self, params, block, cut, m):
         with pytest.MonkeyPatch.context() as mp:

@@ -35,15 +35,16 @@ class TestBuild:
     def test_erlang_c_normalizer_bounds(self):
         for lam, n in [(3.0, 5), (4.9, 5), (499.0, 500)]:
             d = density_for(ModelParams(lam=lam, mu=1.0, n=n, alpha=0.0))
-            z2 = d.zeta**2
-            assert d.a_minus <= math.sqrt(2.0 / math.pi) * (1 + 1e-12)
-            assert d.a_plus <= math.exp(z2 / 2.0) * math.sqrt(2.0 / math.pi) * (1 + 1e-12)
+            z2 = d.derived.zeta**2
+            assert math.exp(d.left.log_amp) <= math.sqrt(2.0 / math.pi) * (1 + 1e-12)
+            bound = math.exp(z2 / 2.0) * math.sqrt(2.0 / math.pi) * (1 + 1e-12)
+            assert math.exp(d.right.log_amp) <= bound
 
     def test_alpha_equals_mu_is_standard_gaussian(self):
         d = density_for(ModelParams(lam=5.0, mu=1.0, n=5, alpha=1.0))
         gauss_amp = 1.0 / math.sqrt(2.0 * math.pi)
-        assert d.a_minus == pytest.approx(gauss_amp, rel=1e-12)
-        assert d.a_plus == pytest.approx(gauss_amp, rel=1e-12)
+        assert math.exp(d.left.log_amp) == pytest.approx(gauss_amp, rel=1e-12)
+        assert math.exp(d.right.log_amp) == pytest.approx(gauss_amp, rel=1e-12)
         assert moment(d, 1) == pytest.approx(0.0, abs=1e-14)
         assert moment(d, 2) == pytest.approx(1.0, rel=1e-12)
 
@@ -57,7 +58,7 @@ class TestBuild:
         # (R - n)/sqrt(R) = -1/2 with n = 5, alpha = 4
         sqrt_r = (-0.5 + math.sqrt(0.25 + 20.0)) / 2.0
         d = density_for(ModelParams(lam=sqrt_r * sqrt_r, mu=1.0, n=5, alpha=4.0))
-        assert d.zeta == pytest.approx(-0.5, abs=1e-12)
+        assert d.derived.zeta == pytest.approx(-0.5, abs=1e-12)
         assert d.regime == "erlangA_under"
         assert quad_total(d, d.pdf) == pytest.approx(1.0, abs=1e-12)
 
@@ -65,8 +66,8 @@ class TestBuild:
         for params in REGIME_EXAMPLES.values():
             d = density_for(params)
             j = d.switch_point
-            left = np.exp(d.log_a_minus + d.left.log_shape(j))
-            right = np.exp(d.log_a_plus + d.right.log_shape(j))
+            left = np.exp(d.left.log_amp + d.left.log_shape(j))
+            right = np.exp(d.right.log_amp + d.right.log_shape(j))
             assert left == pytest.approx(right, rel=1e-12)
 
     def test_rejects_nonnormalizable(self):
@@ -160,7 +161,7 @@ class TestMoments:
         for lam, n in [(3.0, 5), (4.9, 5), (499.0, 500)]:
             d = density_for(ModelParams(lam=lam, mu=1.0, n=n, alpha=0.0))
             e_abs = moment(d, 1, absolute=True)
-            assert e_abs <= 1.0 / abs(d.zeta) + 1.0
+            assert e_abs <= 1.0 / abs(d.derived.zeta) + 1.0
 
     def test_moment_order_cap(self):
         d = density_for(ModelParams(lam=4.0, mu=1.0, n=5, alpha=0.0))
@@ -272,3 +273,13 @@ class TestTailRatios:
             assert 0.0 < oracle < 1e-9
             assert d.sf(x) == pytest.approx(oracle, rel=1e-9)
             assert np.array_equal(d.sf(np.array([x])), [d.sf(x)])
+
+    @pytest.mark.parametrize("regime", list(REGIME_EXAMPLES))
+    def test_cdf_deep_left_tail_vs_quadrature(self, regime):
+        # the lower tail point is the negated upper point of the reflected left piece
+        d = density_for(REGIME_EXAMPLES[regime])
+        for eps in (1e-10, 1e-30, 1e-80):
+            x = d.tail_points(eps)[0]
+            oracle = integrate.quad(d.pdf, -np.inf, x, epsabs=0.0, epsrel=1e-13, limit=300)[0]
+            assert 0.0 < oracle < 1e-9
+            assert d.cdf(x) == pytest.approx(oracle, rel=1e-9)

@@ -32,7 +32,7 @@ ALL_H = [
 def _poisson_residual(sol, x):
     """b f' + mu f'' - (h_mean - h), with f' and f'' evaluated separately."""
     b = drift(sol.derived, x)
-    return b * sol.f_prime(x) + sol.density.mu * sol.f_second(x) - (sol.h_mean - sol.h.value(x))
+    return b * sol.f_prime(x) + sol.derived.mu * sol.f_second(x) - (sol.h_mean - sol.h.value(x))
 
 
 class TestTestFunction:
@@ -53,7 +53,7 @@ class TestTestFunction:
 class TestMeanH:
     def test_far_right_indicator(self):
         d = density_for(C_PARAMS)
-        a = d.switch_point + 60.0 / abs(d.zeta)
+        a = d.switch_point + 60.0 / abs(d.derived.zeta)
         assert mean_h(d, TestFunction.indicator(a)) == pytest.approx(1.0, abs=1e-12)
 
     def test_identity_symmetric_case(self):
@@ -111,7 +111,7 @@ class TestSolutionEvaluation:
     def test_constant_like_h_gives_zero(self):
         # an indicator far beyond the support behaves as a constant h
         d = density_for(C_PARAMS)
-        a = d.switch_point + 80.0 / abs(d.zeta)
+        a = d.switch_point + 80.0 / abs(d.derived.zeta)
         sol = build_solution(d, TestFunction.indicator(a))
         xs = np.linspace(-4.0, 4.0, 41)
         assert np.max(np.abs(sol.f_prime(xs))) < 1e-12
@@ -138,7 +138,7 @@ class TestSolutionEvaluation:
         right = sol.f_second(a + eps)
         at = sol.f_second(a)
         assert at == pytest.approx(left, abs=1e-6)
-        assert abs(right - left) == pytest.approx(1.0 / d.mu, rel=1e-6)
+        assert abs(right - left) == pytest.approx(1.0 / d.derived.mu, rel=1e-6)
 
     def test_third_derivative_rejections(self):
         sol = build_solution(density_for(C_PARAMS), TestFunction.identity())
