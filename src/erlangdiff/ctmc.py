@@ -167,7 +167,9 @@ class DiscreteStationary:
     ``states`` and ``death_rates`` are built anew on each read.  Moments
     and the tail bounds read none of them: a moment holds ``log_pmf`` and
     one terms buffer, with x and pmf built block by block.  ``pmf``, ``x``
-    and ``cdf_values`` are read by the distances and the verify suites.
+    and ``cdf_values`` are read by the distances and the verify suites; the
+    distances add one window-length array of cell areas and walk the window
+    ``_BLOCK`` cells at a time, so the rest of their scratch is block-sized.
     ``k_max >= k_top`` is the certified truncation index; ``log_pmf_end``
     and ``tail_ratio`` = lam/d(k_max + 1) are its pmf and tail ratio.
     ``tail_bound`` certifies all the mass left out: the head below k_min,
@@ -180,9 +182,11 @@ class DiscreteStationary:
     log_pmf: np.ndarray = field(repr=False)
     log_pmf_end: float
     tail_ratio: float
-    # (m, sum of |x|^m pmf over the window) when stationary_pmf certified
-    # moments of order m; ``moment`` reuses the sum as its scale
-    _abs_moment_sum: tuple[int, float] | None = field(default=None, repr=False)
+    # (m, {offset: sum of |x + offset|^m pmf over the window}) for the sums
+    # stationary_pmf took while certifying moments of order m (offset 0 and,
+    # where the Minkowski floor fell short, zeta); ``moment`` reuses them as
+    # its scale
+    _abs_moment_sums: tuple[int, dict[float, float]] | None = field(default=None, repr=False)
 
     @property
     def params(self) -> ModelParams:
@@ -387,8 +391,9 @@ def _truncated_pmf(
 
 
 def _with_certified_moments(dist: DiscreteStationary, m: int) -> DiscreteStationary | None:
-    """dist carrying its sum of |x|^m pmf, or None if its tails could move
-    that sum or the sum of |x + zeta|^m pmf by more than 1e-8 relative.
+    """dist carrying the window sums of |x|^m pmf (and of |x + zeta|^m pmf
+    where it took that one), or None if its tails could move either sum by
+    more than 1e-8 relative.
 
     The window has unit mass, so Minkowski gives the floor
     (sum |x|^m pmf)^(1/m) - |zeta| <= (sum |x + zeta|^m pmf)^(1/m); the
@@ -405,11 +410,12 @@ def _with_certified_moments(dist: DiscreteStationary, m: int) -> DiscreteStation
     zeta = dist.derived.zeta
     shifted_bound = dist.moment_tail_bound(m, shift=zeta)
     floor = max(total ** (1.0 / m) - abs(zeta), 0.0) ** m
+    sums = {0.0: total}
     if shifted_bound > _REL_MOMENT_TOL * floor * (1.0 - 1e-9):
-        shifted = _exact_sum(_moment_terms(dist, slice(None), zeta, m, scratch))
-        if shifted_bound > _REL_MOMENT_TOL * max(shifted, np.finfo(float).tiny):
+        sums[zeta] = _exact_sum(_moment_terms(dist, slice(None), zeta, m, scratch))
+        if shifted_bound > _REL_MOMENT_TOL * max(sums[zeta], np.finfo(float).tiny):
             return None
-    return replace(dist, _abs_moment_sum=(m, total))
+    return replace(dist, _abs_moment_sums=(m, sums))
 
 
 def _moment_terms(
@@ -489,8 +495,11 @@ def moment(
     # certify against the full-support absolute moment: a region whose true
     # mass sits below the window's cut is exactly 0 in double precision and
     # no tail tolerance could make it relatively accurate
-    if shift == "none" and dist._abs_moment_sum is not None and dist._abs_moment_sum[0] == m:
-        scale = dist._abs_moment_sum[1]
+    sums = dist._abs_moment_sums
+    if region == "all" and absolute:
+        scale = result
+    elif sums is not None and sums[0] == m and offset in sums[1]:
+        scale = sums[1][offset]
     else:
         scale = _exact_sum(_moment_terms(dist, slice(None), offset, m, scratch))
     tail = dist.moment_tail_bound(m, shift=offset)

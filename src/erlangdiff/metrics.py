@@ -7,6 +7,12 @@ diffusion CDF is piecewise Gaussian/exponential with closed antiderivatives
 (the x*Phi + phi form).  Within a cell the two cross at most once, at a point
 recovered by inverting the diffusion CDF piece in closed form.  The
 Kolmogorov distance is the exact supremum over the jump points.
+
+Both read the chain's ``x`` and ``cdf_values`` (and so its cached ``pmf``)
+and walk them ``ctmc._BLOCK`` states at a time, evaluating the diffusion CDF
+once per cell edge.  The Wasserstein cell areas are the one window-length
+array they add, kept whole so that their sum runs over the same array as in
+one pass; all other scratch is block-sized.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import ctmc
 from .ctmc import DiscreteStationary, _exact_sum, moment as chain_moment, stationary_pmf
 from .diffusion import (
     DiffusionDensity,
@@ -59,20 +66,29 @@ def kolmogorov_distance(dist: DiscreteStationary, d) -> float:
 
     The chain CDF is flat on each cell, so the supremum is attained at a
     grid point approached from one side or the other; both candidates are
-    checked at every state.  Past the window the chain CDF stays at its
-    last value up to k_max, where |c - F| peaks at an end point, so x(k_max)
-    joins the candidates.  ``d`` only needs a vectorized ``cdf``; it is a
-    continuous law, so its value at a grid point is also its left limit.
+    checked at every state, ``ctmc._BLOCK`` states at a time.  Past the
+    window the chain CDF stays at its last value up to k_max, where
+    |c - F| peaks at an end point, so x(k_max) joins the candidates.  ``d``
+    only needs a vectorized ``cdf``; it is a continuous law, so its value
+    at a grid point is also its left limit.
     """
     x = dist.x
     c = dist.cdf_values
-    c_prev = np.concatenate(([0.0], c[:-1]))
+    block = ctmc._BLOCK
+    peaks = []
+    for lo in range(0, x.size, block):
+        hi = min(lo + block, x.size)
+        f_y = np.asarray(d.cdf(x[lo:hi]), dtype=float)
+        # from the left the chain CDF reads the state before's value, 0 before the first
+        c_prev = np.empty(hi - lo)
+        c_prev[0] = c[lo - 1] if lo else 0.0
+        c_prev[1:] = c[lo : hi - 1]
+        peaks.append(np.max(np.maximum(np.abs(c[lo:hi] - f_y), np.abs(c_prev - f_y))))
     if dist.k_top < dist.k_max:
-        x = np.append(x, dist.x_max)
-        c_prev = np.append(c_prev, c[-1])
-        c = np.append(c, c[-1])
-    f_y = np.asarray(d.cdf(x), dtype=float)
-    return float(np.max(np.maximum(np.abs(c - f_y), np.abs(c_prev - f_y))))
+        f_end = np.asarray(d.cdf(np.array([dist.x_max])), dtype=float)
+        peaks.append(np.abs(c[-1] - f_end)[0])
+    # np.max, not max(): a nan candidate still makes the distance nan
+    return float(np.max(peaks))
 
 
 def _cdf_antiderivative(d: DiffusionDensity, u: np.ndarray, v: np.ndarray, f_u: np.ndarray):
@@ -82,39 +98,23 @@ def _cdf_antiderivative(d: DiffusionDensity, u: np.ndarray, v: np.ndarray, f_u: 
     return f_u * (v - u) + v * m0 - m1
 
 
-def wasserstein_distance(dist: DiscreteStationary, d: DiffusionDensity) -> float:
-    """W1 distance as the exact area between the two CDFs.
+def _cell_areas(d: DiffusionDensity, edges: np.ndarray, level: np.ndarray, out: np.ndarray):
+    """int |level - F_Y| over the cells between consecutive ``edges``, into ``out``.
 
-    Cell by cell: if the diffusion CDF stays on one side of the chain level,
-    the area is a closed-form antiderivative difference; otherwise the unique
-    crossing is found by the piece inverse CDF and the area split there.
-    From the last window state to k_max the chain CDF is flat, so that
-    stretch is one cell (two if the density's kink x_n = -zeta falls
-    inside).  Tails beyond the grid are closed-form partial first moments.
+    F_Y is evaluated once per edge.  If it stays on one side of the chain
+    level, a cell's area is a closed-form antiderivative difference;
+    otherwise the unique crossing is found by the piece inverse CDF and the
+    area split there.
     """
-    x = dist.x
-    c = dist.cdf_values
-    u, v = x[:-1], x[1:]
-    level = c[:-1]
-    x_end = x[-1]
-    if dist.k_top < dist.k_max:
-        x_end = dist.x_max
-        edges = [x[-1], x_end]
-        # one cell across the kink -zeta is integrated right too; the split
-        # keeps d_W's bits (about 1e-12 relative apart in heavily staffed Erlang-A)
-        if dist.k_top < dist.params.n < dist.k_max:
-            edges.insert(1, -dist.derived.zeta)
-        u = np.append(u, edges[:-1])
-        v = np.append(v, edges[1:])
-        level = np.append(level, np.full(len(edges) - 1, c[-1]))
-    f_u = np.asarray(d.cdf(u), dtype=float)
-    f_v = np.asarray(d.cdf(v), dtype=float)
+    u, v = edges[:-1], edges[1:]
+    f = np.asarray(d.cdf(edges), dtype=float)
+    f_u, f_v = f[:-1], f[1:]
     area_full = _cdf_antiderivative(d, u, v, f_u)
     width = v - u
     above = f_u >= level  # F_Y >= level across the whole cell
     below = f_v <= level
     crossing = ~above & ~below
-    cell_area = np.where(
+    out[:] = np.where(
         above,
         area_full - level * width,
         np.where(below, level * width - area_full, 0.0),
@@ -126,7 +126,37 @@ def wasserstein_distance(dist: DiscreteStationary, d: DiffusionDensity) -> float
         left_part = lev * (t - uu) - _cdf_antiderivative(d, uu, t, f_u[crossing])
         f_t = np.asarray(d.cdf(t), dtype=float)
         right_part = _cdf_antiderivative(d, t, vv, f_t) - lev * (vv - t)
-        cell_area[crossing] = left_part + right_part
+        out[crossing] = left_part + right_part
+
+
+def wasserstein_distance(dist: DiscreteStationary, d: DiffusionDensity) -> float:
+    """W1 distance as the exact area between the two CDFs.
+
+    The window's cells go through ``_cell_areas`` ``ctmc._BLOCK`` at a
+    time, into one window-length array of cell areas.  From the last window
+    state to k_max the chain CDF is flat, so that stretch is one more cell
+    (two if the density's kink x_n = -zeta falls inside).  Tails beyond the
+    grid are closed-form partial first moments.
+    """
+    x = dist.x
+    c = dist.cdf_values
+    n_cells = x.size - 1
+    x_end = x[-1]
+    edges = [x_end]
+    if dist.k_top < dist.k_max:
+        x_end = dist.x_max
+        # one cell across the kink -zeta is integrated right too; the split
+        # keeps d_W's bits (about 1e-12 relative apart in heavily staffed Erlang-A)
+        if dist.k_top < dist.params.n < dist.k_max:
+            edges.append(-dist.derived.zeta)
+        edges.append(x_end)
+    cell_area = np.empty(n_cells + len(edges) - 1)
+    block = ctmc._BLOCK
+    for lo in range(0, n_cells, block):
+        hi = min(lo + block, n_cells)
+        _cell_areas(d, x[lo : hi + 1], c[lo:hi], cell_area[lo:hi])
+    if len(edges) > 1:
+        _cell_areas(d, np.array(edges), np.full(len(edges) - 1, c[-1]), cell_area[n_cells:])
 
     left_tail = x[0] * float(d.cdf(x[0])) - d.partial_raw_moment(1, -np.inf, x[0])
     right_tail = d.partial_raw_moment(1, x_end, np.inf) - x_end * float(d.sf(x_end))

@@ -115,3 +115,15 @@ def window_params(draw) -> ModelParams:
     beta = draw(st.floats(-1.0, 1.0))
     n = max(1, math.ceil(r + beta * math.sqrt(r)))
     return ModelParams(lam=r, mu=1.0, n=n, alpha=ratio)
+
+
+@st.composite
+def small_window_params(draw) -> ModelParams:
+    """R in [0.5, 300] around n = ceil(R + beta sqrt(R)): windows of tens to a
+    few thousand states, with the server count inside most of them."""
+    r = 10.0 ** draw(st.floats(math.log10(0.5), math.log10(300.0)))
+    if draw(st.booleans()):
+        n = math.ceil(r + draw(st.floats(0.5, 2.0)) * math.sqrt(r))
+        return ModelParams(lam=r, mu=1.0, n=n, alpha=0.0)
+    n = max(1, math.ceil(r + draw(st.floats(-1.0, 1.0)) * math.sqrt(r)))
+    return ModelParams(lam=r, mu=1.0, n=n, alpha=10.0 ** draw(st.floats(-2.0, 2.0)))

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln
 
-from conftest import density_for, full_grid_pmf, pmf_for, window_params
+from conftest import density_for, full_grid_pmf, pmf_for, small_window_params, window_params
 from erlangdiff import ctmc
 from erlangdiff.ctmc import (
     DiscreteStationary,
@@ -368,6 +368,27 @@ class TestMoment:
         dist = stationary_pmf(ModelParams(lam=lam, mu=1.0, n=n, alpha=0.0), moment_order=m)
         assert moment(dist, m, "all", "plus_zeta") > 0.0
 
+    def test_shifted_moment_takes_one_window_pass(self, monkeypatch):
+        # the certification scale of a shifted moment is the shifted sum that
+        # moment_order kept (|zeta| = 4 leaves the Minkowski floor at 0, so it
+        # was taken), or, for the whole window, the absolute result itself
+        params = ModelParams(lam=1.0, mu=1.0, n=5, alpha=0.0)
+        certified = stationary_pmf(params, moment_order=2)
+        plain = stationary_pmf(params)
+        assert certified.derived.zeta in certified._abs_moment_sums[1]
+        passes = []
+        terms = ctmc._moment_terms
+
+        def counted(*args, **kwargs):
+            passes.append(args[1])
+            return terms(*args, **kwargs)
+
+        monkeypatch.setattr(ctmc, "_moment_terms", counted)
+        for dist, region in ((certified, "above"), (plain, "all")):
+            passes.clear()
+            assert moment(dist, 2, region, "plus_zeta") > 0.0
+            assert len(passes) == 1
+
 
 class TestMemory:
     def test_moment_pipeline_holds_few_window_arrays(self):
@@ -410,24 +431,12 @@ def _plain_log_weights(params, k_lo, k_hi):
     return ell - (gammaln(k - served + (base + 1.0)) - gammaln(base + 1.0))
 
 
-@st.composite
-def _small_window_params(draw) -> ModelParams:
-    """R in [0.5, 300] around n = ceil(R + beta sqrt(R)): windows of tens to a
-    few thousand states, with the server count inside most of them."""
-    r = 10.0 ** draw(st.floats(math.log10(0.5), math.log10(300.0)))
-    if draw(st.booleans()):
-        n = math.ceil(r + draw(st.floats(0.5, 2.0)) * math.sqrt(r))
-        return ModelParams(lam=r, mu=1.0, n=n, alpha=0.0)
-    n = max(1, math.ceil(r + draw(st.floats(-1.0, 1.0)) * math.sqrt(r)))
-    return ModelParams(lam=r, mu=1.0, n=n, alpha=10.0 ** draw(st.floats(-2.0, 2.0)))
-
-
 class TestBlocks:
     # window passes run in blocks of ctmc._BLOCK states; with a small odd
     # block, block edges fall all over the window and inside every region
     @settings(max_examples=40, deadline=None)
     @given(
-        params=_small_window_params(),
+        params=small_window_params(),
         block=st.integers(1, 20).map(lambda i: 2 * i + 1),
         cut=st.floats(0.0, 1.0),
         m=st.integers(0, 10),

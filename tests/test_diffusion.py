@@ -6,6 +6,7 @@ from scipy import integrate
 
 from conftest import density_for
 from erlangdiff.diffusion import (
+    _piece_integral,
     build_density,
     density_sup_check,
     moment,
@@ -136,6 +137,22 @@ class TestPdfCdf:
                     + integrate.quad(d.pdf, j, x, limit=300)[0]
                 )
             assert d.cdf(x) == pytest.approx(oracle, abs=1e-10)
+
+    @pytest.mark.parametrize("params", list(REGIME_EXAMPLES.values()))
+    def test_whole_piece_integral_keeps_every_bit(self, params):
+        # cdf, sf and the first moments share one integral of a piece that an
+        # interval covers whole; the reference integrates it per interval
+        d = density_for(params)
+        xs = np.concatenate([np.linspace(-9.0, 12.0, 1001), [d.switch_point]])
+        for u, v in ((np.full_like(xs, -np.inf), xs), (xs, np.full_like(xs, np.inf))):
+            for first in (False, True):
+                ref = np.zeros(xs.shape)
+                for piece in (d.left, d.right):
+                    reach = (u < piece.hi) & (v > piece.lo)
+                    uu, vv = np.maximum(u[reach], piece.lo), np.minimum(v[reach], piece.hi)
+                    ref[reach] += _piece_integral(piece, uu, vv, first)
+                got = d._integral_between(u, v, first)
+                assert got.tobytes() == ref.tobytes()
 
     def test_stationary_ode(self):
         # -(d/dx) log pdf = -b(x)/mu away from the kink

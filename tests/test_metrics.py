@@ -1,11 +1,21 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
-from conftest import SPOT_SETS, density_for, full_grid_pmf, pmf_for, window_params
+from conftest import (
+    SPOT_SETS,
+    density_for,
+    full_grid_pmf,
+    pmf_for,
+    small_window_params,
+    window_params,
+)
+from erlangdiff import ctmc
 from erlangdiff.ctmc import stationary_pmf
 from erlangdiff.diffusion import build_density
 from erlangdiff.ctmc import moment as chain_moment
@@ -143,6 +153,45 @@ class TestWindowedDistances:
         last = dist.cdf_values[-1]
         assert dist.k_top < dist.k_max and np.max(dist.pmf) < last
         assert kolmogorov_distance(dist, _DropAtKMax(dist)) == last
+
+
+class TestBlocks:
+    # the distances walk the window ctmc._BLOCK cells at a time; with a small
+    # odd block, block edges fall all over the window
+    @settings(max_examples=30, deadline=None)
+    @given(params=small_window_params(), block=st.integers(1, 20).map(lambda i: 2 * i + 1))
+    # k_top < n < k_max: the flat stretch past the window splits at -zeta
+    @example(params=ModelParams(lam=100.0, mu=1.0, n=250, alpha=1.0), block=3)
+    # a long exponential tail: crossing cells fall back to _bisect_cdf
+    @example(params=ModelParams(lam=0.98, mu=1.0, n=1, alpha=0.0), block=5)
+    def test_blocks_keep_every_bit(self, params, block):
+        dist, d = pmf_for(params), density_for(params)
+        one_block = [wasserstein_distance(dist, d), kolmogorov_distance(dist, d)]
+        assert dist.log_pmf.size < ctmc._BLOCK
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ctmc, "_BLOCK", block)
+            blocks = [wasserstein_distance(dist, d), kolmogorov_distance(dist, d)]
+        assert [v.hex() for v in blocks] == [v.hex() for v in one_block]
+
+
+class TestMemory:
+    def test_distances_hold_one_window_array(self, monkeypatch):
+        # 259,907 states with pmf, x and cdf_values already read: the cell
+        # areas are the one window-length array, everything else is per block
+        params = ModelParams(lam=3054430.197, mu=1.0, n=3055375, alpha=0.0)
+        dist = stationary_pmf(params)
+        d = build_density(dist.derived)
+        dist.pmf, dist.x, dist.cdf_values
+        block = 4096
+        monkeypatch.setattr(ctmc, "_BLOCK", block)
+        tracemalloc.start()
+        try:
+            distance_report(dist, d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert dist.log_pmf.size > 50 * block
+        assert peak <= 8 * (dist.log_pmf.size + 32 * block)
 
 
 class TestOracles:
