@@ -38,8 +38,7 @@ from .stein_verify import (
     wasserstein_decomposition,
 )
 from .metrics import (
-    DistanceReport,
-    distance_report,
+    Scenario,
     kolmogorov_distance,
     mean_error,
     moment_error,
@@ -72,8 +71,7 @@ __all__ = [
     "ErrorDecomposition",
     "wasserstein_decomposition",
     "kolmogorov_decomposition",
-    "DistanceReport",
-    "distance_report",
+    "Scenario",
     "kolmogorov_distance",
     "wasserstein_distance",
     "mean_error",

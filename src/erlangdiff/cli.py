@@ -29,19 +29,12 @@ from .ctmc import (
     _exact_sum,
     moment as chain_moment,
     moment_bound_report,
-    stationary_pmf,
     stein_identity_residual,
 )
-from .diffusion import build_density, density_sup_check
-from .metrics import (
-    distance_report,
-    kolmogorov_distance,
-    mean_error,
-    moment_error,
-    universality_sweep,
-)
+from .diffusion import density_sup_check
+from .metrics import Scenario, mean_error, moment_error, universality_sweep
 from .model import Check, ModelParams, ValidationError, drift
-from .poisson import TestFunction, _SUITE_NAMES, _anchors, build_solution, gradient_bound_report
+from .poisson import _SUITE_NAMES, gradient_bound_report
 from .stein_verify import kolmogorov_decomposition, wasserstein_decomposition
 
 __all__ = [
@@ -87,12 +80,10 @@ def run_table1(tail_tol: float = 1e-14) -> list[dict]:
     """First-moment table: E X and |E X - (R + sqrt(R) E Y)| per row."""
     rows = []
     for lam, n in TABLE1_CASES:
-        params = ModelParams(lam=lam, mu=1.0, n=n, alpha=0.0)
-        dist = stationary_pmf(params, tail_tol, moment_order=1)
-        d = build_density(dist.derived)
-        mean_scaled = chain_moment(dist, 1, absolute=False)
-        mean_x = dist.derived.x_inf + math.sqrt(dist.derived.R) * mean_scaled
-        err = mean_error(dist, d)
+        s = Scenario(ModelParams(lam=lam, mu=1.0, n=n, alpha=0.0), tail_tol, moment_order=1)
+        der = s.dist.derived
+        mean_x = der.x_inf + math.sqrt(der.R) * chain_moment(s.dist, 1, absolute=False)
+        err = mean_error(s.dist, s.density)
         rows.append(
             {
                 "R": lam,
@@ -110,11 +101,9 @@ def run_table2(tail_tol: float = 1e-14) -> list[dict]:
     """Second/tenth scaled moments and their diffusion errors, n = 500."""
     rows = []
     for lam in TABLE2_LOADS:
-        params = ModelParams(lam=lam, mu=1.0, n=500, alpha=0.0)
-        dist = stationary_pmf(params, tail_tol, moment_order=10)
-        d = build_density(dist.derived)
-        r2 = moment_error(dist, d, 2)
-        r10 = moment_error(dist, d, 10)
+        s = Scenario(ModelParams(lam=lam, mu=1.0, n=500, alpha=0.0), tail_tol, moment_order=10)
+        r2 = moment_error(s.dist, s.density, 2)
+        r10 = moment_error(s.dist, s.density, 10)
         rows.append(
             {
                 "R": lam,
@@ -136,11 +125,9 @@ def run_table3(tail_tol: float = 1e-14) -> list[dict]:
     """Second-moment error against powers of |zeta| near critical load."""
     rows = []
     for lam in TABLE3_LOADS:
-        params = ModelParams(lam=lam, mu=1.0, n=500, alpha=0.0)
-        dist = stationary_pmf(params, tail_tol, moment_order=2)
-        d = build_density(dist.derived)
-        r2 = moment_error(dist, d, 2)
-        az = abs(dist.derived.zeta)
+        s = Scenario(ModelParams(lam=lam, mu=1.0, n=500, alpha=0.0), tail_tol, moment_order=2)
+        r2 = moment_error(s.dist, s.density, 2)
+        az = abs(s.dist.derived.zeta)
         err = r2["diff_m"]
         rows.append(
             {
@@ -162,24 +149,15 @@ def run_table3(tail_tol: float = 1e-14) -> list[dict]:
 
 
 def run_distance(params: ModelParams, tail_tol: float = 1e-14) -> list[dict]:
-    dist = stationary_pmf(params, tail_tol, moment_order=1)
-    d = build_density(dist.derived)
-    rep = distance_report(dist, d)
+    s = Scenario(params, tail_tol, moment_order=1)
     return [
         {
             "lam": params.lam,
             "mu": params.mu,
             "n": params.n,
             "alpha": params.alpha,
-            "delta": rep.delta,
-            "d_w": rep.d_w,
-            "d_k": rep.d_k,
-            "dw_over_delta": rep.dw_over_delta,
-            "dk_over_delta": rep.dk_over_delta,
-            "bound_w": rep.bound_w,
-            "bound_k": rep.bound_k,
-            "dwdk_ok": rep.dwdk_ok,
-            "mean_error": mean_error(dist, d),
+            **s.distance_columns(),
+            "mean_error": mean_error(s.dist, s.density),
         }
     ]
 
@@ -248,23 +226,20 @@ def run_verify(params: ModelParams, tail_tol: float = 1e-14) -> dict:
     """All desk-checkable suites for one parameter set.
 
     Returns ``{"suites": [(suite, [Check, ...]), ...], "all_passed": bool}``.
-    The pmf, the density, the identity and anchor solutions and d_K are
-    built once and shared by every suite.
+    Every suite reads one ``Scenario``: the pmf, the density, the identity
+    and the four anchor solutions are built once, and d_K is computed once
+    (d_W is not needed).  The gradient suites take one sample grid.
     """
-    dist = stationary_pmf(params, tail_tol, moment_order=2)
-    der = dist.derived
-    d = build_density(der)
-    sol_id = build_solution(d, TestFunction.identity())
-    anchor_sols = [build_solution(d, TestFunction.indicator(a)) for a in _anchors(der.zeta)]
-    d_k = kolmogorov_distance(dist, d)
-    grad_suites = _SUITE_NAMES[:2] if der.is_erlang_c else _SUITE_NAMES[2:]
+    s = Scenario(params, tail_tol, moment_order=2)
+    # built in this order up front, so a failing input names the same stage
+    dist, d, sol_id, anchor_sols, d_k = s.dist, s.density, s.identity, s.anchors, s.d_k
     suites = [("moment_bounds", moment_bound_report(dist))]
-    suites += [(name, gradient_bound_report(der, name)) for name in grad_suites]
+    suites += gradient_bound_report(sol_id, anchor_sols)
     suites += [
         ("density_sup", [density_sup_check(d)]),
         # anchor_sols[1] is the indicator at the drift kink -zeta
         ("stein_identity", _residual_rows(dist, sol_id, anchor_sols[1])),
-        ("generator_identity", _generator_identity_rows(dist, [sol_id] + anchor_sols)),
+        ("generator_identity", _generator_identity_rows(dist, [sol_id, *anchor_sols])),
         ("decompositions", _decomposition_rows(dist, sol_id, anchor_sols, d_k)),
     ]
     all_passed = all(c.satisfied is not False for _, checks in suites for c in checks)

@@ -161,7 +161,8 @@ class DiscreteStationary:
 
     The arrays (``log_pmf``, ``pmf``, ``states``, ``x``, ``cdf_values``,
     ``death_rates``) cover the window of states k_min..k_top whose weight is
-    within 1e-32 of the mode's, with scaled coordinates
+    within 1e-32 of the mode's (1e-64, 1e-96, ... where the states past a
+    shallower cut alone would spoil a certified moment), with scaled coordinates
     x_k = delta*(k - x_inf).  Only ``log_pmf`` is held from the start;
     ``pmf``, ``x`` and ``cdf_values`` are kept from their first read, and
     ``states`` and ``death_rates`` are built anew on each read.  Moments
@@ -248,21 +249,23 @@ class DiscreteStationary:
         jj = int(np.searchsorted(self.x, hi, side="right"))
         return float(_exact_sum(self.pmf[i:jj])) if jj > i else 0.0
 
-    def moment_tail_bound(self, m: int, shift: float = 0.0) -> float:
+    def moment_tail_bound(self, m: int, shift: float = 0.0, past_k_max: bool = True) -> float:
         """Upper bound on what the states left out add to E|X+shift|^m.
 
         Each region gets a geometric majorant from its edge state, with
         |x_k + shift| <= |x_edge| + |shift| + delta*|k - edge|: the head
         below k_min backwards (nu_{k-1}/nu_k = d(k)/lam <= d(k_min)/lam
         there), the gap past k_top and the tail past k_max forwards
-        (nu_{k+1}/nu_k = lam/d(k+1) <= lam/d(edge+1)).
+        (nu_{k+1}/nu_k = lam/d(k+1) <= lam/d(edge+1)); the last only if ``past_k_max``.
         """
         params = self.params
         delta = self.derived.delta
         s = abs(shift)
-        bound = _geometric_majorant(
-            float(np.exp(self.log_pmf_end)), self.tail_ratio, self.x_max + s, m, delta
-        )
+        bound = 0.0
+        if past_k_max:
+            bound = _geometric_majorant(
+                float(np.exp(self.log_pmf_end)), self.tail_ratio, self.x_max + s, m, delta
+            )
         if self.k_min > 0:
             ratio = departure_rate(params, self.k_min) / params.lam
             x, pmf = self._at(self.k_min)
@@ -348,6 +351,12 @@ def stationary_pmf(
             dist = _truncated_pmf(derived, k_min, floor, k_hi, q, tail_tol)
             if dist is not None and moment_order:
                 dist = _with_certified_moments(dist, moment_order)
+            if dist is True:
+                # states the window cut off spoil a moment, so no k_hi can
+                # mend it: cut 1e-32 deeper and try this k_hi again
+                floor += _WINDOW_CUT
+                k_min = _first_true(lambda k: _log_weight(params, k) >= floor, 0, k_mode)
+                continue
             if dist is not None:
                 return dist
             del dist  # a failed try holds no arrays while the next is built
@@ -390,31 +399,40 @@ def _truncated_pmf(
     )
 
 
-def _with_certified_moments(dist: DiscreteStationary, m: int) -> DiscreteStationary | None:
+def _with_certified_moments(dist: DiscreteStationary, m: int) -> DiscreteStationary | bool | None:
     """dist carrying the window sums of |x|^m pmf (and of |x + zeta|^m pmf
-    where it took that one), or None if its tails could move either sum by
-    more than 1e-8 relative.
+    where it took that one), or, if its tails could move either sum by
+    more than 1e-8 relative, True where only a wider window can mend that
+    and None where a longer grid may.
 
     The window has unit mass, so Minkowski gives the floor
     (sum |x|^m pmf)^(1/m) - |zeta| <= (sum |x + zeta|^m pmf)^(1/m); the
     shifted sum takes a second pass only where that floor, shaded down by
     1e-9 for rounding, is too low to certify it.
     """
+
+    def only_wider(shift: float, scale: float) -> bool | None:
+        # a window that ends below k_max, and so the bound on the states it
+        # cuts off below k_max, is the same for every k_max
+        cut_off = dist.moment_tail_bound(m, shift, past_k_max=False)
+        return True if dist.k_top < dist.k_max and cut_off > _REL_MOMENT_TOL * scale else None
+
     bound = dist.moment_tail_bound(m)
     if not math.isfinite(bound):
         return None
     scratch = np.empty(dist.log_pmf.size)
     total = _exact_sum(_moment_terms(dist, slice(None), 0.0, m, scratch))
     if bound > _REL_MOMENT_TOL * total:
-        return None
+        return only_wider(0.0, total)
     zeta = dist.derived.zeta
     shifted_bound = dist.moment_tail_bound(m, shift=zeta)
     floor = max(total ** (1.0 / m) - abs(zeta), 0.0) ** m
     sums = {0.0: total}
     if shifted_bound > _REL_MOMENT_TOL * floor * (1.0 - 1e-9):
         sums[zeta] = _exact_sum(_moment_terms(dist, slice(None), zeta, m, scratch))
-        if shifted_bound > _REL_MOMENT_TOL * max(sums[zeta], np.finfo(float).tiny):
-            return None
+        scale = max(sums[zeta], np.finfo(float).tiny)
+        if shifted_bound > _REL_MOMENT_TOL * scale:
+            return only_wider(zeta, scale)
     return replace(dist, _abs_moment_sums=(m, sums))
 
 

@@ -459,7 +459,7 @@ class DiffusionDensity:
 
         t lies in the left piece iff level <= cdf(-zeta); a cell that
         straddles -zeta starts its right part there.  Each piece inverts in
-        closed form, with bisection where that rounds outside the cell.
+        closed form, with bisection in the cells where that rounds outside.
         """
         f_j = self.cdf(self.switch_point)
         out = np.empty_like(u)
@@ -468,10 +468,11 @@ class DiffusionDensity:
                 continue
             uu = np.maximum(u[mask], piece.lo)
             vv = np.minimum(v[mask], piece.hi)
-            t = piece.invert(uu, level[mask] - np.where(uu > u[mask], f_j, f_u[mask]))
+            lev = level[mask]
+            t = piece.invert(uu, lev - np.where(uu > u[mask], f_j, f_u[mask]))
             bad = ~np.isfinite(t) | (t < uu) | (t > vv)
             if np.any(bad):
-                t = np.where(bad, self._bisect_cdf(uu, vv, level[mask]), t)
+                t[bad] = self._bisect_cdf(uu[bad], vv[bad], lev[bad])
             out[mask] = t
         return np.clip(out, u, v)
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -30,35 +31,20 @@ from .diffusion import (
     density_sup_check,
     moment as diff_moment,
 )
-from .model import ModelParams
+from .model import ModelParams, derive
+from .poisson import PoissonSolution, TestFunction, _anchors, build_solution
 
 __all__ = [
-    "DistanceReport",
+    "Scenario",
     "kolmogorov_distance",
     "wasserstein_distance",
     "mean_error",
     "moment_error",
-    "distance_report",
     "universality_sweep",
 ]
 
 _WASSERSTEIN_BOUND = 205.0
 _KOLMOGOROV_BOUND = 188.0
-
-
-@dataclass(frozen=True)
-class DistanceReport:
-    """Distances, the grid scale, and the universal Erlang-C bounds."""
-
-    d_w: float
-    d_k: float
-    delta: float
-    bound_w: float | None
-    bound_k: float | None
-    dw_over_delta: float
-    dk_over_delta: float
-    dwdk_bound: float
-    dwdk_ok: bool
 
 
 def kolmogorov_distance(dist: DiscreteStationary, d) -> float:
@@ -181,24 +167,59 @@ def moment_error(dist: DiscreteStationary, d: DiffusionDensity, m: int) -> dict:
     return {"exact_m": exact_m, "diff_m": diff, "zeta_scaled": az ** (m - 1) * diff}
 
 
-def distance_report(dist: DiscreteStationary, d: DiffusionDensity) -> DistanceReport:
-    der = dist.derived
-    d_w = wasserstein_distance(dist, d)
-    d_k = kolmogorov_distance(dist, d)
-    delta = der.delta
-    is_c = der.is_erlang_c
-    dwdk_bound = math.sqrt(2.0 * density_sup_check(d).bound * d_w)
-    return DistanceReport(
-        d_w=d_w,
-        d_k=d_k,
-        delta=delta,
-        bound_w=_WASSERSTEIN_BOUND * delta if is_c else None,
-        bound_k=_KOLMOGOROV_BOUND * delta if is_c else None,
-        dw_over_delta=d_w / delta,
-        dk_over_delta=d_k / delta,
-        dwdk_bound=dwdk_bound,
-        dwdk_ok=bool(d_k <= dwdk_bound * (1.0 + 1e-12)),
-    )
+@dataclass(frozen=True)
+class Scenario:
+    """One parameter set's chain pmf (its order-``moment_order`` moments
+    certified), diffusion law, Poisson solutions for the identity and the
+    indicators at ``poisson._anchors``, and distances; each is built on
+    first read and kept.  The density needs no pmf."""
+
+    params: ModelParams
+    tail_tol: float = 1e-14
+    moment_order: int = 0
+
+    @cached_property
+    def dist(self) -> DiscreteStationary:
+        return stationary_pmf(self.params, self.tail_tol, moment_order=self.moment_order)
+
+    @cached_property
+    def density(self) -> DiffusionDensity:
+        return build_density(derive(self.params))
+
+    @cached_property
+    def identity(self) -> PoissonSolution:
+        return build_solution(self.density, TestFunction.identity())
+
+    @cached_property
+    def anchors(self) -> tuple[PoissonSolution, ...]:
+        d = self.density
+        return tuple(build_solution(d, TestFunction.indicator(a)) for a in _anchors(d.derived.zeta))
+
+    @cached_property
+    def d_w(self) -> float:
+        return wasserstein_distance(self.dist, self.density)
+
+    @cached_property
+    def d_k(self) -> float:
+        return kolmogorov_distance(self.dist, self.density)
+
+    def distance_columns(self) -> dict:
+        """The columns ``distance`` and ``sweep`` print, in order: the Erlang-C
+        bounds are 205 and 188 delta, and ``dwdk_ok`` is d_K <= sqrt(2 sup p_Y d_W)."""
+        delta = self.dist.derived.delta
+        is_c = self.dist.derived.is_erlang_c
+        d_w, d_k = self.d_w, self.d_k
+        dwdk_bound = math.sqrt(2.0 * density_sup_check(self.density).bound * d_w)
+        return {
+            "delta": delta,
+            "d_w": d_w,
+            "d_k": d_k,
+            "dw_over_delta": d_w / delta,
+            "dk_over_delta": d_k / delta,
+            "bound_w": _WASSERSTEIN_BOUND * delta if is_c else None,
+            "bound_k": _KOLMOGOROV_BOUND * delta if is_c else None,
+            "dwdk_ok": bool(d_k <= dwdk_bound * (1.0 + 1e-12)),
+        }
 
 
 _REGIME_STAFFING = {
@@ -227,6 +248,9 @@ def universality_sweep(
         raise ValueError(f"unknown regime {regime!r}; pick from qd, qed, nds")
     if beta <= 0.0:
         raise ValueError("staffing slack beta must be positive")
+    for name, value in [("staffing slack beta", beta)] + [("offered load", r) for r in sizes]:
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"{name} must be finite and positive, got {value}")
     staff = _REGIME_STAFFING[regime]
     rows = []
     for r in sorted(sizes):
@@ -237,28 +261,11 @@ def universality_sweep(
                 "Erlang-C requires n > R"
             )
         params = ModelParams(lam=mu * r, mu=mu, n=n, alpha=alpha_over_mu * mu)
-        dist = stationary_pmf(params, tail_tol)
-        rep = distance_report(dist, build_density(dist.derived))
-        within = (
-            rep.d_w <= rep.bound_w and rep.d_k <= rep.bound_k
-            if rep.bound_w is not None
-            else None
-        )
-        rows.append(
-            {
-                "regime": regime,
-                "R": float(r),
-                "n": n,
-                "alpha": alpha_over_mu * mu,
-                "delta": rep.delta,
-                "d_w": rep.d_w,
-                "d_k": rep.d_k,
-                "dw_over_delta": rep.dw_over_delta,
-                "dk_over_delta": rep.dk_over_delta,
-                "bound_w": rep.bound_w,
-                "bound_k": rep.bound_k,
-                "within_bounds": within,
-                "dwdk_ok": rep.dwdk_ok,
-            }
-        )
+        cols = Scenario(params, tail_tol).distance_columns()
+        dwdk_ok = cols.pop("dwdk_ok")
+        within = None
+        if cols["bound_w"] is not None:
+            within = cols["d_w"] <= cols["bound_w"] and cols["d_k"] <= cols["bound_k"]
+        row = {"regime": regime, "R": float(r), "n": n, "alpha": alpha_over_mu * mu, **cols}
+        rows.append({**row, "within_bounds": within, "dwdk_ok": dwdk_ok})
     return rows

@@ -27,13 +27,14 @@ of its values over its region.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
 from . import _quad
-from .diffusion import DiffusionDensity, build_density, moment as _diffusion_moment
+from .diffusion import DiffusionDensity, moment as _diffusion_moment
 from .model import Check, DerivedQuantities, drift
 
 __all__ = [
@@ -230,7 +231,7 @@ def build_solution(d: DiffusionDensity, h: TestFunction) -> PoissonSolution:
 # Gradient-bound verification suites.
 # ---------------------------------------------------------------------------
 
-# Erlang-C suites first, then Erlang-A; cli takes its regime's half.
+# the suite names gradient_bound_report returns; cli prints their rows in their own shape
 _SUITE_NAMES = ("wasserstein_C", "kolmogorov_C", "wasserstein_A", "kolmogorov_A")
 _GRID_POINTS = 2001
 
@@ -269,23 +270,21 @@ def _anchors(zeta: float) -> list[float]:
     return [j - 1.0, j, 0.0, j + 1.0]
 
 
-def gradient_bound_report(derived: DerivedQuantities, suite: str) -> list[Check]:
-    """Sample f', f'', f''' on a dense grid and check the printed bounds.
+def gradient_bound_report(
+    identity: PoissonSolution, anchors: Sequence[PoissonSolution]
+) -> list[tuple[str, list[Check]]]:
+    """Sample f', f'', f''' on one dense grid and check the printed bounds.
 
-    Suites: ``wasserstein_C`` (identity h; plus the Erlang-C auxiliary
-    density-ratio bounds), ``kolmogorov_C`` and ``kolmogorov_A`` (indicator
-    h at four anchors), ``wasserstein_A`` (identity h; rows carry an unstated
-    universal constant, so they are reported as empirical shape ratios, while
-    the auxiliary density-ratio bounds remain strict).  Each solution is
-    evaluated once on the grid; every row takes its sup over a region of
-    those arrays.
+    ``identity`` solves for h(x) = x and ``anchors`` for the indicators at
+    ``_anchors``, over one density.  Returns the regime's ``wasserstein_*``
+    suite (the identity, plus the auxiliary density-ratio bounds; Erlang-A
+    rows carry an unstated universal constant, so they are empirical shape
+    ratios, while the density-ratio bounds stay strict) and its
+    ``kolmogorov_*`` suite (the anchors), ``*`` being C or A.  Each solution
+    is evaluated once on the grid; every row takes its sup over a region.
     """
-    if suite not in _SUITE_NAMES:
-        raise ValueError(f"unknown suite {suite!r}")
-    erlang_c_suite = suite.endswith("_C")
-    if erlang_c_suite != derived.is_erlang_c:
-        raise ValueError(f"{suite} requires alpha {'= 0' if erlang_c_suite else '> 0'}")
-    d = build_density(derived)
+    d = identity.density
+    derived = d.derived
     mu, alpha, zeta = derived.mu, derived.alpha, derived.zeta
     az = abs(zeta)
     j = -zeta
@@ -295,30 +294,9 @@ def gradient_bound_report(derived: DerivedQuantities, suite: str) -> list[Check]
     grid = _sample_grid(d)
     left, right = grid <= j, grid >= j
 
-    if suite.startswith("kolmogorov"):
-        if derived.is_erlang_c:
-            regime, bound_left, bound_right = "KC", 5.0, inv_az
-        elif under:
-            regime, bound_left = "ACu", _SQRT_2PI * math.exp(0.5)
-            bound_right = min(math.sqrt(math.pi / 2.0 * mu / alpha), inv_az)
-        else:
-            regime, bound_left = "ACo", _SQRT_HALF_PI
-            bound_right = _SQRT_HALF_PI * (1.0 + math.sqrt(mu / alpha))
-        rows = []
-        for a in _anchors(zeta):
-            fp, fpp, _ = build_solution(d, TestFunction.indicator(a)).derivatives(grid)
-            tag = f"[a={a:+.3g}]"
-            rows += [
-                _row(f"{regime}der1_left{tag}", np.abs(fp[left]).max() * mu, bound_left),
-                _row(f"{regime}der1_right{tag}", np.abs(fp[right]).max() * mu, bound_right),
-                _row(f"{regime[:2]}der2{tag}", np.abs(fpp).max() * mu, 3.0),
-            ]
-        return rows
-
-    sol = build_solution(d, TestFunction.identity())
-    fp, fpp, f3 = (np.abs(v) * mu for v in sol.derivatives(grid))
+    fp, fpp, f3 = (np.abs(v) * mu for v in identity.derivatives(grid))
     if derived.is_erlang_c:
-        rows = [
+        w_rows = [
             _row("WCder1_left", fp[left].max(), 6.5 + 4.2 / az),
             _pointwise_row("WCder1_right", fp[right] * az / (grid[right] + 1.0 + 2.0 / az)),
             _row("WCder2_left", fpp[left].max(), 32.0 * (1.0 + 1.0 / az)),
@@ -326,9 +304,27 @@ def gradient_bound_report(derived: DerivedQuantities, suite: str) -> list[Check]
             _row("WCder3_left", f3[grid < j].max(), 23.0 + 13.0 / az),
             _row("WCder3_right", f3[grid > j].max(), 2.0),
         ]
+        regime, bound_left, bound_right = "KC", 5.0, inv_az
     else:
-        rows = _shape_rows_erlang_a(d, grid, fp, fpp, f3, under)
-    return rows + _ratio_rows(d, grid, under)
+        w_rows = _shape_rows_erlang_a(d, grid, fp, fpp, f3, under)
+        if under:
+            regime, bound_left = "ACu", _SQRT_2PI * math.exp(0.5)
+            bound_right = min(math.sqrt(math.pi / 2.0 * mu / alpha), inv_az)
+        else:
+            regime, bound_left = "ACo", _SQRT_HALF_PI
+            bound_right = _SQRT_HALF_PI * (1.0 + math.sqrt(mu / alpha))
+    w_rows += _ratio_rows(d, grid, under)
+    k_rows = []
+    for sol in anchors:
+        fp, fpp, _ = sol.derivatives(grid)
+        tag = f"[a={sol.h.parameter:+.3g}]"
+        k_rows += [
+            _row(f"{regime}der1_left{tag}", np.abs(fp[left]).max() * mu, bound_left),
+            _row(f"{regime}der1_right{tag}", np.abs(fp[right]).max() * mu, bound_right),
+            _row(f"{regime[:2]}der2{tag}", np.abs(fpp).max() * mu, 3.0),
+        ]
+    tag = "C" if derived.is_erlang_c else "A"
+    return [(f"wasserstein_{tag}", w_rows), (f"kolmogorov_{tag}", k_rows)]
 
 
 def _ratio_rows(d: DiffusionDensity, grid: np.ndarray, under: bool) -> list[Check]:

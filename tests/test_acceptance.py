@@ -26,11 +26,12 @@ from erlangdiff.ctmc import (
 from erlangdiff.ctmc import _exact_sum
 from erlangdiff.diffusion import zeta_scaling_limit
 from erlangdiff.metrics import (
+    Scenario,
     kolmogorov_distance,
     universality_sweep,
     wasserstein_distance,
 )
-from erlangdiff.model import ModelParams, derive, drift
+from erlangdiff.model import ModelParams, drift
 from erlangdiff.poisson import TestFunction, build_solution, gradient_bound_report
 from erlangdiff.stein_verify import kolmogorov_decomposition, wasserstein_decomposition
 
@@ -258,14 +259,9 @@ def test_criterion_10_gradient_bounds():
     strict_rows = 0
     empirical_rows = 0
     for params in standard_grid():
-        der = derive(params)
-        suites = (
-            ("wasserstein_C", "kolmogorov_C")
-            if params.is_erlang_c
-            else ("wasserstein_A", "kolmogorov_A")
-        )
-        for suite in suites:
-            for row in gradient_bound_report(der, suite):
+        s = Scenario(params)
+        for suite, rows in gradient_bound_report(s.identity, s.anchors):
+            for row in rows:
                 if row.mode == "strict":
                     strict_rows += 1
                     assert row.satisfied, (params, suite, row)

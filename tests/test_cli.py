@@ -1,14 +1,16 @@
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import pytest
 
-from erlangdiff import cli
-from erlangdiff.ctmc import TruncationError
-from erlangdiff.model import Check
+from erlangdiff import cli, metrics, poisson
+from erlangdiff.ctmc import TruncationError, moment as chain_moment
+from erlangdiff.model import Check, ModelParams
 
 
 def run_cli(args, tmp_path, name="out.txt"):
@@ -193,20 +195,28 @@ class TestExitCodes:
         def fake_pmf(*args, **kwargs):
             raise TruncationError("stationary grid would exceed the state cap")
 
-        monkeypatch.setattr(cli, "stationary_pmf", fake_pmf)
+        monkeypatch.setattr(metrics, "stationary_pmf", fake_pmf)
         assert cli.main(["distance", "--lambda", "4.9", "--n", "5"]) == 1
         assert capsys.readouterr().err == (
             "error: stationary grid would exceed the state cap\n"
         )
 
 
-    def test_light_load_hits_state_cap(self, capsys):
-        # the tail majorant's a^m passes the double range at this load; grid
-        # doubling then ends in the typed state-cap error, not a traceback
-        assert cli.main(["verify", "--lambda", "1e-300", "--n", "1"]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: stationary grid would exceed 100000000 states")
-        assert err.count("\n") == 1
+    def test_light_load_distance_answers(self, capsys):
+        # state 1 carries 1e-40 of the mass but half of E|X~|: the window is
+        # cut deeper until it holds it, instead of doubling k_hi to the cap
+        assert cli.main(["distance", "--lambda", "1e-40", "--n", "1"]) == 0
+        out = capsys.readouterr()
+        assert out.err == ""
+        row = dict(zip(*[line.split(",") for line in out.out.splitlines()]))
+        assert math.isfinite(float(row["d_w"])) and math.isfinite(float(row["d_k"]))
+        assert row["dwdk_ok"] == "True"
+        dist = metrics.Scenario(ModelParams(lam=1e-40, mu=1.0, n=1), moment_order=1).dist
+        der = dist.derived
+        mean_x = der.x_inf + math.sqrt(der.R) * chain_moment(dist, 1, absolute=False)
+        rho = mpmath.mpf("1e-40")
+        oracle = mpmath.nsum(lambda k: k * (1 - rho) * rho**k, [0, mpmath.inf])
+        assert mean_x == pytest.approx(float(oracle), rel=1e-12)
 
     @pytest.mark.parametrize(
         "argv",
@@ -239,11 +249,15 @@ class TestExitCodes:
         assert exc.value.code == 0
         assert capsys.readouterr().out
 
-    @pytest.mark.parametrize("lam, n", [("343.55", "1737"), ("1e-8", "1"), ("1e-30", "1")])
+    @pytest.mark.parametrize(
+        "lam, n", [("343.55", "1737"), ("1e-8", "1"), ("1e-30", "1"), ("1e-300", "1")]
+    )
     def test_gradient_suite_range_errors(self, capsys, lam, n):
         # |zeta| > 37.7 overflows the exp(zeta^2/2) bounds of the underloaded
         # density-ratio rows; at zeta = -1e15 the sample grid is also too
-        # coarse to hold a point at or below 0
+        # coarse to hold a point at or below 0.  At lam = 1e-300 the pmf
+        # certifies its moments once the window holds state 1 (weight 1e-300),
+        # then the grid fails
         assert cli.main(["verify", "--lambda", lam, "--n", n]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: zeta = ")
@@ -264,3 +278,56 @@ class TestSweepCommand:
     def test_sweep_requires_regime(self, capsys):
         assert cli.main(["sweep", "--sizes", "4"]) == 1
         assert "required: --regime" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "extra, value",
+        [
+            (["--sizes", "inf"], "inf"),
+            (["--sizes", "4,nan"], "nan"),
+            (["--sizes", "4", "--beta", "inf"], "inf"),
+            (["--sizes", "4", "--beta", "nan"], "nan"),
+        ],
+    )
+    def test_non_finite_inputs_exit_1(self, capsys, extra, value):
+        assert cli.main(["sweep", "--regime", "qed", *extra]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"finite and positive, got {value}" in err
+        assert "Traceback" not in err
+
+
+class TestVerifyBuildsOnce:
+    def test_one_build_per_object(self, monkeypatch):
+        # one verify: one pmf, one density, the identity and four anchor
+        # solutions, one sample grid, d_K once and d_W never
+        calls = {}
+
+        def counted(owner, name):
+            fn = getattr(owner, name)
+            calls[name] = 0
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        for name in (
+            "stationary_pmf",
+            "build_density",
+            "build_solution",
+            "kolmogorov_distance",
+            "wasserstein_distance",
+        ):
+            counted(metrics, name)
+        counted(poisson, "_sample_grid")
+        report = cli.run_verify(ModelParams(lam=12.0, mu=1.0, n=5, alpha=2.0))
+        assert report["all_passed"]
+        assert calls == {
+            "stationary_pmf": 1,
+            "build_density": 1,
+            "build_solution": 5,
+            "kolmogorov_distance": 1,
+            "wasserstein_distance": 0,
+            "_sample_grid": 1,
+        }

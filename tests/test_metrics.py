@@ -17,12 +17,12 @@ from conftest import (
 )
 from erlangdiff import ctmc
 from erlangdiff.ctmc import stationary_pmf
-from erlangdiff.diffusion import build_density
+from erlangdiff.diffusion import DiffusionDensity, build_density
 from erlangdiff.ctmc import moment as chain_moment
 from erlangdiff.diffusion import moment as diff_moment
 from erlangdiff.metrics import (
+    Scenario,
     _cdf_antiderivative,
-    distance_report,
     kolmogorov_distance,
     mean_error,
     moment_error,
@@ -173,20 +173,34 @@ class TestBlocks:
             blocks = [wasserstein_distance(dist, d), kolmogorov_distance(dist, d)]
         assert [v.hex() for v in blocks] == [v.hex() for v in one_block]
 
+    def test_bisects_only_the_cells_that_need_it(self, monkeypatch):
+        # 158 cells cross the diffusion CDF at this load, and the closed-form
+        # piece inverse rounds outside its cell in 8 of them
+        sizes = []
+        bisect = DiffusionDensity._bisect_cdf
+
+        def counting(d, lo, hi, level):
+            sizes.append(np.size(lo))
+            return bisect(d, lo, hi, level)
+
+        monkeypatch.setattr(DiffusionDensity, "_bisect_cdf", counting)
+        s = Scenario(ModelParams(lam=0.99, mu=1.0, n=1, alpha=0.0))
+        assert math.isfinite(s.d_w)
+        assert sum(sizes) == 8
+
 
 class TestMemory:
     def test_distances_hold_one_window_array(self, monkeypatch):
         # 259,907 states with pmf, x and cdf_values already read: the cell
         # areas are the one window-length array, everything else is per block
-        params = ModelParams(lam=3054430.197, mu=1.0, n=3055375, alpha=0.0)
-        dist = stationary_pmf(params)
-        d = build_density(dist.derived)
-        dist.pmf, dist.x, dist.cdf_values
+        s = Scenario(ModelParams(lam=3054430.197, mu=1.0, n=3055375, alpha=0.0))
+        dist = s.dist
+        s.density, dist.pmf, dist.x, dist.cdf_values
         block = 4096
         monkeypatch.setattr(ctmc, "_BLOCK", block)
         tracemalloc.start()
         try:
-            distance_report(dist, d)
+            s.distance_columns()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -284,30 +298,23 @@ class TestMomentError:
 class TestDistanceReport:
     @pytest.mark.parametrize("pars", SPOT_SETS)
     def test_dwdk_relation(self, pars):
-        params = ModelParams(*pars)
-        dist = pmf_for(params, 1e-14)
-        rep = distance_report(dist, density_for(params))
-        assert rep.dwdk_ok
-        assert rep.d_w >= 0.0
-        assert 0.0 <= rep.d_k <= 1.0
+        cols = Scenario(ModelParams(*pars)).distance_columns()
+        assert cols["dwdk_ok"]
+        assert cols["d_w"] >= 0.0
+        assert 0.0 <= cols["d_k"] <= 1.0
 
     def test_deep_overload_stays_finite(self):
         # junction 200 scaled units left of the mode: the left piece carries
-        # ~exp(-2000) of mass and the crossing inversion takes the bisection
-        # fallback path
-        params = ModelParams(lam=1200.0, mu=1.0, n=500, alpha=0.1)
-        dist = pmf_for(params, 1e-12)
-        d = density_for(params)
-        rep = distance_report(dist, d)
-        assert np.isfinite(rep.d_w) and np.isfinite(rep.d_k)
-        assert rep.dwdk_ok
+        # ~exp(-2000) of mass (the bisection fallback is covered by TestBlocks)
+        cols = Scenario(ModelParams(lam=1200.0, mu=1.0, n=500, alpha=0.1), 1e-12).distance_columns()
+        assert np.isfinite(cols["d_w"]) and np.isfinite(cols["d_k"])
+        assert cols["dwdk_ok"]
 
     def test_bounds_only_for_erlang_c(self):
-        rep_c = distance_report(pmf_for(C_HEAVY, 1e-14), density_for(C_HEAVY))
-        assert rep_c.bound_w == pytest.approx(205.0 * rep_c.delta)
-        a_params = ModelParams(lam=5.0, mu=1.0, n=5, alpha=1.0)
-        rep_a = distance_report(pmf_for(a_params, 1e-14), density_for(a_params))
-        assert rep_a.bound_w is None and rep_a.bound_k is None
+        cols_c = Scenario(C_HEAVY).distance_columns()
+        assert cols_c["bound_w"] == pytest.approx(205.0 * cols_c["delta"])
+        cols_a = Scenario(ModelParams(lam=5.0, mu=1.0, n=5, alpha=1.0)).distance_columns()
+        assert cols_a["bound_w"] is None and cols_a["bound_k"] is None
 
 
 class TestUniversalitySweep:
@@ -340,3 +347,12 @@ class TestUniversalitySweep:
             universality_sweep("foo", [4.0], 1.0)
         with pytest.raises(ValueError):
             universality_sweep("qed", [4.0], 0.0)
+
+    @pytest.mark.parametrize(
+        "sizes, beta, value",
+        [([math.inf], 1.0, "inf"), ([4.0, math.nan], 1.0, "nan"), ([4.0], math.inf, "inf"),
+         ([4.0], math.nan, "nan"), ([4.0, -1.0], 1.0, "-1.0")],
+    )
+    def test_non_finite_or_negative_inputs_named(self, sizes, beta, value):
+        with pytest.raises(ValueError, match=f"finite and positive, got {value}$"):
+            universality_sweep("qed", sizes, beta)

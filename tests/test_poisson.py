@@ -6,6 +6,7 @@ from scipy import integrate
 
 from conftest import density_for
 from erlangdiff.diffusion import DiffusionDensity
+from erlangdiff.metrics import Scenario
 from erlangdiff.model import ModelParams, derive, drift
 from erlangdiff.poisson import (
     PoissonSolution,
@@ -201,25 +202,29 @@ class TestGradientBoundExamples:
         assert np.max(np.abs(sol.f_prime(below))) <= cap * (1 + 1e-9)
 
 
+def _suites(params: ModelParams) -> dict:
+    s = Scenario(params)
+    return dict(gradient_bound_report(s.identity, s.anchors))
+
+
 class TestGradientBoundReport:
     def test_erlang_c_suites_pass(self):
-        der = derive(C_HEAVY)
-        for suite in ("wasserstein_C", "kolmogorov_C"):
-            rows = gradient_bound_report(der, suite)
+        suites = _suites(C_HEAVY)
+        assert list(suites) == ["wasserstein_C", "kolmogorov_C"]
+        for suite, rows in suites.items():
             assert rows, suite
             assert all(r.satisfied is not False for r in rows)
 
     def test_fbound_rows_present(self):
-        rows = gradient_bound_report(derive(C_HEAVY), "wasserstein_C")
-        ids = {r.name for r in rows}
+        ids = {r.name for r in _suites(C_HEAVY)["wasserstein_C"]}
         assert {"fbound1_neg", "fbound2_right", "fbound5", "fbound6", "fbound7"} <= ids
 
     def test_erlang_a_suites(self):
         for params in (A_UNDER, A_OVER, ModelParams(lam=5.0, mu=1.0, n=5, alpha=1.0)):
-            der = derive(params)
-            k_rows = gradient_bound_report(der, "kolmogorov_A")
-            assert all(r.satisfied is not False for r in k_rows)
-            w_rows = gradient_bound_report(der, "wasserstein_A")
+            suites = _suites(params)
+            assert list(suites) == ["wasserstein_A", "kolmogorov_A"]
+            assert all(r.satisfied is not False for r in suites["kolmogorov_A"])
+            w_rows = suites["wasserstein_A"]
             strict = [r for r in w_rows if r.mode == "strict"]
             empirical = [r for r in w_rows if r.mode == "empirical"]
             assert strict and empirical
@@ -238,18 +243,22 @@ class TestGradientBoundReport:
         ],
     )
     def test_each_solution_evaluated_once(self, monkeypatch, params, suite, calls):
-        # one f' evaluation on the whole grid per solution: the identity, or
-        # the indicator at each of the four anchors
+        # one f' evaluation on the whole grid per solution: the identity for
+        # the wasserstein suite, the indicator at each of the four anchors
+        # for the kolmogorov suite; 5 x 2,001 points per report
         sizes = []
         f_prime = PoissonSolution.f_prime
 
         def counting(sol, x):
-            sizes.append(np.size(x))
+            sizes.append((sol.h.kind, np.size(x)))
             return f_prime(sol, x)
 
+        s = Scenario(params)
         monkeypatch.setattr(PoissonSolution, "f_prime", counting)
-        gradient_bound_report(derive(params), suite)
-        assert sizes == [2001] * calls
+        gradient_bound_report(s.identity, s.anchors)
+        kind = "lipschitz_identity" if suite.startswith("wasserstein") else "indicator"
+        assert [size for k, size in sizes if k == kind] == [2001] * calls
+        assert [size for _, size in sizes] == [2001] * 5
 
     @pytest.mark.parametrize(
         "params", [C_HEAVY, A_UNDER, A_OVER, ModelParams(lam=5.0, mu=1.0, n=5, alpha=1.0)]
@@ -269,16 +278,16 @@ class TestGradientBoundReport:
         monkeypatch.setattr(
             PoissonSolution, "derivatives", lambda sol, x: (np.zeros(np.size(x)),) * 3
         )
-        suite = "wasserstein_C" if params.alpha == 0.0 else "wasserstein_A"
-        gradient_bound_report(derive(params), suite)
+        s = Scenario(params)
+        gradient_bound_report(s.identity, s.anchors)
         assert sorted(calls) == [("ratio_above", 2001)] * 3 + [("ratio_below", 2001)] * 3
 
     def test_empty_middle_rows(self):
         # overloaded with zeta = 4.47e-9, below the grid's kink nudge: no
         # sample lies in [-zeta, 0], so the middle rows read a zero ratio
-        der = derive(ModelParams(lam=5.00000001, mu=1.0, n=5, alpha=1.0))
-        assert 0.0 < der.zeta < 1e-8
-        rows = {r.name: r for r in gradient_bound_report(der, "wasserstein_A")}
+        params = ModelParams(lam=5.00000001, mu=1.0, n=5, alpha=1.0)
+        assert 0.0 < derive(params).zeta < 1e-8
+        rows = {r.name: r for r in _suites(params)["wasserstein_A"]}
         for name, empty in (
             ("oingredient1_mid", 0.0),
             ("oingredient3_mid", 0.0),
@@ -290,8 +299,8 @@ class TestGradientBoundReport:
     def test_log_rows_get_relative_slack_on_negative_bounds(self):
         # a log row compares log observed <= log bound + log1p(1e-9), which
         # loosens a negative log bound as much as a positive one
-        der = derive(ModelParams(lam=1.000001 * 0.01, mu=0.01, n=1, alpha=0.1))
-        rows = {r.name: r for r in gradient_bound_report(der, "wasserstein_A")}
+        params = ModelParams(lam=1.000001 * 0.01, mu=0.01, n=1, alpha=0.1)
+        rows = {r.name: r for r in _suites(params)["wasserstein_A"]}
         row = rows["oingredient2_mid_log"]
         assert row.bound == pytest.approx(-0.2324, abs=1e-4)
         slack = math.log1p(1e-9)
@@ -303,11 +312,3 @@ class TestGradientBoundReport:
             assert bound * (1.0 + 1e-9) < bound + 0.5 * slack
             assert _log_row(name, bound + 0.5 * slack, bound).satisfied
             assert not _log_row(name, bound + 2.0 * slack, bound).satisfied
-
-    def test_regime_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            gradient_bound_report(derive(C_PARAMS), "kolmogorov_A")
-        with pytest.raises(ValueError):
-            gradient_bound_report(derive(A_OVER), "wasserstein_C")
-        with pytest.raises(ValueError):
-            gradient_bound_report(derive(C_PARAMS), "nonsense")
