@@ -46,17 +46,9 @@ __all__ = [
     "main",
 ]
 
-TABLE1_CASES = [
-    (3.0, 5),
-    (4.0, 5),
-    (4.9, 5),
-    (4.95, 5),
-    (4.99, 5),
-    (300.0, 500),
-    (400.0, 500),
-    (490.0, 500),
-    (495.0, 500),
-    (499.0, 500),
+# five loads approaching capacity at each of n = 5 and n = 500
+TABLE1_CASES = [(lam, 5) for lam in (3.0, 4.0, 4.9, 4.95, 4.99)] + [
+    (lam, 500) for lam in (300.0, 400.0, 490.0, 495.0, 499.0)
 ]
 TABLE2_LOADS = [300.0, 400.0, 490.0, 495.0, 499.0, 499.9]
 TABLE3_LOADS = [499.0, 499.9, 499.95, 499.99]
@@ -314,16 +306,6 @@ def _schema1_suites(report: dict) -> list[dict]:
     return out
 
 
-def _json_default(obj):
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    raise TypeError(f"not serializable: {type(obj)}")
-
-
 def _emit(args: argparse.Namespace, rows: list[dict], suites: list | None = None) -> str:
     if args.format == "json":
         doc = {
@@ -348,7 +330,8 @@ def _emit(args: argparse.Namespace, rows: list[dict], suites: list | None = None
                 "generator_identity": _IDENTITY_TOL,
             },
         }
-        return json.dumps(doc, indent=2, default=_json_default) + "\n"
+        # numpy scalars serialize as the Python scalars .item() gives
+        return json.dumps(doc, indent=2, default=lambda o: o.item()) + "\n"
     return _emit_csv(rows)
 
 

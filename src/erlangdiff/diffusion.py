@@ -162,8 +162,8 @@ class _ExpPiece:
     """exp(log_amp) * exp(-rate * x) on [lo, hi].
 
     The density's piece has rate > 0 and hi = inf.  Its reflection has
-    rate < 0 and lo = -inf and is used only by the tail ratios; the other
-    closed forms assume rate > 0.
+    rate < 0 and lo = -inf and is used only by the tail ratios and
+    ``invert``; the other closed forms assume rate > 0.
     """
 
     rate: float
@@ -474,6 +474,19 @@ class DiffusionDensity:
             if np.any(bad):
                 t[bad] = self._bisect_cdf(uu[bad], vv[bad], lev[bad])
             out[mask] = t
+        return np.clip(out, u, v)
+
+    def invert_sf_in_cells(self, u, v, s_v, level):
+        """Points t in [u, v] with sf(t) = level, for cell arrays with
+        s_v = sf(v) < level <= sf(u): each piece inverts from its upper end,
+        through its reflection, in closed form."""
+        s_j = self.sf(self.switch_point)
+        out = np.empty_like(u)
+        for piece, mask in ((self.left, level > s_j), (self.right, level <= s_j)):
+            if np.any(mask):
+                vv = np.minimum(v[mask], piece.hi)
+                mass = level[mask] - np.where(vv < v[mask], s_j, s_v[mask])
+                out[mask] = -piece.reflected().invert(-vv, mass)
         return np.clip(out, u, v)
 
     def _bisect_cdf(self, lo, hi, level):

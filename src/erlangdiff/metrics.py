@@ -45,6 +45,9 @@ __all__ = [
 
 _WASSERSTEIN_BOUND = 205.0
 _KOLMOGOROV_BOUND = 188.0
+# past this cell width delta (offered load below 1e-4) the W1 cells are
+# integrated in survival form
+_SURVIVAL_DELTA = 100.0
 
 
 def kolmogorov_distance(dist: DiscreteStationary, d) -> float:
@@ -77,42 +80,52 @@ def kolmogorov_distance(dist: DiscreteStationary, d) -> float:
     return float(np.max(peaks))
 
 
-def _cdf_antiderivative(d: DiffusionDensity, u: np.ndarray, v: np.ndarray, f_u: np.ndarray):
-    """int_u^v F_Y(x) dx for cell arrays, given f_u = F_Y(u)."""
+def _cdf_antiderivative(d: DiffusionDensity, u: np.ndarray, v: np.ndarray, f_u, s_v=None):
+    """int_u^v F_Y(x) dx for cell arrays, given f_u = F_Y(u); or, given
+    s_v = S_Y(v) instead, int_u^v (F_Y(x) - 1) dx, which holds no terms of
+    size v - u that cancel where F_Y is near 1."""
     m0 = d._mass_between(u, v)
     m1 = d.first_moment_between(u, v)
-    return f_u * (v - u) + v * m0 - m1
+    if s_v is None:
+        return f_u * (v - u) + v * m0 - m1
+    return u * m0 - m1 - s_v * (v - u)
 
 
-def _cell_areas(d: DiffusionDensity, edges: np.ndarray, level: np.ndarray, out: np.ndarray):
+def _cell_areas(d: DiffusionDensity, edges: np.ndarray, level: np.ndarray, out: np.ndarray, tail):
     """int |level - F_Y| over the cells between consecutive ``edges``, into ``out``.
 
     F_Y is evaluated once per edge.  If it stays on one side of the chain
     level, a cell's area is a closed-form antiderivative difference;
-    otherwise the unique crossing is found by the piece inverse CDF and the
-    area split there.
+    otherwise the unique crossing is found by the piece inverse and the
+    area split there.  Given ``tail`` = 1 - level, summed tail-first, the
+    cells compare and integrate F_Y - 1 against -tail instead.
     """
     u, v = edges[:-1], edges[1:]
-    f = np.asarray(d.cdf(edges), dtype=float)
-    f_u, f_v = f[:-1], f[1:]
-    area_full = _cdf_antiderivative(d, u, v, f_u)
-    width = v - u
-    above = f_u >= level  # F_Y >= level across the whole cell
-    below = f_v <= level
+    survival = tail is not None
+    if survival:
+        g, lev = -np.asarray(d.sf(edges), dtype=float), -tail
+    else:
+        g, lev = np.asarray(d.cdf(edges), dtype=float), level
+
+    def excess(a, b, g_a, g_b):  # int_a^b (F_Y - level)
+        return _cdf_antiderivative(d, a, b, g_a, -g_b if survival else None) - lev * (b - a)
+
+    g_u, g_v = g[:-1], g[1:]
+    area = excess(u, v, g_u, g_v)
+    above = g_u >= lev  # F_Y >= level across the whole cell
+    below = g_v <= lev
     crossing = ~above & ~below
-    out[:] = np.where(
-        above,
-        area_full - level * width,
-        np.where(below, level * width - area_full, 0.0),
-    )
+    out[:] = np.where(above, area, np.where(below, -area, 0.0))
     if np.any(crossing):
         uu, vv = u[crossing], v[crossing]
-        lev = level[crossing]
-        t = d.invert_cdf_in_cells(uu, vv, f_u[crossing], lev)
-        left_part = lev * (t - uu) - _cdf_antiderivative(d, uu, t, f_u[crossing])
-        f_t = np.asarray(d.cdf(t), dtype=float)
-        right_part = _cdf_antiderivative(d, t, vv, f_t) - lev * (vv - t)
-        out[crossing] = left_part + right_part
+        lev, g_u, g_v = lev[crossing], g_u[crossing], g_v[crossing]
+        if survival:
+            t = d.invert_sf_in_cells(uu, vv, -g_v, -lev)
+            g_t = -np.asarray(d.sf(t), dtype=float)
+        else:
+            t = d.invert_cdf_in_cells(uu, vv, g_u, lev)
+            g_t = np.asarray(d.cdf(t), dtype=float)
+        out[crossing] = -excess(uu, t, g_u, g_t) + excess(t, vv, g_t, g_v)
 
 
 def wasserstein_distance(dist: DiscreteStationary, d: DiffusionDensity) -> float:
@@ -122,7 +135,8 @@ def wasserstein_distance(dist: DiscreteStationary, d: DiffusionDensity) -> float
     time, into one window-length array of cell areas.  From the last window
     state to k_max the chain CDF is flat, so that stretch is one more cell
     (two if the density's kink x_n = -zeta falls inside).  Tails beyond the
-    grid are closed-form partial first moments.
+    grid are closed-form partial first moments.  At light load (delta past
+    ``_SURVIVAL_DELTA``) the cells go in survival form.
     """
     x = dist.x
     c = dist.cdf_values
@@ -136,13 +150,22 @@ def wasserstein_distance(dist: DiscreteStationary, d: DiffusionDensity) -> float
         if dist.k_top < dist.params.n < dist.k_max:
             edges.append(-dist.derived.zeta)
         edges.append(x_end)
+    tail = end_tail = None
+    if dist.derived.delta > _SURVIVAL_DELTA:
+        # light load, a few states: in CDF form each cell would lose about
+        # 2.2e-16 delta, and each level (all >= 1 - R) its complement, which
+        # carries the area, to rounding; sum the complements tail-first
+        tail = np.cumsum(dist.pmf[:0:-1])[::-1]
+        end_tail = np.zeros(len(edges) - 1)
     cell_area = np.empty(n_cells + len(edges) - 1)
     block = ctmc._BLOCK
     for lo in range(0, n_cells, block):
         hi = min(lo + block, n_cells)
-        _cell_areas(d, x[lo : hi + 1], c[lo:hi], cell_area[lo:hi])
+        t_block = None if tail is None else tail[lo:hi]
+        _cell_areas(d, x[lo : hi + 1], c[lo:hi], cell_area[lo:hi], t_block)
     if len(edges) > 1:
-        _cell_areas(d, np.array(edges), np.full(len(edges) - 1, c[-1]), cell_area[n_cells:])
+        level = np.full(len(edges) - 1, c[-1])
+        _cell_areas(d, np.array(edges), level, cell_area[n_cells:], end_tail)
 
     left_tail = x[0] * float(d.cdf(x[0])) - d.partial_raw_moment(1, -np.inf, x[0])
     right_tail = d.partial_raw_moment(1, x_end, np.inf) - x_end * float(d.sf(x_end))
@@ -246,14 +269,13 @@ def universality_sweep(
     """
     if regime not in _REGIME_STAFFING:
         raise ValueError(f"unknown regime {regime!r}; pick from qd, qed, nds")
-    if beta <= 0.0:
-        raise ValueError("staffing slack beta must be positive")
+    sizes = sorted(sizes)
     for name, value in [("staffing slack beta", beta)] + [("offered load", r) for r in sizes]:
         if not (math.isfinite(value) and value > 0.0):
             raise ValueError(f"{name} must be finite and positive, got {value}")
     staff = _REGIME_STAFFING[regime]
     rows = []
-    for r in sorted(sizes):
+    for r in sizes:
         n = staff(r, beta)
         if alpha_over_mu == 0.0 and n <= r:
             raise ValueError(

@@ -126,10 +126,6 @@ class DerivedQuantities:
     zeta: float
 
     @property
-    def lam(self) -> float:
-        return self.params.lam
-
-    @property
     def mu(self) -> float:
         return self.params.mu
 
@@ -177,9 +173,7 @@ def departure_rate(params: ModelParams, k):
     rate = params.mu * np.minimum(k_arr, params.n) + params.alpha * np.maximum(
         k_arr - params.n, 0
     )
-    if np.isscalar(k) or k_arr.ndim == 0:
-        return float(rate)
-    return rate
+    return float(rate) if k_arr.ndim == 0 else rate
 
 
 def drift(derived: DerivedQuantities, x):
@@ -194,6 +188,4 @@ def drift(derived: DerivedQuantities, x):
     neg_part = np.maximum(-shifted, 0.0) - max(-z, 0.0)
     pos_part = np.maximum(shifted, 0.0) - max(z, 0.0)
     val = neg_part * derived.mu - pos_part * derived.alpha
-    if np.isscalar(x) or x_arr.ndim == 0:
-        return float(val)
-    return val
+    return float(val) if x_arr.ndim == 0 else val

@@ -85,19 +85,13 @@ class TestFunction:
 
     def value(self, x):
         x_arr = np.asarray(x, dtype=float)
-        if self.kind == "lipschitz_identity":
-            out = x_arr
-        else:
-            out = (x_arr <= self.parameter).astype(float)
+        out = x_arr if self.is_lipschitz else (x_arr <= self.parameter).astype(float)
         return out if np.ndim(x) else float(out)
 
     def slope(self, x):
         """h'(x): one for the identity, zero for indicators off the jump."""
         x_arr = np.asarray(x, dtype=float)
-        if self.kind == "lipschitz_identity":
-            out = np.ones_like(x_arr)
-        else:
-            out = np.zeros_like(x_arr)
+        out = np.ones_like(x_arr) if self.is_lipschitz else np.zeros_like(x_arr)
         return out if np.ndim(x) else float(out)
 
     def kink(self) -> float | None:
@@ -323,8 +317,8 @@ def gradient_bound_report(
             _row(f"{regime}der1_right{tag}", np.abs(fp[right]).max() * mu, bound_right),
             _row(f"{regime[:2]}der2{tag}", np.abs(fpp).max() * mu, 3.0),
         ]
-    tag = "C" if derived.is_erlang_c else "A"
-    return [(f"wasserstein_{tag}", w_rows), (f"kolmogorov_{tag}", k_rows)]
+    w_name, k_name = _SUITE_NAMES[:2] if derived.is_erlang_c else _SUITE_NAMES[2:]
+    return [(w_name, w_rows), (k_name, k_rows)]
 
 
 def _ratio_rows(d: DiffusionDensity, grid: np.ndarray, under: bool) -> list[Check]:

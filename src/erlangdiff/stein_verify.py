@@ -56,6 +56,17 @@ def _active(dist: DiscreteStationary) -> np.ndarray:
     return np.arange(idx[0], idx[-1] + 1)
 
 
+def _kept_states(dist: DiscreteStationary):
+    """x, pmf and drift on the ``_active`` states, and the panel edges shared
+    by both decompositions: [x_k - delta, x_k] for the lowest state, then
+    every forward panel.  Edges are the grid points themselves, so the drift
+    kink is always a panel edge, never a sliver-interior point."""
+    ks = _active(dist)
+    x, delta = dist.x[ks], dist.derived.delta
+    edges = np.concatenate(([x[0] - delta], x)), np.concatenate((x, [x[-1] + delta]))
+    return x, dist.pmf[ks], drift(dist.derived, x), edges
+
+
 def _tolerance(dist: DiscreteStationary, p: np.ndarray, lhs: float, per_state) -> float:
     """Numerical budget of a decomposition: the states left out, plus rounding.
 
@@ -98,20 +109,12 @@ def wasserstein_decomposition(
     der = dist.derived
     delta = der.delta
     mu = der.mu
-    ks = _active(dist)
-    x = dist.x[ks]
-    p = dist.pmf[ks]
-    b = drift(der, x)
+    x, p, b, edges = _kept_states(dist)
     fpp = sol.derivatives(x)[1]
     f2b = np.abs(fpp * b)
     term1 = 0.5 * delta * _exact_sum(p * f2b)
 
-    # one shared panel sweep: [x_k - delta, x_k] for the lowest state, then
-    # every forward panel.  Edges are the grid points themselves so the
-    # drift kink is always a panel edge, never a sliver-interior point.
-    lo_edges = np.concatenate(([x[0] - delta], x))
-    hi_edges = np.concatenate((x, [x[-1] + delta]))
-    panel = _panel_abs_f3(sol, lo_edges, hi_edges)
+    panel = _panel_abs_f3(sol, *edges)
     fwd = panel[1:]
     bwd = panel[:-1]
     term2 = 0.5 * mu * _exact_sum(p * fwd)
@@ -190,16 +193,11 @@ def kolmogorov_decomposition(
     der = dist.derived
     params = dist.params
     delta = der.delta
-    ks = _active(dist)
-    x = dist.x[ks]
-    p = dist.pmf[ks]
-    b = drift(der, x)
+    x, p, b, edges = _kept_states(dist)
     fpp_left = sol.derivatives(x)[1]
     term1 = 0.5 * delta * _exact_sum(p * np.abs(fpp_left * b))
 
-    lo_edges = np.concatenate(([x[0] - delta], x))
-    hi_edges = np.concatenate((x, [x[-1] + delta]))
-    a_panel, b_panel = _weighted_f2_panels(sol, lo_edges, hi_edges)
+    a_panel, b_panel = _weighted_f2_panels(sol, *edges)
     half_d2 = 0.5 * delta * delta
     eps1 = a_panel[1:] - fpp_left * half_d2
     eps2 = b_panel[:-1] - fpp_left * half_d2

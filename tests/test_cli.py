@@ -209,7 +209,9 @@ class TestExitCodes:
         out = capsys.readouterr()
         assert out.err == ""
         row = dict(zip(*[line.split(",") for line in out.out.splitlines()]))
-        assert math.isfinite(float(row["d_w"])) and math.isfinite(float(row["d_k"]))
+        # d_W = E|Y| = sqrt(2/pi) up to about sqrt(R) = 1e-20, d_K = Phi(0) = 1/2
+        assert float(row["d_w"]) == pytest.approx(math.sqrt(2.0 / math.pi), rel=1e-15, abs=0.0)
+        assert float(row["d_k"]) == pytest.approx(0.5, rel=1e-15, abs=0.0)
         assert row["dwdk_ok"] == "True"
         dist = metrics.Scenario(ModelParams(lam=1e-40, mu=1.0, n=1), moment_order=1).dist
         der = dist.derived

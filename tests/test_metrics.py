@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -69,6 +70,26 @@ class TestCellsAcrossKink:
         assert got == pytest.approx(oracle, rel=1e-12)
 
     @pytest.mark.parametrize("params", CASES)
+    def test_survival_antiderivative(self, params):
+        d = density_for(params)
+        j = d.switch_point
+        u, v = np.array([j - 1.0]), np.array([j + 0.2])
+        got = _cdf_antiderivative(d, u, v, None, np.asarray(d.sf(v)))[0]
+        oracle = integrate.quad(
+            d.sf, u[0], v[0], points=[j], epsabs=0.0, epsrel=1e-13, limit=200
+        )[0]
+        assert -got == pytest.approx(oracle, rel=1e-12)
+
+    @pytest.mark.parametrize("params", CASES)
+    def test_inverse_sf(self, params):
+        d = density_for(params)
+        j = d.switch_point
+        u, v = np.full(2, j - 1.0), np.full(2, j + 0.2)
+        want = np.array([j - 0.5, j + 0.1])
+        t = d.invert_sf_in_cells(u, v, np.asarray(d.sf(v)), np.asarray(d.sf(want)))
+        assert t == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("params", CASES)
     def test_inverse_cdf(self, params):
         d = density_for(params)
         j = d.switch_point
@@ -92,6 +113,55 @@ class TestWasserstein:
             d = density_for(params)
             gap = abs(chain_moment(dist, 1, absolute=False) - diff_moment(d, 1))
             assert gap <= wasserstein_distance(dist, d) * (1 + 1e-12) + 1e-12
+
+
+def _mm1_wasserstein(lam: float) -> mpmath.mpf:
+    """d_W of M/M/1 (mu = 1) against N(0, 1) to 60 digits, for lam <= 1e-3.
+
+    The chain puts (1 - lam) lam^k at x_k = (k - lam)/sqrt(lam); the
+    diffusion law is N(0, 1) below -zeta = (1 - lam)/sqrt(lam) >= 31 and
+    carries less than 1e-200 past it, so the cells integrate Phi through
+    x Phi(x) + phi(x), split where Phi meets the chain level.
+    """
+    with mpmath.workdps(60):
+        r = mpmath.mpf(lam)
+        delta = 1 / mpmath.sqrt(r)
+        big_phi = lambda x: x * mpmath.ncdf(x) + mpmath.npdf(x)
+        total = big_phi(-r * delta)
+        k = 0
+        while r ** (k + 1) * delta > mpmath.mpf(10) ** -40:
+            a, b = delta * (k - r), delta * (k + 1 - r)
+            level = 1 - r ** (k + 1)
+            t = min(max(mpmath.sqrt(2) * mpmath.erfinv(2 * level - 1), a), b)
+            total += level * (t - a) - 2 * big_phi(t) + big_phi(a) + big_phi(b) - level * (b - t)
+            k += 1
+        return total
+
+
+class TestLightLoad:
+    """The flat cells of light load are about 1/sqrt(R) wide, and the chain
+    levels round to 1 below R = 1e-16."""
+
+    @pytest.mark.parametrize(
+        "lam", [1e-5, 1e-8, 1e-12, 1e-15, 1e-16, 1e-20, 1e-24, 1e-28, 1e-31, 1e-32]
+    )
+    def test_wasserstein_matches_mm1_oracle(self, lam):
+        d_w = Scenario(ModelParams(lam=lam, mu=1.0, n=1)).d_w
+        assert d_w == pytest.approx(float(_mm1_wasserstein(lam)), rel=1e-15, abs=0.0)
+
+    def test_cdf_form_above_survival_delta(self):
+        # delta = 31.6 keeps the CDF form, which loses about 2.2e-16 delta per cell
+        d_w = Scenario(ModelParams(lam=1e-3, mu=1.0, n=1)).d_w
+        assert d_w == pytest.approx(float(_mm1_wasserstein(1e-3)), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    @pytest.mark.parametrize("lam", [1e-33, 1e-40, 1e-300])
+    def test_wasserstein_limit(self, lam, n):
+        # the chain sits at x_0 = -sqrt(R) up to mass about R at 1/sqrt(R)
+        # and beyond, and the diffusion law is N(0, 1) up to a mass far below
+        # 1e-300: d_W = E|Y| = sqrt(2/pi) up to about sqrt(R) <= 1e-16
+        d_w = Scenario(ModelParams(lam=lam, mu=1.0, n=n), moment_order=1).d_w
+        assert d_w == pytest.approx(math.sqrt(2.0 / math.pi), rel=1e-15, abs=0.0)
 
 
 class _DropAtKMax:
