@@ -4,11 +4,14 @@ The stationary pmf follows the flow-balance recursion
 ``log nu_k - log nu_{k-1} = log lam - log d(k)``.  Rather than accumulating
 that recursion (which drifts by ~sqrt(N) ulps over 10^5 states), each log
 weight is written in closed form through log-gamma sums, so consecutive
-weights still satisfy flow balance to a few ulps while absolute accuracy is
-independent of the state index.  Truncation is certified by a geometric tail
-majorant, moments are re-certified per order, and all expectations are
-accumulated with exact or extended-precision summation: tenth moments near
-critical load span thirty orders of magnitude.
+weights still satisfy flow balance to a few ulps and any block of states
+can be built on its own.  The closed form is not exact, though: its terms
+of size ~R log R cancel, so its absolute error grows like |log weight| * eps
+and the pmf at the mode is off by 1.8e-8 relative at R = 4.9e6 (ROADMAP
+item 1 tracks mode-anchored weights).  Truncation is certified by a
+geometric tail majorant, moments are re-certified per order, and all
+expectations are accumulated with exact or extended-precision summation:
+tenth moments near critical load span thirty orders of magnitude.
 """
 
 from __future__ import annotations
@@ -37,8 +40,9 @@ __all__ = [
 _REL_MOMENT_TOL = 1e-8
 # largest truncation index the doubling may reach before TruncationError
 _STATE_CAP = 10**8
-# window passes that need no window-length result work in blocks of this
-# many states, so their scratch stays O(block), not O(window)
+# window passes work in blocks of this many states, so their scratch stays
+# O(block), not O(window); a whole multiple of np.getbufsize(), so block
+# sums chain to the one-array sum (``_exact_sum``)
 _BLOCK = 1 << 16
 
 
@@ -49,18 +53,35 @@ class TruncationError(RuntimeError):
 _LONGDOUBLE_EXACT = np.finfo(np.longdouble).eps < 1e-17
 
 
-def _exact_sum(terms: np.ndarray) -> float:
+def _exact_sum(terms) -> float:
     """Accumulate far below 1 ulp-per-term of double rounding.
 
-    Shewchuk summation (exact) for short arrays; extended-precision pairwise
-    summation for long ones, whose error bound log2(n) * 2^-63 relative is
-    orders of magnitude inside the compensated-summation contract.  Falls
+    ``terms`` is one array or an iterable of arrays (blocks), summed as
+    their concatenation.  Shewchuk summation (exact) for up to 20,000
+    terms; extended-precision pairwise summation for more, whose error
+    bound log2(n) * 2^-63 relative is orders of magnitude inside the
+    compensated-summation contract.  numpy reduces a cast input in buffers
+    of ``np.getbufsize()`` elements, one after another, so blocks chained
+    through ``initial`` keep the bits of the one-array sum when every block
+    but the last is a whole multiple of that size (``_BLOCK`` is).  Falls
     back to exact summation where long double is not wider than double.
     """
-    arr = np.asarray(terms, dtype=float)
-    if arr.size > 20_000 and _LONGDOUBLE_EXACT:
-        return float(np.sum(arr, dtype=np.longdouble))
-    return math.fsum(arr.tolist())
+    stream = iter([terms] if isinstance(terms, np.ndarray) else terms)
+    head, size = [], 0
+    for block in stream:
+        head.append(block)
+        size += block.size
+        if size > 20_000:
+            break
+    if size <= 20_000:
+        return math.fsum(np.concatenate(head).tolist()) if head else 0.0
+    blocks = (block for part in (head, stream) for block in part)
+    if not _LONGDOUBLE_EXACT:
+        return math.fsum(t for block in blocks for t in block.tolist())
+    acc = np.longdouble(0.0)
+    for block in blocks:
+        acc = np.sum(block, dtype=np.longdouble, initial=acc)
+    return float(acc)
 
 
 def _log_weights(params: ModelParams, k_lo: int, k_hi: int) -> np.ndarray:
@@ -81,25 +102,34 @@ def _log_weights(params: ModelParams, k_lo: int, k_hi: int) -> np.ndarray:
         base = n / beta
         log_q = log_r - math.log(beta)
         log_base = gammaln(base + 1.0)
+    # from state n on, served = n: served*log(r) - lgamma(served + 1) is one
+    # constant there, and the queue k - n is exact in floats
+    served_n = float(n) * log_r - gammaln(float(n) + 1.0)
     ell = np.empty(k_hi - k_lo + 1)
-    # one output array, filled block by block; the two block buffers are
-    # updated in place in the operation order of the plain array
-    # expressions, so every weight keeps its bits
+    # one output array, filled block by block and split at n; each part runs
+    # the operations of the plain array expressions, in their order up to
+    # the operands of one addition, so every weight keeps its bits
     for lo in range(k_lo, k_hi + 1, _BLOCK):
         out = ell[lo - k_lo : min(lo + _BLOCK, k_hi + 1) - k_lo]
-        k = np.arange(lo, lo + out.size, dtype=float)
-        served = np.minimum(k, float(n))
-        np.multiply(served, log_r, out=out)
-        queue = np.subtract(k, served, out=k)
-        served += 1.0
-        out -= gammaln(served, out=served)
-        scratch = served
-        out += np.multiply(queue, log_q, out=scratch)
-        if not params.is_erlang_c:
-            queue += base + 1.0
-            queue = gammaln(queue, out=queue)
-            queue -= log_base
-            out -= queue
+        below = min(max(n - lo, 0), out.size)  # states k < n: served = k, no queue
+        if below:
+            head = out[:below]
+            k = np.arange(lo, lo + below, dtype=float)
+            np.multiply(k, log_r, out=head)
+            k += 1.0
+            head -= gammaln(k, out=k)
+            head += 0.0 * log_q  # the empty queue's term: -0.0 may become +0.0
+        if below < out.size:
+            tail = out[below:]
+            queue = np.arange(lo + below - n, lo + out.size - n, dtype=float)
+            np.multiply(queue, log_q, out=tail)
+            tail += served_n
+            if not params.is_erlang_c:
+                # below n this term is lgamma(base + 1) - log_base = +0.0
+                queue += base + 1.0
+                queue = gammaln(queue, out=queue)
+                queue -= log_base
+                tail -= queue
     return ell
 
 
@@ -159,30 +189,30 @@ def _geometric_majorant(p: float, ratio: float, a: float, m: int, delta: float) 
 class DiscreteStationary:
     """Exact stationary pmf of the chain on the states that carry mass.
 
-    The arrays (``log_pmf``, ``pmf``, ``states``, ``x``, ``cdf_values``,
-    ``death_rates``) cover the window of states k_min..k_top whose weight is
-    within 1e-32 of the mode's (1e-64, 1e-96, ... where the states past a
-    shallower cut alone would spoil a certified moment), with scaled coordinates
-    x_k = delta*(k - x_inf).  Only ``log_pmf`` is held from the start;
-    ``pmf``, ``x`` and ``cdf_values`` are kept from their first read, and
-    ``states`` and ``death_rates`` are built anew on each read.  Moments
-    and the tail bounds read none of them: a moment holds ``log_pmf`` and
-    one terms buffer, with x and pmf built block by block.  ``pmf``, ``x``
-    and ``cdf_values`` are read by the distances and the verify suites; the
-    distances add one window-length array of cell areas and walk the window
-    ``_BLOCK`` cells at a time, so the rest of their scratch is block-sized.
+    The window is the states k_min..k_top whose weight is within 1e-32 of
+    the mode's (1e-64, 1e-96, ... where the states past a shallower cut
+    alone would spoil a certified moment), with scaled coordinates
+    x_k = delta*(k - x_inf).  Only the two scalars that normalize it are
+    held: the largest log weight ``ell_max`` and the log normalizer
+    ``log_z``.  The log pmf of any state is the closed-form log weight
+    minus ``ell_max`` minus ``log_z``, so a block of it is built where it
+    is used and dropped after: moments and the tail bounds hold no
+    window-length array.  ``log_pmf``, ``states`` and ``death_rates`` are
+    built anew on each read; ``pmf`` and ``x`` are kept from their first
+    read, for the verify suites, and ``cdf_values`` (a block cumsum of the
+    closed-form pmf) for the verify suites and the distances.
     ``k_max >= k_top`` is the certified truncation index; ``log_pmf_end``
-    and ``tail_ratio`` = lam/d(k_max + 1) are its pmf and tail ratio.
+    and ``tail_ratio`` = lam/d(k_max + 1) are its log pmf and tail ratio.
     ``tail_bound`` certifies all the mass left out: the head below k_min,
     the gap (k_top, k_max] and the tail beyond k_max.
     """
 
     derived: DerivedQuantities
     k_min: int
+    k_top: int
     k_max: int
-    log_pmf: np.ndarray = field(repr=False)
-    log_pmf_end: float
-    tail_ratio: float
+    ell_max: float
+    log_z: float
     # (m, {offset: sum of |x + offset|^m pmf over the window}) for the sums
     # stationary_pmf took while certifying moments of order m (offset 0 and,
     # where the Minkowski floor fell short, zeta); ``moment`` reuses them as
@@ -194,12 +224,49 @@ class DiscreteStationary:
         return self.derived.params
 
     @property
-    def k_top(self) -> int:
-        return self.k_min + self.log_pmf.size - 1
+    def _size(self) -> int:
+        return self.k_top - self.k_min + 1
+
+    def _log_pmf_of(self, k_lo: int, k_hi: int) -> np.ndarray:
+        """The log pmf of states k_lo..k_hi, from the closed form."""
+        ell = _log_weights(self.params, k_lo, k_hi)
+        ell -= self.ell_max
+        ell -= self.log_z
+        return ell
+
+    def _log_pmf_blocks(self, start: int = 0, stop: int | None = None):
+        """(i, log pmf of window positions i, i+1, ...) for the positions
+        start..stop-1, ``_BLOCK`` at a time, each built on demand."""
+        stop = self._size if stop is None else stop
+        for lo in range(start, stop, _BLOCK):
+            hi = min(lo + _BLOCK, stop)
+            yield lo, self._log_pmf_of(self.k_min + lo, self.k_min + hi - 1)
+
+    def _x_of(self, lo: int, hi: int) -> np.ndarray:
+        """x at window positions lo..hi-1."""
+        # float states are exact below 2^53: delta*(states - x_inf) bit for
+        # bit, without an int64 copy of the window
+        x = np.arange(self.k_min + lo, self.k_min + hi, dtype=float)
+        x -= self.derived.x_inf
+        x *= self.derived.delta
+        return x
+
+    @property
+    def log_pmf(self) -> np.ndarray:
+        return self._log_pmf_of(self.k_min, self.k_top)
+
+    @cached_property
+    def log_pmf_end(self) -> float:
+        return float(self._log_pmf_of(self.k_max, self.k_max)[0])
+
+    @cached_property
+    def tail_ratio(self) -> float:
+        return float(self.params.lam / departure_rate(self.params, self.k_max + 1))
 
     @cached_property
     def pmf(self) -> np.ndarray:
-        return np.exp(self.log_pmf)
+        p = self.log_pmf
+        return np.exp(p, out=p)
 
     @property
     def states(self) -> np.ndarray:
@@ -207,27 +274,34 @@ class DiscreteStationary:
 
     @cached_property
     def x(self) -> np.ndarray:
-        # float states are exact below 2^53: delta*(states - x_inf) bit for
-        # bit, without an int64 copy of the window
-        x = np.arange(self.k_min, self.k_top + 1, dtype=float)
-        x -= self.derived.x_inf
-        x *= self.derived.delta
-        return x
+        return self._x_of(0, self._size)
 
     @property
     def x_max(self) -> float:
         """Scaled coordinate of k_max."""
         return self.derived.delta * (self.k_max - self.derived.x_inf)
 
-    def _at(self, k: int) -> tuple[float, float]:
-        """(x, pmf) of window state k, bit for bit as in ``x`` and ``pmf``."""
-        x = (float(k) - self.derived.x_inf) * self.derived.delta
-        i = k - self.k_min
-        return x, float(np.exp(self.log_pmf[i : i + 1])[0])
+    @cached_property
+    def _edges(self) -> list[tuple[float, float]]:
+        """(x, pmf) of k_min and of k_top, bit for bit as in ``x`` and ``pmf``."""
+        edges = []
+        for k in (self.k_min, self.k_top):
+            x = (float(k) - self.derived.x_inf) * self.derived.delta
+            edges.append((x, float(np.exp(self._log_pmf_of(k, k))[0])))
+        return edges
 
     @cached_property
     def cdf_values(self) -> np.ndarray:
-        return np.cumsum(self.pmf)
+        # np.cumsum adds strictly left to right, so each block's cumsum,
+        # its first term carrying the last sum so far, keeps the bits of
+        # one cumsum over the whole pmf
+        c = np.empty(self._size)
+        last = 0.0
+        for lo, ell in self._log_pmf_blocks():
+            p = np.exp(ell, out=ell)
+            p[0] += last
+            last = np.cumsum(p, out=c[lo : lo + p.size])[-1]
+        return c
 
     @property
     def death_rates(self) -> np.ndarray:
@@ -268,11 +342,11 @@ class DiscreteStationary:
             )
         if self.k_min > 0:
             ratio = departure_rate(params, self.k_min) / params.lam
-            x, pmf = self._at(self.k_min)
+            x, pmf = self._edges[0]
             bound += _geometric_majorant(pmf, ratio, max(abs(x) + s, delta), m, delta)
         if self.k_top < self.k_max:
             ratio = params.lam / departure_rate(params, self.k_top + 1)
-            x, pmf = self._at(self.k_top)
+            x, pmf = self._edges[1]
             bound += _geometric_majorant(pmf, ratio, max(abs(x) + s, delta), m, delta)
         return bound
 
@@ -320,9 +394,9 @@ def stationary_pmf(
     moments E|X~|^m and E|X~ + zeta|^m are unperturbed beyond 1e-8 relative,
     which requires a longer grid than the mass criterion alone when the load
     is near critical.  The truncation index k_max is chosen on the full grid
-    0..k_max, but only the window of states that carry mass is built (see
-    ``DiscreteStationary``); the window edges are found by bisection on the
-    concave closed-form log weight.
+    0..k_max, but only the window of states that carry mass is summed,
+    block by block (see ``DiscreteStationary``); the window edges are found
+    by bisection on the concave closed-form log weight.
     """
     if not 0.0 < tail_tol < 1.0:
         raise ValueError("tail_tol must be in (0, 1)")
@@ -359,7 +433,6 @@ def stationary_pmf(
                 continue
             if dist is not None:
                 return dist
-            del dist  # a failed try holds no arrays while the next is built
         k_hi = 2 * k_hi + 64
 
 
@@ -374,29 +447,28 @@ def _truncated_pmf(
     """The window pmf truncated at k_hi, or None if its tail exceeds tail_tol.
 
     The window ends at the last state up to k_hi whose log weight is at
-    least ``floor``.  The tail test reads the weight at k_hi from the closed
+    least ``floor``.  Its largest log weight and its normalizer take one
+    closed-form pass each, block by block (the first stops at n in
+    Erlang-C).  The tail test reads the weight at k_hi from the closed
     form, against the window's normalizer.
     """
     params = derived.params
     k_top = _first_true(lambda k: _log_weight(params, k) < floor, k_min, k_hi + 1) - 1
-    ell = _log_weights(params, k_min, k_top)
-    ell_max = ell.max()
-    ell -= ell_max
+
+    def blocks(k_end):
+        for lo in range(k_min, k_end + 1, _BLOCK):
+            yield _log_weights(params, lo, min(lo + _BLOCK - 1, k_end))
+
+    # past n an Erlang-C log weight is c + (k - n) log q with log q < 0, and
+    # rounding keeps that nonincreasing in k, so its maximum lies at or below n
+    k_peak = min(k_top, params.n) if params.is_erlang_c else k_top
+    ell_max = np.max([ell.max() for ell in blocks(k_peak)])
     shifted_end = np.float64(_log_weight(params, k_hi) - ell_max)
-    z = _exact_sum(np.exp(ell))
+    z = _exact_sum(np.exp(np.subtract(ell, ell_max, out=ell), out=ell) for ell in blocks(k_top))
     tail = (np.exp(shifted_end) / z) * q / (1.0 - q)
     if tail > tail_tol:
         return None
-    log_z = math.log(z)
-    ell -= log_z
-    return DiscreteStationary(
-        derived=derived,
-        k_min=k_min,
-        k_max=k_hi,
-        log_pmf=ell,
-        log_pmf_end=float(shifted_end - log_z),
-        tail_ratio=float(q),
-    )
+    return DiscreteStationary(derived, k_min, k_top, k_hi, float(ell_max), math.log(z))
 
 
 def _with_certified_moments(dist: DiscreteStationary, m: int) -> DiscreteStationary | bool | None:
@@ -420,8 +492,7 @@ def _with_certified_moments(dist: DiscreteStationary, m: int) -> DiscreteStation
     bound = dist.moment_tail_bound(m)
     if not math.isfinite(bound):
         return None
-    scratch = np.empty(dist.log_pmf.size)
-    total = _exact_sum(_moment_terms(dist, slice(None), 0.0, m, scratch))
+    total = _exact_sum(_moment_terms(dist, slice(None), 0.0, m))
     if bound > _REL_MOMENT_TOL * total:
         return only_wider(0.0, total)
     zeta = dist.derived.zeta
@@ -429,7 +500,7 @@ def _with_certified_moments(dist: DiscreteStationary, m: int) -> DiscreteStation
     floor = max(total ** (1.0 / m) - abs(zeta), 0.0) ** m
     sums = {0.0: total}
     if shifted_bound > _REL_MOMENT_TOL * floor * (1.0 - 1e-9):
-        sums[zeta] = _exact_sum(_moment_terms(dist, slice(None), zeta, m, scratch))
+        sums[zeta] = _exact_sum(_moment_terms(dist, slice(None), zeta, m))
         scale = max(sums[zeta], np.finfo(float).tiny)
         if shifted_bound > _REL_MOMENT_TOL * scale:
             return only_wider(zeta, scale)
@@ -437,34 +508,24 @@ def _with_certified_moments(dist: DiscreteStationary, m: int) -> DiscreteStation
 
 
 def _moment_terms(
-    dist: DiscreteStationary,
-    part: slice,
-    offset: float,
-    m: int,
-    out: np.ndarray,
-    absolute: bool = True,
-) -> np.ndarray:
-    """|x + offset|^m * pmf (the signed power if not absolute) on the window
-    slice ``part``, written into ``out[part]`` and returned.
+    dist: DiscreteStationary, part: slice, offset: float, m: int, absolute: bool = True
+):
+    """Blocks of |x + offset|^m * pmf (the signed power if not absolute)
+    over the window slice ``part``.
 
-    x and pmf are built block by block from the float states and
-    ``log_pmf``, in the operation order of ``dist.x`` and ``dist.pmf``, so
-    every term keeps its bits without a window-length copy of either.
+    Each block builds x from its float states and the pmf from the closed
+    form, in the operation order of ``dist.x`` and ``dist.pmf``, so every
+    term keeps its bits and nothing window-length is held.
     """
-    start, stop, _ = part.indices(dist.log_pmf.size)
-    x_inf, delta = dist.derived.x_inf, dist.derived.delta
-    for lo in range(start, stop, _BLOCK):
-        terms = out[lo : min(lo + _BLOCK, stop)]
-        k0 = dist.k_min + lo
-        buf = np.arange(k0, k0 + terms.size, dtype=float)
-        buf -= x_inf
-        buf *= delta
-        np.add(buf, offset, out=terms)
+    start, stop, _ = part.indices(dist._size)
+    for lo, ell in dist._log_pmf_blocks(start, stop):
+        terms = dist._x_of(lo, lo + ell.size)
+        terms += offset
         if absolute:
             np.abs(terms, out=terms)
         terms **= m
-        terms *= np.exp(dist.log_pmf[lo : lo + terms.size], out=buf)
-    return out[start:stop]
+        terms *= np.exp(ell, out=ell)
+        yield terms
 
 
 def _region_slice(dist: DiscreteStationary, region: str) -> slice:
@@ -506,10 +567,7 @@ def moment(
         offset = dist.derived.zeta
     else:
         raise ValueError(f"unknown shift {shift!r}")
-    scratch = np.empty(dist.log_pmf.size)
-    result = _exact_sum(
-        _moment_terms(dist, _region_slice(dist, region), offset, m, scratch, absolute)
-    )
+    result = _exact_sum(_moment_terms(dist, _region_slice(dist, region), offset, m, absolute))
     # certify against the full-support absolute moment: a region whose true
     # mass sits below the window's cut is exactly 0 in double precision and
     # no tail tolerance could make it relatively accurate
@@ -519,7 +577,7 @@ def moment(
     elif sums is not None and sums[0] == m and offset in sums[1]:
         scale = sums[1][offset]
     else:
-        scale = _exact_sum(_moment_terms(dist, slice(None), offset, m, scratch))
+        scale = _exact_sum(_moment_terms(dist, slice(None), offset, m))
     tail = dist.moment_tail_bound(m, shift=offset)
     if tail > _REL_MOMENT_TOL * max(scale, np.finfo(float).tiny):
         raise TruncationError(

@@ -8,11 +8,13 @@ diffusion CDF is piecewise Gaussian/exponential with closed antiderivatives
 recovered by inverting the diffusion CDF piece in closed form.  The
 Kolmogorov distance is the exact supremum over the jump points.
 
-Both read the chain's ``x`` and ``cdf_values`` (and so its cached ``pmf``)
-and walk them ``ctmc._BLOCK`` states at a time, evaluating the diffusion CDF
-once per cell edge.  The Wasserstein cell areas are the one window-length
-array they add, kept whole so that their sum runs over the same array as in
-one pass; all other scratch is block-sized.
+Both read the chain's ``cdf_values`` (built and kept on first read) and
+walk it ``ctmc._BLOCK`` states at a time, building each block's scaled
+states and evaluating the diffusion CDF once per cell edge; they read
+neither the chain's ``x`` nor its ``pmf`` whole.  The Wasserstein cell
+areas are the one window-length array they add, kept whole so that their
+sum runs over the same array as in one pass; all other scratch is
+block-sized.
 """
 
 from __future__ import annotations
@@ -61,13 +63,12 @@ def kolmogorov_distance(dist: DiscreteStationary, d) -> float:
     only needs a vectorized ``cdf``; it is a continuous law, so its value
     at a grid point is also its left limit.
     """
-    x = dist.x
     c = dist.cdf_values
     block = ctmc._BLOCK
     peaks = []
-    for lo in range(0, x.size, block):
-        hi = min(lo + block, x.size)
-        f_y = np.asarray(d.cdf(x[lo:hi]), dtype=float)
+    for lo in range(0, c.size, block):
+        hi = min(lo + block, c.size)
+        f_y = np.asarray(d.cdf(dist._x_of(lo, hi)), dtype=float)
         # from the left the chain CDF reads the state before's value, 0 before the first
         c_prev = np.empty(hi - lo)
         c_prev[0] = c[lo - 1] if lo else 0.0
@@ -138,10 +139,10 @@ def wasserstein_distance(dist: DiscreteStationary, d: DiffusionDensity) -> float
     grid are closed-form partial first moments.  At light load (delta past
     ``_SURVIVAL_DELTA``) the cells go in survival form.
     """
-    x = dist.x
     c = dist.cdf_values
-    n_cells = x.size - 1
-    x_end = x[-1]
+    n_cells = c.size - 1
+    x_first = dist._x_of(0, 1)[0]
+    x_end = dist._x_of(n_cells, n_cells + 1)[0]
     edges = [x_end]
     if dist.k_top < dist.k_max:
         x_end = dist.x_max
@@ -155,19 +156,19 @@ def wasserstein_distance(dist: DiscreteStationary, d: DiffusionDensity) -> float
         # light load, a few states: in CDF form each cell would lose about
         # 2.2e-16 delta, and each level (all >= 1 - R) its complement, which
         # carries the area, to rounding; sum the complements tail-first
-        tail = np.cumsum(dist.pmf[:0:-1])[::-1]
+        tail = np.cumsum(np.exp(dist.log_pmf)[:0:-1])[::-1]
         end_tail = np.zeros(len(edges) - 1)
     cell_area = np.empty(n_cells + len(edges) - 1)
     block = ctmc._BLOCK
     for lo in range(0, n_cells, block):
         hi = min(lo + block, n_cells)
         t_block = None if tail is None else tail[lo:hi]
-        _cell_areas(d, x[lo : hi + 1], c[lo:hi], cell_area[lo:hi], t_block)
+        _cell_areas(d, dist._x_of(lo, hi + 1), c[lo:hi], cell_area[lo:hi], t_block)
     if len(edges) > 1:
         level = np.full(len(edges) - 1, c[-1])
         _cell_areas(d, np.array(edges), level, cell_area[n_cells:], end_tail)
 
-    left_tail = x[0] * float(d.cdf(x[0])) - d.partial_raw_moment(1, -np.inf, x[0])
+    left_tail = x_first * float(d.cdf(x_first)) - d.partial_raw_moment(1, -np.inf, x_first)
     right_tail = d.partial_raw_moment(1, x_end, np.inf) - x_end * float(d.sf(x_end))
     return float(_exact_sum(cell_area) + left_tail + right_tail)
 

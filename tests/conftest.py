@@ -91,8 +91,7 @@ def full_grid_pmf(params: ModelParams, tail_tol: float = 1e-12) -> DiscreteStati
         z = math.fsum(w.tolist())
         q_ok = q < 1.0 if params.is_erlang_c else q <= 0.5
         if q_ok and (w[-1] / z) * q / (1.0 - q) <= tail_tol:
-            log_pmf = ell - ell.max() - math.log(z)
-            return DiscreteStationary(der, 0, k_hi, log_pmf, float(log_pmf[-1]), q)
+            return DiscreteStationary(der, 0, k_hi, k_hi, float(ell.max()), math.log(z))
         k_hi = 2 * k_hi + 64
 
 

@@ -178,7 +178,7 @@ class TestWindow:
 
     def test_size_at_large_r(self):
         dist = stationary_pmf(ModelParams(lam=4.9e6, mu=1.0, n=4_998_000, alpha=0.0))
-        assert dist.log_pmf.size <= 100_000
+        assert dist.k_top - dist.k_min + 1 <= 100_000
         assert dist.k_max == 4_926_623
         assert dist.k_min > 0
 
@@ -391,9 +391,10 @@ class TestMoment:
 
 
 class TestMemory:
-    def test_moment_pipeline_holds_few_window_arrays(self):
-        # about 2.2M states: the log pmf and one terms buffer, with room for
-        # half an array of block buffers and the diffusion side
+    def test_moment_pipeline_holds_no_window_array(self):
+        # about 2.2M states, 34 blocks: every pass builds its blocks from the
+        # closed form and drops them, so the peak is a few blocks of scratch
+        # (and the diffusion side), whatever the window length
         params = ModelParams(lam=1.0 - 1.5e-5, mu=1.0, n=1, alpha=0.0)
         tracemalloc.start()
         try:
@@ -402,8 +403,8 @@ class TestMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert dist.log_pmf.size > 2_000_000
-        assert peak <= 2.5 * 8 * dist.log_pmf.size
+        assert dist.k_top - dist.k_min + 1 > 2_000_000
+        assert peak <= 12 * 8 * ctmc._BLOCK
 
     def test_moment_path_caches_no_pmf_or_x(self):
         for params in (
@@ -414,7 +415,41 @@ class TestMemory:
             moment_error(dist, build_density(dist.derived), 3)
             moment_bound_report(dist)
             assert dist.tail_bound >= 0.0
-            assert "pmf" not in dist.__dict__ and "x" not in dist.__dict__
+            for name in ("log_pmf", "pmf", "x", "cdf_values"):
+                assert name not in dist.__dict__
+
+
+class TestExactSum:
+    # the block form chains np.sum through ``initial``; numpy reduces a
+    # cast input in buffers of np.getbufsize() elements one after another,
+    # so whole-buffer blocks reproduce the one-array sum bit for bit
+    def test_block_is_whole_buffers(self):
+        assert ctmc._BLOCK % np.getbufsize() == 0
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        size=st.one_of(
+            st.sampled_from([1, 20_000, 20_001, ctmc._BLOCK, ctmc._BLOCK + 1]),
+            st.floats(0.0, math.log10(3e6)).map(lambda e: int(10.0**e)),
+        ),
+        seed=st.integers(0, 2**32 - 1),
+        longdouble=st.booleans(),
+    )
+    @example(size=3_000_000, seed=1, longdouble=True)
+    @example(size=3_000_000, seed=2, longdouble=False)
+    def test_blocks_match_one_array(self, size, seed, longdouble):
+        rng = np.random.default_rng(seed)
+        terms = rng.standard_normal(size) * np.exp(rng.uniform(-30.0, 30.0, size))
+        blocks = (terms[lo : lo + ctmc._BLOCK] for lo in range(0, size, ctmc._BLOCK))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ctmc, "_LONGDOUBLE_EXACT", ctmc._LONGDOUBLE_EXACT and longdouble)
+            got = ctmc._exact_sum(blocks)
+            one = ctmc._exact_sum(terms)
+            if size > 20_000 and ctmc._LONGDOUBLE_EXACT:
+                want = float(np.sum(terms, dtype=np.longdouble))
+            else:
+                want = math.fsum(terms.tolist())
+        assert got.hex() == one.hex() == want.hex()
 
 
 def _plain_log_weights(params, k_lo, k_hi):
@@ -458,13 +493,12 @@ class TestBlocks:
 
 
 def _generator_at(der, f, k):
-    """|G f(x_k)| from ``stein_identity_residual`` on a point mass at state k."""
-    log_pmf = np.full(k + 2, -np.inf)
-    log_pmf[k] = 0.0
-    point = DiscreteStationary(
-        derived=der, k_min=0, k_max=k + 1, log_pmf=log_pmf, log_pmf_end=-np.inf, tail_ratio=0.5
-    )
-    return stein_identity_residual(point, f).residual, float(point.x[k])
+    """|G f(x_k)| from ``stein_identity_residual`` on a point mass at state k:
+    a one-state window, normalized by its own weight."""
+    ell_k = ctmc._log_weight(der.params, k)
+    point = DiscreteStationary(der, k_min=k, k_top=k, k_max=k + 1, ell_max=ell_k, log_z=0.0)
+    assert point.pmf.tolist() == [1.0]
+    return stein_identity_residual(point, f).residual, float(point.x[0])
 
 
 class TestGenerator:

@@ -237,7 +237,7 @@ class TestBlocks:
     def test_blocks_keep_every_bit(self, params, block):
         dist, d = pmf_for(params), density_for(params)
         one_block = [wasserstein_distance(dist, d), kolmogorov_distance(dist, d)]
-        assert dist.log_pmf.size < ctmc._BLOCK
+        assert dist.k_top - dist.k_min + 1 < ctmc._BLOCK
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(ctmc, "_BLOCK", block)
             blocks = [wasserstein_distance(dist, d), kolmogorov_distance(dist, d)]
@@ -261,11 +261,14 @@ class TestBlocks:
 
 class TestMemory:
     def test_distances_hold_one_window_array(self, monkeypatch):
-        # 259,907 states with pmf, x and cdf_values already read: the cell
-        # areas are the one window-length array, everything else is per block
+        # 259,907 states: beside the chain CDF, which it builds and keeps,
+        # a distance holds one window-length array, the cell areas; x and
+        # the pmf are built per block and not cached, so the rest of the
+        # scratch is block-sized
         s = Scenario(ModelParams(lam=3054430.197, mu=1.0, n=3055375, alpha=0.0))
         dist = s.dist
-        s.density, dist.pmf, dist.x, dist.cdf_values
+        s.density
+        size = dist.k_top - dist.k_min + 1
         block = 4096
         monkeypatch.setattr(ctmc, "_BLOCK", block)
         tracemalloc.start()
@@ -274,8 +277,9 @@ class TestMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert dist.log_pmf.size > 50 * block
-        assert peak <= 8 * (dist.log_pmf.size + 32 * block)
+        assert size > 50 * block
+        assert peak <= 8 * (2 * size + 32 * block)
+        assert "pmf" not in dist.__dict__ and "x" not in dist.__dict__
 
 
 class TestOracles:
