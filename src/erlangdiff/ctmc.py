@@ -5,19 +5,22 @@ The stationary pmf follows the flow-balance recursion
 that recursion (which drifts by ~sqrt(N) ulps over 10^5 states), each log
 weight is written in closed form through log-gamma sums, so consecutive
 weights still satisfy flow balance to a few ulps and any block of states
-can be built on its own.  The closed form is not exact, though: its terms
-of size ~R log R cancel, so its absolute error grows like |log weight| * eps
-and the pmf at the mode is off by 1.8e-8 relative at R = 4.9e6 (ROADMAP
-item 1 tracks mode-anchored weights).  Truncation is certified by a
-geometric tail majorant, moments are re-certified per order, and all
-expectations are accumulated with exact or extended-precision summation:
-tenth moments near critical load span thirty orders of magnitude.
+can be built on its own.  So no window is held: one walk builds it
+``_BLOCK`` states at a time wherever it is read, and only the verify
+suites keep its ``pmf`` and ``x``.  The closed form is not exact, though:
+its terms of size ~R log R cancel, so its absolute error grows like
+|log weight| * eps and the pmf at the mode is off by 1.8e-8 relative at
+R = 4.9e6 (ROADMAP item 1 tracks mode-anchored weights).  Truncation is
+certified by a geometric tail majorant, moments are re-certified per
+order, and all expectations are accumulated with exact or
+extended-precision summation: tenth moments near critical load span thirty
+orders of magnitude.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import Callable, NamedTuple, Sequence
 
@@ -40,9 +43,9 @@ __all__ = [
 _REL_MOMENT_TOL = 1e-8
 # largest truncation index the doubling may reach before TruncationError
 _STATE_CAP = 10**8
-# window passes work in blocks of this many states, so their scratch stays
-# O(block), not O(window); a whole multiple of np.getbufsize(), so block
-# sums chain to the one-array sum (``_exact_sum``)
+# the window walk (``_log_weight_blocks``) builds this many states at a
+# time, so its scratch stays O(block), not O(window); a whole multiple of
+# np.getbufsize(), so block sums chain to the one-array sum (``_exact_sum``)
 _BLOCK = 1 << 16
 
 
@@ -105,32 +108,37 @@ def _log_weights(params: ModelParams, k_lo: int, k_hi: int) -> np.ndarray:
     # from state n on, served = n: served*log(r) - lgamma(served + 1) is one
     # constant there, and the queue k - n is exact in floats
     served_n = float(n) * log_r - gammaln(float(n) + 1.0)
+    # one output array, split at n; each part runs the operations of the
+    # plain array expressions, in their order up to the operands of one
+    # addition, so every weight keeps its bits
     ell = np.empty(k_hi - k_lo + 1)
-    # one output array, filled block by block and split at n; each part runs
-    # the operations of the plain array expressions, in their order up to
-    # the operands of one addition, so every weight keeps its bits
-    for lo in range(k_lo, k_hi + 1, _BLOCK):
-        out = ell[lo - k_lo : min(lo + _BLOCK, k_hi + 1) - k_lo]
-        below = min(max(n - lo, 0), out.size)  # states k < n: served = k, no queue
-        if below:
-            head = out[:below]
-            k = np.arange(lo, lo + below, dtype=float)
-            np.multiply(k, log_r, out=head)
-            k += 1.0
-            head -= gammaln(k, out=k)
-            head += 0.0 * log_q  # the empty queue's term: -0.0 may become +0.0
-        if below < out.size:
-            tail = out[below:]
-            queue = np.arange(lo + below - n, lo + out.size - n, dtype=float)
-            np.multiply(queue, log_q, out=tail)
-            tail += served_n
-            if not params.is_erlang_c:
-                # below n this term is lgamma(base + 1) - log_base = +0.0
-                queue += base + 1.0
-                queue = gammaln(queue, out=queue)
-                queue -= log_base
-                tail -= queue
+    below = min(max(n - k_lo, 0), ell.size)  # states k < n: served = k, no queue
+    if below:
+        head = ell[:below]
+        k = np.arange(k_lo, k_lo + below, dtype=float)
+        np.multiply(k, log_r, out=head)
+        k += 1.0
+        head -= gammaln(k, out=k)
+        head += 0.0 * log_q  # the empty queue's term: -0.0 may become +0.0
+    if below < ell.size:
+        tail = ell[below:]
+        queue = np.arange(k_lo + below - n, k_hi + 1 - n, dtype=float)
+        np.multiply(queue, log_q, out=tail)
+        tail += served_n
+        if not params.is_erlang_c:
+            # below n this term is lgamma(base + 1) - log_base = +0.0
+            queue += base + 1.0
+            queue = gammaln(queue, out=queue)
+            queue -= log_base
+            tail -= queue
     return ell
+
+
+def _log_weight_blocks(params: ModelParams, k_lo: int, k_hi: int):
+    """(k, log weights of states k, k+1, ...) for k_lo..k_hi, ``_BLOCK``
+    states at a time (read at call time): the one loop over a window."""
+    for lo in range(k_lo, k_hi + 1, _BLOCK):
+        yield lo, _log_weights(params, lo, min(lo + _BLOCK - 1, k_hi))
 
 
 def _log_weight(params: ModelParams, k: int) -> float:
@@ -195,16 +203,16 @@ class DiscreteStationary:
     x_k = delta*(k - x_inf).  Only the two scalars that normalize it are
     held: the largest log weight ``ell_max`` and the log normalizer
     ``log_z``.  The log pmf of any state is the closed-form log weight
-    minus ``ell_max`` minus ``log_z``, so a block of it is built where it
-    is used and dropped after: moments and the tail bounds hold no
-    window-length array.  ``log_pmf``, ``states`` and ``death_rates`` are
-    built anew on each read; ``pmf`` and ``x`` are kept from their first
-    read, for the verify suites, and ``cdf_values`` (a block cumsum of the
-    closed-form pmf) for the verify suites and the distances.
-    ``k_max >= k_top`` is the certified truncation index; ``log_pmf_end``
-    and ``tail_ratio`` = lam/d(k_max + 1) are its log pmf and tail ratio.
-    ``tail_bound`` certifies all the mass left out: the head below k_min,
-    the gap (k_top, k_max] and the tail beyond k_max.
+    minus ``ell_max`` minus ``log_z``, and every read of the window goes
+    through one walk (``_walk``), which builds x and the pmf ``_BLOCK``
+    states at a time and drops them after.  One holding rule follows:
+    ``pmf`` and ``x`` are kept from their first read, for the verify
+    suites; nothing else window-length is kept, and the moments, the tail
+    bounds and the distances hold no window-length array.
+    ``k_max >= k_top`` is the certified truncation index and ``tail_ratio``
+    = lam/d(k_max + 1) its tail ratio.  ``tail_bound`` certifies all the
+    mass left out: the head below k_min, the gap (k_top, k_max] and the
+    tail beyond k_max.
     """
 
     derived: DerivedQuantities
@@ -213,11 +221,13 @@ class DiscreteStationary:
     k_max: int
     ell_max: float
     log_z: float
-    # (m, {offset: sum of |x + offset|^m pmf over the window}) for the sums
+    # {(m, offset): sum of |x + offset|^m pmf over the window} for the sums
     # stationary_pmf took while certifying moments of order m (offset 0 and,
     # where the Minkowski floor fell short, zeta); ``moment`` reuses them as
     # its scale
-    _abs_moment_sums: tuple[int, dict[float, float]] | None = field(default=None, repr=False)
+    _abs_moment_sums: dict[tuple[int, float], float] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     @property
     def params(self) -> ModelParams:
@@ -227,81 +237,67 @@ class DiscreteStationary:
     def _size(self) -> int:
         return self.k_top - self.k_min + 1
 
-    def _log_pmf_of(self, k_lo: int, k_hi: int) -> np.ndarray:
-        """The log pmf of states k_lo..k_hi, from the closed form."""
-        ell = _log_weights(self.params, k_lo, k_hi)
-        ell -= self.ell_max
-        ell -= self.log_z
-        return ell
-
-    def _log_pmf_blocks(self, start: int = 0, stop: int | None = None):
-        """(i, log pmf of window positions i, i+1, ...) for the positions
-        start..stop-1, ``_BLOCK`` at a time, each built on demand."""
+    def _walk(self, start: int = 0, stop: int | None = None, log: bool = False):
+        """(i, x, pmf) of window positions i, i+1, ... for the positions
+        start..stop-1 (the log pmf if ``log``), ``_BLOCK`` at a time, each
+        block built from the closed form.  Positions past k_top are walked
+        the same way."""
         stop = self._size if stop is None else stop
-        for lo in range(start, stop, _BLOCK):
-            hi = min(lo + _BLOCK, stop)
-            yield lo, self._log_pmf_of(self.k_min + lo, self.k_min + hi - 1)
+        for k, ell in _log_weight_blocks(self.params, self.k_min + start, self.k_min + stop - 1):
+            ell -= self.ell_max
+            ell -= self.log_z
+            # float states are exact below 2^53: delta*(states - x_inf) bit
+            # for bit, without an int64 copy of the block
+            x = np.arange(k, k + ell.size, dtype=float)
+            x -= self.derived.x_inf
+            x *= self.derived.delta
+            yield k - self.k_min, x, ell if log else np.exp(ell, out=ell)
 
-    def _x_of(self, lo: int, hi: int) -> np.ndarray:
-        """x at window positions lo..hi-1."""
-        # float states are exact below 2^53: delta*(states - x_inf) bit for
-        # bit, without an int64 copy of the window
-        x = np.arange(self.k_min + lo, self.k_min + hi, dtype=float)
-        x -= self.derived.x_inf
-        x *= self.derived.delta
-        return x
+    def _whole(self, item: int, log: bool = False) -> np.ndarray:
+        """Item ``item`` (1: x, 2: the pmf) of every walk block, in one window array."""
+        out = np.empty(self._size)
+        for block in self._walk(log=log):
+            out[block[0] : block[0] + block[item].size] = block[item]
+        return out
 
     @property
     def log_pmf(self) -> np.ndarray:
-        return self._log_pmf_of(self.k_min, self.k_top)
-
-    @cached_property
-    def log_pmf_end(self) -> float:
-        return float(self._log_pmf_of(self.k_max, self.k_max)[0])
-
-    @cached_property
-    def tail_ratio(self) -> float:
-        return float(self.params.lam / departure_rate(self.params, self.k_max + 1))
+        return self._whole(2, log=True)
 
     @cached_property
     def pmf(self) -> np.ndarray:
-        p = self.log_pmf
-        return np.exp(p, out=p)
+        return self._whole(2)
+
+    @cached_property
+    def x(self) -> np.ndarray:
+        return self._whole(1)
 
     @property
     def states(self) -> np.ndarray:
         return np.arange(self.k_min, self.k_top + 1)
 
     @cached_property
-    def x(self) -> np.ndarray:
-        return self._x_of(0, self._size)
+    def _ends(self) -> dict[int, tuple[float, float]]:
+        """(x, pmf) of the states k_min, k_top and k_max, each read once
+        through the walk, so bit for bit as in ``x`` and ``pmf``."""
+        ends = {}
+        for k in {self.k_min, self.k_top, self.k_max}:
+            _, x, p = next(self._walk(k - self.k_min, k - self.k_min + 1))
+            ends[k] = float(x[0]), float(p[0])
+        return ends
 
     @property
     def x_max(self) -> float:
         """Scaled coordinate of k_max."""
-        return self.derived.delta * (self.k_max - self.derived.x_inf)
+        return self._ends[self.k_max][0]
 
     @cached_property
-    def _edges(self) -> list[tuple[float, float]]:
-        """(x, pmf) of k_min and of k_top, bit for bit as in ``x`` and ``pmf``."""
-        edges = []
-        for k in (self.k_min, self.k_top):
-            x = (float(k) - self.derived.x_inf) * self.derived.delta
-            edges.append((x, float(np.exp(self._log_pmf_of(k, k))[0])))
-        return edges
+    def tail_ratio(self) -> float:
+        return float(self.params.lam / departure_rate(self.params, self.k_max + 1))
 
-    @cached_property
+    @property
     def cdf_values(self) -> np.ndarray:
-        # np.cumsum adds strictly left to right, so each block's cumsum,
-        # its first term carrying the last sum so far, keeps the bits of
-        # one cumsum over the whole pmf
-        c = np.empty(self._size)
-        last = 0.0
-        for lo, ell in self._log_pmf_blocks():
-            p = np.exp(ell, out=ell)
-            p[0] += last
-            last = np.cumsum(p, out=c[lo : lo + p.size])[-1]
-        return c
+        return np.cumsum(self.pmf)
 
     @property
     def death_rates(self) -> np.ndarray:
@@ -337,16 +333,15 @@ class DiscreteStationary:
         s = abs(shift)
         bound = 0.0
         if past_k_max:
-            bound = _geometric_majorant(
-                float(np.exp(self.log_pmf_end)), self.tail_ratio, self.x_max + s, m, delta
-            )
+            x, pmf = self._ends[self.k_max]
+            bound = _geometric_majorant(pmf, self.tail_ratio, x + s, m, delta)
         if self.k_min > 0:
             ratio = departure_rate(params, self.k_min) / params.lam
-            x, pmf = self._edges[0]
+            x, pmf = self._ends[self.k_min]
             bound += _geometric_majorant(pmf, ratio, max(abs(x) + s, delta), m, delta)
         if self.k_top < self.k_max:
             ratio = params.lam / departure_rate(params, self.k_top + 1)
-            x, pmf = self._edges[1]
+            x, pmf = self._ends[self.k_top]
             bound += _geometric_majorant(pmf, ratio, max(abs(x) + s, delta), m, delta)
         return bound
 
@@ -454,17 +449,13 @@ def _truncated_pmf(
     """
     params = derived.params
     k_top = _first_true(lambda k: _log_weight(params, k) < floor, k_min, k_hi + 1) - 1
-
-    def blocks(k_end):
-        for lo in range(k_min, k_end + 1, _BLOCK):
-            yield _log_weights(params, lo, min(lo + _BLOCK - 1, k_end))
-
     # past n an Erlang-C log weight is c + (k - n) log q with log q < 0, and
     # rounding keeps that nonincreasing in k, so its maximum lies at or below n
     k_peak = min(k_top, params.n) if params.is_erlang_c else k_top
-    ell_max = np.max([ell.max() for ell in blocks(k_peak)])
+    blocks = partial(_log_weight_blocks, params, k_min)
+    ell_max = np.max([ell.max() for _, ell in blocks(k_peak)])
     shifted_end = np.float64(_log_weight(params, k_hi) - ell_max)
-    z = _exact_sum(np.exp(np.subtract(ell, ell_max, out=ell), out=ell) for ell in blocks(k_top))
+    z = _exact_sum(np.exp(np.subtract(ell, ell_max, out=ell), out=ell) for _, ell in blocks(k_top))
     tail = (np.exp(shifted_end) / z) * q / (1.0 - q)
     if tail > tail_tol:
         return None
@@ -472,10 +463,10 @@ def _truncated_pmf(
 
 
 def _with_certified_moments(dist: DiscreteStationary, m: int) -> DiscreteStationary | bool | None:
-    """dist carrying the window sums of |x|^m pmf (and of |x + zeta|^m pmf
-    where it took that one), or, if its tails could move either sum by
-    more than 1e-8 relative, True where only a wider window can mend that
-    and None where a longer grid may.
+    """dist, with the window sums of |x|^m pmf (and of |x + zeta|^m pmf
+    where it took that one) recorded on it, or, if its tails could move
+    either sum by more than 1e-8 relative, True where only a wider window
+    can mend that and None where a longer grid may.
 
     The window has unit mass, so Minkowski gives the floor
     (sum |x|^m pmf)^(1/m) - |zeta| <= (sum |x + zeta|^m pmf)^(1/m); the
@@ -498,33 +489,30 @@ def _with_certified_moments(dist: DiscreteStationary, m: int) -> DiscreteStation
     zeta = dist.derived.zeta
     shifted_bound = dist.moment_tail_bound(m, shift=zeta)
     floor = max(total ** (1.0 / m) - abs(zeta), 0.0) ** m
-    sums = {0.0: total}
+    sums = dist._abs_moment_sums
+    sums[m, 0.0] = total
     if shifted_bound > _REL_MOMENT_TOL * floor * (1.0 - 1e-9):
-        sums[zeta] = _exact_sum(_moment_terms(dist, slice(None), zeta, m))
-        scale = max(sums[zeta], np.finfo(float).tiny)
+        sums[m, zeta] = _exact_sum(_moment_terms(dist, slice(None), zeta, m))
+        scale = max(sums[m, zeta], np.finfo(float).tiny)
         if shifted_bound > _REL_MOMENT_TOL * scale:
             return only_wider(zeta, scale)
-    return replace(dist, _abs_moment_sums=(m, sums))
+    return dist
 
 
 def _moment_terms(
     dist: DiscreteStationary, part: slice, offset: float, m: int, absolute: bool = True
 ):
     """Blocks of |x + offset|^m * pmf (the signed power if not absolute)
-    over the window slice ``part``.
-
-    Each block builds x from its float states and the pmf from the closed
-    form, in the operation order of ``dist.x`` and ``dist.pmf``, so every
-    term keeps its bits and nothing window-length is held.
+    over the window slice ``part``, one per walk block: every term keeps
+    the bits of the one-array form and nothing window-length is held.
     """
     start, stop, _ = part.indices(dist._size)
-    for lo, ell in dist._log_pmf_blocks(start, stop):
-        terms = dist._x_of(lo, lo + ell.size)
+    for _, terms, pmf in dist._walk(start, stop):
         terms += offset
         if absolute:
             np.abs(terms, out=terms)
         terms **= m
-        terms *= np.exp(ell, out=ell)
+        terms *= pmf
         yield terms
 
 
@@ -571,11 +559,10 @@ def moment(
     # certify against the full-support absolute moment: a region whose true
     # mass sits below the window's cut is exactly 0 in double precision and
     # no tail tolerance could make it relatively accurate
-    sums = dist._abs_moment_sums
     if region == "all" and absolute:
         scale = result
-    elif sums is not None and sums[0] == m and offset in sums[1]:
-        scale = sums[1][offset]
+    elif (m, offset) in dist._abs_moment_sums:
+        scale = dist._abs_moment_sums[m, offset]
     else:
         scale = _exact_sum(_moment_terms(dist, slice(None), offset, m))
     tail = dist.moment_tail_bound(m, shift=offset)
@@ -715,10 +702,12 @@ def idle_probability_monotone(
     For alpha > 0 the sequence is nonincreasing in lambda: busier systems
     are less likely to have idle servers.
     """
+    from .metrics import Scenario  # metrics imports this module
+
     if alpha <= 0.0:
         raise ValueError("the comparison family requires alpha > 0")
     out = []
     for lam in lambdas:
-        dist = stationary_pmf(ModelParams(lam=lam, mu=mu, n=n, alpha=alpha), tail_tol)
+        dist = Scenario(ModelParams(lam=lam, mu=mu, n=n, alpha=alpha), tail_tol).dist
         out.append(moment(dist, 0, "below"))
     return out

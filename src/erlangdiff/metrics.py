@@ -8,13 +8,10 @@ diffusion CDF is piecewise Gaussian/exponential with closed antiderivatives
 recovered by inverting the diffusion CDF piece in closed form.  The
 Kolmogorov distance is the exact supremum over the jump points.
 
-Both read the chain's ``cdf_values`` (built and kept on first read) and
-walk it ``ctmc._BLOCK`` states at a time, building each block's scaled
-states and evaluating the diffusion CDF once per cell edge; they read
-neither the chain's ``x`` nor its ``pmf`` whole.  The Wasserstein cell
-areas are the one window-length array they add, kept whole so that their
-sum runs over the same array as in one pass; all other scratch is
-block-sized.
+Both follow the chain's walk (``DiscreteStationary._walk``), ``ctmc._BLOCK``
+states at a time, and carry its running CDF from block to block; they
+evaluate the diffusion CDF once per cell edge and hold no window-length
+array (but for the light-load survival levels of a window of a few states).
 """
 
 from __future__ import annotations
@@ -25,7 +22,6 @@ from functools import cached_property
 
 import numpy as np
 
-from . import ctmc
 from .ctmc import DiscreteStationary, _exact_sum, moment as chain_moment, stationary_pmf
 from .diffusion import (
     DiffusionDensity,
@@ -52,28 +48,35 @@ _KOLMOGOROV_BOUND = 188.0
 _SURVIVAL_DELTA = 100.0
 
 
+def _chain_cdf(dist: DiscreteStationary):
+    """(i, x, chain CDF before the block, chain CDF) of each walk block.
+    np.cumsum adds strictly left to right, so each block's cumsum, its
+    first term carrying the last sum so far, keeps the bits of one cumsum
+    over the whole pmf."""
+    last = 0.0
+    for i, x, p in dist._walk():
+        p[0] += last
+        yield i, x, last, np.cumsum(p, out=p)
+        last = p[-1]
+
+
 def kolmogorov_distance(dist: DiscreteStationary, d) -> float:
     """sup_t |F_chain(t) - F_diffusion(t)|, exactly.
 
     The chain CDF is flat on each cell, so the supremum is attained at a
     grid point approached from one side or the other; both candidates are
-    checked at every state, ``ctmc._BLOCK`` states at a time.  Past the
-    window the chain CDF stays at its last value up to k_max, where
-    |c - F| peaks at an end point, so x(k_max) joins the candidates.  ``d``
-    only needs a vectorized ``cdf``; it is a continuous law, so its value
-    at a grid point is also its left limit.
+    checked at every state, one walk block at a time.  Past the window the
+    chain CDF stays at its last value up to k_max, where |c - F| peaks at
+    an end point, so x(k_max) joins the candidates.  ``d`` only needs a
+    vectorized ``cdf``; it is a continuous law, so its value at a grid
+    point is also its left limit.
     """
-    c = dist.cdf_values
-    block = ctmc._BLOCK
     peaks = []
-    for lo in range(0, c.size, block):
-        hi = min(lo + block, c.size)
-        f_y = np.asarray(d.cdf(dist._x_of(lo, hi)), dtype=float)
+    for _, x, before, c in _chain_cdf(dist):
+        f_y = np.asarray(d.cdf(x), dtype=float)
         # from the left the chain CDF reads the state before's value, 0 before the first
-        c_prev = np.empty(hi - lo)
-        c_prev[0] = c[lo - 1] if lo else 0.0
-        c_prev[1:] = c[lo : hi - 1]
-        peaks.append(np.max(np.maximum(np.abs(c[lo:hi] - f_y), np.abs(c_prev - f_y))))
+        c_prev = np.append(before, c[:-1])
+        peaks.append(np.max(np.maximum(np.abs(c - f_y), np.abs(c_prev - f_y))))
     if dist.k_top < dist.k_max:
         f_end = np.asarray(d.cdf(np.array([dist.x_max])), dtype=float)
         peaks.append(np.abs(c[-1] - f_end)[0])
@@ -92,8 +95,8 @@ def _cdf_antiderivative(d: DiffusionDensity, u: np.ndarray, v: np.ndarray, f_u, 
     return u * m0 - m1 - s_v * (v - u)
 
 
-def _cell_areas(d: DiffusionDensity, edges: np.ndarray, level: np.ndarray, out: np.ndarray, tail):
-    """int |level - F_Y| over the cells between consecutive ``edges``, into ``out``.
+def _cell_areas(d: DiffusionDensity, edges: np.ndarray, level: np.ndarray, tail) -> np.ndarray:
+    """int |level - F_Y| over the cells between consecutive ``edges``.
 
     F_Y is evaluated once per edge.  If it stays on one side of the chain
     level, a cell's area is a closed-form antiderivative difference;
@@ -116,7 +119,7 @@ def _cell_areas(d: DiffusionDensity, edges: np.ndarray, level: np.ndarray, out: 
     above = g_u >= lev  # F_Y >= level across the whole cell
     below = g_v <= lev
     crossing = ~above & ~below
-    out[:] = np.where(above, area, np.where(below, -area, 0.0))
+    out = np.where(above, area, np.where(below, -area, 0.0))
     if np.any(crossing):
         uu, vv = u[crossing], v[crossing]
         lev, g_u, g_v = lev[crossing], g_u[crossing], g_v[crossing]
@@ -127,50 +130,56 @@ def _cell_areas(d: DiffusionDensity, edges: np.ndarray, level: np.ndarray, out: 
             t = d.invert_cdf_in_cells(uu, vv, g_u, lev)
             g_t = np.asarray(d.cdf(t), dtype=float)
         out[crossing] = -excess(uu, t, g_u, g_t) + excess(t, vv, g_t, g_v)
+    return out
+
+
+def _cells(dist: DiscreteStationary, flat: list[float]):
+    """(i, edges, chain CDF level) of the cells from window positions i,
+    i+1, ..., one block per walk block, each passed on once the next
+    block's first state, its last cell's right edge, is built.  The cells
+    past k_top, between the ``flat`` edges at the last CDF value, join the
+    last block, so every block the sum sees but the last is whole."""
+    prev = None
+    for i, x, _, c in _chain_cdf(dist):
+        if prev is not None:
+            yield prev[0], np.append(prev[1], x[0]), prev[2]
+        prev = i, x, c
+    i, x, c = prev
+    yield i, np.append(x, flat), np.append(c, [c[-1]] * len(flat))[:-1]
 
 
 def wasserstein_distance(dist: DiscreteStationary, d: DiffusionDensity) -> float:
     """W1 distance as the exact area between the two CDFs.
 
-    The window's cells go through ``_cell_areas`` ``ctmc._BLOCK`` at a
-    time, into one window-length array of cell areas.  From the last window
-    state to k_max the chain CDF is flat, so that stretch is one more cell
-    (two if the density's kink x_n = -zeta falls inside).  Tails beyond the
-    grid are closed-form partial first moments.  At light load (delta past
-    ``_SURVIVAL_DELTA``) the cells go in survival form.
+    The window's cells go through ``_cell_areas`` one walk block at a
+    time, and their areas into the block form of ``_exact_sum``.  From the
+    last window state to k_max the chain CDF is flat, so that stretch is
+    one more cell (two if the density's kink x_n = -zeta falls inside).
+    Tails beyond the grid are closed-form partial first moments.  At light
+    load (delta past ``_SURVIVAL_DELTA``) the cells go in survival form.
     """
-    c = dist.cdf_values
-    n_cells = c.size - 1
-    x_first = dist._x_of(0, 1)[0]
-    x_end = dist._x_of(n_cells, n_cells + 1)[0]
-    edges = [x_end]
+    x_first, x_end = dist._ends[dist.k_min][0], dist.x_max
+    flat = []
     if dist.k_top < dist.k_max:
-        x_end = dist.x_max
         # one cell across the kink -zeta is integrated right too; the split
         # keeps d_W's bits (about 1e-12 relative apart in heavily staffed Erlang-A)
         if dist.k_top < dist.params.n < dist.k_max:
-            edges.append(-dist.derived.zeta)
-        edges.append(x_end)
-    tail = end_tail = None
+            flat.append(-dist.derived.zeta)
+        flat.append(x_end)
+    tail = None
     if dist.derived.delta > _SURVIVAL_DELTA:
         # light load, a few states: in CDF form each cell would lose about
         # 2.2e-16 delta, and each level (all >= 1 - R) its complement, which
         # carries the area, to rounding; sum the complements tail-first
         tail = np.cumsum(np.exp(dist.log_pmf)[:0:-1])[::-1]
-        end_tail = np.zeros(len(edges) - 1)
-    cell_area = np.empty(n_cells + len(edges) - 1)
-    block = ctmc._BLOCK
-    for lo in range(0, n_cells, block):
-        hi = min(lo + block, n_cells)
-        t_block = None if tail is None else tail[lo:hi]
-        _cell_areas(d, dist._x_of(lo, hi + 1), c[lo:hi], cell_area[lo:hi], t_block)
-    if len(edges) > 1:
-        level = np.full(len(edges) - 1, c[-1])
-        _cell_areas(d, np.array(edges), level, cell_area[n_cells:], end_tail)
-
+        tail = np.append(tail, np.zeros(len(flat)))
+    areas = (
+        _cell_areas(d, edges, level, None if tail is None else tail[i : i + level.size])
+        for i, edges, level in _cells(dist, flat)
+    )
     left_tail = x_first * float(d.cdf(x_first)) - d.partial_raw_moment(1, -np.inf, x_first)
     right_tail = d.partial_raw_moment(1, x_end, np.inf) - x_end * float(d.sf(x_end))
-    return float(_exact_sum(cell_area) + left_tail + right_tail)
+    return float(_exact_sum(areas) + left_tail + right_tail)
 
 
 def mean_error(dist: DiscreteStationary, d: DiffusionDensity) -> float:

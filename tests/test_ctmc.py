@@ -375,7 +375,7 @@ class TestMoment:
         params = ModelParams(lam=1.0, mu=1.0, n=5, alpha=0.0)
         certified = stationary_pmf(params, moment_order=2)
         plain = stationary_pmf(params)
-        assert certified.derived.zeta in certified._abs_moment_sums[1]
+        assert (2, certified.derived.zeta) in certified._abs_moment_sums
         passes = []
         terms = ctmc._moment_terms
 
@@ -388,6 +388,27 @@ class TestMoment:
             passes.clear()
             assert moment(dist, 2, region, "plus_zeta") > 0.0
             assert len(passes) == 1
+
+    def test_edge_states_are_read_once(self, monkeypatch):
+        # moment_order records its sums on the pmf it certified, not on a
+        # copy, so the tail bound's edge states k_min, k_top and k_max keep
+        # the closed form they read there, and moment_error reuses it; the
+        # window searches go through _log_weight and are not counted
+        params = ModelParams(lam=88.98, mu=1.0, n=89, alpha=70.13)
+        weights = ctmc._log_weights
+        calls = []
+
+        def counted(params, k_lo, k_hi):
+            calls.append((k_lo, k_hi))
+            return weights(params, k_lo, k_hi)
+
+        monkeypatch.setattr(ctmc, "_log_weight", lambda params, k: float(weights(params, k, k)[0]))
+        monkeypatch.setattr(ctmc, "_log_weights", counted)
+        dist = stationary_pmf(params, moment_order=2)
+        moment_error(dist, build_density(dist.derived), 2)
+        edges = (dist.k_min, dist.k_top, dist.k_max)
+        assert dist.k_min < dist.k_top < dist.k_max
+        assert [calls.count((k, k)) for k in edges] == [1, 1, 1]
 
 
 class TestMemory:

@@ -30,7 +30,7 @@ from erlangdiff.metrics import (
     universality_sweep,
     wasserstein_distance,
 )
-from erlangdiff.model import ModelParams
+from erlangdiff.model import ModelParams, derive
 
 C_HEAVY = ModelParams(lam=4.9, mu=1.0, n=5, alpha=0.0)
 
@@ -243,6 +243,25 @@ class TestBlocks:
             blocks = [wasserstein_distance(dist, d), kolmogorov_distance(dist, d)]
         assert [v.hex() for v in blocks] == [v.hex() for v in one_block]
 
+    @pytest.mark.parametrize(
+        "params",
+        [
+            ModelParams(lam=99.9, mu=1.0, n=100, alpha=0.0),
+            # k_top < n < k_max: the two flat-stretch cells join the last block
+            ModelParams(lam=1e6, mu=1.0, n=1_014_000, alpha=1.0),
+        ],
+    )
+    def test_long_double_chain_keeps_every_bit(self, params, monkeypatch):
+        # past 20,000 cells the areas are summed in long double, chained
+        # from block to block; whole-buffer blocks of any size keep the bits
+        dist, d = stationary_pmf(params, 1e-12), build_density(derive(params))
+        assert dist.k_top - dist.k_min + 1 > 20_000
+        d_w = []
+        for block in (8192, 65_536):
+            monkeypatch.setattr(ctmc, "_BLOCK", block)
+            d_w.append(wasserstein_distance(dist, d).hex())
+        assert d_w[0] == d_w[1]
+
     def test_bisects_only_the_cells_that_need_it(self, monkeypatch):
         # 158 cells cross the diffusion CDF at this load, and the closed-form
         # piece inverse rounds outside its cell in 8 of them
@@ -260,11 +279,11 @@ class TestBlocks:
 
 
 class TestMemory:
-    def test_distances_hold_one_window_array(self, monkeypatch):
-        # 259,907 states: beside the chain CDF, which it builds and keeps,
-        # a distance holds one window-length array, the cell areas; x and
-        # the pmf are built per block and not cached, so the rest of the
-        # scratch is block-sized
+    def test_distances_hold_no_window_array(self, monkeypatch):
+        # 259,907 states, 63 blocks: the distances build x, the pmf and the
+        # running CDF per walk block and sum the cell areas per block, so
+        # the peak is a few blocks of scratch, whatever the window length;
+        # one window-length array alone (2.1 MB) would break the bound
         s = Scenario(ModelParams(lam=3054430.197, mu=1.0, n=3055375, alpha=0.0))
         dist = s.dist
         s.density
@@ -278,7 +297,7 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert size > 50 * block
-        assert peak <= 8 * (2 * size + 32 * block)
+        assert peak <= 8 * 32 * block
         assert "pmf" not in dist.__dict__ and "x" not in dist.__dict__
 
 
