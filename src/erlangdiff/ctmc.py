@@ -296,10 +296,6 @@ class DiscreteStationary:
         return float(self.params.lam / departure_rate(self.params, self.k_max + 1))
 
     @property
-    def cdf_values(self) -> np.ndarray:
-        return np.cumsum(self.pmf)
-
-    @property
     def death_rates(self) -> np.ndarray:
         return departure_rate(self.params, self.states)
 
@@ -310,7 +306,10 @@ class DiscreteStationary:
     def cdf(self, t) -> np.ndarray:
         """P(scaled state <= t); right-continuous step function."""
         idx = np.searchsorted(self.x, np.asarray(t, dtype=float), side="right")
-        out = np.where(idx > 0, self.cdf_values[idx - 1], 0.0)
+        # cumsum adds left to right, so its prefix up to the largest index
+        # searched has the bits of the whole window's
+        c = np.concatenate(([0.0], np.cumsum(self.pmf[: np.max(idx, initial=0)])))
+        out = c[idx]
         return out if np.ndim(t) else float(out)
 
     def prob_interval(self, lo: float, hi: float) -> float:
@@ -347,10 +346,9 @@ class DiscreteStationary:
 
 
 def _min_useful_k_hi(params: ModelParams, tail_tol: float, ell_mode: float) -> float:
-    """A lower bound on every k_hi that can pass the q and tail tests.
+    """A lower bound on every Erlang-C k_hi that can pass the tail test.
 
-    Erlang-A insists on q = lam/d(k_hi + 1) <= 1/2, so d(k_hi + 1) >= 2 lam.
-    Erlang-C weights fall by q = R/n per state above n, and the window
+    The weights fall by q = R/n per state above n, and the window
     normalizer is at most n mode weights plus nu_n/(1 - q), so a k_hi >= n
     passes the tail test only ``steps`` states or more past n.  Below n the
     weights fall more slowly than that, so the bound says nothing there
@@ -360,11 +358,7 @@ def _min_useful_k_hi(params: ModelParams, tail_tol: float, ell_mode: float) -> f
     0.1% and one state, so rounding never rules out a k_hi that could
     succeed.
     """
-    lam, mu, n = params.lam, params.mu, params.n
-    if not params.is_erlang_c:
-        need = 2.0 * lam
-        k_q = need / mu if need <= n * mu else n + (need - n * mu) / params.alpha
-        return 0.999 * k_q - 2.0
+    n = params.n
     q = params.offered_load / n
     log_q = math.log(q)
     log_1mq = math.log((n - params.offered_load) / n)
@@ -401,11 +395,13 @@ def stationary_pmf(
     floor = ell_mode + _WINDOW_CUT
     k_min = _first_true(lambda k: _log_weight(params, k) >= floor, 0, k_mode)
     k_hi = int(derived.x_inf + 12.0 * math.sqrt(derived.x_inf) + 60.0)
-    # no k_hi below this bound passes the q and tail tests: start the
+    # no Erlang-C k_hi below this bound passes the tail test: start the
     # doubling at the first one that can, and past the state cap, fail now
-    k_need = _min_useful_k_hi(params, tail_tol, ell_mode)
-    while k_hi < k_need and k_hi <= _STATE_CAP:
-        k_hi = 2 * k_hi + 64
+    # (Erlang-A's q test below skips its hopeless k_hi as cheaply)
+    if params.is_erlang_c:
+        k_need = _min_useful_k_hi(params, tail_tol, ell_mode)
+        while k_hi < k_need and k_hi <= _STATE_CAP:
+            k_hi = 2 * k_hi + 64
     while True:
         if k_hi > _STATE_CAP:
             raise TruncationError(

@@ -12,7 +12,8 @@ two stationary laws: four absolute-value terms for Lipschitz test functions,
 and for indicators the same with the integral remainders eps1/eps2, whose
 integrands jump at the indicator anchor.  This module evaluates the terms
 numerically over the exact pmf, with panel quadrature split at the drift
-kink and the anchor.
+kink and the anchor, from one read of the Poisson solution on the chain
+states that also gives the generator identity E h(X~) - E h(Y) = E G_Y f_h(X~).
 """
 
 from __future__ import annotations
@@ -56,15 +57,22 @@ def _active(dist: DiscreteStationary) -> np.ndarray:
     return np.arange(idx[0], idx[-1] + 1)
 
 
-def _kept_states(dist: DiscreteStationary):
-    """x, pmf and drift on the ``_active`` states, and the panel edges shared
-    by both decompositions: [x_k - delta, x_k] for the lowest state, then
-    every forward panel.  Edges are the grid points themselves, so the drift
-    kink is always a panel edge, never a sliver-interior point."""
-    ks = _active(dist)
-    x, delta = dist.x[ks], dist.derived.delta
-    edges = np.concatenate(([x[0] - delta], x)), np.concatenate((x, [x[-1] + delta]))
-    return x, dist.pmf[ks], drift(dist.derived, x), edges
+def _kept_states(dist: DiscreteStationary, sol: PoissonSolution):
+    """The one read of the chain states for ``sol``: on the whole window,
+    |E h(X~) - E h(Y)| and its generator-identity gap to |E G_Y f_h(X~)| =
+    |E[b f' + mu f'']|; on the ``_active`` states, the pmf, the drift and
+    f'' (elementwise, so slices of the window's values) and the panel edges
+    of both decompositions: [x_k - delta, x_k] for the lowest state, then
+    every forward panel.  Edges are the grid points themselves, so the
+    drift kink is always a panel edge, never a sliver-interior point."""
+    x, pmf, ks = dist.x, dist.pmf, _active(dist)
+    b = drift(dist.derived, x)
+    fp, fpp, _ = sol.derivatives(x)
+    gen_y = _exact_sum(pmf * (b * fp + sol.derived.mu * fpp))
+    lhs = abs(_exact_sum(pmf * sol.h.value(x)) - sol.h_mean)
+    xk, delta = x[ks], dist.derived.delta
+    edges = np.concatenate(([xk[0] - delta], xk)), np.concatenate((xk, [xk[-1] + delta]))
+    return pmf[ks], b[ks], fpp[ks], edges, lhs, abs(lhs - abs(gen_y))
 
 
 def _tolerance(dist: DiscreteStationary, p: np.ndarray, lhs: float, per_state) -> float:
@@ -109,10 +117,10 @@ def wasserstein_decomposition(
     der = dist.derived
     delta = der.delta
     mu = der.mu
-    x, p, b, edges = _kept_states(dist)
-    fpp = sol.derivatives(x)[1]
+    p, b, fpp, edges, lhs, gap = _kept_states(dist, sol)
     f2b = np.abs(fpp * b)
-    term1 = 0.5 * delta * _exact_sum(p * f2b)
+    mean_abs_f2b = _exact_sum(p * f2b)
+    term1 = 0.5 * delta * mean_abs_f2b
 
     panel = _panel_abs_f3(sol, *edges)
     fwd = panel[1:]
@@ -121,8 +129,6 @@ def wasserstein_decomposition(
     term3 = 0.5 * mu * _exact_sum(p * bwd)
     term4 = 0.5 * delta * _exact_sum(p * np.abs(b) * bwd)
 
-    chain_mean_h = _exact_sum(dist.pmf * sol.h.value(dist.x))
-    lhs = abs(chain_mean_h - sol.h_mean)
     per_state = 0.5 * delta * f2b + 0.5 * mu * (fwd + bwd) + 0.5 * delta * np.abs(b) * bwd
     terms = {
         "term1_drift_f2": term1,
@@ -137,7 +143,7 @@ def wasserstein_decomposition(
         total=total,
         lhs=lhs,
         tolerance=_tolerance(dist, p, lhs, per_state),
-        extras={"mean_abs_f2b": _exact_sum(p * f2b)},
+        extras={"mean_abs_f2b": mean_abs_f2b, "generator_identity": gap},
     )
 
 
@@ -193,8 +199,7 @@ def kolmogorov_decomposition(
     der = dist.derived
     params = dist.params
     delta = der.delta
-    x, p, b, edges = _kept_states(dist)
-    fpp_left = sol.derivatives(x)[1]
+    p, b, fpp_left, edges, _, gap = _kept_states(dist, sol)
     term1 = 0.5 * delta * _exact_sum(p * np.abs(fpp_left * b))
 
     a_panel, b_panel = _weighted_f2_panels(sol, *edges)
@@ -231,6 +236,7 @@ def kolmogorov_decomposition(
         "straddle": straddle,
         "straddle_majorant": majorant,
         "interm_rhs": 0.5 * straddle + 75.0 * delta,
+        "generator_identity": gap,
     }
     return ErrorDecomposition(
         metric="kolmogorov",

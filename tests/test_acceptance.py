@@ -313,7 +313,7 @@ def test_criterion_13_oracle_equivalence():
         dk_oracle = float(np.max(np.abs(dist.cdf(pts) - d.cdf(pts))))
         assert kolmogorov_distance(dist, d) == pytest.approx(dk_oracle, abs=1e-9)
 
-        c = dist.cdf_values
+        c = np.cumsum(dist.pmf)
         dw_oracle = 0.0
         for k in range(len(dist.x) - 1):
             dw_oracle += integrate.quad(

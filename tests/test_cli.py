@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import mpmath
+import numpy as np
 import pytest
 
 from erlangdiff import cli, metrics, poisson
@@ -140,6 +141,15 @@ class TestExitCodes:
     def test_validation_error(self, capsys):
         assert cli.main(["distance", "--lambda", "6", "--n", "5"]) == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where", ["missing", "directory"])
+    def test_unwritable_out_exit_1(self, capsys, tmp_path, where):
+        out = tmp_path / "missing" / "x.csv" if where == "missing" else tmp_path
+        argv = ["distance", "--lambda", "12", "--n", "5", "--alpha", "2", "--out", str(out)]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
     def test_distance_writes_nothing_to_stderr(self):
         # the exponential piece's closed-form cell inverse takes the log of a
@@ -333,3 +343,23 @@ class TestVerifyBuildsOnce:
             "wasserstein_distance": 0,
             "_sample_grid": 1,
         }
+
+    def test_one_window_pass_per_solution(self, monkeypatch):
+        # each of the five solutions is evaluated on the chain states once,
+        # for its generator identity and its decomposition together
+        dists, points = [], []
+        pmf, derivatives = metrics.stationary_pmf, poisson.PoissonSolution.derivatives
+
+        def built(*args, **kwargs):
+            dists.append(pmf(*args, **kwargs))
+            return dists[-1]
+
+        def recorded(sol, x):
+            points.append(np.asarray(x))
+            return derivatives(sol, x)
+
+        monkeypatch.setattr(metrics, "stationary_pmf", built)
+        monkeypatch.setattr(poisson.PoissonSolution, "derivatives", recorded)
+        cli.run_verify(ModelParams(lam=12.0, mu=1.0, n=5, alpha=2.0))
+        (dist,) = dists
+        assert sum(x.size > 0 and np.isin(x, dist.x).all() for x in points) == 5

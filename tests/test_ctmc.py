@@ -176,6 +176,24 @@ class TestWindow:
         # tight and only the two normalizations' rounding separates them
         assert math.fsum(outside.tolist()) <= dist.tail_bound * (1.0 + 1e-12)
 
+    @settings(max_examples=30, deadline=None)
+    @given(params=small_window_params(), u=st.lists(st.floats(-0.1, 1.1), min_size=1, max_size=8))
+    def test_cdf_is_the_pmf_cumsum(self, params, u):
+        # cdf sums the pmf only up to the largest index it searched; cumsum
+        # adds left to right, so each value has the whole window's bits
+        dist = stationary_pmf(params, 1e-12)
+        x, full = dist.x, np.cumsum(dist.pmf)
+        u = np.asarray(u)
+        # points between the states and outside the window, and states themselves
+        on = np.clip(np.round(u * (x.size - 1)), 0, x.size - 1).astype(int)
+        t = np.concatenate((x[0] + u * (x[-1] - x[0]), x[on]))
+        idx = np.searchsorted(x, t, side="right")
+        want = [full[i - 1].hex() if i else (0.0).hex() for i in idx]
+        assert [v.hex() for v in dist.cdf(t).tolist()] == want
+        assert [dist.cdf(float(v)).hex() for v in t] == want
+        assert dist.cdf(np.nextafter(x[0], -np.inf)) == 0.0
+        assert dist.cdf(np.array([x[0] - 1.0, -np.inf])).tolist() == [0.0, 0.0]
+
     def test_size_at_large_r(self):
         dist = stationary_pmf(ModelParams(lam=4.9e6, mu=1.0, n=4_998_000, alpha=0.0))
         assert dist.k_top - dist.k_min + 1 <= 100_000
@@ -436,7 +454,7 @@ class TestMemory:
             moment_error(dist, build_density(dist.derived), 3)
             moment_bound_report(dist)
             assert dist.tail_bound >= 0.0
-            for name in ("log_pmf", "pmf", "x", "cdf_values"):
+            for name in ("log_pmf", "pmf", "x"):
                 assert name not in dist.__dict__
 
 

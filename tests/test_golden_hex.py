@@ -1,10 +1,12 @@
-"""Bit identity of the chain and distance numbers on seeded parameter sets.
+"""Bit identity of the chain, distance and verify numbers on seeded parameter sets.
 
 ``data/golden_hex.json`` holds, by ``float.hex``, each set's window
 (k_min, k_top, k_max), d_W, d_K, ``mean_error``, the moment sums that
 ``stationary_pmf(..., moment_order=m)`` certified, and the signed and
-``plus_zeta`` order-m moments.  A change that moves a digit on purpose
-regenerates the file and logs each value it changed:
+``plus_zeta`` order-m moments; after those sets, every ``verify`` row
+(suite, name, observed value, bound and verdict) of the verify sets.  A
+change that moves a digit on purpose regenerates the file and logs each
+value it changed:
 
     PYTHONPATH=src python tests/test_golden_hex.py
 """
@@ -18,6 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from erlangdiff.cli import run_verify
 from erlangdiff.ctmc import TruncationError, moment
 from erlangdiff.metrics import Scenario, mean_error
 from erlangdiff.model import ModelParams
@@ -42,6 +45,14 @@ SPECIAL = [
     (0.98, 1.0, 1, 0.0, 1e-12, 3),
 ]
 
+# (lam, mu, n, alpha, tail_tol) verify sets with a violated
+# kolmogorov_lhs_le_total row, so a False verdict is pinned too: alpha/mu
+# near 1e6, and light load with n = 1
+VERIFY_SPECIAL = [
+    (4.556580558168598, 1.0, 2, 914586.475433082, 1e-14),
+    (0.0010783228970192103, 1.0, 1, 0.0, 1e-14),
+]
+
 
 def _seeded_sets(seed: int = 19, count: int = 31) -> list[tuple]:
     """Erlang-C and Erlang-A sets with R log-uniform in [1e-3, 1e3]."""
@@ -58,6 +69,32 @@ def _seeded_sets(seed: int = 19, count: int = 31) -> list[tuple]:
         alpha = float(10.0 ** rng.uniform(-2.0, 1.0)) * mu if erlang_a else 0.0
         tail_tol = float(rng.choice([1e-12, 1e-14]))
         out.append((r * mu, mu, n, alpha, tail_tol, int(rng.integers(1, 7))))
+    return out
+
+
+def _verify_sets(seed: int = 20) -> list[tuple]:
+    """3 Erlang-C, 2 underloaded and 3 overloaded Erlang-A, 2 Erlang-A with
+    zeta = 0 (R = n) and 2 light-load sets (R < 0.2, n = 1); every window
+    holds under 2,000 states."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for kind in ("C",) * 3 + ("under",) * 2 + ("over",) * 3 + ("zeta0",) * 2 + ("light",) * 2:
+        mu = float(10.0 ** rng.uniform(-1.0, 1.0))
+        r = float(10.0 ** rng.uniform(0.0, 3.0))
+        alpha = float(10.0 ** rng.uniform(-1.0, 1.0)) * mu
+        beta = float(rng.uniform(0.5, 2.0))
+        if kind in ("C", "under"):
+            n = math.ceil(r + beta * math.sqrt(r))
+        elif kind == "over":
+            n = max(1, math.floor(r - beta * math.sqrt(r)))
+        elif kind == "zeta0":
+            n = max(1, round(r))
+            r = float(n)
+        else:
+            r, n = float(10.0 ** rng.uniform(-3.0, -0.7)), 1
+        if kind == "C" or (kind == "light" and rng.integers(2)):
+            alpha = 0.0
+        out.append((r * mu, mu, n, alpha, float(rng.choice([1e-12, 1e-14]))))
     return out
 
 
@@ -90,23 +127,42 @@ def record(case: tuple) -> dict:
     }
 
 
+def verify_record(case: tuple) -> list[str]:
+    """Every verify row of one (lam, mu, n, alpha, tail_tol) set, one
+    "suite name observed bound verdict" line each."""
+    lam, mu, n, alpha, tail_tol = case
+    report = run_verify(ModelParams(lam=lam, mu=mu, n=n, alpha=alpha), tail_tol)
+    return [
+        f"{suite} {c.name} {float(c.observed).hex()} {float(c.bound).hex()} {c.satisfied}"
+        for suite, checks in report["suites"]
+        for c in checks
+    ]
+
+
 def _encode(case: tuple) -> list:
-    lam, mu, n, alpha, tail_tol, m = case
-    return [lam.hex(), mu.hex(), n, alpha.hex(), tail_tol.hex(), m]
+    return [v.hex() if isinstance(v, float) else v for v in case]
 
 
 def _decode(row: list) -> tuple:
-    lam, mu, n, alpha, tail_tol, m = row
-    return (float.fromhex(lam), float.fromhex(mu), n, float.fromhex(alpha), float.fromhex(tail_tol), m)
+    return tuple(float.fromhex(v) if isinstance(v, str) else v for v in row)
 
 
-def _golden_rows() -> list[dict]:
-    return json.loads(GOLDEN.read_text())
+def _golden_rows(kind: str = "values") -> list[dict]:
+    return [row for row in json.loads(GOLDEN.read_text()) if kind in row]
 
 
-@pytest.mark.parametrize("row", _golden_rows(), ids=lambda row: "-".join(map(str, row["case"])))
+def _case_id(row: dict) -> str:
+    return "-".join(map(str, row["case"]))
+
+
+@pytest.mark.parametrize("row", _golden_rows(), ids=_case_id)
 def test_matches_golden(row):
     assert record(_decode(row["case"])) == row["values"]
+
+
+@pytest.mark.parametrize("row", _golden_rows("verify"), ids=_case_id)
+def test_verify_matches_golden(row):
+    assert verify_record(_decode(row["case"])) == row["verify"]
 
 
 def test_golden_covers_the_paths():
@@ -116,10 +172,13 @@ def test_golden_covers_the_paths():
     assert len(rows) >= 40
     assert sum(k_top - k_min + 1 > 1 << 16 for k_min, k_top, _ in windows) >= 2
     assert any(k_top < n < k_max for (_, k_top, k_max), n in zip(windows, ns))
+    verdicts = {line.split()[-1] for row in _golden_rows("verify") for line in row["verify"]}
+    assert len(_golden_rows("verify")) >= 12 and verdicts == {"True", "False", "None"}
 
 
 if __name__ == "__main__":
     cases = [tuple(float(v) if i in (0, 1, 3, 4) else v for i, v in enumerate(c)) for c in SPECIAL]
     rows = [{"case": _encode(c), "values": record(c)} for c in cases + _seeded_sets()]
+    rows += [{"case": _encode(c), "verify": verify_record(c)} for c in VERIFY_SPECIAL + _verify_sets()]
     GOLDEN.write_text(json.dumps(rows, indent=1) + "\n")
     print(f"wrote {len(rows)} sets to {GOLDEN}")

@@ -220,7 +220,7 @@ class TestWindowedDistances:
         # gap at that end point (the last CDF value) exceeds every window
         # candidate (one state's mass at most)
         dist = stationary_pmf(ModelParams(lam=4900.0, mu=1.0, n=5000, alpha=0.0), 1e-12)
-        last = dist.cdf_values[-1]
+        last = np.cumsum(dist.pmf)[-1]
         assert dist.k_top < dist.k_max and np.max(dist.pmf) < last
         assert kolmogorov_distance(dist, _DropAtKMax(dist)) == last
 
@@ -317,7 +317,7 @@ class TestOracles:
         params = ModelParams(*pars)
         dist = pmf_for(params, 1e-14)
         d = density_for(params)
-        c = dist.cdf_values
+        c = np.cumsum(dist.pmf)
         total = 0.0
         for k in range(len(dist.x) - 1):
             total += integrate.quad(
