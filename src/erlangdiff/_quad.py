@@ -18,18 +18,20 @@ _BISECT_STEPS = 80
 _gl_rule = lru_cache(maxsize=8)(np.polynomial.legendre.leggauss)
 
 
-def panel_nodes(
-    lo: np.ndarray, hi: np.ndarray, order: int = _ORDER
-) -> tuple[np.ndarray, np.ndarray]:
-    """Node matrix and weight matrix for panels [lo_i, hi_i]."""
+def panel_chunks(lo: np.ndarray, hi: np.ndarray, order: int = _ORDER):
+    """(s, node matrix, weight matrix) for consecutive slices s of the panels
+    [lo_i, hi_i]: the one loop of panel quadrature, about ``ctmc._BLOCK``
+    nodes a chunk.  A panel's sums read its own nodes only, so every
+    chunking keeps their bits."""
+    from .ctmc import _BLOCK  # read at call time: one unit sizes walk and chunks
+
     nodes, weights = _gl_rule(order)
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    pts = mid[:, None] + half[:, None] * nodes[None, :]
-    wts = half[:, None] * weights[None, :]
-    return pts, wts
+    step = max(1, _BLOCK // order)
+    for start in range(0, np.size(lo), step):
+        s = slice(start, start + step)
+        half = 0.5 * (hi[s] - lo[s])
+        mid = 0.5 * (hi[s] + lo[s])
+        yield s, mid[:, None] + half[:, None] * nodes[None, :], half[:, None] * weights[None, :]
 
 
 def integrate_panels(
@@ -39,9 +41,10 @@ def integrate_panels(
     order: int = _ORDER,
 ) -> np.ndarray:
     """Vectorized int_{lo_i}^{hi_i} fun for smooth fun."""
-    pts, wts = panel_nodes(lo, hi, order)
-    vals = fun(pts.ravel()).reshape(pts.shape)
-    return np.sum(vals * wts, axis=1)
+    out = np.empty(np.size(lo))
+    for s, pts, wts in panel_chunks(lo, hi, order):
+        out[s] = np.sum(fun(pts.ravel()).reshape(pts.shape) * wts, axis=1)
+    return out
 
 
 def _inside(lo: np.ndarray, hi: np.ndarray, points) -> np.ndarray:

@@ -6,15 +6,16 @@ that recursion (which drifts by ~sqrt(N) ulps over 10^5 states), each log
 weight is written in closed form through log-gamma sums, so consecutive
 weights still satisfy flow balance to a few ulps and any block of states
 can be built on its own.  So no window is held: one walk builds it
-``_BLOCK`` states at a time wherever it is read, and only the verify
-suites keep its ``pmf`` and ``x``.  The closed form is not exact, though:
-its terms of size ~R log R cancel, so its absolute error grows like
-|log weight| * eps and the pmf at the mode is off by 1.8e-8 relative at
-R = 4.9e6 (ROADMAP item 1 tracks mode-anchored weights).  Truncation is
-certified by a geometric tail majorant, moments are re-certified per
-order, and all expectations are accumulated with exact or
-extended-precision summation: tenth moments near critical load span thirty
-orders of magnitude.
+``_BLOCK`` states at a time wherever it is read (panel quadrature takes
+as many nodes a chunk), and only ``stein_identity_residual``, ``cdf`` and
+``prob_interval`` still build the whole window, the cached ``pmf`` and
+``x``.  The closed form is not exact, though: its terms of size ~R log R
+cancel, so its absolute error grows like |log weight| * eps and the pmf at
+the mode is off by 1.8e-8 relative at R = 4.9e6 (ROADMAP item 1 tracks
+mode-anchored weights).  Truncation is certified by a geometric tail
+majorant, moments are re-certified per order, and all expectations are
+accumulated with exact or extended-precision summation: tenth moments
+near critical load span thirty orders of magnitude.
 """
 
 from __future__ import annotations
@@ -43,10 +44,12 @@ __all__ = [
 _REL_MOMENT_TOL = 1e-8
 # largest truncation index the doubling may reach before TruncationError
 _STATE_CAP = 10**8
-# the window walk (``_log_weight_blocks``) builds this many states at a
-# time, so its scratch stays O(block), not O(window); a whole multiple of
-# np.getbufsize(), so block sums chain to the one-array sum (``_exact_sum``)
-_BLOCK = 1 << 16
+# the one scratch unit, read at call time: the window walk builds this many
+# states at a time and panel quadrature (``_quad.panel_chunks``) takes about
+# this many nodes, so scratch stays O(block), not O(window).  One
+# np.getbufsize() buffer, so block sums chain to the one-array sum
+# (``_exact_sum``), and 64 KiB an array, so a walk step stays in L2 cache
+_BLOCK = 1 << 13
 
 
 class TruncationError(RuntimeError):
@@ -206,9 +209,10 @@ class DiscreteStationary:
     minus ``ell_max`` minus ``log_z``, and every read of the window goes
     through one walk (``_walk``), which builds x and the pmf ``_BLOCK``
     states at a time and drops them after.  One holding rule follows:
-    ``pmf`` and ``x`` are kept from their first read, for the verify
-    suites; nothing else window-length is kept, and the moments, the tail
-    bounds and the distances hold no window-length array.
+    ``pmf`` and ``x`` are kept from their first read, which only
+    ``stein_identity_residual``, ``cdf`` and ``prob_interval`` make;
+    nothing else window-length is kept, and the moments, the tail bounds,
+    the distances and the decompositions hold no window-length array.
     ``k_max >= k_top`` is the certified truncation index and ``tail_ratio``
     = lam/d(k_max + 1) its tail ratio.  ``tail_bound`` certifies all the
     mass left out: the head below k_min, the gap (k_top, k_max] and the
@@ -237,18 +241,21 @@ class DiscreteStationary:
     def _size(self) -> int:
         return self.k_top - self.k_min + 1
 
-    def _walk(self, start: int = 0, stop: int | None = None, log: bool = False):
+    def _walk(
+        self, start: int = 0, stop: int | None = None, log: bool = False, edge: bool = False
+    ):
         """(i, x, pmf) of window positions i, i+1, ... for the positions
         start..stop-1 (the log pmf if ``log``), ``_BLOCK`` at a time, each
-        block built from the closed form.  Positions past k_top are walked
-        the same way."""
+        block built from the closed form; with ``edge``, x also holds the
+        next block's first state, the right edge of the block's last cell.
+        Positions past k_top are walked the same way."""
         stop = self._size if stop is None else stop
         for k, ell in _log_weight_blocks(self.params, self.k_min + start, self.k_min + stop - 1):
             ell -= self.ell_max
             ell -= self.log_z
             # float states are exact below 2^53: delta*(states - x_inf) bit
             # for bit, without an int64 copy of the block
-            x = np.arange(k, k + ell.size, dtype=float)
+            x = np.arange(k, k + ell.size + edge, dtype=float)
             x -= self.derived.x_inf
             x *= self.derived.delta
             yield k - self.k_min, x, ell if log else np.exp(ell, out=ell)

@@ -49,12 +49,12 @@ _SURVIVAL_DELTA = 100.0
 
 
 def _chain_cdf(dist: DiscreteStationary):
-    """(i, x, chain CDF before the block, chain CDF) of each walk block.
-    np.cumsum adds strictly left to right, so each block's cumsum, its
-    first term carrying the last sum so far, keeps the bits of one cumsum
-    over the whole pmf."""
+    """(i, x, chain CDF before the block, chain CDF) of each walk block, x
+    with the block's right edge (the next state) last.  np.cumsum adds
+    strictly left to right, so each block's cumsum, its first term carrying
+    the last sum so far, keeps the bits of one cumsum over the whole pmf."""
     last = 0.0
-    for i, x, p in dist._walk():
+    for i, x, p in dist._walk(edge=True):
         p[0] += last
         yield i, x, last, np.cumsum(p, out=p)
         last = p[-1]
@@ -73,10 +73,10 @@ def kolmogorov_distance(dist: DiscreteStationary, d) -> float:
     """
     peaks = []
     for _, x, before, c in _chain_cdf(dist):
-        f_y = np.asarray(d.cdf(x), dtype=float)
+        f_y = np.asarray(d.cdf(x[:-1]), dtype=float)
         # from the left the chain CDF reads the state before's value, 0 before the first
-        c_prev = np.append(before, c[:-1])
-        peaks.append(np.max(np.maximum(np.abs(c - f_y), np.abs(c_prev - f_y))))
+        left = np.max(np.abs(c[:-1] - f_y[1:]), initial=abs(before - f_y[0]))
+        peaks += [np.max(np.abs(c - f_y)), left]
     if dist.k_top < dist.k_max:
         f_end = np.asarray(d.cdf(np.array([dist.x_max])), dtype=float)
         peaks.append(np.abs(c[-1] - f_end)[0])
@@ -135,17 +135,15 @@ def _cell_areas(d: DiffusionDensity, edges: np.ndarray, level: np.ndarray, tail)
 
 def _cells(dist: DiscreteStationary, flat: list[float]):
     """(i, edges, chain CDF level) of the cells from window positions i,
-    i+1, ..., one block per walk block, each passed on once the next
-    block's first state, its last cell's right edge, is built.  The cells
-    past k_top, between the ``flat`` edges at the last CDF value, join the
-    last block, so every block the sum sees but the last is whole."""
-    prev = None
+    i+1, ..., one block per walk block, whose x carries the next block's
+    first state as its last cell's right edge.  The cells past k_top,
+    between the ``flat`` edges at the last CDF value, join the last block,
+    so every block the sum sees but the last is whole."""
     for i, x, _, c in _chain_cdf(dist):
-        if prev is not None:
-            yield prev[0], np.append(prev[1], x[0]), prev[2]
-        prev = i, x, c
-    i, x, c = prev
-    yield i, np.append(x, flat), np.append(c, [c[-1]] * len(flat))[:-1]
+        if i + c.size < dist._size:
+            yield i, x, c
+        else:
+            yield i, np.append(x[:-1], flat), np.append(c, [c[-1]] * len(flat))[:-1]
 
 
 def wasserstein_distance(dist: DiscreteStationary, d: DiffusionDensity) -> float:
@@ -280,9 +278,12 @@ def universality_sweep(
     if regime not in _REGIME_STAFFING:
         raise ValueError(f"unknown regime {regime!r}; pick from qd, qed, nds")
     sizes = sorted(sizes)
-    for name, value in [("staffing slack beta", beta)] + [("offered load", r) for r in sizes]:
+    named = [("staffing slack beta", beta), ("service rate mu", mu)]
+    for name, value in named + [("offered load", r) for r in sizes]:
         if not (math.isfinite(value) and value > 0.0):
             raise ValueError(f"{name} must be finite and positive, got {value}")
+    if not (math.isfinite(alpha_over_mu) and alpha_over_mu >= 0.0):
+        raise ValueError(f"alpha_over_mu must be finite and >= 0, got {alpha_over_mu}")
     staff = _REGIME_STAFFING[regime]
     rows = []
     for r in sizes:

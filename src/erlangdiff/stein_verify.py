@@ -50,29 +50,44 @@ class ErrorDecomposition:
     extras: dict = field(default_factory=dict)
 
 
-def _active(dist: DiscreteStationary) -> np.ndarray:
-    idx = np.nonzero(dist.pmf > _PMF_CUT)[0]
-    # keep a contiguous block; isolated sub-threshold states in the middle
-    # would complicate the panel bookkeeping for no measurable gain
-    return np.arange(idx[0], idx[-1] + 1)
+def _active(dist: DiscreteStationary) -> slice:
+    """Window positions from the first to the last state whose pmf exceeds
+    ``_PMF_CUT``, found in one walk.  A contiguous slice: isolated
+    sub-threshold states in the middle would complicate the panel
+    bookkeeping for no measurable gain."""
+    ends = [
+        i + np.flatnonzero(p > _PMF_CUT)[[0, -1]]
+        for i, _, p in dist._walk()
+        if p.max() > _PMF_CUT
+    ]
+    return slice(int(ends[0][0]), int(ends[-1][1]) + 1)
 
 
 def _kept_states(dist: DiscreteStationary, sol: PoissonSolution):
-    """The one read of the chain states for ``sol``: on the whole window,
-    |E h(X~) - E h(Y)| and its generator-identity gap to |E G_Y f_h(X~)| =
-    |E[b f' + mu f'']|; on the ``_active`` states, the pmf, the drift and
-    f'' (elementwise, so slices of the window's values) and the panel edges
-    of both decompositions: [x_k - delta, x_k] for the lowest state, then
-    every forward panel.  Edges are the grid points themselves, so the
-    drift kink is always a panel edge, never a sliver-interior point."""
-    x, pmf, ks = dist.x, dist.pmf, _active(dist)
-    b = drift(dist.derived, x)
-    fp, fpp, _ = sol.derivatives(x)
-    gen_y = _exact_sum(pmf * (b * fp + sol.derived.mu * fpp))
-    lhs = abs(_exact_sum(pmf * sol.h.value(x)) - sol.h_mean)
-    xk, delta = x[ks], dist.derived.delta
-    edges = np.concatenate(([xk[0] - delta], xk)), np.concatenate((xk, [xk[-1] + delta]))
-    return pmf[ks], b[ks], fpp[ks], edges, lhs, abs(lhs - abs(gen_y))
+    """The one read of the chain states for ``sol``, one walk block at a
+    time: on the whole window, |E h(X~) - E h(Y)| and its
+    generator-identity gap to |E G_Y f_h(X~)| = |E[b f' + mu f'']|; on the
+    ``_active`` states, the pmf, the drift and f'' (elementwise, so the
+    window's values) and the panel edges of both decompositions:
+    [x_k - delta, x_k] for the lowest state, then every forward panel.
+    Edges are the grid points themselves, so the drift kink is always a
+    panel edge, never a sliver-interior point."""
+    act, der = _active(dist), dist.derived
+    kept = np.empty((4, act.stop - act.start))  # x, pmf, drift, f''
+
+    def generator_terms():
+        for i, x, p in dist._walk():
+            b = drift(der, x)
+            fp, fpp, _ = sol.derivatives(x)
+            lo, hi = np.clip([act.start - i, act.stop - i], 0, x.size)
+            kept[:, i + lo - act.start : i + hi - act.start] = [v[lo:hi] for v in (x, p, b, fpp)]
+            yield p * (b * fp + sol.derived.mu * fpp)
+
+    gen_y = _exact_sum(generator_terms())
+    lhs = abs(_exact_sum(p * sol.h.value(x) for _, x, p in dist._walk()) - sol.h_mean)
+    xk, pk, bk, fppk = kept
+    edges = np.concatenate(([xk[0] - der.delta], xk)), np.concatenate((xk, [xk[-1] + der.delta]))
+    return pk, bk, fppk, edges, lhs, abs(lhs - abs(gen_y))
 
 
 def _tolerance(dist: DiscreteStationary, p: np.ndarray, lhs: float, per_state) -> float:
@@ -90,13 +105,16 @@ def _tolerance(dist: DiscreteStationary, p: np.ndarray, lhs: float, per_state) -
 def _panel_abs_f3(sol: PoissonSolution, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """int |f'''| over panels [lo_i, hi_i], splitting at kinks/sign changes."""
     splits = sol._split_points()
-    pts, wts = _quad.panel_nodes(lo, hi, _ORDER)
-    f3 = sol.derivatives(pts.ravel())[2].reshape(pts.shape)
-    plain = np.abs(np.sum(f3 * wts, axis=1))
+    plain, f3_min, f3_max = (np.empty(lo.size) for _ in range(3))
+    for s, pts, wts in _quad.panel_chunks(lo, hi, _ORDER):
+        f3 = sol.derivatives(pts.ravel())[2].reshape(pts.shape)
+        plain[s] = np.abs(np.sum(f3 * wts, axis=1))
+        f3_min[s], f3_max[s] = np.min(f3, axis=1), np.max(f3, axis=1)
     # sign changes below rounding noise (f''' is exactly zero on the
-    # constant-drift side for Erlang-C) do not warrant a panel split
-    noise = 1e-12 * np.max(np.abs(f3))
-    mixed = (np.min(f3, axis=1) < -noise) & (np.max(f3, axis=1) > noise)
+    # constant-drift side for Erlang-C) do not warrant a panel split; the
+    # largest |f'''| at a node is the larger of the top max and minus the least min
+    noise = 1e-12 * np.max([np.max(f3_max), -np.min(f3_min)])
+    mixed = (f3_min < -noise) & (f3_max > noise)
     redo = mixed | _quad._inside(lo, hi, splits).any(axis=1)
     plain[redo] = _quad.integrate_abs_with_splits(sol.f_third, lo[redo], hi[redo], splits)
     return plain
@@ -161,12 +179,12 @@ def _weighted_f2_panels(
 
     def weighted(u, v, lo_w, hi_w, order):
         # both weighted integrals over pieces [u_i, v_i] of panels [lo_w_i, hi_w_i]
-        pts, wts = _quad.panel_nodes(u, v, order)
-        fpp = sol.derivatives(pts.ravel())[1].reshape(pts.shape)
-        return (
-            np.sum((hi_w[:, None] - pts) * fpp * wts, axis=1),
-            np.sum((pts - lo_w[:, None]) * fpp * wts, axis=1),
-        )
+        out = np.empty((2, u.size))
+        for s, pts, wts in _quad.panel_chunks(u, v, order):
+            fpp = sol.derivatives(pts.ravel())[1].reshape(pts.shape)
+            out[0, s] = np.sum((hi_w[s, None] - pts) * fpp * wts, axis=1)
+            out[1, s] = np.sum((pts - lo_w[s, None]) * fpp * wts, axis=1)
+        return out
 
     a_panel, b_panel = weighted(lo, hi, lo, hi, _ORDER)
     redo = _quad._inside(lo, hi, splits).any(axis=1)

@@ -245,6 +245,23 @@ class TestExitCodes:
         assert err.startswith("usage: erlangdiff ")
         assert "error: argument " in err
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--mu", "0", "service rate mu must be finite and positive, got 0.0"),
+            ("--mu", "inf", "service rate mu must be finite and positive, got inf"),
+            ("--alpha-over-mu", "nan", "alpha_over_mu must be {}, got nan"),
+            ("--alpha-over-mu", "-1", "alpha_over_mu must be {}, got -1.0"),
+        ],
+    )
+    def test_sweep_names_the_bad_parameter(self, capsys, flag, value, message):
+        # the sweep checks its own rates before ModelParams, so the error
+        # names the flag the user passed, not the rate built from it
+        assert cli.main(["sweep", "--regime", "qed", "--sizes", "4,25", flag, value]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: " + message.format("finite and >= 0") + "\n"
+
     def test_sizes_error_names_the_expected_form(self, capsys):
         assert cli.main(["sweep", "--regime", "qed", "--sizes", "4,x"]) == 1
         err = capsys.readouterr().err

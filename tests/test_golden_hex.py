@@ -51,6 +51,11 @@ SPECIAL = [
 VERIFY_SPECIAL = [
     (4.556580558168598, 1.0, 2, 914586.475433082, 1e-14),
     (0.0010783228970192103, 1.0, 1, 0.0, 1e-14),
+    # active windows of 29,974, 2,106 and 10,837 states: the walk blocks and
+    # the panel-quadrature chunks of ctmc._BLOCK end inside them
+    (99.9, 1.0, 100, 0.0, 1e-12),
+    (2000.0, 1.0, 1990, 0.05, 1e-14),
+    (500000.0, 1.0, 500500, 1.0, 1e-12),
 ]
 
 

@@ -1,12 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import SPOT_SETS, density_for, pmf_for
+from conftest import SPOT_SETS, density_for, pmf_for, small_window_params
+from erlangdiff import _quad, ctmc
 from erlangdiff.ctmc import DiscreteStationary, _exact_sum
-from erlangdiff.metrics import kolmogorov_distance
+from erlangdiff.metrics import Scenario, kolmogorov_distance
 from erlangdiff.model import Check, ModelParams, drift
 from erlangdiff.poisson import PoissonSolution, TestFunction, build_solution
 from erlangdiff.stein_verify import (
+    ErrorDecomposition,
     _active,
     _panel_abs_f3,
     _weighted_f2_panels,
@@ -98,6 +104,82 @@ class TestWassersteinDecomposition:
         monkeypatch.setattr(PoissonSolution, "f_third", counted)
         wasserstein_decomposition(dist, sol)
         assert 0 < len(calls) <= 100
+
+
+def _bits(values) -> list[str]:
+    """float.hex of every number in ``values``: arrays, floats and the
+    numbers an ErrorDecomposition carries."""
+    out = []
+    for v in values:
+        if isinstance(v, ErrorDecomposition):
+            out += _bits([v.total, v.lhs, v.tolerance, *v.terms.values(), *v.extras.values()])
+        else:
+            out += [float(t).hex() for t in np.ravel(v)]
+    return out
+
+
+class TestChunks:
+    # panel quadrature runs in chunks of about ctmc._BLOCK nodes, and the
+    # decompositions read the chain states in walk blocks of ctmc._BLOCK;
+    # with a small odd block, chunk and block edges fall all over the
+    # active window, which one chunk of 2^30 covers whole
+    @settings(max_examples=15, deadline=None)
+    @given(params=small_window_params(), block=st.integers(1, 40).map(lambda i: 2 * i + 1))
+    # Erlang-C, whose f''' vanishes past the kink up to noise; and alpha = mu,
+    # where f''' is rounding noise everywhere and its sign flips are bisected
+    @example(params=ModelParams(lam=4.9, mu=1.0, n=5, alpha=0.0), block=3)
+    @example(params=ModelParams(lam=20.0, mu=1.0, n=5, alpha=1.0), block=25)
+    def test_chunks_keep_every_bit(self, params, block):
+        # the indicator anchored at the drift kink -zeta: its panels split there
+        dist, d = pmf_for(params, 1e-14), density_for(params)
+        ident = build_solution(d, TestFunction.identity())
+        kink = build_solution(d, TestFunction.indicator(-dist.derived.zeta))
+        x, delta = dist.x[_active(dist)], dist.derived.delta
+        lo, hi = np.concatenate(([x[0] - delta], x)), np.concatenate((x, [x[-1] + delta]))
+        d_k = kolmogorov_distance(dist, d)
+
+        def run():
+            return _bits(
+                [
+                    _quad.integrate_panels(ident.f_prime, lo, hi, 7),
+                    _panel_abs_f3(ident, lo, hi),
+                    *_weighted_f2_panels(kink, lo, hi),
+                    ident.antiderivative(dist.x),
+                    kink.antiderivative(dist.x),
+                    wasserstein_decomposition(dist, ident),
+                    kolmogorov_decomposition(dist, kink, d_k),
+                ]
+            )
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ctmc, "_BLOCK", 1 << 30)
+            one = run()
+            mp.setattr(ctmc, "_BLOCK", block)
+            chunks = run()
+        assert chunks == one
+
+
+class TestMemory:
+    def test_decompositions_hold_states_not_nodes(self):
+        # 29,974 active states in 43,834: the decompositions keep a few
+        # arrays per active state and evaluate the Poisson solutions per
+        # walk block and per chunk of about ctmc._BLOCK panel nodes, so the
+        # peak is c per active state plus k blocks; (states x nodes)
+        # matrices over the whole window take about 1.3 kB per active state
+        s = Scenario(ModelParams(lam=99.9, mu=1.0, n=100, alpha=0.0), 1e-12)
+        dist, ident, kink = s.dist, s.identity, s.anchors[1]
+        d_k = s.d_k
+        dist.cdf(0.0)  # the straddle reads the cached window pmf and x
+        tracemalloc.start()
+        try:
+            wasserstein_decomposition(dist, ident)
+            kolmogorov_decomposition(dist, kink, d_k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        active = _active(dist)
+        assert active.stop - active.start > 3 * ctmc._BLOCK
+        assert peak <= 16 * 8 * (active.stop - active.start) + 32 * 8 * ctmc._BLOCK
 
 
 class TestKolmogorovDecomposition:
