@@ -397,11 +397,12 @@ def stationary_pmf(
     if not 0.0 < tail_tol < 1.0:
         raise ValueError("tail_tol must be in (0, 1)")
     derived = derive(params)
+    # checked before the mode search, which cannot step past 2^53 states
+    k_hi = int(_capped(derived.x_inf + 12.0 * math.sqrt(derived.x_inf) + 60.0))
     k_mode = _mode(derived)
     ell_mode = _log_weight(params, k_mode)
     floor = ell_mode + _WINDOW_CUT
     k_min = _first_true(lambda k: _log_weight(params, k) >= floor, 0, k_mode)
-    k_hi = int(derived.x_inf + 12.0 * math.sqrt(derived.x_inf) + 60.0)
     # no Erlang-C k_hi below this bound passes the tail test: start the
     # doubling at the first one that can, and past the state cap, fail now
     # (Erlang-A's q test below skips its hopeless k_hi as cheaply)
@@ -410,12 +411,7 @@ def stationary_pmf(
         while k_hi < k_need and k_hi <= _STATE_CAP:
             k_hi = 2 * k_hi + 64
     while True:
-        if k_hi > _STATE_CAP:
-            raise TruncationError(
-                f"stationary grid would exceed {_STATE_CAP} states; "
-                "parameters are pathological for exact summation"
-            )
-        q = params.lam / departure_rate(params, k_hi + 1)
+        q = params.lam / departure_rate(params, _capped(k_hi) + 1)
         # Erlang-A keeps shrinking q; insist on q <= 1/2 there so the
         # geometric majorant is comfortably certified.
         q_ok = q < 1.0 if params.is_erlang_c else q <= 0.5
@@ -432,6 +428,16 @@ def stationary_pmf(
             if dist is not None:
                 return dist
         k_hi = 2 * k_hi + 64
+
+
+def _capped(k_hi):
+    """k_hi (a float by its integer part); TruncationError past the state cap."""
+    if not k_hi < _STATE_CAP + 1:
+        raise TruncationError(
+            f"stationary grid would exceed {_STATE_CAP} states; "
+            "parameters are pathological for exact summation"
+        )
+    return k_hi
 
 
 def _truncated_pmf(

@@ -239,7 +239,8 @@ def _nu_or_zero(piece: _GaussPiece | _ExpPiece, t, log_unit=0.0):
 
 
 def _piece_integral(piece: _GaussPiece | _ExpPiece, u, v, first: bool, log_unit=0.0):
-    """int_u^v w(y) nu(y) dy / exp(log_unit) for ends inside the piece, w = 1 or y.
+    """[int_u^v w(y) nu(y) dy / exp(log_unit) for w = 1 and, if ``first``,
+    w = y] for ends inside the piece: the first moment is read off the mass.
 
     ``log_unit`` is 0 for masses and moments and log nu(x) for the
     whole-piece parts of the tail ratios: every term is then exp(log
@@ -249,10 +250,10 @@ def _piece_integral(piece: _GaussPiece | _ExpPiece, u, v, first: bool, log_unit=
     """
     val = np.exp(piece.log_amp + piece.log_mass(u, v) - log_unit)
     if not first:
-        return val
+        return [val]
     nu_u = _nu_or_zero(piece, u, log_unit)
     nu_v = _nu_or_zero(piece, v, log_unit)
-    return piece.first_moment(val, u, nu_u, v, nu_v)
+    return [val, piece.first_moment(val, u, nu_u, v, nu_v)]
 
 
 def _piece_moments(piece: _GaussPiece | _ExpPiece, m: int, u: float, v: float) -> list[float]:
@@ -332,16 +333,17 @@ class DiffusionDensity:
 
     def _mass_between(self, u, v):
         """int_u^v nu for u <= v, one closed-form mass per piece."""
-        out = np.clip(self._integral_between(u, v, first=False), 0.0, 1.0)
+        out = np.clip(self._integral_between(u, v, first=False)[0], 0.0, 1.0)
         return out if out.ndim else float(out)
 
     def first_moment_between(self, u, v):
         """int_u^v y nu(y) dy for u <= v; an end array is all finite or all infinite."""
-        out = self._integral_between(u, v, first=True)
+        out = self._integral_between(u, v, first=True)[1]
         return out if out.ndim else float(out)
 
     def _integral_between(self, u, v, first: bool):
-        """int_u^v w(y) nu(y) dy for u <= v, w = 1 or y, in closed form.
+        """[int_u^v w(y) nu(y) dy for w = 1 and, if ``first``, w = y] for
+        u <= v, in closed form.
 
         Each piece is integrated only over the intervals that reach into it,
         with the ends clipped to the piece, and the left piece is added
@@ -353,7 +355,7 @@ class DiffusionDensity:
         u_arr, v_arr = np.broadcast_arrays(
             np.asarray(u, dtype=float), np.asarray(v, dtype=float)
         )
-        out = np.zeros(u_arr.shape)
+        outs = [np.zeros(u_arr.shape) for _ in range(1 + first)]
         for piece in (self.left, self.right):
             reach = (u_arr < piece.hi) & (v_arr > piece.lo)
             if not np.any(reach):
@@ -364,13 +366,15 @@ class DiffusionDensity:
             whole = (uu == piece.lo) & (vv == piece.hi)
             if np.any(whole):
                 ends = np.array([piece.lo]), np.array([piece.hi])
-                val = np.full(uu.shape, _piece_integral(piece, *ends, first)[0])
+                vals = [np.full(uu.shape, w[0]) for w in _piece_integral(piece, *ends, first)]
                 part = ~whole
-                val[part] = _piece_integral(piece, uu[part], vv[part], first)
+                for val, w in zip(vals, _piece_integral(piece, uu[part], vv[part], first)):
+                    val[part] = w
             else:
-                val = _piece_integral(piece, uu, vv, first)
-            out[reach] += val
-        return out
+                vals = _piece_integral(piece, uu, vv, first)
+            for out, val in zip(outs, vals):
+                out[reach] += val
+        return outs
 
     # -- partial raw moments ---------------------------------------------------
 
@@ -431,7 +435,7 @@ class DiffusionDensity:
         past = (t_arr > j) if below else (t_arr <= j)
         if np.any(past):
             piece = self.left if below else self.right
-            out[past] += _piece_integral(piece, piece.lo, piece.hi, first, log_nu_x[past])
+            out[past] += _piece_integral(piece, piece.lo, piece.hi, first, log_nu_x[past])[-1]
         return out if np.ndim(x) else float(out[0])
 
     # -- quantiles -------------------------------------------------------------

@@ -8,10 +8,10 @@ diffusion CDF is piecewise Gaussian/exponential with closed antiderivatives
 recovered by inverting the diffusion CDF piece in closed form.  The
 Kolmogorov distance is the exact supremum over the jump points.
 
-Both follow the chain's walk (``DiscreteStationary._walk``), ``ctmc._BLOCK``
-states at a time, and carry its running CDF from block to block; they
-evaluate the diffusion CDF once per cell edge and hold no window-length
-array (but for the light-load survival levels of a window of a few states).
+Both read one block stream over the chain's walk (``_blocks``), which
+carries the running CDF from block to block and evaluates the diffusion
+CDF once per cell edge; no window-length array is held (but for the
+light-load survival levels of a window of a few states).
 """
 
 from __future__ import annotations
@@ -48,68 +48,68 @@ _KOLMOGOROV_BOUND = 188.0
 _SURVIVAL_DELTA = 100.0
 
 
-def _chain_cdf(dist: DiscreteStationary):
-    """(i, x, chain CDF before the block, chain CDF) of each walk block, x
-    with the block's right edge (the next state) last.  np.cumsum adds
-    strictly left to right, so each block's cumsum, its first term carrying
-    the last sum so far, keeps the bits of one cumsum over the whole pmf."""
-    last = 0.0
+def _blocks(dist: DiscreteStationary, d):
+    """(i, x, c, f, peaks) of each walk block from window position i: its
+    cell edges x, the chain CDF c right of each edge but the block's last
+    (the next block's first), F_Y at every edge, evaluated once, and the
+    block's two d_K candidates, |c - F_Y| at the edges from the right and
+    from the left.  The chain CDF is flat on each cell and F_Y monotone, so
+    these hold the supremum.
+
+    np.cumsum adds strictly left to right, so each block's cumsum, its
+    first term carrying the last sum so far, keeps the bits of one cumsum
+    over the whole pmf.  From k_top to k_max the chain CDF is flat: that
+    stretch joins the last block as one cell, two if the density's kink
+    -zeta falls inside (which keeps d_W's bits in heavily staffed Erlang-A).
+    """
+    flat = [-dist.derived.zeta] if dist.k_top < dist.params.n < dist.k_max else []
+    flat += [dist.x_max] if dist.k_top < dist.k_max else []
+    before = 0.0
     for i, x, p in dist._walk(edge=True):
-        p[0] += last
-        yield i, x, last, np.cumsum(p, out=p)
-        last = p[-1]
+        p[0] += before
+        c = np.cumsum(p, out=p)
+        if i + c.size == dist._size:
+            x, c = np.append(x[:-1], flat), np.append(c, [c[-1]] * len(flat))
+        f = np.asarray(d.cdf(x), dtype=float)
+        f_c = f[: c.size]
+        left = np.max(np.abs(c[:-1] - f_c[1:]), initial=abs(before - f_c[0]))
+        yield i, x, c, f, [np.max(np.abs(c - f_c)), left]
+        before = c[-1]
 
 
 def kolmogorov_distance(dist: DiscreteStationary, d) -> float:
-    """sup_t |F_chain(t) - F_diffusion(t)|, exactly.
-
-    The chain CDF is flat on each cell, so the supremum is attained at a
-    grid point approached from one side or the other; both candidates are
-    checked at every state, one walk block at a time.  Past the window the
-    chain CDF stays at its last value up to k_max, where |c - F| peaks at
-    an end point, so x(k_max) joins the candidates.  ``d`` only needs a
-    vectorized ``cdf``; it is a continuous law, so its value at a grid
-    point is also its left limit.
-    """
-    peaks = []
-    for _, x, before, c in _chain_cdf(dist):
-        f_y = np.asarray(d.cdf(x[:-1]), dtype=float)
-        # from the left the chain CDF reads the state before's value, 0 before the first
-        left = np.max(np.abs(c[:-1] - f_y[1:]), initial=abs(before - f_y[0]))
-        peaks += [np.max(np.abs(c - f_y)), left]
-    if dist.k_top < dist.k_max:
-        f_end = np.asarray(d.cdf(np.array([dist.x_max])), dtype=float)
-        peaks.append(np.abs(c[-1] - f_end)[0])
+    """sup_t |F_chain(t) - F_diffusion(t)|, exactly, from the block stream.
+    ``d`` only needs a vectorized ``cdf``; it is a continuous law, so its
+    value at a grid point is also its left limit."""
     # np.max, not max(): a nan candidate still makes the distance nan
-    return float(np.max(peaks))
+    return float(np.max([block[-1] for block in _blocks(dist, d)]))
 
 
 def _cdf_antiderivative(d: DiffusionDensity, u: np.ndarray, v: np.ndarray, f_u, s_v=None):
     """int_u^v F_Y(x) dx for cell arrays, given f_u = F_Y(u); or, given
     s_v = S_Y(v) instead, int_u^v (F_Y(x) - 1) dx, which holds no terms of
-    size v - u that cancel where F_Y is near 1."""
-    m0 = d._mass_between(u, v)
-    m1 = d.first_moment_between(u, v)
+    size v - u that cancel where F_Y is near 1.  Each cell's mass and first
+    moment come from one closed-form mass per piece."""
+    m0, m1 = d._integral_between(u, v, first=True)
+    np.clip(m0, 0.0, 1.0, out=m0)
     if s_v is None:
         return f_u * (v - u) + v * m0 - m1
     return u * m0 - m1 - s_v * (v - u)
 
 
-def _cell_areas(d: DiffusionDensity, edges: np.ndarray, level: np.ndarray, tail) -> np.ndarray:
-    """int |level - F_Y| over the cells between consecutive ``edges``.
+def _cell_areas(d: DiffusionDensity, edges: np.ndarray, level: np.ndarray, f, tail) -> np.ndarray:
+    """int |level - F_Y| over the cells between consecutive ``edges``, given
+    f = F_Y at the edges.
 
-    F_Y is evaluated once per edge.  If it stays on one side of the chain
-    level, a cell's area is a closed-form antiderivative difference;
-    otherwise the unique crossing is found by the piece inverse and the
-    area split there.  Given ``tail`` = 1 - level, summed tail-first, the
-    cells compare and integrate F_Y - 1 against -tail instead.
+    If F_Y stays on one side of the chain level, a cell's area is a
+    closed-form antiderivative difference; otherwise the unique crossing
+    is found by the piece inverse and the area split there.  Given
+    ``tail`` = 1 - level, summed tail-first, the cells compare and
+    integrate F_Y - 1, from S_Y at the edges, against -tail instead.
     """
     u, v = edges[:-1], edges[1:]
     survival = tail is not None
-    if survival:
-        g, lev = -np.asarray(d.sf(edges), dtype=float), -tail
-    else:
-        g, lev = np.asarray(d.cdf(edges), dtype=float), level
+    g, lev = (-np.asarray(d.sf(edges), dtype=float), -tail) if survival else (f, level)
 
     def excess(a, b, g_a, g_b):  # int_a^b (F_Y - level)
         return _cdf_antiderivative(d, a, b, g_a, -g_b if survival else None) - lev * (b - a)
@@ -133,51 +133,37 @@ def _cell_areas(d: DiffusionDensity, edges: np.ndarray, level: np.ndarray, tail)
     return out
 
 
-def _cells(dist: DiscreteStationary, flat: list[float]):
-    """(i, edges, chain CDF level) of the cells from window positions i,
-    i+1, ..., one block per walk block, whose x carries the next block's
-    first state as its last cell's right edge.  The cells past k_top,
-    between the ``flat`` edges at the last CDF value, join the last block,
-    so every block the sum sees but the last is whole."""
-    for i, x, _, c in _chain_cdf(dist):
-        if i + c.size < dist._size:
-            yield i, x, c
-        else:
-            yield i, np.append(x[:-1], flat), np.append(c, [c[-1]] * len(flat))[:-1]
-
-
-def wasserstein_distance(dist: DiscreteStationary, d: DiffusionDensity) -> float:
-    """W1 distance as the exact area between the two CDFs.
-
-    The window's cells go through ``_cell_areas`` one walk block at a
-    time, and their areas into the block form of ``_exact_sum``.  From the
-    last window state to k_max the chain CDF is flat, so that stretch is
-    one more cell (two if the density's kink x_n = -zeta falls inside).
-    Tails beyond the grid are closed-form partial first moments.  At light
-    load (delta past ``_SURVIVAL_DELTA``) the cells go in survival form.
-    """
-    x_first, x_end = dist._ends[dist.k_min][0], dist.x_max
-    flat = []
-    if dist.k_top < dist.k_max:
-        # one cell across the kink -zeta is integrated right too; the split
-        # keeps d_W's bits (about 1e-12 relative apart in heavily staffed Erlang-A)
-        if dist.k_top < dist.params.n < dist.k_max:
-            flat.append(-dist.derived.zeta)
-        flat.append(x_end)
+def _distances(dist: DiscreteStationary, d: DiffusionDensity) -> tuple[float, float]:
+    """(d_W, d_K) from one pass of the block stream.  d_W is the exact area
+    between the two CDFs: the cell areas go into the block form of
+    ``_exact_sum`` and the tails beyond the grid are closed-form partial
+    first moments.  At light load (delta past ``_SURVIVAL_DELTA``) the
+    cells go in survival form."""
     tail = None
     if dist.derived.delta > _SURVIVAL_DELTA:
         # light load, a few states: in CDF form each cell would lose about
         # 2.2e-16 delta, and each level (all >= 1 - R) its complement, which
         # carries the area, to rounding; sum the complements tail-first
-        tail = np.cumsum(np.exp(dist.log_pmf)[:0:-1])[::-1]
-        tail = np.append(tail, np.zeros(len(flat)))
-    areas = (
-        _cell_areas(d, edges, level, None if tail is None else tail[i : i + level.size])
-        for i, edges, level in _cells(dist, flat)
-    )
-    left_tail = x_first * float(d.cdf(x_first)) - d.partial_raw_moment(1, -np.inf, x_first)
+        # (0 from the last state on)
+        tail = np.append(np.cumsum(np.exp(dist.log_pmf)[:0:-1])[::-1], [0.0, 0.0])
+    peaks, left_tail = [], []
+
+    def areas():
+        for i, x, c, f, peak in _blocks(dist, d):
+            peaks.append(peak)
+            if not i:
+                left_tail.append(x[0] * f[0] - d.partial_raw_moment(1, -np.inf, float(x[0])))
+            level = c[: x.size - 1]
+            yield _cell_areas(d, x, level, f, None if tail is None else tail[i : i + level.size])
+
+    x_end = dist.x_max
     right_tail = d.partial_raw_moment(1, x_end, np.inf) - x_end * float(d.sf(x_end))
-    return float(_exact_sum(areas) + left_tail + right_tail)
+    return float(_exact_sum(areas()) + left_tail[0] + right_tail), float(np.max(peaks))
+
+
+def wasserstein_distance(dist: DiscreteStationary, d: DiffusionDensity) -> float:
+    """W1 distance as the exact area between the two CDFs (``_distances``)."""
+    return _distances(dist, d)[0]
 
 
 def mean_error(dist: DiscreteStationary, d: DiffusionDensity) -> float:
@@ -228,7 +214,10 @@ class Scenario:
 
     @cached_property
     def d_w(self) -> float:
-        return wasserstein_distance(self.dist, self.density)
+        # one pass gives both distances; d_K is kept unless already read
+        d_w, d_k = _distances(self.dist, self.density)
+        self.__dict__.setdefault("d_k", d_k)
+        return d_w
 
     @cached_property
     def d_k(self) -> float:

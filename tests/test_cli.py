@@ -9,8 +9,9 @@ import mpmath
 import numpy as np
 import pytest
 
-from erlangdiff import cli, metrics, poisson
+from erlangdiff import cli, ctmc, metrics, poisson
 from erlangdiff.ctmc import TruncationError, moment as chain_moment
+from erlangdiff.diffusion import DiffusionDensity
 from erlangdiff.model import Check, ModelParams
 
 
@@ -293,6 +294,23 @@ class TestExitCodes:
         assert err.count("\n") == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["distance", "verify"])
+    @pytest.mark.parametrize(
+        "load",
+        [
+            ["--lambda", "1e16", "--n", "10000000000000001"],
+            ["--lambda", "1e20", "--n", "1", "--alpha", "1"],
+        ],
+    )
+    def test_huge_load_exits_1(self, capsys, command, load):
+        # the first grid passes the state cap: a typed error, not a hang
+        # in the mode search or an integer overflow
+        assert cli.main([command, *load]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: stationary grid would exceed 100000000 states")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
 
 class TestSweepCommand:
     def test_sweep_csv(self, tmp_path):
@@ -323,6 +341,41 @@ class TestSweepCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert f"finite and positive, got {value}" in err
         assert "Traceback" not in err
+
+
+class TestDistanceOnePass:
+    def test_run_distance_reads_the_window_once(self, monkeypatch):
+        # d_W and d_K read one block stream: one walk of the window with
+        # its cell edges, and F_Y once per edge (the states, one right edge
+        # per block, at most two flat-stretch edges), plus, per call that
+        # inverts crossing cells, the junction and each crossing point
+        monkeypatch.setattr(ctmc, "_BLOCK", 101)
+        walks, points, crossings = [], [], []
+        walk = ctmc.DiscreteStationary._walk
+        cdf, invert = DiffusionDensity.cdf, DiffusionDensity.invert_cdf_in_cells
+
+        def walked(dist, *args, **kwargs):
+            if kwargs.get("edge"):
+                walks.append(dist)
+            return walk(dist, *args, **kwargs)
+
+        def counted(d, x):
+            points.append(np.size(x))
+            return cdf(d, x)
+
+        def inverted(d, u, *args):
+            crossings.append(np.size(u))
+            return invert(d, u, *args)
+
+        monkeypatch.setattr(ctmc.DiscreteStationary, "_walk", walked)
+        monkeypatch.setattr(DiffusionDensity, "cdf", counted)
+        monkeypatch.setattr(DiffusionDensity, "invert_cdf_in_cells", inverted)
+        cli.run_distance(ModelParams(lam=1000.0, mu=1.0, n=1010, alpha=0.5))
+        assert len(walks) == 1
+        size = walks[0].k_top - walks[0].k_min + 1
+        blocks = -(-size // 101)
+        assert blocks > 5
+        assert sum(points) <= size + blocks + 1 + sum(1 + c for c in crossings)
 
 
 class TestVerifyBuildsOnce:

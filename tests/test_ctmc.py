@@ -263,9 +263,22 @@ class TestWindow:
         dist = stationary_pmf(ModelParams(lam=5e7, mu=1.0, n=10**8, alpha=0.0))
         assert dist.k_max == 50_084_912
 
-    @pytest.mark.parametrize("alpha", [0.0, 1e-9])
-    def test_hopeless_grid_fails_fast(self, alpha):
-        params = ModelParams(lam=5.0 - 1e-9, mu=1.0, n=5, alpha=alpha)
+    @pytest.mark.parametrize(
+        "params",
+        [
+            ModelParams(lam=5.0 - 1e-9, mu=1.0, n=5, alpha=0.0),
+            ModelParams(lam=5.0 - 1e-9, mu=1.0, n=5, alpha=1e-9),
+            # huge loads fail on their first grid, before the mode search:
+            # past 2^53 a float departure rate cannot resolve a unit step,
+            # and at 1e20 an integer state overflowed a C long there
+            ModelParams(lam=1e15, mu=1.0, n=10**15 + 1, alpha=0.0),
+            ModelParams(lam=1e16, mu=1.0, n=10**16 + 1, alpha=0.0),
+            ModelParams(lam=1e19, mu=1.0, n=1, alpha=1.0),
+            ModelParams(lam=1e20, mu=1.0, n=1, alpha=1.0),
+        ],
+        ids=["0.0", "1e-09", "lam1e15", "lam1e16", "lam1e19_alpha1", "lam1e20_alpha1"],
+    )
+    def test_hopeless_grid_fails_fast(self, params):
         start = time.perf_counter()
         with pytest.raises(TruncationError):
             stationary_pmf(params, 1e-14)

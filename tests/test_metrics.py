@@ -234,14 +234,27 @@ class TestBlocks:
     @example(params=ModelParams(lam=100.0, mu=1.0, n=250, alpha=1.0), block=3)
     # a long exponential tail: crossing cells fall back to _bisect_cdf
     @example(params=ModelParams(lam=0.98, mu=1.0, n=1, alpha=0.0), block=5)
+    # light load (delta = 316 > 100): 7 states in survival form, 3 blocks
+    @example(params=ModelParams(lam=1e-5, mu=1.0, n=1, alpha=0.0), block=3)
+    # k_top == k_max: no flat stretch, the last state ends the last block
+    @example(params=ModelParams(lam=20.0, mu=1.0, n=25, alpha=0.0), block=7)
     def test_blocks_keep_every_bit(self, params, block):
+        # the standalone distances and the one-pass pair that distance and
+        # sweep print agree, with one block and with many
         dist, d = pmf_for(params), density_for(params)
-        one_block = [wasserstein_distance(dist, d), kolmogorov_distance(dist, d)]
+
+        def distances():
+            cols = Scenario(params, 1e-12).distance_columns()
+            pair = [cols["d_w"], cols["d_k"]]
+            return [wasserstein_distance(dist, d), kolmogorov_distance(dist, d), *pair]
+
+        one_block = [v.hex() for v in distances()]
+        assert one_block[:2] == one_block[2:]
         assert dist.k_top - dist.k_min + 1 < ctmc._BLOCK
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(ctmc, "_BLOCK", block)
-            blocks = [wasserstein_distance(dist, d), kolmogorov_distance(dist, d)]
-        assert [v.hex() for v in blocks] == [v.hex() for v in one_block]
+            blocks = [v.hex() for v in distances()]
+        assert blocks == one_block
 
     @pytest.mark.parametrize(
         "params",

@@ -1,0 +1,148 @@
+"""Compare the CLI output of two source trees, command by command.
+
+    python tests/tools/bit_sweep.py PARENT_SRC CHANGE_SRC [--seed N]
+
+PARENT_SRC and CHANGE_SRC are ``src`` directories, each holding an
+``erlangdiff`` package (a checkout of the parent commit and the working
+tree, say).  A seeded stream of ``distance``, ``verify`` and ``sweep``
+commands, each in CSV and in JSON, runs through ``erlangdiff.cli.main`` of
+one tree and then of the other, in this process: the package is imported
+from one tree, run, dropped from ``sys.modules`` and imported from the
+other.  Each command's stdout, stderr, exit code and the warnings it
+raised (category and message, without the file and line) are hashed with
+sha256; the script lists every command whose digests differ and exits 1
+if any does.  The stream covers light load (delta past 100, the survival
+form), Erlang-C under QED, quality- and efficiency-driven staffing,
+under- and overloaded Erlang-A, a few input errors, and tail tolerances
+of 1e-14 and 1e-12.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import importlib
+import io
+import math
+import random
+import sys
+import time
+import warnings
+
+COUNTS = {"distance": 400, "verify": 100, "sweep": 50}
+
+
+def _log_uniform(rng: random.Random, lo: float, hi: float) -> float:
+    return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+
+def _params(rng: random.Random, r_hi: float, states: float) -> list[str]:
+    """--lambda/--mu/--n/--alpha of one parameter set with offered load R up
+    to ``r_hi`` and, in Erlang-A, about R (1 + mu/alpha) <= ``states``."""
+    mu = _log_uniform(rng, 0.5, 2.0)
+    kind = rng.choice(["light", "qed", "qd", "nds", "erlang_a", "overload"])
+    alpha = 0.0
+    if kind == "light":  # delta = 1/sqrt(R) > 100
+        r = _log_uniform(rng, 1e-7, 1e-4)
+        n = rng.choice([1, 2, 5])
+    elif kind == "erlang_a":
+        ratio = _log_uniform(rng, 1e-2, 1e2)
+        r = _log_uniform(rng, 1e-3, min(r_hi, states / (1.0 + 1.0 / ratio)))
+        n = max(1, math.ceil(r + rng.uniform(-1.0, 1.0) * math.sqrt(r)))
+        alpha = ratio * mu
+    elif kind == "overload":
+        n = rng.randint(1, 50)
+        r = n * _log_uniform(rng, 1.0, 5.0)
+        alpha = _log_uniform(rng, max(1.0, r / 20.0), max(10.0, r / 2.0)) * mu
+    else:
+        r = _log_uniform(rng, 1e-3, r_hi)
+        if kind == "qed":
+            n = math.ceil(r + rng.uniform(0.5, 2.0) * math.sqrt(r))
+        elif kind == "qd":
+            n = math.ceil(r * (1.0 + rng.uniform(0.1, 1.0)))
+        else:
+            n = math.ceil(r + rng.uniform(1.0, 12.0))
+    return ["--lambda", repr(r * mu), "--mu", repr(mu), "--n", str(n), "--alpha", repr(alpha)]
+
+
+def commands(seed: int) -> list[list[str]]:
+    """The seeded stream: every command in CSV and in JSON."""
+    rng = random.Random(seed)
+    base = []
+    for _ in range(COUNTS["distance"]):
+        base.append(["distance", *_params(rng, 1e5, 1e6)])
+    for _ in range(COUNTS["verify"]):
+        base.append(["verify", *_params(rng, 300.0, 1e4)])
+    for _ in range(COUNTS["sweep"]):
+        sizes = sorted(_log_uniform(rng, 1e-2, 1e4) for _ in range(rng.randint(1, 3)))
+        ratio = rng.choice([0.0, _log_uniform(rng, 1e-1, 1e1)])
+        base.append(
+            [
+                "sweep",
+                "--regime", rng.choice(["qd", "qed", "nds"]),
+                "--beta", repr(rng.uniform(0.5, 2.0)),
+                "--sizes", ",".join(repr(s) for s in sizes),
+                "--alpha-over-mu", repr(ratio),
+            ]
+        )
+    for cmd in base:
+        if rng.random() < 0.1:
+            cmd += ["--tail-tol", "1e-12"]
+    # input errors: a negative rate, no servers, a non-finite load
+    base += [
+        ["distance", "--lambda", "-1", "--n", "5"],
+        ["verify", "--lambda", "4", "--n", "0"],
+        ["sweep", "--regime", "qed", "--sizes", "4,nan"],
+    ]
+    return [cmd + ["--format", fmt] for cmd in base for fmt in ("csv", "json")]
+
+
+def digests(src: str, argvs: list[list[str]]) -> list[str]:
+    """sha256 of (stdout, stderr, exit code, warnings) of each command, run
+    through the ``erlangdiff`` package found in ``src``."""
+    for name in [m for m in sys.modules if m.split(".")[0] == "erlangdiff"]:
+        del sys.modules[name]
+    sys.path.insert(0, src)
+    try:
+        cli = importlib.import_module("erlangdiff.cli")
+    finally:
+        sys.path.remove(src)
+    out = []
+    for argv in argvs:
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    code = repr(cli.main(argv))
+                except Exception as exc:  # an untyped failure is an outcome too
+                    code = f"raised {type(exc).__name__}: {exc}"
+        seen = [f"{w.category.__name__}: {w.message}" for w in caught]
+        text = "\0".join([stdout.getvalue(), stderr.getvalue(), code, *seen])
+        out.append(hashlib.sha256(text.encode()).hexdigest())
+    return out
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent_src")
+    parser.add_argument("change_src")
+    parser.add_argument("--seed", type=int, default=1)
+    args = parser.parse_args(argv)
+    argvs = commands(args.seed)
+    sides = []
+    for src in (args.parent_src, args.change_src):
+        start = time.perf_counter()
+        sides.append(digests(src, argvs))
+        print(f"{src}: {len(argvs)} commands in {time.perf_counter() - start:.1f} s")
+    differ = [argv for argv, a, b in zip(argvs, *sides) if a != b]
+    for argv in differ:
+        print("differs:", " ".join(argv))
+    kinds = {kind: sum(a[0] == kind for a in argvs) for kind in COUNTS}
+    print(f"seed {args.seed}: {kinds}, {len(differ)} of {len(argvs)} differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
