@@ -5,17 +5,15 @@ The stationary pmf follows the flow-balance recursion
 that recursion (which drifts by ~sqrt(N) ulps over 10^5 states), each log
 weight is written in closed form through log-gamma sums, so consecutive
 weights still satisfy flow balance to a few ulps and any block of states
-can be built on its own.  So no window is held: one walk builds it
-``_BLOCK`` states at a time wherever it is read (panel quadrature takes
-as many nodes a chunk), and only ``stein_identity_residual``, ``cdf`` and
-``prob_interval`` still build the whole window, the cached ``pmf`` and
-``x``.  The closed form is not exact, though: its terms of size ~R log R
-cancel, so its absolute error grows like |log weight| * eps and the pmf at
-the mode is off by 1.8e-8 relative at R = 4.9e6 (ROADMAP item 1 tracks
-mode-anchored weights).  Truncation is certified by a geometric tail
-majorant, moments are re-certified per order, and all expectations are
-accumulated with exact or extended-precision summation: tenth moments
-near critical load span thirty orders of magnitude.
+can be built on its own.  So nothing window-length is kept: one walk
+builds ``_BLOCK`` states at a time wherever the window is read (panel
+quadrature takes as many nodes a chunk).  The closed form is not exact,
+though: its terms of size ~R log R cancel, so its absolute error grows
+like |log weight| * eps and the pmf at the mode is off by 1.8e-8 relative
+at R = 4.9e6 (ROADMAP item 1 tracks mode-anchored weights).  Truncation
+is certified by a geometric tail majorant, moments are re-certified per
+order, and all expectations are summed exactly or in extended precision:
+tenth moments near critical load span thirty orders of magnitude.
 """
 
 from __future__ import annotations
@@ -111,29 +109,18 @@ def _log_weights(params: ModelParams, k_lo: int, k_hi: int) -> np.ndarray:
     # from state n on, served = n: served*log(r) - lgamma(served + 1) is one
     # constant there, and the queue k - n is exact in floats
     served_n = float(n) * log_r - gammaln(float(n) + 1.0)
-    # one output array, split at n; each part runs the operations of the
-    # plain array expressions, in their order up to the operands of one
-    # addition, so every weight keeps its bits
     ell = np.empty(k_hi - k_lo + 1)
     below = min(max(n - k_lo, 0), ell.size)  # states k < n: served = k, no queue
-    if below:
-        head = ell[:below]
-        k = np.arange(k_lo, k_lo + below, dtype=float)
-        np.multiply(k, log_r, out=head)
-        k += 1.0
-        head -= gammaln(k, out=k)
-        head += 0.0 * log_q  # the empty queue's term: -0.0 may become +0.0
-    if below < ell.size:
-        tail = ell[below:]
-        queue = np.arange(k_lo + below - n, k_hi + 1 - n, dtype=float)
-        np.multiply(queue, log_q, out=tail)
-        tail += served_n
-        if not params.is_erlang_c:
-            # below n this term is lgamma(base + 1) - log_base = +0.0
-            queue += base + 1.0
-            queue = gammaln(queue, out=queue)
-            queue -= log_base
-            tail -= queue
+    k = np.arange(k_lo, k_lo + below, dtype=float)
+    queue = np.arange(k_lo + below - n, k_hi + 1 - n, dtype=float)
+    # each part's last addition writes into the output, and an empty part
+    # skips gammaln: joining one-shot parts made walk-bound ops 5% slower
+    if below:  # the empty queue's term: -0.0 may become +0.0
+        np.add(k * log_r - gammaln(k + 1.0), 0.0 * log_q, out=ell[:below])
+    np.add(queue * log_q, served_n, out=ell[below:])
+    if queue.size and not params.is_erlang_c:
+        # below n this term is lgamma(base + 1) - log_base = +0.0
+        ell[below:] -= gammaln(queue + (base + 1.0)) - log_base
     return ell
 
 
@@ -209,10 +196,10 @@ class DiscreteStationary:
     minus ``ell_max`` minus ``log_z``, and every read of the window goes
     through one walk (``_walk``), which builds x and the pmf ``_BLOCK``
     states at a time and drops them after.  One holding rule follows:
-    ``pmf`` and ``x`` are kept from their first read, which only
-    ``stein_identity_residual``, ``cdf`` and ``prob_interval`` make;
-    nothing else window-length is kept, and the moments, the tail bounds,
-    the distances and the decompositions hold no window-length array.
+    nothing window-length is kept.  ``log_pmf``, ``pmf`` and ``x`` build
+    their window array anew on each read, and ``cdf``, ``prob_interval``,
+    the moments, the tail bounds, the distances, the decompositions and
+    the Stein-identity residual read the walk.
     ``k_max >= k_top`` is the certified truncation index and ``tail_ratio``
     = lam/d(k_max + 1) its tail ratio.  ``tail_bound`` certifies all the
     mass left out: the head below k_min, the gap (k_top, k_max] and the
@@ -261,27 +248,16 @@ class DiscreteStationary:
             yield k - self.k_min, x, ell if log else np.exp(ell, out=ell)
 
     def _whole(self, item: int, log: bool = False) -> np.ndarray:
-        """Item ``item`` (1: x, 2: the pmf) of every walk block, in one window array."""
+        """Item ``item`` (1: x, 2: the pmf) of every walk block, in one
+        window array built anew on each read."""
         out = np.empty(self._size)
         for block in self._walk(log=log):
             out[block[0] : block[0] + block[item].size] = block[item]
         return out
 
-    @property
-    def log_pmf(self) -> np.ndarray:
-        return self._whole(2, log=True)
-
-    @cached_property
-    def pmf(self) -> np.ndarray:
-        return self._whole(2)
-
-    @cached_property
-    def x(self) -> np.ndarray:
-        return self._whole(1)
-
-    @property
-    def states(self) -> np.ndarray:
-        return np.arange(self.k_min, self.k_top + 1)
+    log_pmf = property(lambda self: self._whole(2, log=True))
+    pmf = property(lambda self: self._whole(2))
+    x = property(lambda self: self._whole(1))
 
     @cached_property
     def _ends(self) -> dict[int, tuple[float, float]]:
@@ -302,28 +278,34 @@ class DiscreteStationary:
     def tail_ratio(self) -> float:
         return float(self.params.lam / departure_rate(self.params, self.k_max + 1))
 
-    @property
-    def death_rates(self) -> np.ndarray:
-        return departure_rate(self.params, self.states)
-
     @cached_property
     def tail_bound(self) -> float:
         return self.moment_tail_bound(0)
 
+    def _position(self, t: float) -> int:
+        """The number of window states with x <= t, by bisection on
+        x_k = delta*(k - x_inf), rounded as the walk rounds it."""
+        der, k_min = self.derived, self.k_min
+        return _first_true(lambda k: (k - der.x_inf) * der.delta > t, k_min, self.k_top + 1) - k_min
+
     def cdf(self, t) -> np.ndarray:
-        """P(scaled state <= t); right-continuous step function."""
-        idx = np.searchsorted(self.x, np.asarray(t, dtype=float), side="right")
-        # cumsum adds left to right, so its prefix up to the largest index
-        # searched has the bits of the whole window's
-        c = np.concatenate(([0.0], np.cumsum(self.pmf[: np.max(idx, initial=0)])))
-        out = c[idx]
+        """P(scaled state <= t); right-continuous step function.  The walk
+        up to the largest t carries the running sum from block to block
+        (np.cumsum adds left to right: one cumsum's bits)."""
+        t_arr = np.asarray(t, dtype=float)
+        out, before = np.zeros(t_arr.shape), 0.0
+        for _, x, p in self._walk(0, self._position(np.max(t_arr, initial=-np.inf))):
+            p[0] += before
+            c = np.cumsum(p, out=p)
+            j = np.searchsorted(x, t_arr, side="right")
+            np.copyto(out, c[j - 1], where=j > 0)
+            before = c[-1]
         return out if np.ndim(t) else float(out)
 
     def prob_interval(self, lo: float, hi: float) -> float:
-        """P(lo < scaled state <= hi)."""
-        i = int(np.searchsorted(self.x, lo, side="right"))
-        jj = int(np.searchsorted(self.x, hi, side="right"))
-        return float(_exact_sum(self.pmf[i:jj])) if jj > i else 0.0
+        """P(lo < scaled state <= hi), walked from the first state past lo."""
+        walk = self._walk(self._position(lo), self._position(hi))
+        return float(_exact_sum(p for _, _, p in walk))
 
     def moment_tail_bound(self, m: int, shift: float = 0.0, past_k_max: bool = True) -> float:
         """Upper bound on what the states left out add to E|X+shift|^m.
@@ -590,7 +572,7 @@ class SteinResidual(NamedTuple):
 
 
 def stein_identity_residual(
-    dist: DiscreteStationary, f: Callable[[np.ndarray], np.ndarray]
+    dist: DiscreteStationary, f: Callable[[np.ndarray], np.ndarray] | PoissonSolution
 ) -> SteinResidual:
     """|E G f(X~)| over the exact pmf, with its truncation/rounding budget.
 
@@ -599,28 +581,38 @@ def stein_identity_residual(
     expectation over the window k_min..k_top telescopes through flow balance,
     so the residual is pure truncation (lam * nu_top * forward difference at
     the top, d(k_min) * nu_min * backward difference at the bottom) plus
-    rounding.
+    rounding.  It walks the window, f taken on each block with one state of
+    halo either side (x_min - delta and x_top + delta at the ends).  A
+    ``PoissonSolution``'s f is its ``antiderivative``, a running sum that
+    each block starts from the value the block before reached at the
+    block's first point, so it keeps the bits of one pass over the window.
     """
-    derived = dist.derived
-    params = dist.params
-    delta = derived.delta
-    x_ext = np.concatenate(([dist.x[0] - delta], dist.x, [dist.x[-1] + delta]))
-    fx = np.asarray(f(x_ext), dtype=float)
-    quad_scale = np.max(np.abs(fx) / (1.0 + x_ext**2))
-    if not np.isfinite(quad_scale):
-        raise ValueError("test function is not dominated by a quadratic")
-    fwd = fx[2:] - fx[1:-1]
-    bwd = fx[:-2] - fx[1:-1]
-    rates = dist.death_rates
-    terms = dist.pmf * (params.lam * fwd + rates * bwd)
-    residual = abs(_exact_sum(terms))
-    boundary = params.lam * float(dist.pmf[-1]) * abs(float(fwd[-1])) + float(
-        rates[0] * dist.pmf[0] * abs(bwd[0])
-    )
-    rounding = 64.0 * np.finfo(float).eps * _exact_sum(
-        dist.pmf * (params.lam * np.abs(fwd) + rates * np.abs(bwd))
-    )
-    return SteinResidual(residual=residual, tolerance=boundary + rounding)
+    from .poisson import PoissonSolution  # a layer above this module
+
+    g = f.antiderivative if isinstance(f, PoissonSolution) else lambda xs, _: f(xs)
+    params, delta = dist.params, dist.derived.delta
+    lam, parts = params.lam, []  # per block: bottom and top boundary terms, rounding
+
+    def terms():
+        xs = fx = None
+        for i, x, p in dist._walk(edge=True):
+            if i + p.size == dist._size:
+                x[-1] = x[-2] + delta
+            xs = np.concatenate(([x[0] - delta] if xs is None else xs[-2:-1], x))
+            fx = np.asarray(g(xs, 0.0 if fx is None else fx[-2]), dtype=float)
+            if not np.isfinite(np.max(np.abs(fx) / (1.0 + xs**2))):
+                raise ValueError("test function is not dominated by a quadratic")
+            fwd, bwd = fx[2:] - fx[1:-1], fx[:-2] - fx[1:-1]
+            rates = departure_rate(params, np.arange(dist.k_min + i, dist.k_min + i + p.size))
+            top = lam * float(p[-1]) * abs(float(fwd[-1]))
+            # the rounding budget, not printed, needs no exact sum
+            rounding = np.sum(p * (lam * np.abs(fwd) + rates * np.abs(bwd)))
+            parts.append((float(rates[0] * p[0] * abs(bwd[0])), top, rounding))
+            yield p * (lam * fwd + rates * bwd)
+
+    residual = abs(_exact_sum(terms()))
+    rounding = 64.0 * np.finfo(float).eps * math.fsum(part[2] for part in parts)
+    return SteinResidual(residual, parts[-1][1] + parts[0][0] + rounding)
 
 
 _moment_row = partial(Check.at_most, rtol=1e-12, atol=1e-12)

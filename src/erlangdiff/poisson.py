@@ -199,12 +199,13 @@ class PoissonSolution:
             pts.append(kink)
         return tuple(pts)
 
-    def antiderivative(self, xs) -> np.ndarray:
-        """f on a grid, as the cumulative panel integral of f' (f(x0) = 0).
+    def antiderivative(self, xs, start: float = 0.0) -> np.ndarray:
+        """f on a grid, as the cumulative panel integral of f' (f(x0) = ``start``).
 
         The normalization constant of f is irrelevant everywhere downstream;
-        only differences enter the chain generator.
-        """
+        only differences enter the chain generator.  np.cumsum adds left to
+        right: grids that share end points, each started where the one
+        before ended, keep the bits of one grid."""
         xs_arr = np.asarray(xs, dtype=float)
         splits = np.asarray(self._split_points())
         inner = splits[(xs_arr.min() < splits) & (splits < xs_arr.max())]
@@ -213,7 +214,7 @@ class PoissonSolution:
         vals = _quad.integrate_panels(
             lambda t: np.atleast_1d(self.f_prime(t)), edges[:-1], edges[1:]
         )
-        cum = np.concatenate(([0.0], np.cumsum(vals)))
+        cum = np.cumsum(np.concatenate(([start], vals)))
         return cum[np.searchsorted(edges, xs_arr)]
 
 

@@ -71,23 +71,32 @@ def _kept_states(dist: DiscreteStationary, sol: PoissonSolution):
     window's values) and the panel edges of both decompositions:
     [x_k - delta, x_k] for the lowest state, then every forward panel.
     Edges are the grid points themselves, so the drift kink is always a
-    panel edge, never a sliver-interior point."""
+    panel edge, never a sliver-interior point.  For an indicator at a it
+    also reads P(X~ <= a), a cumsum carried from block to block, and the
+    straddle P(a - delta < X~ <= a + delta)."""
     act, der = _active(dist), dist.derived
     kept = np.empty((4, act.stop - act.start))  # x, pmf, drift, f''
+    a, cdf_a, straddle = sol.h.kink(), 0.0, []
 
     def generator_terms():
+        nonlocal cdf_a
         for i, x, p in dist._walk():
             b = drift(der, x)
             fp, fpp, _ = sol.derivatives(x)
             lo, hi = np.clip([act.start - i, act.stop - i], 0, x.size)
             kept[:, i + lo - act.start : i + hi - act.start] = [v[lo:hi] for v in (x, p, b, fpp)]
+            if a is not None:
+                if x[0] <= a:
+                    c = np.cumsum(np.concatenate(([cdf_a], p)))
+                    cdf_a = float(c[np.searchsorted(x, a, side="right")])
+                straddle.append(p[(a - der.delta < x) & (x <= a + der.delta)])
             yield p * (b * fp + sol.derived.mu * fpp)
 
     gen_y = _exact_sum(generator_terms())
     lhs = abs(_exact_sum(p * sol.h.value(x) for _, x, p in dist._walk()) - sol.h_mean)
     xk, pk, bk, fppk = kept
     edges = np.concatenate(([xk[0] - der.delta], xk)), np.concatenate((xk, [xk[-1] + der.delta]))
-    return pk, bk, fppk, edges, lhs, abs(lhs - abs(gen_y))
+    return pk, bk, fppk, edges, lhs, abs(lhs - abs(gen_y)), (cdf_a, float(_exact_sum(straddle)))
 
 
 def _tolerance(dist: DiscreteStationary, p: np.ndarray, lhs: float, per_state) -> float:
@@ -135,7 +144,7 @@ def wasserstein_decomposition(
     der = dist.derived
     delta = der.delta
     mu = der.mu
-    p, b, fpp, edges, lhs, gap = _kept_states(dist, sol)
+    p, b, fpp, edges, lhs, gap, _ = _kept_states(dist, sol)
     f2b = np.abs(fpp * b)
     mean_abs_f2b = _exact_sum(p * f2b)
     term1 = 0.5 * delta * mean_abs_f2b
@@ -213,11 +222,10 @@ def kolmogorov_decomposition(
     """
     if sol.h.kind != "indicator":
         raise ValueError("the Kolmogorov decomposition needs an indicator h")
-    a = sol.h.parameter
     der = dist.derived
     params = dist.params
     delta = der.delta
-    p, b, fpp_left, edges, _, gap = _kept_states(dist, sol)
+    p, b, fpp_left, edges, _, gap, (cdf_a, straddle) = _kept_states(dist, sol)
     term1 = 0.5 * delta * _exact_sum(p * np.abs(fpp_left * b))
 
     a_panel, b_panel = _weighted_f2_panels(sol, *edges)
@@ -228,8 +236,7 @@ def kolmogorov_decomposition(
     term3 = params.lam * _exact_sum(p * np.abs(eps2))
     term4 = (1.0 / delta) * _exact_sum(p * np.abs(b * eps2))
 
-    lhs = abs(dist.cdf(a) - sol.h_mean)
-    straddle = dist.prob_interval(a - delta, a + delta)
+    lhs = abs(cdf_a - sol.h_mean)
     omega = density_sup_check(sol.density).observed
     load_factor = max(der.alpha / der.mu, 1.0)
     majorant = (

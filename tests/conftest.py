@@ -76,6 +76,11 @@ def density_for(params: ModelParams):
     return cached_density(params.lam, params.mu, params.n, params.alpha)
 
 
+def window_states(dist: DiscreteStationary) -> np.ndarray:
+    """The states k_min..k_top, one per window position."""
+    return np.arange(dist.k_min, dist.k_top + 1)
+
+
 def full_grid_pmf(params: ModelParams, tail_tol: float = 1e-12) -> DiscreteStationary:
     """Reference pmf on every state 0..k_max, normalized with ``math.fsum``.
 

@@ -232,12 +232,12 @@ def test_criterion_08_generator_identity():
             TestFunction.indicator(a)
             for a in (-zeta - 1.0, -zeta, 0.0, -zeta + 1.0)
         ]
-        x = dist.x
+        x, pmf = dist.x, dist.pmf
         b = drift(dist.derived, x)
         for h in hs:
             sol = build_solution(d, h)
-            gen_y = _exact_sum(dist.pmf * (b * sol.f_prime(x) + d.derived.mu * sol.f_second(x)))
-            lhs = abs(_exact_sum(dist.pmf * h.value(x)) - sol.h_mean)
+            gen_y = _exact_sum(pmf * (b * sol.f_prime(x) + d.derived.mu * sol.f_second(x)))
+            lhs = abs(_exact_sum(pmf * h.value(x)) - sol.h_mean)
             gap = abs(lhs - abs(gen_y))
             worst = max(worst, gap)
             assert gap <= 1e-8, (params, h)
@@ -308,26 +308,27 @@ def test_criterion_13_oracle_equivalence():
         params = ModelParams(*pars)
         dist = pmf_for(params, 1e-14)
         d = density_for(params)
-        span = np.linspace(dist.x[0] - 1.0, dist.x[-1] + 1.0, 100_000)
-        pts = np.sort(np.concatenate([span, dist.x, dist.x - 1e-9]))
+        x = dist.x
+        span = np.linspace(x[0] - 1.0, x[-1] + 1.0, 100_000)
+        pts = np.sort(np.concatenate([span, x, x - 1e-9]))
         dk_oracle = float(np.max(np.abs(dist.cdf(pts) - d.cdf(pts))))
         assert kolmogorov_distance(dist, d) == pytest.approx(dk_oracle, abs=1e-9)
 
         c = np.cumsum(dist.pmf)
         dw_oracle = 0.0
-        for k in range(len(dist.x) - 1):
+        for k in range(len(x) - 1):
             dw_oracle += integrate.quad(
                 lambda t: abs(c[k] - d.cdf(t)),
-                dist.x[k],
-                dist.x[k + 1],
+                x[k],
+                x[k + 1],
                 limit=100,
                 epsabs=1e-12,
             )[0]
         dw_oracle += integrate.quad(
-            d.cdf, dist.x[0] - 40.0, dist.x[0], limit=300, epsabs=1e-13
+            d.cdf, x[0] - 40.0, x[0], limit=300, epsabs=1e-13
         )[0]
         dw_oracle += integrate.quad(
-            d.sf, dist.x[-1], dist.x[-1] + 2500.0, limit=500, epsabs=1e-13
+            d.sf, x[-1], x[-1] + 2500.0, limit=500, epsabs=1e-13
         )[0]
         assert wasserstein_distance(dist, d) == pytest.approx(dw_oracle, abs=1e-8)
     _report("criterion 13: closed forms match oracles", True)

@@ -432,4 +432,5 @@ class TestVerifyBuildsOnce:
         monkeypatch.setattr(poisson.PoissonSolution, "derivatives", recorded)
         cli.run_verify(ModelParams(lam=12.0, mu=1.0, n=5, alpha=2.0))
         (dist,) = dists
-        assert sum(x.size > 0 and np.isin(x, dist.x).all() for x in points) == 5
+        states = dist.x
+        assert sum(x.size > 0 and np.isin(x, states).all() for x in points) == 5

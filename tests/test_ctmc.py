@@ -9,8 +9,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln
 
-from conftest import density_for, full_grid_pmf, pmf_for, small_window_params, window_params
-from erlangdiff import ctmc
+from conftest import (
+    density_for,
+    full_grid_pmf,
+    pmf_for,
+    small_window_params,
+    window_params,
+    window_states,
+)
+from erlangdiff import cli, ctmc, metrics
 from erlangdiff.ctmc import (
     DiscreteStationary,
     TruncationError,
@@ -25,6 +32,7 @@ from erlangdiff.diffusion import build_density
 from erlangdiff.metrics import moment_error
 from erlangdiff.model import ModelParams, departure_rate, derive, drift
 from erlangdiff.poisson import TestFunction, build_solution
+from erlangdiff.stein_verify import kolmogorov_decomposition
 
 
 class TestStationaryPmf:
@@ -34,7 +42,7 @@ class TestStationaryPmf:
 
     def test_table1_mean(self):
         dist = pmf_for(ModelParams(lam=3.0, mu=1.0, n=5, alpha=0.0))
-        mean_x = math.fsum((dist.states * dist.pmf).tolist())
+        mean_x = math.fsum((window_states(dist) * dist.pmf).tolist())
         assert mean_x == pytest.approx(3.35, abs=0.005)
 
     def test_product_form_oracle(self):
@@ -45,7 +53,8 @@ class TestStationaryPmf:
             w.append(w[-1] / (min(k, 1) + max(k - 1, 0)))
         oracle = np.array(w) / math.fsum(w)
         dist = pmf_for(ModelParams(lam=1.0, mu=1.0, n=1, alpha=1.0))
-        ks = dist.states[dist.states < len(oracle)]
+        states = window_states(dist)
+        ks = states[states < len(oracle)]
         assert np.max(np.abs(oracle[ks] - dist.pmf[: ks.size])) < 1e-15
 
     @pytest.mark.parametrize(
@@ -59,10 +68,10 @@ class TestStationaryPmf:
     )
     def test_flow_balance(self, params):
         dist = pmf_for(params)
-        rates = dist.death_rates
-        lhs = params.lam * dist.pmf[:-1]
-        rhs = rates[1:] * dist.pmf[1:]
-        mask = dist.pmf[1:] > 1e-300
+        rates, pmf = departure_rate(params, window_states(dist)), dist.pmf
+        lhs = params.lam * pmf[:-1]
+        rhs = rates[1:] * pmf[1:]
+        mask = pmf[1:] > 1e-300
         assert np.max(np.abs(lhs[mask] - rhs[mask]) / rhs[mask]) < 1e-10
 
     def test_downward_reconstruction_matches(self):
@@ -78,7 +87,8 @@ class TestStationaryPmf:
         down[kmax] = up[kmax]
         for k in range(kmax, 0, -1):
             down[k - 1] = down[k] - math.log(params.lam) + math.log(departure_rate(params, k))
-        ks = dist.states[dist.states <= kmax]
+        states = window_states(dist)
+        ks = states[states <= kmax]
         log_pmf = dist.log_pmf[: ks.size]
         for rec in (up[ks], down[ks]):
             rel = (rec - rec[0]) - (log_pmf - log_pmf[0])
@@ -117,12 +127,13 @@ class TestStationaryPmf:
     def test_random_params_mass_and_balance(self, rho, n, ratio):
         params = ModelParams(lam=rho * n, mu=1.0, n=n, alpha=ratio)
         dist = stationary_pmf(params, 1e-12)
-        assert math.fsum(dist.pmf.tolist()) == pytest.approx(1.0, abs=1e-12)
+        pmf = dist.pmf
+        assert math.fsum(pmf.tolist()) == pytest.approx(1.0, abs=1e-12)
         mid = dist.k_min + int(np.argmax(dist.log_pmf))
         i = mid - dist.k_min
         if i >= 1:
-            assert params.lam * dist.pmf[i - 1] == pytest.approx(
-                departure_rate(params, mid) * dist.pmf[i], rel=1e-10
+            assert params.lam * pmf[i - 1] == pytest.approx(
+                departure_rate(params, mid) * pmf[i], rel=1e-10
             )
 
 
@@ -169,9 +180,10 @@ class TestWindow:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(ctmc, "_STATE_CAP", ref.k_max)
             assert stationary_pmf(params, 1e-12).k_max == ref.k_max
-        window = ref.pmf[dist.k_min : dist.k_top + 1]
+        ref_pmf = ref.pmf
+        window = ref_pmf[dist.k_min : dist.k_top + 1]
         np.testing.assert_allclose(dist.pmf, window, rtol=1e-12, atol=0.0)
-        outside = np.concatenate((ref.pmf[: dist.k_min], ref.pmf[dist.k_top + 1 :]))
+        outside = np.concatenate((ref_pmf[: dist.k_min], ref_pmf[dist.k_top + 1 :]))
         # an Erlang-C tail is exactly geometric, so there the majorant is
         # tight and only the two normalizations' rounding separates them
         assert math.fsum(outside.tolist()) <= dist.tail_bound * (1.0 + 1e-12)
@@ -295,15 +307,15 @@ class TestWindow:
 def _assert_moments_match_mask_oracle(dist, orders):
     """Every region x shift x absolute moment against the boolean-mask
     formula, bit for bit; an empty region reads 0.0."""
-    k, n = dist.states, dist.params.n
+    k, n, x, pmf = window_states(dist), dist.params.n, dist.x, dist.pmf
     masks = {"all": k >= 0, "below": k <= n, "above": k >= n}
     for region, mask in masks.items():
         for shift, offset in (("none", 0.0), ("plus_zeta", dist.derived.zeta)):
             for absolute in (True, False):
                 for m in orders:
-                    g = dist.x[mask] + offset
+                    g = x[mask] + offset
                     vals = np.abs(g) ** m if absolute else g**m
-                    want = ctmc._exact_sum(vals * dist.pmf[mask])
+                    want = ctmc._exact_sum(vals * pmf[mask])
                     got = moment(dist, m, region, shift, absolute=absolute)
                     assert got.hex() == want.hex(), (region, shift, absolute, m)
                     if not mask.any():
@@ -458,7 +470,15 @@ class TestMemory:
         assert dist.k_top - dist.k_min + 1 > 2_000_000
         assert peak <= 12 * 8 * ctmc._BLOCK
 
-    def test_moment_path_caches_no_pmf_or_x(self):
+    def test_moment_path_caches_no_pmf_or_x(self, monkeypatch):
+        # nor do verify and distance, which read every suite off their pmf
+        built = []
+
+        def recorded(*args, **kwargs):
+            built.append(stationary_pmf(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(metrics, "stationary_pmf", recorded)
         for params in (
             ModelParams(lam=4.99, mu=1.0, n=5, alpha=0.0),
             ModelParams(lam=2000.0, mu=1.0, n=1400, alpha=1.0),
@@ -467,8 +487,12 @@ class TestMemory:
             moment_error(dist, build_density(dist.derived), 3)
             moment_bound_report(dist)
             assert dist.tail_bound >= 0.0
-            for name in ("log_pmf", "pmf", "x"):
-                assert name not in dist.__dict__
+            cli.run_verify(params)
+            cli.run_distance(params)
+            for each in [dist, *built]:
+                for name in ("log_pmf", "pmf", "x"):
+                    assert name not in each.__dict__
+        assert len(built) == 4
 
 
 class TestExactSum:
@@ -596,12 +620,88 @@ class TestSteinIdentity:
         res = stein_identity_residual(dist, sol.antiderivative)
         assert res.residual < 1e-8
 
+    def test_poisson_residual_holds_blocks_not_the_window(self):
+        # 43,834 states, 6 blocks: the residual takes f and its differences
+        # per walk block, and the antiderivative's panel quadrature per chunk
+        # of about ctmc._BLOCK nodes, so the peak is a few dozen block
+        # arrays (27.7 here), whatever the window length; each array over
+        # the whole window would add 5.4
+        s = metrics.Scenario(ModelParams(lam=99.9, mu=1.0, n=100, alpha=0.0))
+        dist, sol = s.dist, s.anchors[1]
+        tracemalloc.start()
+        try:
+            stein_identity_residual(dist, sol)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert dist.k_top - dist.k_min + 1 > 5 * ctmc._BLOCK
+        assert peak <= 32 * 8 * ctmc._BLOCK
+
     def test_rejects_degenerate_function(self):
         dist = pmf_for(ModelParams(lam=4.0, mu=1.0, n=5, alpha=0.0))
         with pytest.raises(ValueError):
             stein_identity_residual(
                 dist, lambda x: np.where(np.asarray(x) > 1.0, np.nan, 1.0)
             )
+
+
+def _one_array_residual(dist, f):
+    """|E G f(X~)| from whole-window arrays: f on x_min - delta, every
+    window state and x_top + delta in one call."""
+    x, pmf, delta, lam = dist.x, dist.pmf, dist.derived.delta, dist.params.lam
+    x_ext = np.concatenate(([x[0] - delta], x, [x[-1] + delta]))
+    fx = np.asarray(f(x_ext), dtype=float)
+    fwd, bwd = fx[2:] - fx[1:-1], fx[:-2] - fx[1:-1]
+    rates = departure_rate(dist.params, window_states(dist))
+    return abs(ctmc._exact_sum(pmf * (lam * fwd + rates * bwd)))
+
+
+class TestWalkReads:
+    # the Stein-identity residual, cdf and prob_interval walk the window
+    # ctmc._BLOCK states at a time, and the Kolmogorov decomposition reads
+    # P(X <= a) and the straddle in its own walk; with a small odd block,
+    # block seams fall all over the window, which one block of 2^30 covers
+    # whole
+    @settings(max_examples=15, deadline=None)
+    @given(
+        params=small_window_params(),
+        block=st.integers(1, 40).map(lambda i: 2 * i + 1),
+        u=st.lists(st.floats(-0.1, 1.1), min_size=1, max_size=8),
+    )
+    @example(params=ModelParams(lam=4.9, mu=1.0, n=5, alpha=0.0), block=3, u=[0.5])
+    @example(params=ModelParams(lam=20.0, mu=1.0, n=5, alpha=1.0), block=25, u=[-0.1, 1.1])
+    def test_blocks_keep_every_bit(self, params, block, u):
+        # the indicator anchored at the drift kink -zeta, as verify reads it
+        dist, d = pmf_for(params, 1e-14), density_for(params)
+        ident = build_solution(d, TestFunction.identity())
+        kink = build_solution(d, TestFunction.indicator(-dist.derived.zeta))
+        x, delta, a = dist.x, dist.derived.delta, kink.h.parameter
+        u = np.asarray(u)
+        # points between the states and outside the window, and states themselves
+        on = np.clip(np.round(u * (x.size - 1)), 0, x.size - 1).astype(int)
+        t = np.concatenate((x[0] + u * (x[-1] - x[0]), x[on]))
+        d_k = metrics.kolmogorov_distance(dist, d)
+        fs = [lambda x: x, lambda x: np.asarray(x) ** 2, ident.antiderivative, kink.antiderivative]
+        want = [_one_array_residual(dist, f).hex() for f in fs]
+
+        def run():
+            # a Poisson solution's antiderivative is carried across the blocks
+            got = [stein_identity_residual(dist, f).residual for f in fs[:2] + [ident, kink]]
+            assert [v.hex() for v in got] == want
+            dec = kolmogorov_decomposition(dist, kink, d_k)
+            lhs, straddle = dec.lhs, dec.extras["straddle"]
+            assert lhs.hex() == abs(dist.cdf(a) - kink.h_mean).hex()
+            assert straddle.hex() == dist.prob_interval(a - delta, a + delta).hex()
+            values = [row.observed for row in cli._residual_rows(dist, ident, kink)]
+            values += [*dist.cdf(t).tolist(), dist.prob_interval(t.min(), t.max())]
+            return [float(v).hex() for v in values + [lhs, straddle]]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ctmc, "_BLOCK", 1 << 30)
+            one = run()
+            mp.setattr(ctmc, "_BLOCK", block)
+            blocks = run()
+        assert blocks == one
 
 
 class TestMomentBoundReport:

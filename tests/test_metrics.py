@@ -321,8 +321,9 @@ class TestOracles:
         params = ModelParams(*pars)
         dist = pmf_for(params, 1e-14)
         d = density_for(params)
-        span = np.linspace(dist.x[0] - 1.0, dist.x[-1] + 1.0, 100_000)
-        pts = np.sort(np.concatenate([span, dist.x, dist.x - 1e-9]))
+        x = dist.x
+        span = np.linspace(x[0] - 1.0, x[-1] + 1.0, 100_000)
+        pts = np.sort(np.concatenate([span, x, x - 1e-9]))
         oracle = np.max(np.abs(dist.cdf(pts) - d.cdf(pts)))
         assert kolmogorov_distance(dist, d) == pytest.approx(oracle, abs=1e-9)
 
@@ -331,20 +332,18 @@ class TestOracles:
         params = ModelParams(*pars)
         dist = pmf_for(params, 1e-14)
         d = density_for(params)
-        c = np.cumsum(dist.pmf)
+        x, c = dist.x, np.cumsum(dist.pmf)
         total = 0.0
-        for k in range(len(dist.x) - 1):
+        for k in range(len(x) - 1):
             total += integrate.quad(
                 lambda t: abs(c[k] - d.cdf(t)),
-                dist.x[k],
-                dist.x[k + 1],
+                x[k],
+                x[k + 1],
                 limit=100,
                 epsabs=1e-12,
             )[0]
-        total += integrate.quad(d.cdf, dist.x[0] - 40.0, dist.x[0], limit=300, epsabs=1e-13)[0]
-        total += integrate.quad(
-            d.sf, dist.x[-1], dist.x[-1] + 2000.0, limit=500, epsabs=1e-13
-        )[0]
+        total += integrate.quad(d.cdf, x[0] - 40.0, x[0], limit=300, epsabs=1e-13)[0]
+        total += integrate.quad(d.sf, x[-1], x[-1] + 2000.0, limit=500, epsabs=1e-13)[0]
         assert wasserstein_distance(dist, d) == pytest.approx(total, abs=1e-8)
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import window_states
 from erlangdiff.ctmc import stationary_pmf
 from erlangdiff.model import (
     Check,
@@ -152,7 +153,7 @@ class TestDrift:
         der = dist.derived
         assert dist.k_top >= 10 * params.n
         lhs = drift(der, dist.x)
-        rhs = der.delta * (params.lam - dist.death_rates)
+        rhs = der.delta * (params.lam - departure_rate(params, window_states(dist)))
         assert np.allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
 
     @settings(max_examples=200)
@@ -192,8 +193,9 @@ class TestScaledState:
 
     def test_spacing(self):
         dist = stationary_pmf(ModelParams(lam=7.3, mu=1.1, n=9, alpha=0.2))
-        assert dist.x.size >= 40
-        assert np.allclose(np.diff(dist.x), dist.derived.delta, rtol=1e-12)
+        x = dist.x
+        assert x.size >= 40
+        assert np.allclose(np.diff(x), dist.derived.delta, rtol=1e-12)
 
     def test_kink_on_grid_everywhere(self):
         for lam, n, alpha in [(4.9, 5, 0.0), (499.0, 500, 0.0), (12.0, 5, 2.0)]:

@@ -14,7 +14,11 @@ sha256; the script lists every command whose digests differ and exits 1
 if any does.  The stream covers light load (delta past 100, the survival
 form), Erlang-C under QED, quality- and efficiency-driven staffing,
 under- and overloaded Erlang-A, a few input errors, and tail tolerances
-of 1e-14 and 1e-12.
+of 1e-14 and 1e-12.  The random ``verify`` draws stop at R = 300, whose
+windows fit in one walk block (``erlangdiff.ctmc._BLOCK`` states), so a
+fixed list of larger ``verify`` commands rides along in every stream; four
+of their windows span several blocks, so block seams fall inside every
+window pass.
 """
 
 from __future__ import annotations
@@ -31,6 +35,13 @@ import time
 import warnings
 
 COUNTS = {"distance": 400, "verify": 100, "sweep": 50}
+MULTI_BLOCK_VERIFY = [
+    ["verify", "--lambda", "99.9", "--n", "100"],
+    ["verify", "--lambda", "2000", "--n", "1990", "--alpha", "0.05"],
+    ["verify", "--lambda", "5e5", "--n", "500500", "--alpha", "1"],
+    ["verify", "--lambda", "4.9e6", "--n", "4902214"],
+    ["verify", "--lambda", "3761.82", "--n", "3762"],
+]
 
 
 def _log_uniform(rng: random.Random, lo: float, hi: float) -> float:
@@ -89,6 +100,7 @@ def commands(seed: int) -> list[list[str]]:
     for cmd in base:
         if rng.random() < 0.1:
             cmd += ["--tail-tol", "1e-12"]
+    base += [list(cmd) for cmd in MULTI_BLOCK_VERIFY]
     # input errors: a negative rate, no servers, a non-finite load
     base += [
         ["distance", "--lambda", "-1", "--n", "5"],
