@@ -15,7 +15,12 @@ import numpy as np
 
 _ORDER = 24
 _BISECT_STEPS = 80
-_gl_rule = lru_cache(maxsize=8)(np.polynomial.legendre.leggauss)
+
+
+@lru_cache(maxsize=8)
+def _gl_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights; numpy.polynomial loads on the first call."""
+    return np.polynomial.legendre.leggauss(order)
 
 
 def panel_chunks(lo: np.ndarray, hi: np.ndarray, order: int = _ORDER):

@@ -24,8 +24,8 @@ from functools import cached_property, partial
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import gammaln
 
+from . import _special as special
 from .model import Check, DerivedQuantities, ModelParams, departure_rate, derive
 
 __all__ = [
@@ -105,10 +105,10 @@ def _log_weights(params: ModelParams, k_lo: int, k_hi: int) -> np.ndarray:
         beta = alpha / mu
         base = n / beta
         log_q = log_r - math.log(beta)
-        log_base = gammaln(base + 1.0)
+        log_base = special.gammaln(base + 1.0)
     # from state n on, served = n: served*log(r) - lgamma(served + 1) is one
     # constant there, and the queue k - n is exact in floats
-    served_n = float(n) * log_r - gammaln(float(n) + 1.0)
+    served_n = float(n) * log_r - special.gammaln(float(n) + 1.0)
     ell = np.empty(k_hi - k_lo + 1)
     below = min(max(n - k_lo, 0), ell.size)  # states k < n: served = k, no queue
     k = np.arange(k_lo, k_lo + below, dtype=float)
@@ -116,11 +116,11 @@ def _log_weights(params: ModelParams, k_lo: int, k_hi: int) -> np.ndarray:
     # each part's last addition writes into the output, and an empty part
     # skips gammaln: joining one-shot parts made walk-bound ops 5% slower
     if below:  # the empty queue's term: -0.0 may become +0.0
-        np.add(k * log_r - gammaln(k + 1.0), 0.0 * log_q, out=ell[:below])
+        np.add(k * log_r - special.gammaln(k + 1.0), 0.0 * log_q, out=ell[:below])
     np.add(queue * log_q, served_n, out=ell[below:])
     if queue.size and not params.is_erlang_c:
         # below n this term is lgamma(base + 1) - log_base = +0.0
-        ell[below:] -= gammaln(queue + (base + 1.0)) - log_base
+        ell[below:] -= special.gammaln(queue + (base + 1.0)) - log_base
     return ell
 
 

@@ -28,8 +28,8 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import special
 
+from . import _special as special
 from .model import Check, DerivedQuantities, ModelParams, derive
 
 __all__ = [

@@ -5,16 +5,17 @@
 PARENT_SRC and CHANGE_SRC are ``src`` directories, each holding an
 ``erlangdiff`` package (a checkout of the parent commit and the working
 tree, say).  A seeded stream of ``distance``, ``verify`` and ``sweep``
-commands, each in CSV and in JSON, runs through ``erlangdiff.cli.main`` of
-one tree and then of the other, in this process: the package is imported
+commands, with ``table1``-``table3``, each in CSV and in JSON, and
+``--help`` and ``--version``, runs through ``erlangdiff.cli.main`` of one
+tree and then of the other, in this process: the package is imported
 from one tree, run, dropped from ``sys.modules`` and imported from the
-other.  Each command's stdout, stderr, exit code and the warnings it
-raised (category and message, without the file and line) are hashed with
-sha256; the script lists every command whose digests differ and exits 1
-if any does.  The stream covers light load (delta past 100, the survival
-form), Erlang-C under QED, quality- and efficiency-driven staffing,
-under- and overloaded Erlang-A, a few input errors, and tail tolerances
-of 1e-14 and 1e-12.  The random ``verify`` draws stop at R = 300, whose
+other.  Each command's stdout, stderr, exit code (or ``SystemExit`` code)
+and the warnings it raised (category and message, without the file and
+line) are hashed with sha256; the script lists every command whose
+digests differ and exits 1 if any does.  The stream covers light load
+(delta past 100, the survival form), Erlang-C under QED, quality- and
+efficiency-driven staffing, under- and overloaded Erlang-A, a few input
+errors, and tail tolerances of 1e-14 and 1e-12.  The random ``verify`` draws stop at R = 300, whose
 windows fit in one walk block (``erlangdiff.ctmc._BLOCK`` states), so a
 fixed list of larger ``verify`` commands rides along in every stream; four
 of their windows span several blocks, so block seams fall inside every
@@ -24,6 +25,7 @@ window pass.
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import hashlib
 import importlib
@@ -101,13 +103,15 @@ def commands(seed: int) -> list[list[str]]:
         if rng.random() < 0.1:
             cmd += ["--tail-tol", "1e-12"]
     base += [list(cmd) for cmd in MULTI_BLOCK_VERIFY]
+    base += [["table1"], ["table2"], ["table3"]]
     # input errors: a negative rate, no servers, a non-finite load
     base += [
         ["distance", "--lambda", "-1", "--n", "5"],
         ["verify", "--lambda", "4", "--n", "0"],
         ["sweep", "--regime", "qed", "--sizes", "4,nan"],
     ]
-    return [cmd + ["--format", fmt] for cmd in base for fmt in ("csv", "json")]
+    formatted = [cmd + ["--format", fmt] for cmd in base for fmt in ("csv", "json")]
+    return formatted + [["--help"], ["--version"], ["distance", "--help"]]
 
 
 def digests(src: str, argvs: list[list[str]]) -> list[str]:
@@ -128,6 +132,8 @@ def digests(src: str, argvs: list[list[str]]) -> list[str]:
                 warnings.simplefilter("always")
                 try:
                     code = repr(cli.main(argv))
+                except SystemExit as exc:  # --help and --version exit through argparse
+                    code = f"exit {exc.code!r}"
                 except Exception as exc:  # an untyped failure is an outcome too
                     code = f"raised {type(exc).__name__}: {exc}"
         seen = [f"{w.category.__name__}: {w.message}" for w in caught]
@@ -151,7 +157,7 @@ def main(argv: list[str] | None = None) -> int:
     differ = [argv for argv, a, b in zip(argvs, *sides) if a != b]
     for argv in differ:
         print("differs:", " ".join(argv))
-    kinds = {kind: sum(a[0] == kind for a in argvs) for kind in COUNTS}
+    kinds = dict(collections.Counter(argv[0] for argv in argvs))
     print(f"seed {args.seed}: {kinds}, {len(differ)} of {len(argvs)} differ")
     return 1 if differ else 0
 
