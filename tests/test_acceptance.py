@@ -18,7 +18,7 @@ from conftest import (
     pmf_for,
     standard_grid,
 )
-from erlangdiff import cli
+from erlangdiff import report
 from erlangdiff.ctmc import (
     moment_bound_report,
     stein_identity_residual,
@@ -70,7 +70,7 @@ TABLE3_ZETA_ERR = {499.0: 7.10e-2, 499.9: 7.38e-2, 499.95: 7.40e-2, 499.99: 7.41
 
 def test_criterion_01_table1():
     start = time.perf_counter()
-    rows = cli.run_table1()
+    rows = report.run_table1()
     elapsed = time.perf_counter() - start
     assert len(rows) == 10
     for row in rows:
@@ -87,7 +87,7 @@ def test_criterion_01_table1():
 
 def test_criterion_02_table2():
     start = time.perf_counter()
-    rows = cli.run_table2()
+    rows = report.run_table2()
     elapsed = time.perf_counter() - start
     for row in rows:
         m2, m2e, m10, m10e = TABLE2_EXPECTED[row["R"]]
@@ -107,7 +107,7 @@ def test_criterion_02_table2():
 
 def test_criterion_03_table3():
     start = time.perf_counter()
-    rows = cli.run_table3()
+    rows = report.run_table3()
     elapsed = time.perf_counter() - start
     for row in rows:
         n, r = row["n"], row["R"]

@@ -9,7 +9,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from erlangdiff import cli, ctmc, metrics, poisson
+from erlangdiff import cli, ctmc, metrics, poisson, report
 from erlangdiff.ctmc import TruncationError, moment as chain_moment
 from erlangdiff.diffusion import DiffusionDensity
 from erlangdiff.model import Check, ModelParams
@@ -60,11 +60,11 @@ class TestTables:
         assert lines[0].startswith("R,n,mean_customers")
 
     def test_table2_rows(self):
-        rows = cli.run_table2()
+        rows = report.run_table2()
         assert [r["R"] for r in rows] == [300.0, 400.0, 490.0, 495.0, 499.0, 499.9]
 
     def test_table3_rows(self):
-        rows = cli.run_table3()
+        rows = report.run_table3()
         assert [r["R"] for r in rows] == [499.0, 499.9, 499.95, 499.99]
         errs = [r["err"] for r in rows]
         assert errs == sorted(errs)
@@ -195,7 +195,7 @@ class TestExitCodes:
         def fake_report(dist):
             return [Check("forced", 2.0, 1.0, False)]
 
-        monkeypatch.setattr(cli, "moment_bound_report", fake_report)
+        monkeypatch.setattr(report, "moment_bound_report", fake_report)
         code, payload = run_cli(
             ["verify", "--lambda", "4.0", "--n", "5", "--tail-tol", "1e-10"], tmp_path
         )
@@ -370,7 +370,7 @@ class TestDistanceOnePass:
         monkeypatch.setattr(ctmc.DiscreteStationary, "_walk", walked)
         monkeypatch.setattr(DiffusionDensity, "cdf", counted)
         monkeypatch.setattr(DiffusionDensity, "invert_cdf_in_cells", inverted)
-        cli.run_distance(ModelParams(lam=1000.0, mu=1.0, n=1010, alpha=0.5))
+        report.run_distance(ModelParams(lam=1000.0, mu=1.0, n=1010, alpha=0.5))
         assert len(walks) == 1
         size = walks[0].k_top - walks[0].k_min + 1
         blocks = -(-size // 101)
@@ -403,8 +403,8 @@ class TestVerifyBuildsOnce:
         ):
             counted(metrics, name)
         counted(poisson, "_sample_grid")
-        report = cli.run_verify(ModelParams(lam=12.0, mu=1.0, n=5, alpha=2.0))
-        assert report["all_passed"]
+        verdict = report.run_verify(ModelParams(lam=12.0, mu=1.0, n=5, alpha=2.0))
+        assert verdict["all_passed"]
         assert calls == {
             "stationary_pmf": 1,
             "build_density": 1,
@@ -430,7 +430,7 @@ class TestVerifyBuildsOnce:
 
         monkeypatch.setattr(metrics, "stationary_pmf", built)
         monkeypatch.setattr(poisson.PoissonSolution, "derivatives", recorded)
-        cli.run_verify(ModelParams(lam=12.0, mu=1.0, n=5, alpha=2.0))
+        report.run_verify(ModelParams(lam=12.0, mu=1.0, n=5, alpha=2.0))
         (dist,) = dists
         states = dist.x
         assert sum(x.size > 0 and np.isin(x, states).all() for x in points) == 5

@@ -17,7 +17,7 @@ from conftest import (
     window_params,
     window_states,
 )
-from erlangdiff import cli, ctmc, metrics
+from erlangdiff import ctmc, metrics, report
 from erlangdiff.ctmc import (
     DiscreteStationary,
     TruncationError,
@@ -487,8 +487,8 @@ class TestMemory:
             moment_error(dist, build_density(dist.derived), 3)
             moment_bound_report(dist)
             assert dist.tail_bound >= 0.0
-            cli.run_verify(params)
-            cli.run_distance(params)
+            report.run_verify(params)
+            report.run_distance(params)
             for each in [dist, *built]:
                 for name in ("log_pmf", "pmf", "x"):
                     assert name not in each.__dict__
@@ -692,7 +692,7 @@ class TestWalkReads:
             lhs, straddle = dec.lhs, dec.extras["straddle"]
             assert lhs.hex() == abs(dist.cdf(a) - kink.h_mean).hex()
             assert straddle.hex() == dist.prob_interval(a - delta, a + delta).hex()
-            values = [row.observed for row in cli._residual_rows(dist, ident, kink)]
+            values = [row.observed for row in report._residual_rows(dist, ident, kink)]
             values += [*dist.cdf(t).tolist(), dist.prob_interval(t.min(), t.max())]
             return [float(v).hex() for v in values + [lhs, straddle]]
 

@@ -20,10 +20,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from erlangdiff.cli import run_verify
 from erlangdiff.ctmc import TruncationError, moment
 from erlangdiff.metrics import Scenario, mean_error
 from erlangdiff.model import ModelParams
+from erlangdiff.report import run_verify
 
 GOLDEN = Path(__file__).parent / "data" / "golden_hex.json"
 

@@ -1,7 +1,9 @@
-"""scipy loads at the first special-function call, never at import.
+"""Imports are deferred: ``import erlangdiff.cli`` loads neither numpy nor
+scipy, every layer loads once ``cli.main`` dispatches a parsed command, and
+scipy loads at the first special-function call.
 
 Each case runs in a fresh interpreter, because this test session has
-imported scipy already.
+imported numpy and scipy already.
 """
 
 import json
@@ -11,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from erlangdiff import cli
+from erlangdiff import ModelParams, build_density, cli, moment_error, stationary_pmf
 
 SRC = str(Path(cli.__file__).resolve().parents[1])
 
@@ -80,3 +82,55 @@ print(json.dumps([getattr(_special, name) is getattr(scipy.special, name) for na
         [0, True, True],
         [True] * len(SIX),
     ]
+
+
+# prints the numpy and scipy modules loaded by then
+NUMERIC = """
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy"))))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(None, None), (["--help"], 0), (["--version"], 0), (["distance", "--n", "5"], 1)],
+    ids=["import", "help", "version", "usage-error"],
+)
+def test_front_end_loads_no_numpy(argv, code):
+    assert _run(argv, NUMERIC) == [[code, False, False], []]
+
+
+def test_package_lookups_load_nothing_unasked():
+    probe = """
+import erlangdiff
+names = ("__wrapped__", "__signature__", "_special", "_quad", "no_such_name")
+print(json.dumps([hasattr(erlangdiff, name) for name in names]))
+print(json.dumps(sorted(m for m in sys.modules if m.startswith(("erlangdiff", "numpy")))))
+"""
+    assert _run(None, probe) == [[None, False, False], [False] * 5, ["erlangdiff", "erlangdiff.cli"]]
+
+
+# the layers whose names bench/tracer.py rebinds; it indexes each in
+# sys.modules once the benchmark's warm-up command has run
+TRACED_LAYERS = ("ctmc", "diffusion", "poisson", "_quad", "stein_verify", "metrics", "cli")
+
+
+def test_first_command_loads_every_traced_layer():
+    probe = f"""
+print(json.dumps([m for m in {TRACED_LAYERS!r} if "erlangdiff." + m not in sys.modules]))
+"""
+    assert _run(["distance", "--lambda", "1000", "--n", "1032"], probe) == [[0, True, True], []]
+
+
+def test_library_path_runs_with_only_the_front_end_imported():
+    # the benchmark's moment op, reached through the package attributes
+    probe = """
+pkg = sys.modules["erlangdiff"]
+params = pkg.model.ModelParams(lam=49.0, mu=1.0, n=50, alpha=0.0)
+dist = pkg.ctmc.stationary_pmf(params, moment_order=2)
+d = pkg.diffusion.build_density(dist.derived)
+print(json.dumps({"k_max": dist.k_max, **pkg.metrics.moment_error(dist, d, 2)}))
+"""
+    params = ModelParams(lam=49.0, mu=1.0, n=50, alpha=0.0)
+    dist = stationary_pmf(params, moment_order=2)
+    want = {"k_max": dist.k_max, **moment_error(dist, build_density(dist.derived), 2)}
+    assert _run(None, probe) == [[None, False, False], json.loads(json.dumps(want))]
