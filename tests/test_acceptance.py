@@ -9,8 +9,8 @@ import time
 
 import numpy as np
 import pytest
-from scipy import integrate
 
+import oracles
 from conftest import (
     SPOT_SETS,
     density_for,
@@ -308,28 +308,8 @@ def test_criterion_13_oracle_equivalence():
         params = ModelParams(*pars)
         dist = pmf_for(params, 1e-14)
         d = density_for(params)
-        x = dist.x
-        span = np.linspace(x[0] - 1.0, x[-1] + 1.0, 100_000)
-        pts = np.sort(np.concatenate([span, x, x - 1e-9]))
-        dk_oracle = float(np.max(np.abs(dist.cdf(pts) - d.cdf(pts))))
+        dw_oracle, dk_oracle = oracles.distances(*pars)
         assert kolmogorov_distance(dist, d) == pytest.approx(dk_oracle, abs=1e-9)
-
-        c = np.cumsum(dist.pmf)
-        dw_oracle = 0.0
-        for k in range(len(x) - 1):
-            dw_oracle += integrate.quad(
-                lambda t: abs(c[k] - d.cdf(t)),
-                x[k],
-                x[k + 1],
-                limit=100,
-                epsabs=1e-12,
-            )[0]
-        dw_oracle += integrate.quad(
-            d.cdf, x[0] - 40.0, x[0], limit=300, epsabs=1e-13
-        )[0]
-        dw_oracle += integrate.quad(
-            d.sf, x[-1], x[-1] + 2500.0, limit=500, epsabs=1e-13
-        )[0]
         assert wasserstein_distance(dist, d) == pytest.approx(dw_oracle, abs=1e-8)
     _report("criterion 13: closed forms match oracles", True)
 

@@ -5,10 +5,10 @@ import subprocess
 import sys
 from pathlib import Path
 
-import mpmath
 import numpy as np
 import pytest
 
+import oracles
 from erlangdiff import cli, ctmc, metrics, poisson, report
 from erlangdiff.ctmc import TruncationError, moment as chain_moment
 from erlangdiff.diffusion import DiffusionDensity
@@ -227,9 +227,7 @@ class TestExitCodes:
         dist = metrics.Scenario(ModelParams(lam=1e-40, mu=1.0, n=1), moment_order=1).dist
         der = dist.derived
         mean_x = der.x_inf + math.sqrt(der.R) * chain_moment(dist, 1, absolute=False)
-        rho = mpmath.mpf("1e-40")
-        oracle = mpmath.nsum(lambda k: k * (1 - rho) * rho**k, [0, mpmath.inf])
-        assert mean_x == pytest.approx(float(oracle), rel=1e-12)
+        assert mean_x == pytest.approx(oracles.mm1_mean(1e-40), rel=1e-12)
 
     @pytest.mark.parametrize(
         "argv",

@@ -2,13 +2,13 @@ import math
 import time
 import tracemalloc
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln
 
+import oracles
 from conftest import (
     density_for,
     full_grid_pmf,
@@ -46,16 +46,11 @@ class TestStationaryPmf:
         assert mean_x == pytest.approx(3.35, abs=0.005)
 
     def test_product_form_oracle(self):
-        # M/M/1+M with every rate equal to one: nu_k proportional to 1/k!
-        # (departure rate in state k is exactly k), summed directly to k=200
-        w = [1.0]
-        for k in range(1, 201):
-            w.append(w[-1] / (min(k, 1) + max(k - 1, 0)))
-        oracle = np.array(w) / math.fsum(w)
+        # M/M/1+M with every rate equal to one: the departure rate in state k
+        # is exactly k, so the chain is Poisson(1), nu_k proportional to 1/k!
         dist = pmf_for(ModelParams(lam=1.0, mu=1.0, n=1, alpha=1.0))
-        states = window_states(dist)
-        ks = states[states < len(oracle)]
-        assert np.max(np.abs(oracle[ks] - dist.pmf[: ks.size])) < 1e-15
+        oracle = oracles.poisson_pmf(1.0, window_states(dist))
+        assert np.max(np.abs(oracle - dist.pmf)) < 1e-15
 
     @pytest.mark.parametrize(
         "params",
@@ -75,24 +70,14 @@ class TestStationaryPmf:
         assert np.max(np.abs(lhs[mask] - rhs[mask]) / rhs[mask]) < 1e-10
 
     def test_downward_reconstruction_matches(self):
-        # literal recursions both ways agree with the closed-form weights
+        # the flow-balance recursion, stepped down and up from the mode at 50
+        # digits, agrees with the closed-form weights
         params = ModelParams(lam=4.0, mu=1.0, n=5, alpha=0.7)
         dist = pmf_for(params)
-        kmax = min(dist.k_top, 400)
-        up = [0.0]
-        for k in range(1, kmax + 1):
-            up.append(up[-1] + math.log(params.lam) - math.log(departure_rate(params, k)))
-        up = np.array(up)
-        down = np.empty(kmax + 1)
-        down[kmax] = up[kmax]
-        for k in range(kmax, 0, -1):
-            down[k - 1] = down[k] - math.log(params.lam) + math.log(departure_rate(params, k))
-        states = window_states(dist)
-        ks = states[states <= kmax]
-        log_pmf = dist.log_pmf[: ks.size]
-        for rec in (up[ks], down[ks]):
-            rel = (rec - rec[0]) - (log_pmf - log_pmf[0])
-            assert np.max(np.abs(rel)) < 1e-10
+        ks = window_states(dist)[:401]
+        oracle = oracles.chain_pmf(params, dist.k_top, log=True)
+        want = np.array([float(oracle[k] - oracle[ks[0]]) for k in ks])
+        assert np.max(np.abs(want - (dist.log_pmf[: ks.size] - dist.log_pmf[0]))) < 1e-10
 
     def test_tail_bound_certified(self):
         dist = stationary_pmf(ModelParams(lam=4.9, mu=1.0, n=5, alpha=0.0), 1e-10)
@@ -135,38 +120,6 @@ class TestStationaryPmf:
             assert params.lam * pmf[i - 1] == pytest.approx(
                 departure_rate(params, mid) * pmf[i], rel=1e-10
             )
-
-
-def _mp_outside_window(params, dist):
-    """(mass left of k_min, mass right of k_top, pmf at the mode) at 50 digits.
-
-    Weights come from the flow-balance recursion outward from the mode, at
-    50 digits, until they fall below 1e-70 of the mode's weight.
-    """
-    n = params.n
-    with mpmath.workdps(50):
-        lam, mu, alpha = (mpmath.mpf(v) for v in (params.lam, params.mu, params.alpha))
-
-        def death(k):
-            return mu * min(k, n) + alpha * max(k - n, 0)
-
-        mode = _mode(dist.derived)
-        tiny = mpmath.mpf(10) ** -70
-        weights = {mode: mpmath.mpf(1)}
-        k, w = mode, mpmath.mpf(1)
-        while k > 0 and w > tiny:
-            w = w * death(k) / lam
-            k -= 1
-            weights[k] = w
-        k, w = mode, mpmath.mpf(1)
-        while w > tiny or k <= dist.k_top:
-            w = w * lam / death(k + 1)
-            k += 1
-            weights[k] = w
-        z = mpmath.fsum(weights.values())
-        head = mpmath.fsum(v for k, v in weights.items() if k < dist.k_min)
-        beyond = mpmath.fsum(v for k, v in weights.items() if k > dist.k_top)
-        return head / z, beyond / z, 1 / z
 
 
 class TestWindow:
@@ -221,15 +174,17 @@ class TestWindow:
     )
     def test_mpmath_head_and_normalizer(self, params):
         dist = stationary_pmf(params)
-        head, beyond, mode_pmf = _mp_outside_window(params, dist)
+        pmf = oracles.chain_pmf(params, dist.k_top)
+        head = math.fsum(float(p) for k, p in pmf.items() if k < dist.k_min)
+        beyond = math.fsum(float(p) for k, p in pmf.items() if k > dist.k_top)
         assert dist.k_min > 0
-        assert 0.0 < float(head) < 1e-32
+        assert 0.0 < head < 1e-32
         # the certificate covers the head, the gap and the tail
-        assert float(head + beyond) <= dist.tail_bound <= 1e-14
+        assert head + beyond <= dist.tail_bound <= 1e-14
         # the closed-form log weights are accurate to ~|log weight| * eps in
         # absolute terms, which is 1.8e-8 relative at R = 4.9e6
-        i = _mode(dist.derived) - dist.k_min
-        assert dist.pmf[i] == pytest.approx(float(mode_pmf), rel=1e-7)
+        mode = _mode(dist.derived)
+        assert dist.pmf[mode - dist.k_min] == pytest.approx(float(pmf[mode]), rel=1e-7)
 
     @pytest.mark.parametrize(
         "params",

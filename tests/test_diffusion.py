@@ -2,8 +2,8 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
 
+import oracles
 from conftest import density_for
 from erlangdiff.diffusion import (
     _piece_integral,
@@ -21,13 +21,6 @@ REGIME_EXAMPLES = {
 }
 
 
-def quad_total(d, fun):
-    j = d.switch_point
-    lo = integrate.quad(fun, -np.inf, j, limit=300)[0]
-    hi = integrate.quad(fun, j, np.inf, limit=300)[0]
-    return lo + hi
-
-
 class TestBuild:
     def test_regime_tags(self):
         for tag, params in REGIME_EXAMPLES.items():
@@ -43,15 +36,15 @@ class TestBuild:
 
     def test_alpha_equals_mu_is_standard_gaussian(self):
         d = density_for(ModelParams(lam=5.0, mu=1.0, n=5, alpha=1.0))
-        gauss_amp = 1.0 / math.sqrt(2.0 * math.pi)
+        gauss_amp = oracles.MMINF_DENSITY_SUP
         assert math.exp(d.left.log_amp) == pytest.approx(gauss_amp, rel=1e-12)
         assert math.exp(d.right.log_amp) == pytest.approx(gauss_amp, rel=1e-12)
-        assert moment(d, 1) == pytest.approx(0.0, abs=1e-14)
-        assert moment(d, 2) == pytest.approx(1.0, rel=1e-12)
+        assert moment(d, 1) == pytest.approx(oracles.MMINF_MOMENTS[0], abs=1e-14)
+        assert moment(d, 2) == pytest.approx(oracles.MMINF_MOMENTS[1], rel=1e-12)
 
     def test_underloaded_mass_sums_to_one(self):
         d = density_for(ModelParams(lam=3.0, mu=1.0, n=5, alpha=4.0))
-        assert quad_total(d, d.pdf) == pytest.approx(1.0, abs=1e-12)
+        assert oracles.pdf_integral(d, -np.inf, np.inf) == pytest.approx(1.0, abs=1e-12)
         assert moment(d, 0) == pytest.approx(1.0, abs=1e-12)
 
     def test_underloaded_half_zeta_case(self):
@@ -61,7 +54,7 @@ class TestBuild:
         d = density_for(ModelParams(lam=sqrt_r * sqrt_r, mu=1.0, n=5, alpha=4.0))
         assert d.derived.zeta == pytest.approx(-0.5, abs=1e-12)
         assert d.regime == "erlangA_under"
-        assert quad_total(d, d.pdf) == pytest.approx(1.0, abs=1e-12)
+        assert oracles.pdf_integral(d, -np.inf, np.inf) == pytest.approx(1.0, abs=1e-12)
 
     def test_continuity_at_junction(self):
         for params in REGIME_EXAMPLES.values():
@@ -104,8 +97,7 @@ class TestPdfCdf:
     def test_cdf_at_junction_vs_quadrature(self):
         d = density_for(ModelParams(lam=4.0, mu=1.0, n=5, alpha=0.0))
         j = d.switch_point
-        oracle = integrate.quad(d.pdf, -np.inf, j, limit=300)[0]
-        assert d.cdf(j) == pytest.approx(oracle, abs=1e-12)
+        assert d.cdf(j) == pytest.approx(oracles.pdf_integral(d, -np.inf, j), abs=1e-12)
 
     def test_pdf_sup_erlang_c(self):
         for lam, n in [(3.0, 5), (4.9, 5), (499.0, 500)]:
@@ -126,17 +118,8 @@ class TestPdfCdf:
     def test_cdf_matches_quadrature_random_points(self, params):
         d = density_for(params)
         rng = np.random.default_rng(42)
-        pts = rng.uniform(-6, 8, size=100)
-        j = d.switch_point
-        for x in pts:
-            if x <= j:
-                oracle = integrate.quad(d.pdf, -np.inf, x, limit=300)[0]
-            else:
-                oracle = (
-                    integrate.quad(d.pdf, -np.inf, j, limit=300)[0]
-                    + integrate.quad(d.pdf, j, x, limit=300)[0]
-                )
-            assert d.cdf(x) == pytest.approx(oracle, abs=1e-10)
+        for x in rng.uniform(-6, 8, size=100):
+            assert d.cdf(x) == pytest.approx(oracles.pdf_integral(d, -np.inf, x), abs=1e-10)
 
     @pytest.mark.parametrize("params", list(REGIME_EXAMPLES.values()))
     def test_whole_piece_integral_keeps_every_bit(self, params):
@@ -173,7 +156,7 @@ class TestMoments:
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_matches_quadrature(self, params, m):
         d = density_for(params)
-        oracle = quad_total(d, lambda y: y**m * d.pdf(y))
+        oracle = oracles.pdf_integral(d, -np.inf, np.inf, lambda y: y**m)
         assert moment(d, m) == pytest.approx(oracle, rel=1e-8, abs=1e-10)
 
     def test_absolute_moment_bound(self):
@@ -288,7 +271,7 @@ class TestTailRatios:
         d = density_for(REGIME_EXAMPLES[regime])
         for eps in (1e-10, 1e-30, 1e-80):
             x = d.tail_points(eps)[1]
-            oracle = integrate.quad(d.pdf, x, np.inf, epsabs=0.0, epsrel=1e-13, limit=300)[0]
+            oracle = oracles.pdf_integral(d, x, np.inf, epsabs=0.0, epsrel=1e-13)
             assert 0.0 < oracle < 1e-9
             assert d.sf(x) == pytest.approx(oracle, rel=1e-9)
             assert np.array_equal(d.sf(np.array([x])), [d.sf(x)])
@@ -299,6 +282,20 @@ class TestTailRatios:
         d = density_for(REGIME_EXAMPLES[regime])
         for eps in (1e-10, 1e-30, 1e-80):
             x = d.tail_points(eps)[0]
-            oracle = integrate.quad(d.pdf, -np.inf, x, epsabs=0.0, epsrel=1e-13, limit=300)[0]
+            oracle = oracles.pdf_integral(d, -np.inf, x, epsabs=0.0, epsrel=1e-13)
             assert 0.0 < oracle < 1e-9
             assert d.cdf(x) == pytest.approx(oracle, rel=1e-9)
+
+    @pytest.mark.parametrize("regime", list(REGIME_EXAMPLES))
+    def test_oracle_law_vs_mpmath_quadrature(self, regime):
+        # the stdlib law of tests/oracles.py at the accuracy it states, at the
+        # junction, the mode and both tails down to 1e-80 of mass
+        params = REGIME_EXAMPLES[regime]
+        d, law = density_for(params), oracles.Law(params)
+        lows, highs = zip(*(d.tail_points(eps) for eps in (1e-10, 1e-30, 1e-80)))
+        xs = [d.switch_point, 0.0, *lows, *highs]
+        masses = oracles.law_masses_mp(params, xs)
+        assert 0.0 < masses[4][0] < 1e-80 and 0.0 < masses[7][1] < 1e-80
+        for x, want in zip(xs, masses):
+            got = law.cdf(x), law.sf(x), law.pdf(x)
+            assert got == pytest.approx([float(v) for v in want], rel=2e-13, abs=0.0)

@@ -1,13 +1,12 @@
 import math
 import tracemalloc
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy import integrate
 
+import oracles
 from conftest import (
     SPOT_SETS,
     density_for,
@@ -64,9 +63,8 @@ class TestCellsAcrossKink:
         j = d.switch_point
         u, v = np.array([j - 1.0]), np.array([j + 0.2])
         got = _cdf_antiderivative(d, u, v, np.asarray(d.cdf(u)))[0]
-        oracle = integrate.quad(
-            d.cdf, u[0], v[0], points=[j], epsabs=0.0, epsrel=1e-13, limit=200
-        )[0]
+        law = oracles.Law(params)
+        oracle = oracles.quad(law.cdf, u[0], v[0], [j], epsabs=0.0, epsrel=1e-13, limit=200)
         assert got == pytest.approx(oracle, rel=1e-12)
 
     @pytest.mark.parametrize("params", CASES)
@@ -75,9 +73,8 @@ class TestCellsAcrossKink:
         j = d.switch_point
         u, v = np.array([j - 1.0]), np.array([j + 0.2])
         got = _cdf_antiderivative(d, u, v, None, np.asarray(d.sf(v)))[0]
-        oracle = integrate.quad(
-            d.sf, u[0], v[0], points=[j], epsabs=0.0, epsrel=1e-13, limit=200
-        )[0]
+        law = oracles.Law(params)
+        oracle = oracles.quad(law.sf, u[0], v[0], [j], epsabs=0.0, epsrel=1e-13, limit=200)
         assert -got == pytest.approx(oracle, rel=1e-12)
 
     @pytest.mark.parametrize("params", CASES)
@@ -115,29 +112,6 @@ class TestWasserstein:
             assert gap <= wasserstein_distance(dist, d) * (1 + 1e-12) + 1e-12
 
 
-def _mm1_wasserstein(lam: float) -> mpmath.mpf:
-    """d_W of M/M/1 (mu = 1) against N(0, 1) to 60 digits, for lam <= 1e-3.
-
-    The chain puts (1 - lam) lam^k at x_k = (k - lam)/sqrt(lam); the
-    diffusion law is N(0, 1) below -zeta = (1 - lam)/sqrt(lam) >= 31 and
-    carries less than 1e-200 past it, so the cells integrate Phi through
-    x Phi(x) + phi(x), split where Phi meets the chain level.
-    """
-    with mpmath.workdps(60):
-        r = mpmath.mpf(lam)
-        delta = 1 / mpmath.sqrt(r)
-        big_phi = lambda x: x * mpmath.ncdf(x) + mpmath.npdf(x)
-        total = big_phi(-r * delta)
-        k = 0
-        while r ** (k + 1) * delta > mpmath.mpf(10) ** -40:
-            a, b = delta * (k - r), delta * (k + 1 - r)
-            level = 1 - r ** (k + 1)
-            t = min(max(mpmath.sqrt(2) * mpmath.erfinv(2 * level - 1), a), b)
-            total += level * (t - a) - 2 * big_phi(t) + big_phi(a) + big_phi(b) - level * (b - t)
-            k += 1
-        return total
-
-
 class TestLightLoad:
     """The flat cells of light load are about 1/sqrt(R) wide, and the chain
     levels round to 1 below R = 1e-16."""
@@ -147,12 +121,12 @@ class TestLightLoad:
     )
     def test_wasserstein_matches_mm1_oracle(self, lam):
         d_w = Scenario(ModelParams(lam=lam, mu=1.0, n=1)).d_w
-        assert d_w == pytest.approx(float(_mm1_wasserstein(lam)), rel=1e-15, abs=0.0)
+        assert d_w == pytest.approx(float(oracles.mm1_wasserstein(lam)), rel=1e-15, abs=0.0)
 
     def test_cdf_form_above_survival_delta(self):
         # delta = 31.6 keeps the CDF form, which loses about 2.2e-16 delta per cell
         d_w = Scenario(ModelParams(lam=1e-3, mu=1.0, n=1)).d_w
-        assert d_w == pytest.approx(float(_mm1_wasserstein(1e-3)), rel=1e-12, abs=0.0)
+        assert d_w == pytest.approx(float(oracles.mm1_wasserstein(1e-3)), rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("n", [1, 2, 5])
     @pytest.mark.parametrize("lam", [1e-33, 1e-40, 1e-300])
@@ -313,38 +287,6 @@ class TestMemory:
         assert size > 50 * block
         assert peak <= 8 * 28 * block
         assert "pmf" not in dist.__dict__ and "x" not in dist.__dict__
-
-
-class TestOracles:
-    @pytest.mark.parametrize("pars", [(3.0, 1.0, 5, 0.0), (12.0, 1.0, 5, 2.0)])
-    def test_kolmogorov_dense_grid(self, pars):
-        params = ModelParams(*pars)
-        dist = pmf_for(params, 1e-14)
-        d = density_for(params)
-        x = dist.x
-        span = np.linspace(x[0] - 1.0, x[-1] + 1.0, 100_000)
-        pts = np.sort(np.concatenate([span, x, x - 1e-9]))
-        oracle = np.max(np.abs(dist.cdf(pts) - d.cdf(pts)))
-        assert kolmogorov_distance(dist, d) == pytest.approx(oracle, abs=1e-9)
-
-    @pytest.mark.parametrize("pars", [(3.0, 1.0, 5, 0.0), (12.0, 1.0, 5, 2.0)])
-    def test_wasserstein_quadrature(self, pars):
-        params = ModelParams(*pars)
-        dist = pmf_for(params, 1e-14)
-        d = density_for(params)
-        x, c = dist.x, np.cumsum(dist.pmf)
-        total = 0.0
-        for k in range(len(x) - 1):
-            total += integrate.quad(
-                lambda t: abs(c[k] - d.cdf(t)),
-                x[k],
-                x[k + 1],
-                limit=100,
-                epsabs=1e-12,
-            )[0]
-        total += integrate.quad(d.cdf, x[0] - 40.0, x[0], limit=300, epsabs=1e-13)[0]
-        total += integrate.quad(d.sf, x[-1], x[-1] + 2000.0, limit=500, epsabs=1e-13)[0]
-        assert wasserstein_distance(dist, d) == pytest.approx(total, abs=1e-8)
 
 
 class TestMeanError:

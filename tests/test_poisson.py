@@ -2,8 +2,8 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
 
+import oracles
 from conftest import density_for
 from erlangdiff.diffusion import DiffusionDensity
 from erlangdiff.metrics import Scenario
@@ -63,7 +63,7 @@ class TestMeanH:
 
     def test_indicator_is_cdf(self):
         d = density_for(C_PARAMS)
-        oracle = integrate.quad(d.pdf, -np.inf, 0.0, limit=300)[0]
+        oracle = oracles.pdf_integral(d, -np.inf, 0.0)
         assert mean_h(d, TestFunction.indicator(0.0)) == pytest.approx(oracle, abs=1e-12)
 
     @pytest.mark.parametrize("params", ALL_PARAMS)
@@ -72,17 +72,7 @@ class TestMeanH:
         # partial first moment below a cutoff c off the junction and the mode
         d = density_for(params)
         c = 0.7
-        j = d.switch_point
-        pts = sorted({j, c})
-        oracle = integrate.quad(
-            lambda y: abs(y - c) * d.pdf(y), -np.inf, pts[0], limit=300
-        )[0]
-        oracle += integrate.quad(
-            lambda y: abs(y - c) * d.pdf(y), pts[0], pts[-1], limit=300
-        )[0] if len(pts) > 1 else 0.0
-        oracle += integrate.quad(
-            lambda y: abs(y - c) * d.pdf(y), pts[-1], np.inf, limit=300
-        )[0]
+        oracle = oracles.pdf_integral(d, -np.inf, np.inf, lambda y: abs(y - c), [c])
         got = 2.0 * c * d.cdf(c) - c - 2.0 * d.partial_raw_moment(1, -np.inf, c) + d.mean()
         assert got == pytest.approx(oracle, rel=1e-10)
 
@@ -159,9 +149,7 @@ class TestSolutionEvaluation:
         xs = np.linspace(-2.0, 2.0, 9)
         f_vals = sol.antiderivative(xs)
         for k in range(len(xs) - 1):
-            oracle = integrate.quad(
-                lambda t: sol.f_prime(float(t)), xs[k], xs[k + 1], limit=200
-            )[0]
+            oracle = oracles.quad(lambda t: sol.f_prime(float(t)), xs[k], xs[k + 1], limit=200)
             assert f_vals[k + 1] - f_vals[k] == pytest.approx(oracle, abs=1e-10)
 
 

@@ -1,0 +1,55 @@
+"""Relations that hold between scenarios, whatever the exact values.
+
+With alpha = mu (M/M/infinity) the chain is Poisson(R) and the diffusion
+law N(0, 1) at every n, so nothing may depend on n and the moments and the
+density's supremum are the closed forms in ``oracles``.  Scaling
+(lam, mu, alpha) by c only changes the time unit.
+"""
+
+import pytest
+
+import oracles
+from erlangdiff import report
+from erlangdiff.ctmc import moment as chain_moment
+from erlangdiff.diffusion import density_sup_check
+from erlangdiff.diffusion import moment as diff_moment
+from erlangdiff.metrics import Scenario, mean_error
+from erlangdiff.model import ModelParams
+
+
+def test_alpha_equal_to_mu_does_not_depend_on_n():
+    first = Scenario(ModelParams(lam=12.0, mu=1.0, n=1, alpha=1.0))
+    for n in range(1, 201):
+        s = Scenario(ModelParams(lam=12.0, mu=1.0, n=n, alpha=1.0), moment_order=2)
+        dist, d = s.dist, s.density
+        assert s.d_w == pytest.approx(first.d_w, rel=0.0, abs=5e-14)
+        assert s.d_k == pytest.approx(first.d_k, rel=0.0, abs=5e-14)
+        assert mean_error(dist, d) == pytest.approx(0.0, abs=5e-14)
+        sup = density_sup_check(d).observed
+        assert sup == pytest.approx(oracles.MMINF_DENSITY_SUP, rel=1e-15, abs=0.0)
+        for m, want in enumerate(oracles.MMINF_MOMENTS, start=1):
+            assert chain_moment(dist, m, absolute=False) == pytest.approx(want, abs=5e-14)
+            assert diff_moment(d, m) == pytest.approx(want, abs=5e-14)
+
+
+def _bits(c: float, verify: bool) -> list:
+    """The distance row at (12 c, c, 5, 2 c) without its rate columns, and
+    with ``verify`` every verify row, floats by ``float.hex``."""
+    params = ModelParams(lam=12.0 * c, mu=c, n=5, alpha=2.0 * c)
+    row = report.run_distance(params)[0]
+    out = [
+        float(v).hex() if isinstance(v, float) else v
+        for k, v in row.items()
+        if k not in ("lam", "mu", "alpha")
+    ]
+    for suite, checks in report.run_verify(params)["suites"] if verify else ():
+        out += [(suite, ch.name, float(ch.observed).hex(), float(ch.bound).hex()) for ch in checks]
+        out += [ch.satisfied for ch in checks]
+    return out
+
+
+# at c = 3 and 1e3 the verify rows move by a few ulp, and the polynomial
+# identity residuals, rounding noise of 1e-17 to 4e-16, more
+@pytest.mark.parametrize("c, verify", [(2.0, True), (0.5, True), (3.0, False), (1e3, False)])
+def test_rate_scaling_keeps_every_bit(c, verify):
+    assert _bits(c, verify) == _bits(1.0, verify)
