@@ -197,9 +197,12 @@ class DiscreteStationary:
     through one walk (``_walk``), which builds x and the pmf ``_BLOCK``
     states at a time and drops them after.  One holding rule follows:
     nothing window-length is kept.  ``log_pmf``, ``pmf`` and ``x`` build
-    their window array anew on each read, and ``cdf``, ``prob_interval``,
-    the moments, the tail bounds, the distances, the decompositions and
-    the Stein-identity residual read the walk.
+    their window array anew on each read; the moments, the tail bounds,
+    the distances, the decompositions and the Stein-identity residual read
+    the walk, and each window quantity they share has one owner here:
+    P(X~ <= t) ``cdf``, interval masses ``prob_interval``, the states the
+    decompositions keep ``kept`` (one walk per window) and the window sums
+    of |x + offset|^m pmf ``_abs_moment_sum`` (one per (m, offset)).
     ``k_max >= k_top`` is the certified truncation index and ``tail_ratio``
     = lam/d(k_max + 1) its tail ratio.  ``tail_bound`` certifies all the
     mass left out: the head below k_min, the gap (k_top, k_max] and the
@@ -212,10 +215,7 @@ class DiscreteStationary:
     k_max: int
     ell_max: float
     log_z: float
-    # {(m, offset): sum of |x + offset|^m pmf over the window} for the sums
-    # stationary_pmf took while certifying moments of order m (offset 0 and,
-    # where the Minkowski floor fell short, zeta); ``moment`` reuses them as
-    # its scale
+    # the window sums ``_abs_moment_sum`` took, by (m, offset)
     _abs_moment_sums: dict[tuple[int, float], float] = field(
         default_factory=dict, repr=False, compare=False
     )
@@ -268,6 +268,25 @@ class DiscreteStationary:
             _, x, p = next(self._walk(k - self.k_min, k - self.k_min + 1))
             ends[k] = float(x[0]), float(p[0])
         return ends
+
+    @cached_property
+    def kept(self) -> slice:
+        """Window positions from the first to the last state whose pmf
+        exceeds 1e-16, found in one walk: the states the decompositions
+        read.  A contiguous slice: isolated sub-threshold states in the
+        middle would complicate the panel bookkeeping for no measurable gain."""
+        cut = 1e-16
+        ends = [i + np.flatnonzero(p > cut)[[0, -1]] for i, _, p in self._walk() if p.max() > cut]
+        return slice(int(ends[0][0]), int(ends[-1][1]) + 1)
+
+    def _abs_moment_sum(self, m: int, offset: float) -> float:
+        """sum |x + offset|^m pmf over the window, taken on first read and
+        kept: ``stationary_pmf`` certifies order-m moments with it and
+        ``moment`` certifies against it."""
+        sums = self._abs_moment_sums
+        if (m, offset) not in sums:
+            sums[m, offset] = _exact_sum(_moment_terms(self, slice(None), offset, m))
+        return sums[m, offset]
 
     @property
     def x_max(self) -> float:
@@ -455,7 +474,7 @@ def _truncated_pmf(
 
 def _with_certified_moments(dist: DiscreteStationary, m: int) -> DiscreteStationary | bool | None:
     """dist, with the window sums of |x|^m pmf (and of |x + zeta|^m pmf
-    where it took that one) recorded on it, or, if its tails could move
+    where it took that one) kept on it, or, if its tails could move
     either sum by more than 1e-8 relative, True where only a wider window
     can mend that and None where a longer grid may.
 
@@ -474,17 +493,14 @@ def _with_certified_moments(dist: DiscreteStationary, m: int) -> DiscreteStation
     bound = dist.moment_tail_bound(m)
     if not math.isfinite(bound):
         return None
-    total = _exact_sum(_moment_terms(dist, slice(None), 0.0, m))
+    total = dist._abs_moment_sum(m, 0.0)
     if bound > _REL_MOMENT_TOL * total:
         return only_wider(0.0, total)
     zeta = dist.derived.zeta
     shifted_bound = dist.moment_tail_bound(m, shift=zeta)
     floor = max(total ** (1.0 / m) - abs(zeta), 0.0) ** m
-    sums = dist._abs_moment_sums
-    sums[m, 0.0] = total
     if shifted_bound > _REL_MOMENT_TOL * floor * (1.0 - 1e-9):
-        sums[m, zeta] = _exact_sum(_moment_terms(dist, slice(None), zeta, m))
-        scale = max(sums[m, zeta], np.finfo(float).tiny)
+        scale = max(dist._abs_moment_sum(m, zeta), np.finfo(float).tiny)
         if shifted_bound > _REL_MOMENT_TOL * scale:
             return only_wider(zeta, scale)
     return dist
@@ -546,16 +562,11 @@ def moment(
         offset = dist.derived.zeta
     else:
         raise ValueError(f"unknown shift {shift!r}")
-    result = _exact_sum(_moment_terms(dist, _region_slice(dist, region), offset, m, absolute))
-    # certify against the full-support absolute moment: a region whose true
-    # mass sits below the window's cut is exactly 0 in double precision and
-    # no tail tolerance could make it relatively accurate
-    if region == "all" and absolute:
-        scale = result
-    elif (m, offset) in dist._abs_moment_sums:
-        scale = dist._abs_moment_sums[m, offset]
-    else:
-        scale = _exact_sum(_moment_terms(dist, slice(None), offset, m))
+    part = _region_slice(dist, region)
+    # certify against the full-support absolute moment, the whole-window
+    # result: a region whose mass sits below the window's cut is exactly 0
+    # in double precision, which no tail tolerance makes relatively accurate
+    scale = dist._abs_moment_sum(m, offset)
     tail = dist.moment_tail_bound(m, shift=offset)
     if tail > _REL_MOMENT_TOL * max(scale, np.finfo(float).tiny):
         raise TruncationError(
@@ -563,7 +574,9 @@ def moment(
             f"than {_REL_MOMENT_TOL} relative; rebuild the pmf with "
             "moment_order or a smaller tail_tol"
         )
-    return result
+    if region == "all" and absolute:
+        return scale
+    return _exact_sum(_moment_terms(dist, part, offset, m, absolute))
 
 
 class SteinResidual(NamedTuple):
@@ -572,7 +585,7 @@ class SteinResidual(NamedTuple):
 
 
 def stein_identity_residual(
-    dist: DiscreteStationary, f: Callable[[np.ndarray], np.ndarray] | PoissonSolution
+    dist: DiscreteStationary, f: Callable[[np.ndarray], np.ndarray]
 ) -> SteinResidual:
     """|E G f(X~)| over the exact pmf, with its truncation/rounding budget.
 
@@ -587,9 +600,7 @@ def stein_identity_residual(
     each block starts from the value the block before reached at the
     block's first point, so it keeps the bits of one pass over the window.
     """
-    from .poisson import PoissonSolution  # a layer above this module
-
-    g = f.antiderivative if isinstance(f, PoissonSolution) else lambda xs, _: f(xs)
+    g = getattr(f, "antiderivative", None) or (lambda xs, _: f(xs))
     params, delta = dist.params, dist.derived.delta
     lam, parts = params.lam, []  # per block: bottom and top boundary terms, rounding
 
@@ -703,12 +714,10 @@ def idle_probability_monotone(
     For alpha > 0 the sequence is nonincreasing in lambda: busier systems
     are less likely to have idle servers.
     """
-    from .metrics import Scenario  # metrics imports this module
-
     if alpha <= 0.0:
         raise ValueError("the comparison family requires alpha > 0")
     out = []
     for lam in lambdas:
-        dist = Scenario(ModelParams(lam=lam, mu=mu, n=n, alpha=alpha), tail_tol).dist
+        dist = stationary_pmf(ModelParams(lam=lam, mu=mu, n=n, alpha=alpha), tail_tol)
         out.append(moment(dist, 0, "below"))
     return out

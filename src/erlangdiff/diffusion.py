@@ -273,17 +273,17 @@ def _piece_moments(piece: _GaussPiece | _ExpPiece, m: int, u: float, v: float) -
 
 
 def _piece_ratio(piece: _GaussPiece | _ExpPiece, t, first: bool):
-    """int_lo^t w(y) shape(y) dy / shape(t) within one piece, w = 1 or y."""
+    """[int_lo^t w(y) shape(y) dy / shape(t) in one piece for w = 1 and, if ``first``, w = y]."""
     floor = piece.lo
     r0 = piece.ratio_left(t, floor)
     if not first:
-        return r0
+        return [r0]
     shape_floor = (
         np.exp(piece.log_shape(floor) - piece.log_shape(t))
         if math.isfinite(floor)
         else 0.0
     )
-    return piece.first_moment(r0, floor, shape_floor, t, 1.0)
+    return [r0, piece.first_moment(r0, floor, shape_floor, t, 1.0)]
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +390,7 @@ class DiffusionDensity:
     # -- tail ratio machinery for the Poisson-equation solutions --------------
 
     def ratio_below(self, x, cutoff: float = np.inf, first: bool = False):
-        """(1/nu(x)) * int_{-inf}^{min(x, cutoff)} w(y) nu(y) dy, w = 1 or y.
+        """[(1/nu(x)) int_{-inf}^{min(x, cutoff)} w nu dy for w = 1 and, if ``first``, w = y].
 
         Stable for x at or left of the mode (0); usable, with possibly huge
         but finite values, between the mode and the junction.  Cross-piece
@@ -400,11 +400,11 @@ class DiffusionDensity:
         return self._tail_ratio(x, cutoff, first, below=True)
 
     def ratio_above(self, x, cutoff: float = -np.inf, first: bool = False):
-        """(1/nu(x)) * int_{max(x, cutoff)}^{inf} w(y) nu(y) dy, w = 1 or y."""
+        """[(1/nu(x)) int_{max(x, cutoff)}^inf w nu dy for w = 1 and, if ``first``, w = y]."""
         return self._tail_ratio(x, cutoff, first, below=False)
 
     def _tail_ratio(self, x, cutoff: float, first: bool, below: bool):
-        """Shared body of ratio_below and ratio_above.
+        """Shared body of ratio_below and ratio_above: one pass gives both ratios.
 
         An upper-tail integral of a piece is a lower-tail integral of the
         piece reflected by y -> -y, taken at -t: int_t^hi w(y) shape(y) dy =
@@ -418,8 +418,8 @@ class DiffusionDensity:
         t_arr = np.minimum(x_arr, cutoff) if below else np.maximum(x_arr, cutoff)
         j = self.switch_point
         log_nu_x = np.atleast_1d(self.log_pdf(x_arr))
-        out = np.zeros_like(x_arr)
-        sign = -1.0 if first and not below else 1.0
+        outs = [np.zeros_like(x_arr) for _ in range(1 + first)]
+        signs = (1.0, 1.0 if below else -1.0)
 
         # contribution of the piece containing t, out to that piece's edge
         for piece, in_piece in ((self.left, t_arr <= j), (self.right, t_arr > j)):
@@ -428,15 +428,18 @@ class DiffusionDensity:
             t_in = t_arr[in_piece]
             if not below:
                 piece, t_in = piece.reflected(), -t_in
-            base = sign * _piece_ratio(piece, t_in, first)
-            out[in_piece] += base * np.exp(_log_nu(piece, t_in) - log_nu_x[in_piece])
+            scale = np.exp(_log_nu(piece, t_in) - log_nu_x[in_piece])
+            for out, sign, base in zip(outs, signs, _piece_ratio(piece, t_in, first)):
+                out[in_piece] += sign * base * scale
 
         # the whole other piece when t lies past the junction
         past = (t_arr > j) if below else (t_arr <= j)
         if np.any(past):
             piece = self.left if below else self.right
-            out[past] += _piece_integral(piece, piece.lo, piece.hi, first, log_nu_x[past])[-1]
-        return out if np.ndim(x) else float(out[0])
+            wholes = _piece_integral(piece, piece.lo, piece.hi, first, log_nu_x[past])
+            for out, whole in zip(outs, wholes):
+                out[past] += whole
+        return [out if np.ndim(x) else float(out[0]) for out in outs]
 
     # -- quantiles -------------------------------------------------------------
 

@@ -145,7 +145,7 @@ def _distances(dist: DiscreteStationary, d: DiffusionDensity) -> tuple[float, fl
         # 2.2e-16 delta, and each level (all >= 1 - R) its complement, which
         # carries the area, to rounding; sum the complements tail-first
         # (0 from the last state on)
-        tail = np.append(np.cumsum(np.exp(dist.log_pmf)[:0:-1])[::-1], [0.0, 0.0])
+        tail = np.append(np.cumsum(dist.pmf[:0:-1])[::-1], [0.0, 0.0])
     peaks, left_tail = [], []
 
     def areas():

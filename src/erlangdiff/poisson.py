@@ -129,13 +129,11 @@ class PoissonSolution:
         """
         d, h = self.density, self.h
         ratio = d.ratio_below if below else d.ratio_above
-        mass = ratio(x)
         if h.kind == "lipschitz_identity":
-            h_int = ratio(x, first=True)
-        elif below:
-            h_int = ratio(x, cutoff=h.parameter)
+            mass, h_int = ratio(x, first=True)
         else:
-            h_int = mass - ratio(x, cutoff=h.parameter)
+            [mass], [cut] = ratio(x), ratio(x, cutoff=h.parameter)
+            h_int = cut if below else mass - cut
         sign = 1.0 if below else -1.0
         return sign * (self.h_mean * mass - h_int) / self.derived.mu
 
@@ -356,13 +354,10 @@ def _ratio_rows(d: DiffusionDensity, grid: np.ndarray, under: bool) -> list[Chec
     nonpos, nonneg = grid <= 0.0, grid >= 0.0
     # off its own region a ratio may overflow or cancel; no row reads it there
     with np.errstate(all="ignore"):
-        below, above = d.ratio_below(grid), d.ratio_above(grid)
-        abs_below = d.ratio_below(grid, first=True) - 2.0 * d.ratio_below(
-            grid, cutoff=0.0, first=True
-        )
-        abs_above = 2.0 * d.ratio_above(grid, cutoff=0.0, first=True) - d.ratio_above(
-            grid, first=True
-        )
+        below, first_below = d.ratio_below(grid, first=True)
+        above, first_above = d.ratio_above(grid, first=True)
+        abs_below = first_below - 2.0 * d.ratio_below(grid, cutoff=0.0, first=True)[1]
+        abs_above = 2.0 * d.ratio_above(grid, cutoff=0.0, first=True)[1] - first_above
         b_over_mu = np.abs(drift(d.derived, grid)) / mu
         drift_below, drift_above = b_over_mu * below, b_over_mu * above
         if d.derived.is_erlang_c:

@@ -14,6 +14,8 @@ integrands jump at the indicator anchor.  This module evaluates the terms
 numerically over the exact pmf, with panel quadrature split at the drift
 kink and the anchor, from one read of the Poisson solution on the chain
 states that also gives the generator identity E h(X~) - E h(Y) = E G_Y f_h(X~).
+No other code here walks the window: the states that read keeps, P(X~ <= a)
+and the straddle are the chain's ``kept``, ``cdf`` and ``prob_interval``.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ __all__ = [
     "kolmogorov_decomposition",
 ]
 
-_PMF_CUT = 1e-16
 _ORDER = 12
 
 
@@ -50,53 +51,31 @@ class ErrorDecomposition:
     extras: dict = field(default_factory=dict)
 
 
-def _active(dist: DiscreteStationary) -> slice:
-    """Window positions from the first to the last state whose pmf exceeds
-    ``_PMF_CUT``, found in one walk.  A contiguous slice: isolated
-    sub-threshold states in the middle would complicate the panel
-    bookkeeping for no measurable gain."""
-    ends = [
-        i + np.flatnonzero(p > _PMF_CUT)[[0, -1]]
-        for i, _, p in dist._walk()
-        if p.max() > _PMF_CUT
-    ]
-    return slice(int(ends[0][0]), int(ends[-1][1]) + 1)
-
-
 def _kept_states(dist: DiscreteStationary, sol: PoissonSolution):
     """The one read of the chain states for ``sol``, one walk block at a
     time: on the whole window, |E h(X~) - E h(Y)| and its
     generator-identity gap to |E G_Y f_h(X~)| = |E[b f' + mu f'']|; on the
-    ``_active`` states, the pmf, the drift and f'' (elementwise, so the
+    ``dist.kept`` states, the pmf, the drift and f'' (elementwise, so the
     window's values) and the panel edges of both decompositions:
     [x_k - delta, x_k] for the lowest state, then every forward panel.
     Edges are the grid points themselves, so the drift kink is always a
-    panel edge, never a sliver-interior point.  For an indicator at a it
-    also reads P(X~ <= a), a cumsum carried from block to block, and the
-    straddle P(a - delta < X~ <= a + delta)."""
-    act, der = _active(dist), dist.derived
-    kept = np.empty((4, act.stop - act.start))  # x, pmf, drift, f''
-    a, cdf_a, straddle = sol.h.kink(), 0.0, []
+    panel edge, never a sliver-interior point."""
+    span, der = dist.kept, dist.derived
+    kept = np.empty((4, span.stop - span.start))  # x, pmf, drift, f''
 
     def generator_terms():
-        nonlocal cdf_a
         for i, x, p in dist._walk():
             b = drift(der, x)
             fp, fpp, _ = sol.derivatives(x)
-            lo, hi = np.clip([act.start - i, act.stop - i], 0, x.size)
-            kept[:, i + lo - act.start : i + hi - act.start] = [v[lo:hi] for v in (x, p, b, fpp)]
-            if a is not None:
-                if x[0] <= a:
-                    c = np.cumsum(np.concatenate(([cdf_a], p)))
-                    cdf_a = float(c[np.searchsorted(x, a, side="right")])
-                straddle.append(p[(a - der.delta < x) & (x <= a + der.delta)])
+            lo, hi = np.clip([span.start - i, span.stop - i], 0, x.size)
+            kept[:, i + lo - span.start : i + hi - span.start] = [v[lo:hi] for v in (x, p, b, fpp)]
             yield p * (b * fp + sol.derived.mu * fpp)
 
     gen_y = _exact_sum(generator_terms())
     lhs = abs(_exact_sum(p * sol.h.value(x) for _, x, p in dist._walk()) - sol.h_mean)
     xk, pk, bk, fppk = kept
     edges = np.concatenate(([xk[0] - der.delta], xk)), np.concatenate((xk, [xk[-1] + der.delta]))
-    return pk, bk, fppk, edges, lhs, abs(lhs - abs(gen_y)), (cdf_a, float(_exact_sum(straddle)))
+    return pk, bk, fppk, edges, lhs, abs(lhs - abs(gen_y))
 
 
 def _tolerance(dist: DiscreteStationary, p: np.ndarray, lhs: float, per_state) -> float:
@@ -144,7 +123,7 @@ def wasserstein_decomposition(
     der = dist.derived
     delta = der.delta
     mu = der.mu
-    p, b, fpp, edges, lhs, gap, _ = _kept_states(dist, sol)
+    p, b, fpp, edges, lhs, gap = _kept_states(dist, sol)
     f2b = np.abs(fpp * b)
     mean_abs_f2b = _exact_sum(p * f2b)
     term1 = 0.5 * delta * mean_abs_f2b
@@ -215,17 +194,17 @@ def kolmogorov_decomposition(
     term3_eps2      lam E|eps2(X~)|
     term4_drift_eps (1/delta) E|b(X~) eps2(X~)|
 
-    Also evaluates the straddle probability P(a - delta < X~ <= a + delta)
-    and its birth-death majorant from the pmf-maximizer argument, which
-    needs the Kolmogorov distance ``d_k`` between the chain and the density
-    of ``sol``.
+    Also reads the straddle probability P(a - delta < X~ <= a + delta)
+    and evaluates its birth-death majorant from the pmf-maximizer argument,
+    which needs the Kolmogorov distance ``d_k`` between the chain and the
+    density of ``sol``.
     """
     if sol.h.kind != "indicator":
         raise ValueError("the Kolmogorov decomposition needs an indicator h")
     der = dist.derived
     params = dist.params
     delta = der.delta
-    p, b, fpp_left, edges, _, gap, (cdf_a, straddle) = _kept_states(dist, sol)
+    p, b, fpp_left, edges, _, gap = _kept_states(dist, sol)
     term1 = 0.5 * delta * _exact_sum(p * np.abs(fpp_left * b))
 
     a_panel, b_panel = _weighted_f2_panels(sol, *edges)
@@ -236,7 +215,9 @@ def kolmogorov_decomposition(
     term3 = params.lam * _exact_sum(p * np.abs(eps2))
     term4 = (1.0 / delta) * _exact_sum(p * np.abs(b * eps2))
 
-    lhs = abs(cdf_a - sol.h_mean)
+    a = sol.h.parameter
+    lhs = abs(dist.cdf(a) - sol.h_mean)
+    straddle = dist.prob_interval(a - delta, a + delta)
     omega = density_sup_check(sol.density).observed
     load_factor = max(der.alpha / der.mu, 1.0)
     majorant = (

@@ -614,9 +614,9 @@ def _one_array_residual(dist, f):
 class TestWalkReads:
     # the Stein-identity residual, cdf and prob_interval walk the window
     # ctmc._BLOCK states at a time, and the Kolmogorov decomposition reads
-    # P(X <= a) and the straddle in its own walk; with a small odd block,
-    # block seams fall all over the window, which one block of 2^30 covers
-    # whole
+    # P(X <= a) and the straddle through cdf and prob_interval; with a
+    # small odd block, block seams fall all over the window, which one
+    # block of 2^30 covers whole
     @settings(max_examples=15, deadline=None)
     @given(
         params=small_window_params(),
@@ -693,16 +693,27 @@ class TestMomentBoundReport:
         ],
     )
     def test_each_moment_evaluated_once(self, params, monkeypatch):
-        dist = pmf_for(params)
-        calls = []
+        # and each whole-window sum of |x + offset|^m pmf, the scale every
+        # moment of that order and shift is certified against, once per window
+        dist = stationary_pmf(params)
+        calls, sums = [], []
+        terms = ctmc._moment_terms
 
         def counting_moment(dist, m, region="all", shift="none"):
             calls.append((m, region, shift))
             return moment(dist, m, region, shift)
 
+        def counting_terms(dist, part, offset, m, absolute=True):
+            if part == slice(None) and absolute:
+                sums.append((m, offset))
+            return terms(dist, part, offset, m, absolute)
+
         monkeypatch.setattr(ctmc, "moment", counting_moment)
+        monkeypatch.setattr(ctmc, "_moment_terms", counting_terms)
         moment_bound_report(dist)
         assert len(calls) == len(set(calls)) == 6
+        offsets = {"none": 0.0, "plus_zeta": dist.derived.zeta}
+        assert sorted(sums) == sorted({(m, offsets[shift]) for m, _, shift in calls})
 
     def test_critical_load_uses_under_branch(self):
         dist = pmf_for(ModelParams(lam=5.0, mu=1.0, n=5, alpha=1.0))

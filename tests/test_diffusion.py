@@ -206,7 +206,9 @@ class TestZetaScaling:
 
 
 class TestTailRatios:
-    """ratio_below/ratio_above against the masses and moments they divide by nu(x)."""
+    """ratio_below/ratio_above against the masses and moments they divide by
+    nu(x).  Each returns [mass ratio] or, with ``first``, [mass ratio,
+    first-moment ratio] from one pass."""
 
     @staticmethod
     def points(d):
@@ -219,12 +221,12 @@ class TestTailRatios:
         d = density_for(REGIME_EXAMPLES[regime])
         xs, cutoffs = self.points(d)
         for x in xs:
-            assert d.pdf(x) * d.ratio_below(x) == pytest.approx(d.cdf(x), rel=1e-10)
-            assert d.pdf(x) * d.ratio_above(x) == pytest.approx(d.sf(x), rel=1e-10)
+            assert d.pdf(x) * d.ratio_below(x)[0] == pytest.approx(d.cdf(x), rel=1e-10)
+            assert d.pdf(x) * d.ratio_above(x)[0] == pytest.approx(d.sf(x), rel=1e-10)
             for c in cutoffs:
                 lo, hi = min(x, c), max(x, c)
-                below = d.pdf(x) * d.ratio_below(x, cutoff=c)
-                above = d.pdf(x) * d.ratio_above(x, cutoff=c)
+                below = d.pdf(x) * d.ratio_below(x, cutoff=c)[0]
+                above = d.pdf(x) * d.ratio_above(x, cutoff=c)[0]
                 assert below == pytest.approx(d.cdf(lo), rel=1e-10, abs=1e-15)
                 assert above == pytest.approx(d.sf(hi), rel=1e-10, abs=1e-15)
                 outside = 1.0 - (d.cdf(hi) - d.cdf(lo))
@@ -239,8 +241,11 @@ class TestTailRatios:
                 kw = {} if c is None else {"cutoff": c}
                 lo = x if c is None else min(x, c)
                 hi = x if c is None else max(x, c)
-                below = d.pdf(x) * d.ratio_below(x, first=True, **kw)
-                above = d.pdf(x) * d.ratio_above(x, first=True, **kw)
+                mass_below, first_below = d.ratio_below(x, first=True, **kw)
+                mass_above, first_above = d.ratio_above(x, first=True, **kw)
+                # the pass that also takes the first moment keeps the mass's bits
+                assert [mass_below, mass_above] == d.ratio_below(x, **kw) + d.ratio_above(x, **kw)
+                below, above = d.pdf(x) * first_below, d.pdf(x) * first_above
                 want_below = d.partial_raw_moment(1, -np.inf, lo)
                 want_above = d.partial_raw_moment(1, hi, np.inf)
                 assert below == pytest.approx(want_below, rel=1e-10, abs=1e-14)
@@ -251,8 +256,9 @@ class TestTailRatios:
         d = density_for(REGIME_EXAMPLES[regime])
         xs = np.array([-3.0, d.switch_point, 0.0, 4.0])
         for first in (False, True):
-            assert np.array_equal(d.ratio_above(xs, cutoff=np.inf, first=first), np.zeros(4))
-            assert np.array_equal(d.ratio_below(xs, cutoff=-np.inf, first=first), np.zeros(4))
+            zeros = np.zeros((1 + first, 4))
+            assert np.array_equal(d.ratio_above(xs, cutoff=np.inf, first=first), zeros)
+            assert np.array_equal(d.ratio_below(xs, cutoff=-np.inf, first=first), zeros)
 
     def test_vectorized_matches_scalar(self):
         for params in REGIME_EXAMPLES.values():
@@ -260,11 +266,11 @@ class TestTailRatios:
             xs = np.array([d.switch_point, 0.0, -3.0, 4.0])
             for first in (False, True):
                 vec = d.ratio_above(xs, cutoff=d.switch_point, first=first)
-                assert list(vec) == [
+                assert np.array(vec).T.tolist() == [
                     d.ratio_above(x, cutoff=d.switch_point, first=first) for x in xs
                 ]
                 vec = d.ratio_below(xs, first=first)
-                assert list(vec) == [d.ratio_below(x, first=first) for x in xs]
+                assert np.array(vec).T.tolist() == [d.ratio_below(x, first=first) for x in xs]
 
     @pytest.mark.parametrize("regime", list(REGIME_EXAMPLES))
     def test_sf_deep_right_tail_vs_quadrature(self, regime):

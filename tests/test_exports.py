@@ -1,5 +1,7 @@
-"""Every exported name resolves, so a deletion cannot leave a stale export."""
+"""Every exported name resolves, so a deletion cannot leave a stale export,
+and every layer imports only the layers below it."""
 
+import ast
 import importlib
 import pkgutil
 import subprocess
@@ -41,3 +43,39 @@ def test_star_import_in_a_fresh_interpreter():
     proc = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "True\n"
+
+
+# the layers, lowest first; the package __init__, which loads them lazily, is exempt
+LAYERS = [
+    "_special", "model", "ctmc", "_quad", "diffusion", "poisson", "stein_verify", "metrics",
+    "report", "cli",
+]
+
+
+def _package_imports(path: Path) -> list[tuple[int, str]]:
+    """(line, dotted name) of every erlangdiff import in a module's source,
+    inside functions too, relative ones made absolute: ``from .a import b``
+    names erlangdiff.a, ``from . import b`` names erlangdiff.b."""
+    out = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            out += [(node.lineno, alias.name) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            out.append((node.lineno, node.module))
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module] if node.module else [alias.name for alias in node.names]
+            out += [(node.lineno, f"erlangdiff.{name}") for name in names]
+    return [(line, name) for line, name in out if name.split(".")[0] == "erlangdiff"]
+
+
+def test_layers_import_only_lower_layers():
+    package = Path(erlangdiff.__file__).parent
+    assert sorted(p.stem for p in package.glob("*.py") if p.stem != "__init__") == sorted(LAYERS)
+    upward = []
+    for rank, layer in enumerate(LAYERS):
+        for line, name in _package_imports(package / f"{layer}.py"):
+            # erlangdiff alone, or one of its attributes, is the exempt __init__
+            target = name.split(".")[1] if "." in name else None
+            if target in LAYERS and LAYERS.index(target) >= rank:
+                upward.append(f"{layer}.py:{line} imports {name}")
+    assert not upward

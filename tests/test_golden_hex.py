@@ -120,12 +120,14 @@ def record(case: tuple) -> dict:
     lam, mu, n, alpha, tail_tol, m = case
     s = Scenario(ModelParams(lam=lam, mu=mu, n=n, alpha=alpha), tail_tol, moment_order=m)
     dist = s.dist
+    # read before any moment: later reads keep their own sums on dist
+    certified = _certified_sums(dist)
     return {
         "window": [dist.k_min, dist.k_top, dist.k_max],
         "d_w": s.d_w.hex(),
         "d_k": s.d_k.hex(),
         "mean_error": _hex_or_error(lambda: mean_error(dist, s.density)),
-        "certified": _certified_sums(dist),
+        "certified": certified,
         "signed": moment(dist, m, absolute=False).hex(),
         "plus_zeta": moment(dist, m, "all", "plus_zeta").hex(),
         "plus_zeta_above": moment(dist, m, "above", "plus_zeta").hex(),

@@ -1,4 +1,6 @@
+import sys
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,9 +13,9 @@ from erlangdiff.ctmc import DiscreteStationary, _exact_sum
 from erlangdiff.metrics import Scenario, kolmogorov_distance
 from erlangdiff.model import Check, ModelParams, departure_rate, drift
 from erlangdiff.poisson import PoissonSolution, TestFunction, build_solution
+from erlangdiff.report import run_verify
 from erlangdiff.stein_verify import (
     ErrorDecomposition,
-    _active,
     _panel_abs_f3,
     _weighted_f2_panels,
     kolmogorov_decomposition,
@@ -69,7 +71,7 @@ class TestWassersteinDecomposition:
         sol = build_solution(density_for(params), TestFunction.identity())
         dec = wasserstein_decomposition(dist, sol)
         der = dist.derived
-        x, p = dist.x[_active(dist)], dist.pmf[_active(dist)]
+        x, p = dist.x[dist.kept], dist.pmf[dist.kept]
         b = np.abs(drift(der, x))
         f2b = np.abs(sol.derivatives(x)[1]) * b
         panel = _panel_abs_f3(
@@ -134,7 +136,7 @@ class TestChunks:
         dist, d = pmf_for(params, 1e-14), density_for(params)
         ident = build_solution(d, TestFunction.identity())
         kink = build_solution(d, TestFunction.indicator(-dist.derived.zeta))
-        x, delta = dist.x[_active(dist)], dist.derived.delta
+        x, delta = dist.x[dist.kept], dist.derived.delta
         lo, hi = np.concatenate(([x[0] - delta], x)), np.concatenate((x, [x[-1] + delta]))
         d_k = kolmogorov_distance(dist, d)
 
@@ -176,9 +178,31 @@ class TestMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        active = _active(dist)
-        assert active.stop - active.start > 3 * ctmc._BLOCK
-        assert peak <= 16 * 8 * (active.stop - active.start) + 32 * 8 * ctmc._BLOCK
+        kept = dist.kept
+        assert kept.stop - kept.start > 3 * ctmc._BLOCK
+        assert peak <= 16 * 8 * (kept.stop - kept.start) + 32 * 8 * ctmc._BLOCK
+
+
+class TestOneOwner:
+    # the window quantities are DiscreteStationary's: the kept range takes
+    # one walk per window, and this module walks the window only in
+    # _kept_states, twice per solution (the identity and four anchors)
+    @pytest.mark.parametrize(
+        "pars", [(4.9, 1.0, 5, 0.0), (12.0, 1.0, 5, 2.0), (2000.0, 1.0, 1990, 0.05)]
+    )
+    def test_verify_walks(self, monkeypatch, pars):
+        walk, callers = DiscreteStationary._walk, []
+
+        def counted(self, *args, **kwargs):
+            caller = sys._getframe(1)
+            callers.append((caller.f_globals["__name__"], caller.f_code.co_name))
+            return walk(self, *args, **kwargs)
+
+        monkeypatch.setattr(DiscreteStationary, "_walk", counted)
+        run_verify(ModelParams(*pars))
+        assert callers.count(("erlangdiff.ctmc", "kept")) == 1
+        ours = Counter(name for module, name in callers if module == "erlangdiff.stein_verify")
+        assert ours == {"_kept_states": 5, "generator_terms": 5}
 
 
 class TestKolmogorovDecomposition:

@@ -19,7 +19,13 @@ errors, and tail tolerances of 1e-14 and 1e-12.  The random ``verify`` draws sto
 windows fit in one walk block (``erlangdiff.ctmc._BLOCK`` states), so a
 fixed list of larger ``verify`` commands rides along in every stream; four
 of their windows span several blocks, so block seams fall inside every
-window pass.
+window pass.  A seeded stream of library moment ops rides along too, as
+pseudo-commands ``moment --lambda L --mu U --n N --alpha A --m M``:
+``stationary_pmf(params, moment_order=M)``, ``build_density`` and
+``moment_error``, whose k_max and result (or typed error) are hashed.
+Their loads are near critical, R = n (1 - gap) with gap from 1e-5 to 0.1,
+in Erlang-C and Erlang-A, and M is 1, 2 or 10; windows reach millions of
+states.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ import sys
 import time
 import warnings
 
-COUNTS = {"distance": 400, "verify": 100, "sweep": 50}
+COUNTS = {"distance": 400, "verify": 100, "sweep": 50, "moment": 48}
 MULTI_BLOCK_VERIFY = [
     ["verify", "--lambda", "99.9", "--n", "100"],
     ["verify", "--lambda", "2000", "--n", "1990", "--alpha", "0.05"],
@@ -111,7 +117,27 @@ def commands(seed: int) -> list[list[str]]:
         ["sweep", "--regime", "qed", "--sizes", "4,nan"],
     ]
     formatted = [cmd + ["--format", fmt] for cmd in base for fmt in ("csv", "json")]
-    return formatted + [["--help"], ["--version"], ["distance", "--help"]]
+    formatted += [["--help"], ["--version"], ["distance", "--help"]]
+    for i in range(COUNTS["moment"]):
+        # one in four Erlang-A, with alpha/mu from 1e-2 to 1e2
+        n = max(1, round(_log_uniform(rng, 1.0, 1000.0)))
+        mu = _log_uniform(rng, 0.5, 2.0)
+        alpha = _log_uniform(rng, 1e-2, 1e2) * mu if i % 4 == 3 else 0.0
+        lam = n * (1.0 - _log_uniform(rng, 1e-5, 1e-1)) * mu
+        params = ["--lambda", repr(lam), "--mu", repr(mu), "--n", str(n), "--alpha", repr(alpha)]
+        formatted.append(["moment", *params, "--m", str((1, 2, 10)[i % 3])])
+    return formatted
+
+
+def _moment(pkg, argv: list[str]) -> None:
+    """Print the k_max and ``moment_error`` result of one library moment op."""
+    opts = dict(zip(argv[1::2], argv[2::2]))
+    lam, mu, alpha = (float(opts[key]) for key in ("--lambda", "--mu", "--alpha"))
+    m = int(opts["--m"])
+    params = pkg.ModelParams(lam=lam, mu=mu, n=int(opts["--n"]), alpha=alpha)
+    dist = pkg.stationary_pmf(params, moment_order=m)
+    result = pkg.moment_error(dist, pkg.build_density(dist.derived), m)
+    print(dist.k_max, *(f"{key}={value.hex()}" for key, value in result.items()))
 
 
 def digests(src: str, argvs: list[list[str]]) -> list[str]:
@@ -122,6 +148,7 @@ def digests(src: str, argvs: list[list[str]]) -> list[str]:
     sys.path.insert(0, src)
     try:
         cli = importlib.import_module("erlangdiff.cli")
+        pkg = importlib.import_module("erlangdiff")
     finally:
         sys.path.remove(src)
     out = []
@@ -131,7 +158,7 @@ def digests(src: str, argvs: list[list[str]]) -> list[str]:
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 try:
-                    code = repr(cli.main(argv))
+                    code = repr(_moment(pkg, argv) if argv[0] == "moment" else cli.main(argv))
                 except SystemExit as exc:  # --help and --version exit through argparse
                     code = f"exit {exc.code!r}"
                 except Exception as exc:  # an untyped failure is an outcome too
