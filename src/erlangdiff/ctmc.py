@@ -57,35 +57,46 @@ class TruncationError(RuntimeError):
 _LONGDOUBLE_EXACT = np.finfo(np.longdouble).eps < 1e-17
 
 
-def _exact_sum(terms) -> float:
+def _exact_sum(terms) -> float | list[float]:
     """Accumulate far below 1 ulp-per-term of double rounding.
 
     ``terms`` is one array or an iterable of arrays (blocks), summed as
-    their concatenation.  Shewchuk summation (exact) for up to 20,000
-    terms; extended-precision pairwise summation for more, whose error
-    bound log2(n) * 2^-63 relative is orders of magnitude inside the
+    their concatenation, or of stacked row blocks (rows x states), whose
+    rows are summed each as its own stream, bit for bit, into a list.
+    Shewchuk summation (exact) for up to 20,000 terms a row;
+    extended-precision pairwise summation for more, whose error bound
+    log2(n) * 2^-63 relative is orders of magnitude inside the
     compensated-summation contract.  numpy reduces a cast input in buffers
     of ``np.getbufsize()`` elements, one after another, so blocks chained
     through ``initial`` keep the bits of the one-array sum when every block
     but the last is a whole multiple of that size (``_BLOCK`` is).  Falls
-    back to exact summation where long double is not wider than double.
+    back to exact summation where long double is not wider than double,
+    holding the later rows' blocks until their turn.
     """
     stream = iter([terms] if isinstance(terms, np.ndarray) else terms)
     head, size = [], 0
     for block in stream:
         head.append(block)
-        size += block.size
+        size += block.shape[-1]
         if size > 20_000:
             break
+    if not head:
+        return 0.0
+    rows = len(np.atleast_2d(head[0]))
+    blocks = (np.atleast_2d(block) for part in (head, stream) for block in part)
     if size <= 20_000:
-        return math.fsum(np.concatenate(head).tolist()) if head else 0.0
-    blocks = (block for part in (head, stream) for block in part)
-    if not _LONGDOUBLE_EXACT:
-        return math.fsum(t for block in blocks for t in block.tolist())
-    acc = np.longdouble(0.0)
-    for block in blocks:
-        acc = np.sum(block, dtype=np.longdouble, initial=acc)
-    return float(acc)
+        sums = [math.fsum(row) for row in np.concatenate(list(blocks), axis=1).tolist()]
+    elif not _LONGDOUBLE_EXACT:
+        from itertools import tee
+
+        each = enumerate(tee(blocks, rows))
+        sums = [math.fsum(t for b in it for t in b[r].tolist()) for r, it in each]
+    else:
+        acc = [np.longdouble(0.0)] * rows
+        for block in blocks:
+            acc = [np.sum(row, dtype=np.longdouble, initial=a) for row, a in zip(block, acc)]
+        sums = list(map(float, acc))
+    return sums if head[0].ndim > 1 else sums[0]
 
 
 def _log_weights(params: ModelParams, k_lo: int, k_hi: int) -> np.ndarray:
@@ -142,14 +153,12 @@ _WINDOW_CUT = math.log(1e-32)
 
 
 def _mode(derived: DerivedQuantities) -> int:
-    """Largest k with d(k) <= lam: the weights rise up to it, fall after."""
-    params = derived.params
-    k = int(derived.x_inf)  # d(x_inf) = lam, up to rounding
-    while departure_rate(params, k + 1) <= params.lam:
-        k += 1
-    while k > 0 and departure_rate(params, k) > params.lam:
-        k -= 1
-    return k
+    """Largest k with d(k) <= lam, where the weights peak; TruncationError past the state cap."""
+    above = lambda k: departure_rate(derived.params, k) > derived.params.lam  # noqa: E731
+    k = int(derived.x_inf)  # d(x_inf) = lam: k is the mode unless rounding moves it
+    if not above(k) and above(k + 1):
+        return k
+    return _capped(_first_true(above, 0, _STATE_CAP + 2) - 1)  # bisection on the nondecreasing d
 
 
 def _first_true(pred: Callable[[int], bool], lo: int, hi: int) -> int:
@@ -398,7 +407,6 @@ def stationary_pmf(
     if not 0.0 < tail_tol < 1.0:
         raise ValueError("tail_tol must be in (0, 1)")
     derived = derive(params)
-    # checked before the mode search, which cannot step past 2^53 states
     k_hi = int(_capped(derived.x_inf + 12.0 * math.sqrt(derived.x_inf) + 60.0))
     k_mode = _mode(derived)
     ell_mode = _log_weight(params, k_mode)

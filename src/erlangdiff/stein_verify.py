@@ -10,11 +10,11 @@ limit of f'' at the indicator jump).  Taking stationary expectations, the
 chain side vanishes and the correction terms bound the distance between the
 two stationary laws: four absolute-value terms for Lipschitz test functions,
 and for indicators the same with the integral remainders eps1/eps2, whose
-integrands jump at the indicator anchor.  This module evaluates the terms
-numerically over the exact pmf, with panel quadrature split at the drift
-kink and the anchor, from one read of the Poisson solution on the chain
-states that also gives the generator identity E h(X~) - E h(Y) = E G_Y f_h(X~).
-No other code here walks the window: the states that read keeps, P(X~ <= a)
+integrands jump at the indicator anchor.  Each expansion is one term table
+that one builder sums over the exact pmf, with panel quadrature split at
+the drift kink and the anchor; one walk of the window per Poisson solution
+also gives the generator identity E h(X~) - E h(Y) = E G_Y f_h(X~).  No
+other code here walks the window: the states that walk keeps, P(X~ <= a)
 and the straddle are the chain's ``kept``, ``cdf`` and ``prob_interval``.
 """
 
@@ -54,40 +54,48 @@ class ErrorDecomposition:
 def _kept_states(dist: DiscreteStationary, sol: PoissonSolution):
     """The one read of the chain states for ``sol``, one walk block at a
     time: on the whole window, |E h(X~) - E h(Y)| and its
-    generator-identity gap to |E G_Y f_h(X~)| = |E[b f' + mu f'']|; on the
-    ``dist.kept`` states, the pmf, the drift and f'' (elementwise, so the
-    window's values) and the panel edges of both decompositions:
-    [x_k - delta, x_k] for the lowest state, then every forward panel.
-    Edges are the grid points themselves, so the drift kink is always a
-    panel edge, never a sliver-interior point."""
+    generator-identity gap to |E G_Y f_h(X~)| = |E[b f' + mu f'']|, two
+    rows of one stacked block stream; on the ``dist.kept`` states, the pmf,
+    the drift and f'' (elementwise, so the window's values) and the panel
+    edges of both decompositions: [x_k - delta, x_k] for the lowest state,
+    then every forward panel.  Edges are the grid points themselves, so the
+    drift kink is always a panel edge, never a sliver-interior point."""
     span, der = dist.kept, dist.derived
     kept = np.empty((4, span.stop - span.start))  # x, pmf, drift, f''
 
-    def generator_terms():
+    def blocks():
         for i, x, p in dist._walk():
             b = drift(der, x)
             fp, fpp, _ = sol.derivatives(x)
             lo, hi = np.clip([span.start - i, span.stop - i], 0, x.size)
             kept[:, i + lo - span.start : i + hi - span.start] = [v[lo:hi] for v in (x, p, b, fpp)]
-            yield p * (b * fp + sol.derived.mu * fpp)
+            yield np.stack((p * (b * fp + sol.derived.mu * fpp), p * sol.h.value(x)))
 
-    gen_y = _exact_sum(generator_terms())
-    lhs = abs(_exact_sum(p * sol.h.value(x) for _, x, p in dist._walk()) - sol.h_mean)
+    gen_y, e_h = _exact_sum(blocks())
+    lhs = abs(e_h - sol.h_mean)
     xk, pk, bk, fppk = kept
     edges = np.concatenate(([xk[0] - der.delta], xk)), np.concatenate((xk, [xk[-1] + der.delta]))
     return pk, bk, fppk, edges, lhs, abs(lhs - abs(gen_y))
 
 
-def _tolerance(dist: DiscreteStationary, p: np.ndarray, lhs: float, per_state) -> float:
-    """Numerical budget of a decomposition: the states left out, plus rounding.
-
-    ``per_state`` is the sum of the four terms' integrands at each kept
-    state (the terms are their p-weighted sums).  The mass outside the kept
-    states, with the chain's own tail bound, is charged 4 times the largest
-    per-state sum.
-    """
+def _decomposition(
+    metric: str, dist: DiscreteStationary, p: np.ndarray, lhs: float, table: list, extras: dict
+) -> ErrorDecomposition:
+    """A decomposition from a table of (name, coefficient, factors) rows:
+    term = coefficient * sum(p * factors[0] * factors[1] ...), multiplied
+    in that order; the total in table order; and the numerical budget: the
+    mass outside the kept states, with the chain's tail bound, charged 4
+    times the largest per-state sum of the integrands, plus rounding."""
+    terms, per_state = {}, 0.0
+    for name, coef, factors in table:
+        weighted, integrand = p, coef
+        for factor in factors:
+            weighted, integrand = weighted * factor, integrand * factor
+        terms[name] = coef * _exact_sum(weighted)
+        per_state = per_state + integrand
     dropped = max(0.0, 1.0 - float(_exact_sum(p))) + dist.tail_bound
-    return 4.0 * dropped * float(np.max(per_state)) + 1e-13 * (1.0 + abs(lhs))
+    tolerance = 4.0 * dropped * float(np.max(per_state)) + 1e-13 * (1.0 + abs(lhs))
+    return ErrorDecomposition(metric, terms, sum(terms.values()), lhs, tolerance, extras)
 
 
 def _panel_abs_f3(sol: PoissonSolution, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -120,37 +128,19 @@ def wasserstein_decomposition(
     """
     if not sol.h.is_lipschitz:
         raise ValueError("the Wasserstein decomposition needs a Lipschitz h")
-    der = dist.derived
-    delta = der.delta
-    mu = der.mu
+    delta, mu = dist.derived.delta, dist.derived.mu
     p, b, fpp, edges, lhs, gap = _kept_states(dist, sol)
     f2b = np.abs(fpp * b)
-    mean_abs_f2b = _exact_sum(p * f2b)
-    term1 = 0.5 * delta * mean_abs_f2b
-
     panel = _panel_abs_f3(sol, *edges)
-    fwd = panel[1:]
-    bwd = panel[:-1]
-    term2 = 0.5 * mu * _exact_sum(p * fwd)
-    term3 = 0.5 * mu * _exact_sum(p * bwd)
-    term4 = 0.5 * delta * _exact_sum(p * np.abs(b) * bwd)
-
-    per_state = 0.5 * delta * f2b + 0.5 * mu * (fwd + bwd) + 0.5 * delta * np.abs(b) * bwd
-    terms = {
-        "term1_drift_f2": term1,
-        "term2_forward_f3": term2,
-        "term3_backward_f3": term3,
-        "term4_drift_f3": term4,
-    }
-    total = term1 + term2 + term3 + term4
-    return ErrorDecomposition(
-        metric="wasserstein",
-        terms=terms,
-        total=total,
-        lhs=lhs,
-        tolerance=_tolerance(dist, p, lhs, per_state),
-        extras={"mean_abs_f2b": mean_abs_f2b, "generator_identity": gap},
-    )
+    fwd, bwd = panel[1:], panel[:-1]
+    table = [
+        ("term1_drift_f2", 0.5 * delta, [f2b]),
+        ("term2_forward_f3", 0.5 * mu, [fwd]),
+        ("term3_backward_f3", 0.5 * mu, [bwd]),
+        ("term4_drift_f3", 0.5 * delta, [np.abs(b), bwd]),
+    ]
+    extras = {"mean_abs_f2b": _exact_sum(p * f2b), "generator_identity": gap}
+    return _decomposition("wasserstein", dist, p, lhs, table, extras)
 
 
 def _weighted_f2_panels(
@@ -201,54 +191,30 @@ def kolmogorov_decomposition(
     """
     if sol.h.kind != "indicator":
         raise ValueError("the Kolmogorov decomposition needs an indicator h")
-    der = dist.derived
-    params = dist.params
-    delta = der.delta
+    der, delta = dist.derived, dist.derived.delta
     p, b, fpp_left, edges, _, gap = _kept_states(dist, sol)
-    term1 = 0.5 * delta * _exact_sum(p * np.abs(fpp_left * b))
-
     a_panel, b_panel = _weighted_f2_panels(sol, *edges)
     half_d2 = 0.5 * delta * delta
     eps1 = a_panel[1:] - fpp_left * half_d2
     eps2 = b_panel[:-1] - fpp_left * half_d2
-    term2 = params.lam * _exact_sum(p * np.abs(eps1))
-    term3 = params.lam * _exact_sum(p * np.abs(eps2))
-    term4 = (1.0 / delta) * _exact_sum(p * np.abs(b * eps2))
-
+    table = [
+        ("term1_drift_f2", 0.5 * delta, [np.abs(fpp_left * b)]),
+        ("term2_eps1", dist.params.lam, [np.abs(eps1)]),
+        ("term3_eps2", dist.params.lam, [np.abs(eps2)]),
+        ("term4_drift_eps", 1.0 / delta, [np.abs(b * eps2)]),
+    ]
     a = sol.h.parameter
-    lhs = abs(dist.cdf(a) - sol.h_mean)
     straddle = dist.prob_interval(a - delta, a + delta)
     omega = density_sup_check(sol.density).observed
     load_factor = max(der.alpha / der.mu, 1.0)
     majorant = (
-        2.0 * delta * omega
-        + d_k
-        + 9.0 * load_factor * delta**2
-        + 8.0 * load_factor**2 * delta**4
+        2.0 * delta * omega + d_k + 9.0 * load_factor * delta**2 + 8.0 * load_factor**2 * delta**4
     )
-    per_state = (
-        0.5 * delta * np.abs(fpp_left * b)
-        + params.lam * (np.abs(eps1) + np.abs(eps2))
-        + np.abs(b * eps2) / delta
-    )
-    terms = {
-        "term1_drift_f2": term1,
-        "term2_eps1": term2,
-        "term3_eps2": term3,
-        "term4_drift_eps": term4,
-    }
-    total = term1 + term2 + term3 + term4
     extras = {
         "straddle": straddle,
         "straddle_majorant": majorant,
         "interm_rhs": 0.5 * straddle + 75.0 * delta,
         "generator_identity": gap,
     }
-    return ErrorDecomposition(
-        metric="kolmogorov",
-        terms=terms,
-        total=total,
-        lhs=lhs,
-        tolerance=_tolerance(dist, p, lhs, per_state),
-        extras=extras,
-    )
+    lhs = abs(dist.cdf(a) - sol.h_mean)
+    return _decomposition("kolmogorov", dist, p, lhs, table, extras)

@@ -103,6 +103,39 @@ class TestStationaryPmf:
             assert departure_rate(params, ks) <= params.lam * (1 + 1e-15)
             assert params.lam <= departure_rate(params, ks + 1) * (1 + 1e-15)
 
+    @pytest.mark.parametrize(
+        "pars",
+        [(4.9, 5, 0.0), (12.0, 5, 2.0), (3.0, 5, 0.5), (5.0, 5, 1.0), (100.0, 90, 0.01),
+         (5.0, 5, 1e-19), (1e-5, 1, 0.0)],
+    )
+    def test_mode_is_the_last_state_with_rate_at_most_lam(self, pars):
+        # stepping oracle: 5 + 1e-19 q rounds to 5 up to q = 4,440
+        lam, n, alpha = pars
+        params = ModelParams(lam=lam, mu=1.0, n=n, alpha=alpha)
+        k = 0
+        while departure_rate(params, k + 1) <= lam:
+            k += 1
+        assert _mode(derive(params)) == k
+
+    @pytest.mark.parametrize("pars", [(5.0, 5, 1e-22), (5.0, 5, 1e-300), (1e6, 1_000_000, 1e-20)])
+    def test_critical_load_tiny_alpha_fails_fast(self, monkeypatch, pars):
+        # at critical load n mu + alpha q rounds to lam for q up to
+        # ulp(lam) / (2 alpha): 4.4e6 states at alpha = 1e-22, past the
+        # state cap for the others; the mode search reads d(k) a few dozen
+        # times, and a one-state stepping search would exceed the count
+        rate, calls = ctmc.departure_rate, []
+
+        def counted(params, k):
+            calls.append(k)
+            if len(calls) > 10_000:
+                raise AssertionError("departure_rate read 10^4 times")
+            return rate(params, k)
+
+        monkeypatch.setattr(ctmc, "departure_rate", counted)
+        lam, n, alpha = pars
+        with pytest.raises(TruncationError, match="would exceed 100000000 states"):
+            stationary_pmf(ModelParams(lam=lam, mu=1.0, n=n, alpha=alpha))
+
     @settings(max_examples=25, deadline=None)
     @given(
         rho=st.floats(0.2, 0.98),
@@ -481,6 +514,26 @@ class TestExactSum:
             else:
                 want = math.fsum(terms.tolist())
         assert got.hex() == one.hex() == want.hex()
+
+
+    @pytest.mark.parametrize("longdouble", [True, False])
+    @pytest.mark.parametrize(
+        "size", [0, 1, 20_000, 20_001, ctmc._BLOCK, 3 * ctmc._BLOCK, 5 * ctmc._BLOCK + 7]
+    )
+    def test_row_blocks_sum_each_row(self, size, longdouble):
+        # stacked row blocks: each row's sum is that row's own block stream
+        # summed, bit for bit, on both sides of the 20,000-term switch; a
+        # zero-width block is the empty stream of each row
+        rng = np.random.default_rng(size)
+        terms = rng.standard_normal((3, size)) * np.exp(rng.uniform(-30.0, 30.0, (3, size)))
+        starts = range(0, max(size, 1), ctmc._BLOCK)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ctmc, "_LONGDOUBLE_EXACT", ctmc._LONGDOUBLE_EXACT and longdouble)
+            got = ctmc._exact_sum(terms[:, lo : lo + ctmc._BLOCK] for lo in starts)
+            each = [ctmc._exact_sum(row[lo : lo + ctmc._BLOCK] for lo in starts) for row in terms]
+        assert isinstance(got, list)
+        assert [v.hex() for v in got] == [v.hex() for v in each]
+        assert ctmc._exact_sum(iter([])) == 0.0
 
 
 def _plain_log_weights(params, k_lo, k_hi):

@@ -4,9 +4,13 @@
 (k_min, k_top, k_max), d_W, d_K, ``mean_error``, the moment sums that
 ``stationary_pmf(..., moment_order=m)`` certified, and the signed and
 ``plus_zeta`` order-m moments; after those sets, every ``verify`` row
-(suite, name, observed value, bound and verdict) of the verify sets.  A
-change that moves a digit on purpose regenerates the file and logs each
-value it changed:
+(suite, name, observed value, bound and verdict) of the verify sets; and
+last, for the ``VERIFY_SPECIAL`` sets, every term, total, lhs and extra of
+the five decompositions ``verify`` reads (the CLI prints the totals, lhs
+and extras but not the terms).  The decomposition block was generated at
+commit f62e7b2, before the two decompositions were built from one term
+table.  A change that moves a digit on purpose regenerates the file and
+logs each value it changed:
 
     PYTHONPATH=src python tests/test_golden_hex.py
 """
@@ -24,6 +28,7 @@ from erlangdiff.ctmc import TruncationError, moment
 from erlangdiff.metrics import Scenario, mean_error
 from erlangdiff.model import ModelParams
 from erlangdiff.report import run_verify
+from erlangdiff.stein_verify import kolmogorov_decomposition, wasserstein_decomposition
 
 GOLDEN = Path(__file__).parent / "data" / "golden_hex.json"
 
@@ -146,6 +151,25 @@ def verify_record(case: tuple) -> list[str]:
     ]
 
 
+def decomposition_record(case: tuple) -> list[str]:
+    """The identity's Wasserstein and the four anchors' Kolmogorov
+    decompositions of one verify set, as ``verify`` builds them, one
+    "metric[i] field value" line per number (``tolerance`` left out)."""
+    lam, mu, n, alpha, tail_tol = case
+    s = Scenario(ModelParams(lam=lam, mu=mu, n=n, alpha=alpha), tail_tol, moment_order=2)
+    decs = [wasserstein_decomposition(s.dist, s.identity)]
+    decs += [kolmogorov_decomposition(s.dist, sol, s.d_k) for sol in s.anchors]
+    fields = [
+        (i, dec, [*dec.terms.items(), ("total", dec.total), ("lhs", dec.lhs), *dec.extras.items()])
+        for i, dec in enumerate(decs)
+    ]
+    return [
+        f"{dec.metric}[{i}] {name} {float(value).hex()}"
+        for i, dec, named in fields
+        for name, value in named
+    ]
+
+
 def _encode(case: tuple) -> list:
     return [v.hex() if isinstance(v, float) else v for v in case]
 
@@ -172,6 +196,11 @@ def test_verify_matches_golden(row):
     assert verify_record(_decode(row["case"])) == row["verify"]
 
 
+@pytest.mark.parametrize("row", _golden_rows("decompositions"), ids=_case_id)
+def test_decompositions_match_golden(row):
+    assert decomposition_record(_decode(row["case"])) == row["decompositions"]
+
+
 def test_golden_covers_the_paths():
     rows = _golden_rows()
     windows = [row["values"]["window"] for row in rows]
@@ -181,11 +210,13 @@ def test_golden_covers_the_paths():
     assert any(k_top < n < k_max for (_, k_top, k_max), n in zip(windows, ns))
     verdicts = {line.split()[-1] for row in _golden_rows("verify") for line in row["verify"]}
     assert len(_golden_rows("verify")) >= 12 and verdicts == {"True", "False", "None"}
+    assert len(_golden_rows("decompositions")) == len(VERIFY_SPECIAL)
 
 
 if __name__ == "__main__":
     cases = [tuple(float(v) if i in (0, 1, 3, 4) else v for i, v in enumerate(c)) for c in SPECIAL]
     rows = [{"case": _encode(c), "values": record(c)} for c in cases + _seeded_sets()]
     rows += [{"case": _encode(c), "verify": verify_record(c)} for c in VERIFY_SPECIAL + _verify_sets()]
+    rows += [{"case": _encode(c), "decompositions": decomposition_record(c)} for c in VERIFY_SPECIAL]
     GOLDEN.write_text(json.dumps(rows, indent=1) + "\n")
     print(f"wrote {len(rows)} sets to {GOLDEN}")

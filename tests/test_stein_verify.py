@@ -186,7 +186,8 @@ class TestMemory:
 class TestOneOwner:
     # the window quantities are DiscreteStationary's: the kept range takes
     # one walk per window, and this module walks the window only in
-    # _kept_states, twice per solution (the identity and four anchors)
+    # _kept_states, once per solution (the identity and four anchors): its
+    # generator-identity and lhs sums are two rows of one block stream
     @pytest.mark.parametrize(
         "pars", [(4.9, 1.0, 5, 0.0), (12.0, 1.0, 5, 2.0), (2000.0, 1.0, 1990, 0.05)]
     )
@@ -202,7 +203,7 @@ class TestOneOwner:
         run_verify(ModelParams(*pars))
         assert callers.count(("erlangdiff.ctmc", "kept")) == 1
         ours = Counter(name for module, name in callers if module == "erlangdiff.stein_verify")
-        assert ours == {"_kept_states": 5, "generator_terms": 5}
+        assert ours == {"blocks": 5}
 
 
 class TestKolmogorovDecomposition:

@@ -12,10 +12,15 @@ from one tree, run, dropped from ``sys.modules`` and imported from the
 other.  Each command's stdout, stderr, exit code (or ``SystemExit`` code)
 and the warnings it raised (category and message, without the file and
 line) are hashed with sha256; the script lists every command whose
-digests differ and exits 1 if any does.  The stream covers light load
-(delta past 100, the survival form), Erlang-C under QED, quality- and
-efficiency-driven staffing, under- and overloaded Erlang-A, a few input
-errors, and tail tolerances of 1e-14 and 1e-12.  The random ``verify`` draws stop at R = 300, whose
+digests differ and exits 1 if any does.  Each command has a fixed budget
+of ``BUDGET_S`` seconds (``signal.alarm``, so POSIX only): one that runs
+past it records the outcome ``timeout`` and the sweep goes on.  The
+stream covers light load (delta past 100, the survival form), Erlang-C
+under QED, quality- and efficiency-driven staffing, under- and
+overloaded Erlang-A, a few input errors, a critical-load Erlang-A with
+alpha = 1e-300 (whose mode search once stepped one state at a time
+without end), and tail tolerances of 1e-14 and 1e-12.  The random
+``verify`` draws stop at R = 300, whose
 windows fit in one walk block (``erlangdiff.ctmc._BLOCK`` states), so a
 fixed list of larger ``verify`` commands rides along in every stream; four
 of their windows span several blocks, so block seams fall inside every
@@ -38,11 +43,13 @@ import importlib
 import io
 import math
 import random
+import signal
 import sys
 import time
 import warnings
 
 COUNTS = {"distance": 400, "verify": 100, "sweep": 50, "moment": 48}
+BUDGET_S = 60
 MULTI_BLOCK_VERIFY = [
     ["verify", "--lambda", "99.9", "--n", "100"],
     ["verify", "--lambda", "2000", "--n", "1990", "--alpha", "0.05"],
@@ -110,11 +117,13 @@ def commands(seed: int) -> list[list[str]]:
             cmd += ["--tail-tol", "1e-12"]
     base += [list(cmd) for cmd in MULTI_BLOCK_VERIFY]
     base += [["table1"], ["table2"], ["table3"]]
-    # input errors: a negative rate, no servers, a non-finite load
+    # input errors: a negative rate, no servers, a non-finite load; and a
+    # critical load whose d(k) = 5 + 1e-300 (k - 5) rounds to lam in every state
     base += [
         ["distance", "--lambda", "-1", "--n", "5"],
         ["verify", "--lambda", "4", "--n", "0"],
         ["sweep", "--regime", "qed", "--sizes", "4,nan"],
+        ["distance", "--lambda", "5", "--n", "5", "--alpha", "1e-300"],
     ]
     formatted = [cmd + ["--format", fmt] for cmd in base for fmt in ("csv", "json")]
     formatted += [["--help"], ["--version"], ["distance", "--help"]]
@@ -140,6 +149,15 @@ def _moment(pkg, argv: list[str]) -> None:
     print(dist.k_max, *(f"{key}={value.hex()}" for key, value in result.items()))
 
 
+class _Timeout(BaseException):
+    """Raised by SIGALRM in the command that ran past ``BUDGET_S``; a
+    BaseException, so no ``except Exception`` in the program swallows it."""
+
+
+def _alarm(signum, frame):
+    raise _Timeout
+
+
 def digests(src: str, argvs: list[list[str]]) -> list[str]:
     """sha256 of (stdout, stderr, exit code, warnings) of each command, run
     through the ``erlangdiff`` package found in ``src``."""
@@ -152,17 +170,23 @@ def digests(src: str, argvs: list[list[str]]) -> list[str]:
     finally:
         sys.path.remove(src)
     out = []
+    signal.signal(signal.SIGALRM, _alarm)
     for argv in argvs:
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
+                signal.alarm(BUDGET_S)
                 try:
                     code = repr(_moment(pkg, argv) if argv[0] == "moment" else cli.main(argv))
                 except SystemExit as exc:  # --help and --version exit through argparse
                     code = f"exit {exc.code!r}"
+                except _Timeout:
+                    code = "timeout"
                 except Exception as exc:  # an untyped failure is an outcome too
                     code = f"raised {type(exc).__name__}: {exc}"
+                finally:
+                    signal.alarm(0)
         seen = [f"{w.category.__name__}: {w.message}" for w in caught]
         text = "\0".join([stdout.getvalue(), stderr.getvalue(), code, *seen])
         out.append(hashlib.sha256(text.encode()).hexdigest())
