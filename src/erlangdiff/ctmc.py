@@ -70,8 +70,9 @@ def _exact_sum(terms) -> float | list[float]:
     of ``np.getbufsize()`` elements, one after another, so blocks chained
     through ``initial`` keep the bits of the one-array sum when every block
     but the last is a whole multiple of that size (``_BLOCK`` is).  Falls
-    back to exact summation where long double is not wider than double,
-    holding the later rows' blocks until their turn.
+    back to exact summation where long double is not wider than double:
+    one row still streams, but stacked rows hold every block of the stream,
+    O(window) memory, as ``math.fsum`` sums one row at a time.
     """
     stream = iter([terms] if isinstance(terms, np.ndarray) else terms)
     head, size = [], 0
@@ -87,10 +88,8 @@ def _exact_sum(terms) -> float | list[float]:
     if size <= 20_000:
         sums = [math.fsum(row) for row in np.concatenate(list(blocks), axis=1).tolist()]
     elif not _LONGDOUBLE_EXACT:
-        from itertools import tee
-
-        each = enumerate(tee(blocks, rows))
-        sums = [math.fsum(t for b in it for t in b[r].tolist()) for r, it in each]
+        blocks = list(blocks) if rows > 1 else blocks
+        sums = [math.fsum(t for b in blocks for t in b[r].tolist()) for r in range(rows)]
     else:
         acc = [np.longdouble(0.0)] * rows
         for block in blocks:
@@ -155,9 +154,6 @@ _WINDOW_CUT = math.log(1e-32)
 def _mode(derived: DerivedQuantities) -> int:
     """Largest k with d(k) <= lam, where the weights peak; TruncationError past the state cap."""
     above = lambda k: departure_rate(derived.params, k) > derived.params.lam  # noqa: E731
-    k = int(derived.x_inf)  # d(x_inf) = lam: k is the mode unless rounding moves it
-    if not above(k) and above(k + 1):
-        return k
     return _capped(_first_true(above, 0, _STATE_CAP + 2) - 1)  # bisection on the nondecreasing d
 
 

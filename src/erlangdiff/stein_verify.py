@@ -81,17 +81,20 @@ def _kept_states(dist: DiscreteStationary, sol: PoissonSolution):
 def _decomposition(
     metric: str, dist: DiscreteStationary, p: np.ndarray, lhs: float, table: list, extras: dict
 ) -> ErrorDecomposition:
-    """A decomposition from a table of (name, coefficient, factors) rows:
-    term = coefficient * sum(p * factors[0] * factors[1] ...), multiplied
-    in that order; the total in table order; and the numerical budget: the
-    mass outside the kept states, with the chain's tail bound, charged 4
-    times the largest per-state sum of the integrands, plus rounding."""
+    """A decomposition from (name, coefficient, factors[, extras key]) rows:
+    term = coefficient * sum(p * factors[0] * factors[1] ...), multiplied in
+    that order, its unscaled sum leading the extras under a row's key; the
+    total in table order; and the numerical budget: the mass outside the kept
+    states, with the chain's tail bound, charged 4 times the largest
+    per-state sum of the integrands, plus rounding."""
     terms, per_state = {}, 0.0
-    for name, coef, factors in table:
+    for name, coef, factors, *key in table:
         weighted, integrand = p, coef
         for factor in factors:
             weighted, integrand = weighted * factor, integrand * factor
-        terms[name] = coef * _exact_sum(weighted)
+        raw = _exact_sum(weighted)
+        terms[name] = coef * raw
+        extras = {**dict.fromkeys(key, raw), **extras}
         per_state = per_state + integrand
     dropped = max(0.0, 1.0 - float(_exact_sum(p))) + dist.tail_bound
     tolerance = 4.0 * dropped * float(np.max(per_state)) + 1e-13 * (1.0 + abs(lhs))
@@ -128,19 +131,18 @@ def wasserstein_decomposition(
     """
     if not sol.h.is_lipschitz:
         raise ValueError("the Wasserstein decomposition needs a Lipschitz h")
-    delta, mu = dist.derived.delta, dist.derived.mu
+    der = dist.derived
     p, b, fpp, edges, lhs, gap = _kept_states(dist, sol)
-    f2b = np.abs(fpp * b)
     panel = _panel_abs_f3(sol, *edges)
-    fwd, bwd = panel[1:], panel[:-1]
+    fwd = panel[1:]
+    bwd = panel[:-1]
     table = [
-        ("term1_drift_f2", 0.5 * delta, [f2b]),
-        ("term2_forward_f3", 0.5 * mu, [fwd]),
-        ("term3_backward_f3", 0.5 * mu, [bwd]),
-        ("term4_drift_f3", 0.5 * delta, [np.abs(b), bwd]),
+        ("term1_drift_f2", 0.5 * der.delta, [np.abs(fpp * b)], "mean_abs_f2b"),
+        ("term2_forward_f3", 0.5 * der.mu, [fwd]),
+        ("term3_backward_f3", 0.5 * der.mu, [bwd]),
+        ("term4_drift_f3", 0.5 * der.delta, [np.abs(b), bwd]),
     ]
-    extras = {"mean_abs_f2b": _exact_sum(p * f2b), "generator_identity": gap}
-    return _decomposition("wasserstein", dist, p, lhs, table, extras)
+    return _decomposition("wasserstein", dist, p, lhs, table, {"generator_identity": gap})
 
 
 def _weighted_f2_panels(
@@ -191,7 +193,7 @@ def kolmogorov_decomposition(
     """
     if sol.h.kind != "indicator":
         raise ValueError("the Kolmogorov decomposition needs an indicator h")
-    der, delta = dist.derived, dist.derived.delta
+    delta = dist.derived.delta
     p, b, fpp_left, edges, _, gap = _kept_states(dist, sol)
     a_panel, b_panel = _weighted_f2_panels(sol, *edges)
     half_d2 = 0.5 * delta * delta
@@ -206,9 +208,12 @@ def kolmogorov_decomposition(
     a = sol.h.parameter
     straddle = dist.prob_interval(a - delta, a + delta)
     omega = density_sup_check(sol.density).observed
-    load_factor = max(der.alpha / der.mu, 1.0)
+    load_factor = max(dist.derived.alpha / dist.derived.mu, 1.0)
     majorant = (
-        2.0 * delta * omega + d_k + 9.0 * load_factor * delta**2 + 8.0 * load_factor**2 * delta**4
+        2.0 * delta * omega
+        + d_k
+        + 9.0 * load_factor * delta**2
+        + 8.0 * load_factor**2 * delta**4
     )
     extras = {
         "straddle": straddle,

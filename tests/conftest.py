@@ -6,8 +6,10 @@ import math
 from functools import lru_cache
 
 import numpy as np
+import pytest
 from hypothesis import strategies as st
 
+from erlangdiff import ctmc
 from erlangdiff.ctmc import DiscreteStationary, _log_weights, stationary_pmf
 from erlangdiff.diffusion import build_density
 from erlangdiff.model import ModelParams, departure_rate, derive
@@ -131,3 +133,18 @@ def small_window_params(draw) -> ModelParams:
         return ModelParams(lam=r, mu=1.0, n=n, alpha=0.0)
     n = max(1, math.ceil(r + draw(st.floats(-1.0, 1.0)) * math.sqrt(r)))
     return ModelParams(lam=r, mu=1.0, n=n, alpha=10.0 ** draw(st.floats(-2.0, 2.0)))
+
+
+@pytest.fixture
+def departure_rate_budget(monkeypatch):
+    """``ctmc.departure_rate`` raising AssertionError past 10^4 reads, so a
+    search that steps one state at a time fails instead of hanging."""
+    rate, calls = ctmc.departure_rate, []
+
+    def counted(params, k):
+        calls.append(k)
+        if len(calls) > 10_000:
+            raise AssertionError("departure_rate read 10^4 times")
+        return rate(params, k)
+
+    monkeypatch.setattr(ctmc, "departure_rate", counted)

@@ -3,7 +3,6 @@ import math
 import os
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -310,7 +309,6 @@ class TestExitCodes:
         assert err.count("\n") == 1
         assert "Traceback" not in err
 
-
     @pytest.mark.parametrize("command", ["distance", "verify"])
     @pytest.mark.parametrize(
         "load",
@@ -320,14 +318,16 @@ class TestExitCodes:
             ["--lambda", "1e6", "--n", "1000000", "--alpha", "1e-20"],
         ],
     )
-    def test_critical_load_tiny_alpha_exits_1_fast(self, capsys, command, load):
+    def test_critical_load_tiny_alpha_exits_1_fast(
+        self, capsys, departure_rate_budget, command, load
+    ):
         # n mu + alpha q rounds to lam for millions of states or more: the
-        # mode search bisects, and the grid fails the state cap at once
-        start = time.perf_counter()
+        # mode search bisects within the read budget, and the grid fails
+        # the state cap at once
         assert cli.main([command, *load]) == 1
-        assert time.perf_counter() - start < 1.0
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestSweepCommand:
     def test_sweep_csv(self, tmp_path):

@@ -118,20 +118,11 @@ class TestStationaryPmf:
         assert _mode(derive(params)) == k
 
     @pytest.mark.parametrize("pars", [(5.0, 5, 1e-22), (5.0, 5, 1e-300), (1e6, 1_000_000, 1e-20)])
-    def test_critical_load_tiny_alpha_fails_fast(self, monkeypatch, pars):
+    def test_critical_load_tiny_alpha_fails_fast(self, departure_rate_budget, pars):
         # at critical load n mu + alpha q rounds to lam for q up to
         # ulp(lam) / (2 alpha): 4.4e6 states at alpha = 1e-22, past the
         # state cap for the others; the mode search reads d(k) a few dozen
-        # times, and a one-state stepping search would exceed the count
-        rate, calls = ctmc.departure_rate, []
-
-        def counted(params, k):
-            calls.append(k)
-            if len(calls) > 10_000:
-                raise AssertionError("departure_rate read 10^4 times")
-            return rate(params, k)
-
-        monkeypatch.setattr(ctmc, "departure_rate", counted)
+        # times, and a one-state stepping search would exceed the budget
         lam, n, alpha = pars
         with pytest.raises(TruncationError, match="would exceed 100000000 states"):
             stationary_pmf(ModelParams(lam=lam, mu=1.0, n=n, alpha=alpha))
@@ -515,7 +506,6 @@ class TestExactSum:
                 want = math.fsum(terms.tolist())
         assert got.hex() == one.hex() == want.hex()
 
-
     @pytest.mark.parametrize("longdouble", [True, False])
     @pytest.mark.parametrize(
         "size", [0, 1, 20_000, 20_001, ctmc._BLOCK, 3 * ctmc._BLOCK, 5 * ctmc._BLOCK + 7]
@@ -534,6 +524,19 @@ class TestExactSum:
         assert isinstance(got, list)
         assert [v.hex() for v in got] == [v.hex() for v in each]
         assert ctmc._exact_sum(iter([])) == 0.0
+
+    def test_fallback_streams_one_row(self, monkeypatch):
+        # without a wider long double a one-row stream is still summed as
+        # its blocks come: the peak is a few blocks, not the stream's 100
+        monkeypatch.setattr(ctmc, "_LONGDOUBLE_EXACT", False)
+        blocks = (np.full(ctmc._BLOCK, 1.0 / (i + 1)) for i in range(100))
+        tracemalloc.start()
+        try:
+            ctmc._exact_sum(blocks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * 8 * ctmc._BLOCK
 
 
 def _plain_log_weights(params, k_lo, k_hi):

@@ -182,6 +182,12 @@ class TestMemory:
         assert kept.stop - kept.start > 3 * ctmc._BLOCK
         assert peak <= 16 * 8 * (kept.stop - kept.start) + 32 * 8 * ctmc._BLOCK
 
+    def test_without_long_double_in_the_same_bound(self, monkeypatch):
+        # the exact-sum fallback holds the window walk's two stacked rows
+        # (16 B a window state) until it sums the second
+        monkeypatch.setattr(ctmc, "_LONGDOUBLE_EXACT", False)
+        self.test_decompositions_hold_states_not_nodes()
+
 
 class TestOneOwner:
     # the window quantities are DiscreteStationary's: the kept range takes
