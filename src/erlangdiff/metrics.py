@@ -30,7 +30,7 @@ from .diffusion import (
     moment as diff_moment,
 )
 from .model import ModelParams, derive
-from .poisson import PoissonSolution, TestFunction, _anchors, build_solution
+from .poisson import EvaluationRangeError, PoissonSolution, TestFunction, _anchors, build_solution
 
 __all__ = [
     "Scenario",
@@ -161,6 +161,18 @@ def _distances(dist: DiscreteStationary, d: DiffusionDensity) -> tuple[float, fl
     return float(_exact_sum(areas()) + left_tail[0] + right_tail), float(np.max(peaks))
 
 
+def _in_range(names: str, compute):
+    """compute(), numpy raising where it would warn; that, or an inf or nan, raises an error."""
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            values = compute()
+    except FloatingPointError as exc:
+        raise EvaluationRangeError(f"{names} past the double range: {exc}") from None
+    if not np.all(np.isfinite(values)):
+        raise EvaluationRangeError(f"{names} past the double range: {values}")
+    return values
+
+
 def wasserstein_distance(dist: DiscreteStationary, d: DiffusionDensity) -> float:
     """W1 distance as the exact area between the two CDFs (``_distances``)."""
     return _distances(dist, d)[0]
@@ -173,7 +185,7 @@ def mean_error(dist: DiscreteStationary, d: DiffusionDensity) -> float:
     offered load R itself.
     """
     mean_scaled = chain_moment(dist, 1, absolute=False)
-    return math.sqrt(dist.derived.R) * abs(mean_scaled - d.mean())
+    return _in_range("mean_error", lambda: math.sqrt(dist.derived.R) * abs(mean_scaled - d.mean()))
 
 
 def moment_error(dist: DiscreteStationary, d: DiffusionDensity, m: int) -> dict:
@@ -215,13 +227,13 @@ class Scenario:
     @cached_property
     def d_w(self) -> float:
         # one pass gives both distances; d_K is kept unless already read
-        d_w, d_k = _distances(self.dist, self.density)
+        d_w, d_k = _in_range("d_w, d_k", lambda: _distances(self.dist, self.density))
         self.__dict__.setdefault("d_k", d_k)
         return d_w
 
     @cached_property
     def d_k(self) -> float:
-        return kolmogorov_distance(self.dist, self.density)
+        return _in_range("d_k", lambda: kolmogorov_distance(self.dist, self.density))
 
     def distance_columns(self) -> dict:
         """The columns ``distance`` and ``sweep`` print, in order: the Erlang-C

@@ -19,9 +19,9 @@ f'' comes from the equation itself, f''' from differentiating it once more;
 at the indicator jump the second derivative is the left limit.
 
 The gradient-bound suites evaluate each solution, and each density ratio
-that the auxiliary bounds use, once on one sample grid.  Every row is a
-table entry (name, values, region, bound) whose observed value is the sup
-of its values over its region.
+that the auxiliary bounds use, once on one sample grid.  One reader,
+``_read``, turns every (name, values, region, bound) entry into a row and
+rejects a bound that overflows a double (alpha/mu past about 1.3e154).
 """
 
 from __future__ import annotations
@@ -253,9 +253,26 @@ _row = partial(Check.at_most, rtol=1e-9, atol=1e-300)
 _log_row = partial(Check.at_most, atol=math.log1p(1e-9))
 
 
-def _pointwise_row(bound_id: str, ratios: np.ndarray, mode: str = "strict") -> Check:
-    """Row for x-dependent bounds, reported as max observed/bound ratio."""
-    return _row(bound_id, np.max(ratios), 1.0, mode=mode)
+def _read(table: list, mode: str = "strict") -> list[Check]:
+    """Rows from (name, values, region, bound) entries on the whole grid:
+    the sup of values over region against bound, in natural logs for a
+    name ending in ``_log``; an empirical row, or one with an array bound,
+    reads the sup of values / bound against 1.  An empty region reads 0.0
+    (-inf in logs), or drops an empirical row; a bound that overflows a
+    double on its region raises EvaluationRangeError."""
+    rows = []
+    for name, values, region, bound in table:
+        check = _log_row if name.endswith("_log") else _row
+        if region.any():
+            bound = bound[region] if np.ndim(bound) else bound
+            if not np.all(np.isfinite(bound)):
+                raise EvaluationRangeError(f"the bound of {name} overflows a double")
+            shape = np.ndim(bound) or mode == "empirical"
+            observed = np.max(values[region] / bound) if shape else values[region].max()
+            rows.append(check(name, observed, 1.0 if shape else bound, mode=mode))
+        elif mode == "strict":
+            rows.append(check(name, -math.inf if check is _log_row else 0.0, bound))
+    return rows
 
 
 def _anchors(zeta: float) -> list[float]:
@@ -274,7 +291,7 @@ def gradient_bound_report(
     rows carry an unstated universal constant, so they are empirical shape
     ratios, while the density-ratio bounds stay strict) and its
     ``kolmogorov_*`` suite (the anchors), ``*`` being C or A.  Each solution
-    is evaluated once on the grid; every row takes its sup over a region.
+    is evaluated once on the grid; ``_read`` turns the tables into rows.
     """
     d = identity.density
     derived = d.derived
@@ -286,38 +303,66 @@ def gradient_bound_report(
     under = derived.R <= derived.n
     grid = _sample_grid(d)
     left, right = grid <= j, grid >= j
+    below, above = grid < j, grid > j
 
     fp, fpp, f3 = (np.abs(v) * mu for v in identity.derivatives(grid))
     if derived.is_erlang_c:
-        w_rows = [
-            _row("WCder1_left", fp[left].max(), 6.5 + 4.2 / az),
-            _pointwise_row("WCder1_right", fp[right] * az / (grid[right] + 1.0 + 2.0 / az)),
-            _row("WCder2_left", fpp[left].max(), 32.0 * (1.0 + 1.0 / az)),
-            _row("WCder2_right", fpp[right].max(), 1.0 / az),
-            _row("WCder3_left", f3[grid < j].max(), 23.0 + 13.0 / az),
-            _row("WCder3_right", f3[grid > j].max(), 2.0),
+        mode, regime, bound_left, bound_right = "strict", "KC", 5.0, inv_az
+        w_table = [
+            ("WCder1_left", fp, left, 6.5 + 4.2 / az),
+            ("WCder1_right", fp * az, right, grid + 1.0 + 2.0 / az),
+            ("WCder2_left", fpp, left, 32.0 * (1.0 + 1.0 / az)),
+            ("WCder2_right", fpp, right, 1.0 / az),
+            ("WCder3_left", f3, below, 23.0 + 13.0 / az),
+            ("WCder3_right", f3, above, 2.0),
         ]
-        regime, bound_left, bound_right = "KC", 5.0, inv_az
     else:
-        w_rows = _shape_rows_erlang_a(d, grid, fp, fpp, f3, under)
+        mode = "empirical"
+        r = alpha / mu
+        sm, sa = math.sqrt(mu / alpha), math.sqrt(alpha / mu)
+        c = r + sa + 1.0
         if under:
             regime, bound_left = "ACu", _SQRT_2PI * math.exp(0.5)
             bound_right = min(math.sqrt(math.pi / 2.0 * mu / alpha), inv_az)
+            su = min(sm, inv_az)
+            w_table = [
+                ("gwu1_left", fp, below, su + 1.0),
+                ("gwu1_right", fp, above, mu / alpha + su + 1.0),
+                ("gwu2_neg", fpp, grid <= 0.0, su + 1.0),
+                ("gwu2_mid", fpp, (grid >= 0.0) & left, c * su + 1.0),
+                ("gwu2_right", fpp, above, c * max(su, 1e-300)),
+                ("gwu3_neg", f3, (grid <= 0.0) & below, su + 1.0),
+                ("gwu3_mid", f3, (grid > 0.0) & below, su + r + sa + 1.0),
+                ("gwu3_right", f3, above, c),
+            ]
         else:
             regime, bound_left = "ACo", _SQRT_HALF_PI
-            bound_right = _SQRT_HALF_PI * (1.0 + math.sqrt(mu / alpha))
-    w_rows += _ratio_rows(d, grid, under)
-    k_rows = []
+            bound_right = _SQRT_HALF_PI * (1.0 + sm)
+            shape1_left = 1.0 + sm + min(zeta, mu / alpha)
+            # _read rejects a shape that overflows on its region; np.float64 ** 2
+            # is the C pow of float ** 2, with its bits, but gives inf past the range
+            with np.errstate(over="ignore", invalid="ignore"):
+                w_table = [
+                    ("gwo1_left", fp, below, shape1_left),
+                    ("gwo1_right", fp, above, 1.0 + sm + mu / alpha),
+                    ("gwo2_left", fpp, below, shape1_left),
+                    ("gwo2_right", fpp, above, c * np.abs(grid) + 1.0 + sm),
+                    ("gwo3_left", f3, below, shape1_left),
+                    ("gwo41_right", f3, above, c * (1.0 + r * grid**2) + (r + sa) * np.abs(grid)),
+                    ("gwo42_right", f3, above, c + np.float64(c) ** 2 * np.abs(grid)),
+                ]
+    w_rows = _read(w_table, mode) + _ratio_rows(d, grid, under)
+    anchor_rows, whole = [], np.full(grid.size, True)
     for sol in anchors:
-        fp, fpp, _ = sol.derivatives(grid)
+        fp, fpp = (np.abs(v) * mu for v in sol.derivatives(grid)[:2])
         tag = f"[a={sol.h.parameter:+.3g}]"
-        k_rows += [
-            _row(f"{regime}der1_left{tag}", np.abs(fp[left]).max() * mu, bound_left),
-            _row(f"{regime}der1_right{tag}", np.abs(fp[right]).max() * mu, bound_right),
-            _row(f"{regime[:2]}der2{tag}", np.abs(fpp).max() * mu, 3.0),
+        anchor_rows += [
+            (f"{regime}der1_left{tag}", fp, left, bound_left),
+            (f"{regime}der1_right{tag}", fp, right, bound_right),
+            (f"{regime[:2]}der2{tag}", fpp, whole, 3.0),
         ]
     w_name, k_name = _SUITE_NAMES[:2] if derived.is_erlang_c else _SUITE_NAMES[2:]
-    return [(w_name, w_rows), (k_name, k_rows)]
+    return [(w_name, w_rows), (k_name, _read(anchor_rows))]
 
 
 def _ratio_rows(d: DiffusionDensity, grid: np.ndarray, under: bool) -> list[Check]:
@@ -335,8 +380,7 @@ def _ratio_rows(d: DiffusionDensity, grid: np.ndarray, under: bool) -> list[Chec
     and its fourth ratio is bounded pointwise on the right.  Deep in the
     overloaded regime both the bound exp((alpha/2mu) zeta^2) and the observed
     upper-tail ratio exceed the double range, so the two middle upper-tail
-    rows compare natural logs (names end in ``_log``).  An empty middle
-    region reads as a zero ratio: 0.0, or -inf in logs.
+    rows compare natural logs (names end in ``_log``).
     """
     mu, alpha, zeta = d.derived.mu, d.derived.alpha, d.derived.zeta
     az = abs(zeta)
@@ -364,13 +408,13 @@ def _ratio_rows(d: DiffusionDensity, grid: np.ndarray, under: bool) -> list[Chec
             tag, last = "fbound", ("5", "6", "7")
             cap2 = cap5 = inv_az
             bound4_mid = 2.0 + 1.0 / zeta**2
-            values4_right, bound4_right = abs_above / (grid / az + 1.0 / zeta**2), 1.0
+            bound4_right = grid / az + 1.0 / zeta**2
         elif under:
             tag, last = "ingredient", ("6", "7", "5")
             cap2 = min(math.sqrt(math.pi / 2.0 * mu / alpha), inv_az)
             cap5 = min(math.sqrt(mu / alpha), inv_az)
             bound4_mid = (2.0 + inv_az**2) if az > 0.0 else math.inf
-            values4_right, bound4_right = abs_above, 1.0 + mu / alpha
+            bound4_right = 1.0 + mu / alpha
         else:
             # int_x^inf |y| nu dy for x <= 0: -int_x^0 y nu + int_0^inf y nu
             upper = d.partial_raw_moment(1, 0.0, np.inf)
@@ -387,24 +431,20 @@ def _ratio_rows(d: DiffusionDensity, grid: np.ndarray, under: bool) -> list[Chec
             (f"{tag}3_neg", abs_below, low, 1.0),
             (f"{tag}3_mid", abs_below, mid, 2.0 * gauss - 1.0),
             (f"{tag}4_mid", abs_above, mid, bound4_mid),
-            (f"{tag}4_right", values4_right, high, bound4_right),
+            (f"{tag}4_right", abs_above, high, bound4_right),
             (f"{tag}{last[0]}", drift_below, nonpos, 1.0),
             (f"{tag}{last[1]}", drift_above, nonneg, 2.0),
         ]
-        mean_abs_row = (f"{tag}{last[2]}", 1.0 + cap5)
+        mean_abs, mean_abs_bound = f"{tag}{last[2]}", 1.0 + cap5
     else:
         inv_zeta = math.inf if zeta == 0.0 else mu / (alpha * zeta)
         spread = alpha / (2.0 * mu) * zeta**2
+        log_cap2 = math.log(2.0 * math.pi * mu / alpha) / 2.0
         cap2 = math.sqrt(math.pi / 2.0 * mu / alpha)
         table = [
             ("oingredient1_left", below, low, min(_SQRT_HALF_PI, inv_zeta)),
             ("oingredient1_mid", below, mid, _SQRT_HALF_PI + min(cap2, zeta)),
-            (
-                "oingredient2_mid_log",
-                log_above,
-                mid,
-                math.log(2.0 * math.pi * mu / alpha) / 2.0 + spread,
-            ),
+            ("oingredient2_mid_log", log_above, mid, log_cap2 + spread),
             ("oingredient2_right", above, high, cap2),
             ("oingredient3_left", abs_below, low, 1.0 + min(_SQRT_HALF_PI * zeta, mu / alpha)),
             ("oingredient3_mid", abs_below, mid, mu / alpha + 1.0),
@@ -413,69 +453,5 @@ def _ratio_rows(d: DiffusionDensity, grid: np.ndarray, under: bool) -> list[Chec
             ("oingredient6", drift_below, nonpos, 2.0),
             ("oingredient7", drift_above, nonneg, 1.0),
         ]
-        mean_abs_row = ("oingredient5", math.sqrt(mu / alpha) + 1.0)
-    rows = [
-        _log_row(name, values[region].max() if region.any() else -math.inf, bound)
-        if name.endswith("_log")
-        else _row(name, values[region].max() if region.any() else 0.0, bound)
-        for name, values, region, bound in table
-    ]
-    name, bound = mean_abs_row
-    return rows + [_row(name, _diffusion_moment(d, 1, absolute=True), bound)]
-
-
-def _shape_rows_erlang_a(
-    d: DiffusionDensity,
-    grid: np.ndarray,
-    fp: np.ndarray,
-    fpp: np.ndarray,
-    f3: np.ndarray,
-    under: bool,
-) -> list[Check]:
-    """Wasserstein gradient rows whose universal constant is unstated.
-
-    ``fp``, ``fpp``, ``f3`` are mu * |f^(k)| on the grid.  Reported as the
-    empirical maximum of mu * |f^(k)| / shape over a region, so boundedness
-    can be tracked across sweeps; no pass/fail verdict.  A middle region
-    with no grid point has no row.
-    """
-    mu, alpha, zeta = d.derived.mu, d.derived.alpha, d.derived.zeta
-    az = abs(zeta)
-    j = -zeta
-    inv_az = math.inf if az == 0.0 else 1.0 / az
-    sm = math.sqrt(mu / alpha)
-    sa = math.sqrt(alpha / mu)
-    r = alpha / mu
-    left = grid < j
-    right = grid > j
-    if under:
-        neg = grid <= 0.0
-        su = min(sm, inv_az)
-        table = [
-            ("gwu1_left", fp, left, su + 1.0),
-            ("gwu1_right", fp, right, mu / alpha + su + 1.0),
-            ("gwu2_neg", fpp, neg, su + 1.0),
-            ("gwu2_mid", fpp, (grid >= 0.0) & (grid <= j), (r + sa + 1.0) * su + 1.0),
-            ("gwu2_right", fpp, right, (r + sa + 1.0) * max(su, 1e-300)),
-            ("gwu3_neg", f3, neg & left, su + 1.0),
-            ("gwu3_mid", f3, (grid > 0.0) & (grid < j), su + r + sa + 1.0),
-            ("gwu3_right", f3, right, r + sa + 1.0),
-        ]
-    else:
-        xr = grid[right]
-        shape1_left = 1.0 + sm + min(zeta, mu / alpha)
-        shape3_right = (r + sa + 1.0) * (1.0 + r * xr**2) + (r + sa) * np.abs(xr)
-        table = [
-            ("gwo1_left", fp, left, shape1_left),
-            ("gwo1_right", fp, right, 1.0 + sm + mu / alpha),
-            ("gwo2_left", fpp, left, shape1_left),
-            ("gwo2_right", fpp, right, (r + sa + 1.0) * np.abs(xr) + 1.0 + sm),
-            ("gwo3_left", f3, left, shape1_left),
-            ("gwo41_right", f3, right, shape3_right),
-            ("gwo42_right", f3, right, (r + sa + 1.0) + (r + sa + 1.0) ** 2 * np.abs(xr)),
-        ]
-    return [
-        _pointwise_row(name, values[region] / shape, "empirical")
-        for name, values, region, shape in table
-        if region.any()
-    ]
+        mean_abs, mean_abs_bound = "oingredient5", math.sqrt(mu / alpha) + 1.0
+    return _read(table) + [_row(mean_abs, _diffusion_moment(d, 1, absolute=True), mean_abs_bound)]

@@ -139,10 +139,16 @@ def _residual_rows(dist, sol_id, sol_kink) -> list[Check]:
         ("f_poisson_identity", sol_id, 1.0),
         ("f_poisson_indicator", sol_kink, 1.0),
     ]
-    return [
-        Check.at_most(name, stein_identity_residual(dist, f).residual / scale, _IDENTITY_TOL)
-        for name, f, scale in checks
-    ]
+    rows = []
+    for name, f, scale in checks:
+        residual, budget = stein_identity_residual(dist, f)
+        if residual / scale > _IDENTITY_TOL and residual <= budget:
+            raise TruncationError(
+                f"stein_identity {name}: the residual {residual / scale:.6g} is the flow "
+                "lam nu_top |f(x_top + delta) - f(x_top)| into a state the window dropped"
+            )
+        rows.append(Check.at_most(name, residual / scale, _IDENTITY_TOL))
+    return rows
 
 
 def _expansion_suites(dist, sols, d_k: float) -> list[tuple[str, list[Check]]]:

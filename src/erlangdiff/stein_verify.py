@@ -28,7 +28,7 @@ from . import _quad
 from .ctmc import DiscreteStationary, _exact_sum
 from .diffusion import density_sup_check
 from .model import drift
-from .poisson import PoissonSolution
+from .poisson import EvaluationRangeError, PoissonSolution
 
 __all__ = [
     "ErrorDecomposition",
@@ -209,12 +209,17 @@ def kolmogorov_decomposition(
     straddle = dist.prob_interval(a - delta, a + delta)
     omega = density_sup_check(sol.density).observed
     load_factor = max(dist.derived.alpha / dist.derived.mu, 1.0)
-    majorant = (
-        2.0 * delta * omega
-        + d_k
-        + 9.0 * load_factor * delta**2
-        + 8.0 * load_factor**2 * delta**4
-    )
+    try:
+        majorant = (
+            2.0 * delta * omega
+            + d_k
+            + 9.0 * load_factor * delta**2
+            + 8.0 * load_factor**2 * delta**4
+        )
+    except OverflowError:
+        majorant = np.inf
+    if not np.isfinite(majorant):
+        raise EvaluationRangeError(f"alpha/mu = {load_factor:.6g}: the straddle majorant overflows")
     extras = {
         "straddle": straddle,
         "straddle_majorant": majorant,

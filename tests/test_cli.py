@@ -328,6 +328,30 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # overloaded shapes past the double range (alpha/mu > 1.3e154)
+            ("verify --lambda 3 --n 1 --alpha 1e160", "the bound of gwo41_right overflows"),
+            # the residual of f_linear is the flow out of the window's top
+            # state, the mode, into a state of mass below 1e-32
+            ("verify --lambda 0.5 --n 1 --alpha 1e33", "stein_identity f_linear: the residual"),
+            ("verify --lambda 0.5 --n 1 --alpha 1e160", "stein_identity f_linear: the residual"),
+            # distances that came out nan: a right piece of variance 1e-300,
+            # and one whose mean overflows to -inf
+            ("distance --lambda 1e-08 --n 1 --alpha 1e300", "d_w, d_k past the double range"),
+            ("distance --lambda 1e-30 --n 1 --alpha 1e-300", "d_w, d_k past the double range"),
+            ("sweep --regime qd --sizes 1e-8 --alpha-over-mu 1e300", "d_w, d_k past the double"),
+        ],
+    )
+    def test_past_the_double_range_exits_1(self, capsys, argv, message):
+        # in this process, where a RuntimeWarning is an error: one typed
+        # error line, no traceback and no warning
+        assert cli.main(argv.split()) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1
+        assert captured.out == ""
+
 
 class TestSweepCommand:
     def test_sweep_csv(self, tmp_path):

@@ -375,6 +375,16 @@ class TestMoment:
             moment(dist, 21)
 
     @pytest.mark.parametrize(
+        "kwargs, message",
+        [({"region": "middle"}, "unknown region 'middle'"),
+         ({"shift": "minus_zeta"}, "unknown shift 'minus_zeta'")],
+    )
+    def test_unknown_region_or_shift(self, kwargs, message):
+        dist = pmf_for(ModelParams(lam=4.0, mu=1.0, n=5, alpha=0.0))
+        with pytest.raises(ValueError, match=message):
+            moment(dist, 1, **kwargs)
+
+    @pytest.mark.parametrize(
         ("lam", "n", "m"),
         [
             (4.37144481261109, 7, 9),

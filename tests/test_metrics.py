@@ -396,6 +396,11 @@ class TestUniversalitySweep:
         with pytest.raises(ValueError):
             universality_sweep("qed", [4.0], 0.0)
 
+    def test_erlang_c_needs_n_above_r(self):
+        # n = ceil(4 + 4e-20) = 4: the slack rounds away, and Erlang-C needs n > R
+        with pytest.raises(ValueError, match="staffs n=4 <= R=4.0; Erlang-C requires n > R"):
+            universality_sweep("qd", [4.0], 1e-20)
+
     @pytest.mark.parametrize(
         "sizes, beta, value",
         [([math.inf], 1.0, "inf"), ([4.0, math.nan], 1.0, "nan"), ([4.0], math.inf, "inf"),

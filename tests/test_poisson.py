@@ -9,6 +9,7 @@ from erlangdiff.diffusion import DiffusionDensity
 from erlangdiff.metrics import Scenario
 from erlangdiff.model import ModelParams, derive, drift
 from erlangdiff.poisson import (
+    EvaluationRangeError,
     PoissonSolution,
     TestFunction,
     _log_row,
@@ -284,6 +285,14 @@ class TestGradientBoundReport:
             ("oingredient4_mid_log", -math.inf),
         ):
             assert rows[name].observed == empty and rows[name].satisfied, name
+
+    @pytest.mark.parametrize("alpha", [1e160, 1e300])
+    def test_shape_past_the_double_range(self, alpha):
+        # overloaded, alpha/mu past 1.3e154: (alpha/mu + sqrt(alpha/mu) + 1)^2
+        # and alpha/mu x^2 overflow a double, and the reader rejects the first
+        # row whose shape overflows on its region
+        with pytest.raises(EvaluationRangeError, match="the bound of gwo41_right overflows"):
+            _suites(ModelParams(lam=3.0, mu=1.0, n=1, alpha=alpha))
 
     def test_log_rows_get_relative_slack_on_negative_bounds(self):
         # a log row compares log observed <= log bound + log1p(1e-9), which

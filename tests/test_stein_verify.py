@@ -12,7 +12,7 @@ from erlangdiff import _quad, ctmc
 from erlangdiff.ctmc import DiscreteStationary, _exact_sum
 from erlangdiff.metrics import Scenario, kolmogorov_distance
 from erlangdiff.model import Check, ModelParams, departure_rate, drift
-from erlangdiff.poisson import PoissonSolution, TestFunction, build_solution
+from erlangdiff.poisson import EvaluationRangeError, PoissonSolution, TestFunction, build_solution
 from erlangdiff.report import run_verify
 from erlangdiff.stein_verify import (
     ErrorDecomposition,
@@ -249,6 +249,14 @@ class TestKolmogorovDecomposition:
         dist = pmf_for(C_HEAVY, 1e-14)
         sol = build_solution(density_for(C_HEAVY), TestFunction.identity())
         with pytest.raises(ValueError):
+            kolmogorov_decomposition(dist, sol, 0.0)
+
+    def test_majorant_past_the_double_range(self):
+        # alpha/mu = 1e160: the majorant's 8 (alpha/mu)^2 delta^4 overflows a double
+        params = ModelParams(lam=0.5, mu=1.0, n=1, alpha=1e160)
+        dist = pmf_for(params, 1e-14)
+        sol = build_solution(density_for(params), TestFunction.indicator(0.0))
+        with pytest.raises(EvaluationRangeError, match="straddle majorant overflows"):
             kolmogorov_decomposition(dist, sol, 0.0)
 
 

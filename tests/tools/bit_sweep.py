@@ -19,7 +19,9 @@ stream covers light load (delta past 100, the survival form), Erlang-C
 under QED, quality- and efficiency-driven staffing, under- and
 overloaded Erlang-A, a few input errors, a critical-load Erlang-A with
 alpha = 1e-300 (whose mode search once stepped one state at a time
-without end), and tail tolerances of 1e-14 and 1e-12.  The random
+without end), and tail tolerances of 1e-14 and 1e-12.  A fixed list of
+edge cases rides along: exact zeta = 0 and +-1, and sets past the double
+range that fail with a typed error.  The random
 ``verify`` draws stop at R = 300, whose
 windows fit in one walk block (``erlangdiff.ctmc._BLOCK`` states), so a
 fixed list of larger ``verify`` commands rides along in every stream; four
@@ -56,6 +58,22 @@ MULTI_BLOCK_VERIFY = [
     ["verify", "--lambda", "5e5", "--n", "500500", "--alpha", "1"],
     ["verify", "--lambda", "4.9e6", "--n", "4902214"],
     ["verify", "--lambda", "3761.82", "--n", "3762"],
+]
+# the random draws never land on an exact zeta: zeta = 0, whose middle
+# regions hold no grid point, and zeta = +1 and -1, where two anchors
+# coincide; then sets past the double range (overflowing shape and
+# majorant bounds, a Stein residual that is the flow out of the window's
+# top state, nan distances), each of which fails with a typed error
+EDGE_CASES = [
+    ["verify", "--lambda", "5", "--n", "5", "--alpha", "1"],
+    ["verify", "--lambda", "16", "--n", "12", "--alpha", "1"],
+    ["verify", "--lambda", "16", "--n", "20"],
+    ["verify", "--lambda", "3", "--n", "1", "--alpha", "1e160"],
+    ["verify", "--lambda", "0.5", "--n", "1", "--alpha", "1e160"],
+    ["verify", "--lambda", "0.5", "--n", "1", "--alpha", "1e33"],
+    ["distance", "--lambda", "1e-08", "--n", "1", "--alpha", "1e300"],
+    ["distance", "--lambda", "1e-30", "--n", "1", "--alpha", "1e-300"],
+    ["sweep", "--regime", "qd", "--sizes", "1e-8", "--alpha-over-mu", "1e300"],
 ]
 
 
@@ -115,7 +133,7 @@ def commands(seed: int) -> list[list[str]]:
     for cmd in base:
         if rng.random() < 0.1:
             cmd += ["--tail-tol", "1e-12"]
-    base += [list(cmd) for cmd in MULTI_BLOCK_VERIFY]
+    base += [list(cmd) for cmd in MULTI_BLOCK_VERIFY + EDGE_CASES]
     base += [["table1"], ["table2"], ["table3"]]
     # input errors: a negative rate, no servers, a non-finite load; and a
     # critical load whose d(k) = 5 + 1e-300 (k - 5) rounds to lam in every state
