@@ -114,7 +114,7 @@ def _bisect(fun, a: np.ndarray, b: np.ndarray, fa: np.ndarray) -> np.ndarray:
             break
         mid = 0.5 * (a[live] + b[live])
         fm = fun(mid)
-        left = fa[live] * fm <= 0.0
+        left = np.sign(fa[live]) * np.sign(fm) <= 0.0
         b[live[left]] = mid[left]
         a[live[~left]], fa[live[~left]] = mid[~left], fm[~left]
         live = live[~(b[live] - a[live] < 1e-15 * (1.0 + np.abs(a[live])))]

@@ -470,7 +470,8 @@ def _truncated_pmf(
     ell_max = np.max([ell.max() for _, ell in blocks(k_peak)])
     shifted_end = np.float64(_log_weight(params, k_hi) - ell_max)
     z = _exact_sum(np.exp(np.subtract(ell, ell_max, out=ell), out=ell) for _, ell in blocks(k_top))
-    tail = (np.exp(shifted_end) / z) * q / (1.0 - q)
+    with np.errstate(over="ignore"):  # an overflowing weight fails the test
+        tail = (np.exp(shifted_end) / z) * q / (1.0 - q)
     if tail > tail_tol:
         return None
     return DiscreteStationary(derived, k_min, k_top, k_hi, float(ell_max), math.log(z))

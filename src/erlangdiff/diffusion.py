@@ -460,46 +460,41 @@ class DiffusionDensity:
         x_lo, x_hi = -upper(self.left.reflected()), upper(self.right)
         return min(x_lo, j) - 1.0, max(x_hi, j) + 1.0
 
-    def invert_cdf_in_cells(self, u, v, f_u, level):
+    def invert_in_cells(self, u, v, g_start, level, survival=False):
         """Points t in [u, v] with cdf(t) = level, for cell arrays with
-        f_u = cdf(u) < level <= cdf(v).
+        g_start = cdf(u) < level <= cdf(v); with ``survival``, sf(t) = level
+        for g_start = sf(v) < level <= sf(u): the CDF crossing of the
+        reflected pieces on [-v, -u], negated, as in ``_tail_ratio``.
 
-        t lies in the left piece iff level <= cdf(-zeta); a cell that
-        straddles -zeta starts its right part there.  Each piece inverts in
-        closed form, with bisection in the cells where that rounds outside.
+        t lies in the first piece iff level is at most its mass up to the
+        junction, where a straddling cell starts its second part.  Each
+        piece inverts in closed form, bisecting where that rounds outside.
         """
-        f_j = self.cdf(self.switch_point)
+        a, b = (-v, -u) if survival else (u, v)
+        pieces = (self.right.reflected(), self.left.reflected()) if survival else (self.left, self.right)
+        g_j = (self.sf if survival else self.cdf)(self.switch_point)
         out = np.empty_like(u)
-        for piece, mask in ((self.left, level <= f_j), (self.right, level > f_j)):
+        for piece, mask in zip(pieces, (level <= g_j, level > g_j)):
             if not np.any(mask):
                 continue
-            uu = np.maximum(u[mask], piece.lo)
-            vv = np.minimum(v[mask], piece.hi)
+            uu = np.maximum(a[mask], piece.lo)
+            vv = np.minimum(b[mask], piece.hi)
             lev = level[mask]
-            t = piece.invert(uu, lev - np.where(uu > u[mask], f_j, f_u[mask]))
+            t = piece.invert(uu, lev - np.where(uu > a[mask], g_j, g_start[mask]))
             bad = ~np.isfinite(t) | (t < uu) | (t > vv)
             if np.any(bad):
-                t[bad] = self._bisect_cdf(uu[bad], vv[bad], lev[bad])
+                t[bad] = self._bisect(uu[bad], vv[bad], lev[bad], survival)
             out[mask] = t
-        return np.clip(out, u, v)
+        return -np.clip(out, a, b) if survival else np.clip(out, a, b)
 
-    def invert_sf_in_cells(self, u, v, s_v, level):
-        """Points t in [u, v] with sf(t) = level, for cell arrays with
-        s_v = sf(v) < level <= sf(u): each piece inverts from its upper end,
-        through its reflection, in closed form."""
-        s_j = self.sf(self.switch_point)
-        out = np.empty_like(u)
-        for piece, mask in ((self.left, level > s_j), (self.right, level <= s_j)):
-            if np.any(mask):
-                vv = np.minimum(v[mask], piece.hi)
-                mass = level[mask] - np.where(vv < v[mask], s_j, s_v[mask])
-                out[mask] = -piece.reflected().invert(-vv, mass)
-        return np.clip(out, u, v)
-
-    def _bisect_cdf(self, lo, hi, level):
+    def _bisect(self, lo, hi, level, survival):
+        """Bisect each [lo, hi] to where the CDF (with ``survival`` the
+        reflected CDF sf(-t)) reaches level, until a round moves no bracket."""
         for _ in range(200):
             mid = 0.5 * (lo + hi)
-            below = self.cdf(mid) < level
+            below = (self.sf(-mid) if survival else self.cdf(mid)) < level
+            if np.all(mid == np.where(below, lo, hi)):
+                break
             lo = np.where(below, mid, lo)
             hi = np.where(below, hi, mid)
         return 0.5 * (lo + hi)

@@ -102,34 +102,33 @@ def _cell_areas(d: DiffusionDensity, edges: np.ndarray, level: np.ndarray, f, ta
     f = F_Y at the edges.
 
     If F_Y stays on one side of the chain level, a cell's area is a
-    closed-form antiderivative difference; otherwise the unique crossing
-    is found by the piece inverse and the area split there.  Given
-    ``tail`` = 1 - level, summed tail-first, the cells compare and
-    integrate F_Y - 1, from S_Y at the edges, against -tail instead.
+    closed-form antiderivative difference; otherwise the piece inverse
+    finds the unique crossing, and only the parts either side of it are
+    integrated.  Given ``tail`` = 1 - level, summed tail-first, the cells
+    compare and integrate F_Y - 1, from S_Y at the edges, against -tail.
     """
     u, v = edges[:-1], edges[1:]
     survival = tail is not None
     g, lev = (-np.asarray(d.sf(edges), dtype=float), -tail) if survival else (f, level)
 
-    def excess(a, b, g_a, g_b):  # int_a^b (F_Y - level)
+    def excess(a, b, g_a, g_b, lev):  # int_a^b (F_Y - lev)
         return _cdf_antiderivative(d, a, b, g_a, -g_b if survival else None) - lev * (b - a)
 
     g_u, g_v = g[:-1], g[1:]
-    area = excess(u, v, g_u, g_v)
     above = g_u >= lev  # F_Y >= level across the whole cell
     below = g_v <= lev
-    crossing = ~above & ~below
-    out = np.where(above, area, np.where(below, -area, 0.0))
+    crossing = ~above & ~below  # as is a cell with a nan edge
+    out = np.empty_like(u)
+    one_side = ~crossing
+    area = excess(u[one_side], v[one_side], g_u[one_side], g_v[one_side], lev[one_side])
+    out[one_side] = np.where(above[one_side], area, -area)
     if np.any(crossing):
         uu, vv = u[crossing], v[crossing]
         lev, g_u, g_v = lev[crossing], g_u[crossing], g_v[crossing]
-        if survival:
-            t = d.invert_sf_in_cells(uu, vv, -g_v, -lev)
-            g_t = -np.asarray(d.sf(t), dtype=float)
-        else:
-            t = d.invert_cdf_in_cells(uu, vv, g_u, lev)
-            g_t = np.asarray(d.cdf(t), dtype=float)
-        out[crossing] = -excess(uu, t, g_u, g_t) + excess(t, vv, g_t, g_v)
+        start, target = (-g_v, -lev) if survival else (g_u, lev)
+        t = d.invert_in_cells(uu, vv, start, target, survival)
+        g_t = -np.asarray(d.sf(t), dtype=float) if survival else np.asarray(d.cdf(t), dtype=float)
+        out[crossing] = -excess(uu, t, g_u, g_t, lev) + excess(t, vv, g_t, g_v, lev)
     return out
 
 

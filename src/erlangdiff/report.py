@@ -18,7 +18,7 @@ from .ctmc import (
     stein_identity_residual,
 )
 from .diffusion import density_sup_check
-from .metrics import Scenario, mean_error, moment_error, universality_sweep
+from .metrics import Scenario, _in_range, mean_error, moment_error, universality_sweep
 from .model import Check, ModelParams
 from .poisson import _SUITE_NAMES, gradient_bound_report
 from .stein_verify import kolmogorov_decomposition, wasserstein_decomposition
@@ -196,8 +196,11 @@ def run_verify(params: ModelParams, tail_tol: float = 1e-14) -> dict:
     each solution's decomposition one pass over the chain states.
     """
     s = Scenario(params, tail_tol, moment_order=2)
-    # built in this order up front, so a failing input names the same stage
-    dist, d, sol_id, anchor_sols, d_k = s.dist, s.density, s.identity, s.anchors, s.d_k
+    # built in this order up front, so a failing input names the same stage;
+    # the density under d_W's and d_K's range guard: a nan amplitude is typed
+    dist = s.dist
+    _in_range("the density's amplitude", lambda: s.density.left.log_amp)
+    d, sol_id, anchor_sols, d_k = s.density, s.identity, s.anchors, s.d_k
     suites = [("moment_bounds", moment_bound_report(dist))]
     suites += gradient_bound_report(sol_id, anchor_sols)
     suites += [

@@ -352,6 +352,33 @@ class TestExitCodes:
         assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # the right piece's mean overflows to -inf, and its amplitude
+            # comes out nan: verify builds the density under a range guard
+            ("verify --lambda 1e-30 --n 1 --alpha 1e-300", "the density's amplitude past the double"),
+            # the tail test's weight overflows, which fails the test silently
+            ("distance --lambda 1e-30 --n 40 --alpha 1e-300", "d_w, d_k past the double range"),
+            ("distance --lambda 1e-08 --n 40 --alpha 1e-300", "stationary grid would exceed"),
+            ("distance --lambda 0.5 --n 40 --alpha 1e-300", "stationary grid would exceed"),
+        ],
+    )
+    def test_typed_errors_come_without_warnings(self, capsys, argv, message):
+        # a RuntimeWarning is an error in this process
+        assert cli.main(argv.split()) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1
+        assert captured.out == ""
+
+    def test_answers_at_mu_1e_minus_200_without_warnings(self, capsys):
+        # the quadrature's bracket test reads signs: the product of two
+        # values near 1e200 no longer overflows
+        argv = "verify --lambda 5e-201 --mu 1e-200 --n 1 --alpha 1e-200".split()
+        assert cli.main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "" and captured.out.startswith("suite,")
+
 
 class TestSweepCommand:
     def test_sweep_csv(self, tmp_path):
@@ -393,7 +420,7 @@ class TestDistanceOnePass:
         monkeypatch.setattr(ctmc, "_BLOCK", 101)
         walks, points, crossings = [], [], []
         walk = ctmc.DiscreteStationary._walk
-        cdf, invert = DiffusionDensity.cdf, DiffusionDensity.invert_cdf_in_cells
+        cdf, invert = DiffusionDensity.cdf, DiffusionDensity.invert_in_cells
 
         def walked(dist, *args, **kwargs):
             if kwargs.get("edge"):
@@ -410,7 +437,7 @@ class TestDistanceOnePass:
 
         monkeypatch.setattr(ctmc.DiscreteStationary, "_walk", walked)
         monkeypatch.setattr(DiffusionDensity, "cdf", counted)
-        monkeypatch.setattr(DiffusionDensity, "invert_cdf_in_cells", inverted)
+        monkeypatch.setattr(DiffusionDensity, "invert_in_cells", inverted)
         report.run_distance(ModelParams(lam=1000.0, mu=1.0, n=1010, alpha=0.5))
         assert len(walks) == 1
         size = walks[0].k_top - walks[0].k_min + 1

@@ -45,7 +45,7 @@ SPECIAL = [
     # Erlang-A with k_top < n < k_max: the flat stretch splits at -zeta
     (100.0, 1.0, 250, 1.0, 1e-12, 1),
     (100.0, 1.0, 260, 0.5, 1e-12, 2),
-    # crossing cells whose piece inverse rounds outside the cell: _bisect_cdf
+    # crossing cells whose piece inverse rounds outside the cell: _bisect
     (0.99, 1.0, 1, 0.0, 1e-14, 1),
     (0.98, 1.0, 1, 0.0, 1e-12, 3),
 ]

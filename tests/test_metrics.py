@@ -15,9 +15,9 @@ from conftest import (
     small_window_params,
     window_params,
 )
-from erlangdiff import ctmc
+from erlangdiff import ctmc, metrics
 from erlangdiff.ctmc import stationary_pmf
-from erlangdiff.diffusion import DiffusionDensity, build_density
+from erlangdiff.diffusion import DiffusionDensity, _ExpPiece, _GaussPiece, build_density
 from erlangdiff.ctmc import moment as chain_moment
 from erlangdiff.diffusion import moment as diff_moment
 from erlangdiff.metrics import (
@@ -83,7 +83,7 @@ class TestCellsAcrossKink:
         j = d.switch_point
         u, v = np.full(2, j - 1.0), np.full(2, j + 0.2)
         want = np.array([j - 0.5, j + 0.1])
-        t = d.invert_sf_in_cells(u, v, np.asarray(d.sf(v)), np.asarray(d.sf(want)))
+        t = d.invert_in_cells(u, v, np.asarray(d.sf(v)), np.asarray(d.sf(want)), survival=True)
         assert t == pytest.approx(want, abs=1e-12)
 
     @pytest.mark.parametrize("params", CASES)
@@ -92,8 +92,53 @@ class TestCellsAcrossKink:
         j = d.switch_point
         u, v = np.full(2, j - 1.0), np.full(2, j + 0.2)
         want = np.array([j - 0.5, j + 0.1])  # one crossing on each side of -zeta
-        t = d.invert_cdf_in_cells(u, v, np.asarray(d.cdf(u)), np.asarray(d.cdf(want)))
+        t = d.invert_in_cells(u, v, np.asarray(d.cdf(u)), np.asarray(d.cdf(want)))
         assert t == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("params", CASES)
+    def test_inverse_sf_bisects_where_the_closed_form_misses(self, params, monkeypatch):
+        # no input has been seen to reach it: each reflected piece's closed
+        # form lands below its cell, so the survival side bisects as the
+        # CDF side does
+        d = density_for(params)
+        j = d.switch_point
+        u, v = np.full(2, j - 1.0), np.full(2, j + 0.2)
+        level = np.asarray(d.sf(np.array([j - 0.5, j + 0.1])))
+        for piece in (_GaussPiece, _ExpPiece):
+            monkeypatch.setattr(piece, "invert", lambda self, start, mass: start - 1.0)
+        t = d.invert_in_cells(u, v, np.asarray(d.sf(v)), level, survival=True)
+        assert np.all((u <= t) & (t <= v))
+        assert np.all(np.abs(np.asarray(d.sf(t)) - level) <= 4.0 * np.spacing(level))
+
+
+def _bisect_200(d, lo, hi, level, survival):
+    """The reference: 200 rounds, whether or not a round moves a bracket."""
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        below = (d.sf(-mid) if survival else d.cdf(mid)) < level
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+class TestBisection:
+    @pytest.mark.parametrize(
+        "params", [*TestCellsAcrossKink.CASES, ModelParams(lam=0.99, mu=1.0, n=1, alpha=0.0)]
+    )
+    @pytest.mark.parametrize("survival", [False, True])
+    def test_stopping_keeps_the_bits_of_200_rounds(self, params, survival):
+        # once a round moves no bracket every later round maps it to
+        # itself; seeded brackets of widths 1e-8 to 3, levels inside them
+        d = density_for(params)
+        rng = np.random.default_rng(3031)
+        lo = rng.uniform(*d.tail_points(1e-10), size=200)
+        hi = lo + 10.0 ** rng.uniform(-8.0, 0.5, size=200)
+        t = lo + rng.uniform(size=200) * (hi - lo)
+        if survival:  # brackets in the reflected frame, on -t
+            lo, hi, t = -hi, -lo, -t
+        level = np.asarray(d.sf(-t) if survival else d.cdf(t))
+        got = d._bisect(lo, hi, level, survival)
+        assert [x.hex() for x in got] == [x.hex() for x in _bisect_200(d, lo, hi, level, survival)]
 
 
 class TestWasserstein:
@@ -206,7 +251,7 @@ class TestBlocks:
     @given(params=small_window_params(), block=st.integers(1, 20).map(lambda i: 2 * i + 1))
     # k_top < n < k_max: the flat stretch past the window splits at -zeta
     @example(params=ModelParams(lam=100.0, mu=1.0, n=250, alpha=1.0), block=3)
-    # a long exponential tail: crossing cells fall back to _bisect_cdf
+    # a long exponential tail: crossing cells fall back to _bisect
     @example(params=ModelParams(lam=0.98, mu=1.0, n=1, alpha=0.0), block=5)
     # light load (delta = 316 > 100): 7 states in survival form, 3 blocks
     @example(params=ModelParams(lam=1e-5, mu=1.0, n=1, alpha=0.0), block=3)
@@ -253,16 +298,69 @@ class TestBlocks:
         # 158 cells cross the diffusion CDF at this load, and the closed-form
         # piece inverse rounds outside its cell in 8 of them
         sizes = []
-        bisect = DiffusionDensity._bisect_cdf
+        bisect = DiffusionDensity._bisect
 
-        def counting(d, lo, hi, level):
+        def counting(d, lo, hi, level, survival):
             sizes.append(np.size(lo))
-            return bisect(d, lo, hi, level)
+            return bisect(d, lo, hi, level, survival)
 
-        monkeypatch.setattr(DiffusionDensity, "_bisect_cdf", counting)
+        monkeypatch.setattr(DiffusionDensity, "_bisect", counting)
         s = Scenario(ModelParams(lam=0.99, mu=1.0, n=1, alpha=0.0))
         assert math.isfinite(s.d_w)
         assert sum(sizes) == 8
+
+    def test_bisection_stops_once_the_brackets_collapse(self, monkeypatch):
+        # the 8 cells' brackets stop moving within 45 rounds (one F_Y read
+        # each), where 200 always ran, and d_W keeps its bits
+        rounds, inside = [], [False]
+        bisect, cdf = DiffusionDensity._bisect, DiffusionDensity.cdf
+
+        def counting(d, *args):
+            rounds.append(0)
+            inside[0] = True
+            t = bisect(d, *args)
+            inside[0] = False
+            return t
+
+        def counted(d, x):
+            if inside[0]:
+                rounds[-1] += 1
+            return cdf(d, x)
+
+        monkeypatch.setattr(DiffusionDensity, "_bisect", counting)
+        monkeypatch.setattr(DiffusionDensity, "cdf", counted)
+        s = Scenario(ModelParams(lam=0.99, mu=1.0, n=1, alpha=0.0))
+        assert s.d_w.hex() == "0x1.d011188a4b0f3p-2"
+        assert len(rounds) == 1 and rounds[0] <= 45
+
+    def test_each_cell_is_integrated_once(self, monkeypatch):
+        # one cell in six crosses F_Y here: a crossing cell is integrated as
+        # its two parts either side of the crossing, never whole, and every
+        # other cell once
+        cells, crossing, spans = [0], set(), []
+        areas, invert = metrics._cell_areas, DiffusionDensity.invert_in_cells
+        antiderivative = metrics._cdf_antiderivative
+
+        def counted_areas(d, edges, *args):
+            cells[0] += edges.size - 1
+            return areas(d, edges, *args)
+
+        def inverted(d, u, v, *args):
+            crossing.update(zip(u, v))
+            return invert(d, u, v, *args)
+
+        def integrated(d, u, v, *args):
+            spans.extend(zip(u, v))
+            return antiderivative(d, u, v, *args)
+
+        monkeypatch.setattr(metrics, "_cell_areas", counted_areas)
+        monkeypatch.setattr(DiffusionDensity, "invert_in_cells", inverted)
+        monkeypatch.setattr(metrics, "_cdf_antiderivative", integrated)
+        s = Scenario(ModelParams(lam=3e4, mu=1.0, n=30_100, alpha=1.0))
+        assert math.isfinite(s.d_w)
+        assert len(crossing) > 0.15 * cells[0]
+        assert len(spans) == cells[0] + len(crossing)
+        assert not crossing.intersection(spans)
 
 
 class TestMemory:

@@ -20,13 +20,13 @@ under QED, quality- and efficiency-driven staffing, under- and
 overloaded Erlang-A, a few input errors, a critical-load Erlang-A with
 alpha = 1e-300 (whose mode search once stepped one state at a time
 without end), and tail tolerances of 1e-14 and 1e-12.  A fixed list of
-edge cases rides along: exact zeta = 0 and +-1, and sets past the double
-range that fail with a typed error.  The random
-``verify`` draws stop at R = 300, whose
-windows fit in one walk block (``erlangdiff.ctmc._BLOCK`` states), so a
-fixed list of larger ``verify`` commands rides along in every stream; four
-of their windows span several blocks, so block seams fall inside every
-window pass.  A seeded stream of library moment ops rides along too, as
+edge cases rides along: exact zeta = 0 and +-1; sets past the double
+range that fail with a typed error, some of which once warned first; and
+W1 crossing cells that bisect or cross in survival form.  The random
+``verify`` draws stop at R = 300, whose windows fit in one walk block
+(``erlangdiff.ctmc._BLOCK`` states), so a fixed list of larger ``verify``
+commands rides along in every stream; four of their windows span several
+blocks, so block seams fall inside every window pass.  A seeded stream of library moment ops rides along too, as
 pseudo-commands ``moment --lambda L --mu U --n N --alpha A --m M``:
 ``stationary_pmf(params, moment_order=M)``, ``build_density`` and
 ``moment_error``, whose k_max and result (or typed error) are hashed.
@@ -74,6 +74,21 @@ EDGE_CASES = [
     ["distance", "--lambda", "1e-08", "--n", "1", "--alpha", "1e300"],
     ["distance", "--lambda", "1e-30", "--n", "1", "--alpha", "1e-300"],
     ["sweep", "--regime", "qd", "--sizes", "1e-8", "--alpha-over-mu", "1e300"],
+    # typed errors once preceded by a RuntimeWarning: a nan density
+    # amplitude, and a tail test whose weight overflows
+    ["verify", "--lambda", "1e-30", "--n", "1", "--alpha", "1e-300"],
+    ["distance", "--lambda", "1e-30", "--n", "40", "--alpha", "1e-300"],
+    ["distance", "--lambda", "1e-08", "--n", "40", "--alpha", "1e-300"],
+    ["distance", "--lambda", "0.5", "--n", "40", "--alpha", "1e-300"],
+    # an answer once given after RuntimeWarnings from the quadrature's brackets
+    ["verify", "--lambda", "5e-201", "--mu", "1e-200", "--n", "1", "--alpha", "1e-200"],
+]
+# W1 crossing cells: 8 cells whose closed-form piece inverse rounds outside
+# the cell, and light-load cells that cross in survival form
+CROSSINGS = [
+    ["distance", "--lambda", "0.99", "--n", "1"],
+    ["distance", "--lambda", "1e-5", "--n", "1"],
+    ["distance", "--lambda", "1e-40", "--n", "1"],
 ]
 
 
@@ -133,7 +148,7 @@ def commands(seed: int) -> list[list[str]]:
     for cmd in base:
         if rng.random() < 0.1:
             cmd += ["--tail-tol", "1e-12"]
-    base += [list(cmd) for cmd in MULTI_BLOCK_VERIFY + EDGE_CASES]
+    base += [list(cmd) for cmd in MULTI_BLOCK_VERIFY + EDGE_CASES + CROSSINGS]
     base += [["table1"], ["table2"], ["table3"]]
     # input errors: a negative rate, no servers, a non-finite load; and a
     # critical load whose d(k) = 5 + 1e-300 (k - 5) rounds to lam in every state
