@@ -302,6 +302,16 @@ def gradient_bound_report(
     # Erlang-C is always underloaded and shares the underloaded rows
     under = derived.R <= derived.n
     grid = _sample_grid(d)
+    # the underloaded density-ratio bound, range-checked before any solution
+    # is evaluated on the grid: far past |zeta| = 37.7 that evaluation overflows
+    gauss = None
+    if under:
+        try:
+            gauss = math.exp(0.5 * zeta**2)
+        except OverflowError:
+            raise EvaluationRangeError(
+                f"zeta = {zeta:.6g}: the bound exp(zeta^2/2) overflows a double (|zeta| > 37.7)"
+            ) from None
     left, right = grid <= j, grid >= j
     below, above = grid < j, grid > j
 
@@ -351,7 +361,7 @@ def gradient_bound_report(
                     ("gwo41_right", f3, above, c * (1.0 + r * grid**2) + (r + sa) * np.abs(grid)),
                     ("gwo42_right", f3, above, c + np.float64(c) ** 2 * np.abs(grid)),
                 ]
-    w_rows = _read(w_table, mode) + _ratio_rows(d, grid, under)
+    w_rows = _read(w_table, mode) + _ratio_rows(d, grid, gauss)
     anchor_rows, whole = [], np.full(grid.size, True)
     for sol in anchors:
         fp, fpp = (np.abs(v) * mu for v in sol.derivatives(grid)[:2])
@@ -365,8 +375,11 @@ def gradient_bound_report(
     return [(w_name, w_rows), (k_name, _read(anchor_rows))]
 
 
-def _ratio_rows(d: DiffusionDensity, grid: np.ndarray, under: bool) -> list[Check]:
+def _ratio_rows(d: DiffusionDensity, grid: np.ndarray, gauss: float | None) -> list[Check]:
     """Density-ratio bounds, as one table of (name, values, region, bound) rows.
+
+    ``gauss`` is the bound exp(zeta^2/2) in the underloaded regime (Erlang-C
+    included) and None in the overloaded one.
 
     Each ratio is evaluated once on the whole grid: the tail-mass ratios,
     the |y|-weighted ratios and |b|/mu times the mass ratios.  A row takes
@@ -386,13 +399,7 @@ def _ratio_rows(d: DiffusionDensity, grid: np.ndarray, under: bool) -> list[Chec
     az = abs(zeta)
     j = -zeta
     inv_az = math.inf if az == 0.0 else 1.0 / az
-    if under:
-        try:
-            gauss = math.exp(0.5 * zeta**2)
-        except OverflowError:
-            raise EvaluationRangeError(
-                f"zeta = {zeta:.6g}: the bound exp(zeta^2/2) overflows a double (|zeta| > 37.7)"
-            ) from None
+    under = gauss is not None
     lo, hi = (0.0, j) if under else (j, 0.0)
     low, mid, high = grid <= lo, (grid >= lo) & (grid <= hi), grid >= hi
     nonpos, nonneg = grid <= 0.0, grid >= 0.0

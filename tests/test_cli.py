@@ -362,6 +362,20 @@ class TestExitCodes:
             ("distance --lambda 1e-30 --n 40 --alpha 1e-300", "d_w, d_k past the double range"),
             ("distance --lambda 1e-08 --n 40 --alpha 1e-300", "stationary grid would exceed"),
             ("distance --lambda 0.5 --n 40 --alpha 1e-300", "stationary grid would exceed"),
+            # |zeta| > 37.7 is rejected before the grid, far past the
+            # switch point, is fed to the identity's solution
+            (
+                "verify --lambda 1e-08 --n 40 --alpha 1e+300",
+                "zeta = -400000: the bound exp(zeta^2/2) overflows",
+            ),
+            (
+                "verify --lambda 7.213573917123804e-20 --n 1 --alpha 2.940001338569436e+292",
+                "zeta = -3.72327e+09: the bound exp(zeta^2/2) overflows",
+            ),
+            (
+                "verify --lambda 2.0358067795786205e-12 --n 1 --alpha 1.482162426149318e+298",
+                "zeta = -700861: the bound exp(zeta^2/2) overflows",
+            ),
         ],
     )
     def test_typed_errors_come_without_warnings(self, capsys, argv, message):

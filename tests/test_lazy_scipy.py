@@ -1,12 +1,17 @@
 """Imports are deferred: ``import erlangdiff.cli`` loads neither numpy nor
-scipy, every layer loads once ``cli.main`` dispatches a parsed command, and
-scipy loads at the first special-function call.
+scipy, and every layer loads once ``cli.main`` dispatches a parsed command.
+Each special function loads at its first call.  The tables and the moment
+pipeline bind the ufuncs of scipy's xsf extension without importing
+``scipy`` or ``scipy.special``; ``distance`` and ``verify`` import the
+package for ``ndtri`` and ``ndtri_exp``.  Either way every name
+``erlangdiff._special`` binds is the ``scipy.special`` object itself.
 
 Each case runs in a fresh interpreter, because this test session has
 imported numpy and scipy already.
 """
 
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -35,6 +40,13 @@ print(json.dumps([code, "scipy.special" in sys.modules, "scipy" in sys.modules])
 """
 
 SIX = ("gammaln", "log_ndtr", "erfcx", "ndtri_exp", "ndtr", "ndtri")
+# the scipy.special package import and two of what its __init__ loads:
+# array_api_compat's numpy clone, and through it the lazy numpy submodules
+PACKAGE = ("scipy", "scipy.special", "scipy._lib._array_api", "numpy.f2py")
+# prints the PACKAGE modules loaded by then
+LOADED = f"""
+print(json.dumps([m for m in {PACKAGE!r} if m in sys.modules]))
+"""
 
 
 def _run(argv, extra=""):
@@ -72,16 +84,37 @@ print(json.dumps([hasattr(_special, name) for name in names] + ["scipy" in sys.m
     assert _run(None, probe) == [[None, False, False], [False] * 5]
 
 
-def test_distance_binds_the_scipy_ufuncs_themselves():
+def test_special_names_are_the_six_checked():
+    # a special function read anywhere in src/ is one whose identity with
+    # the scipy.special object the tests here check
+    reads = set()
+    for path in Path(SRC, "erlangdiff").glob("*.py"):
+        if path.name != "_special.py":
+            reads |= set(re.findall(r"(?<![\w.])special\.([A-Za-z_]\w*)", path.read_text()))
+    assert reads == set(SIX)
+
+
+@pytest.mark.parametrize("table", ["table1", "table2", "table3"])
+def test_tables_skip_the_scipy_package(table):
+    assert _run([table], LOADED) == [[0, False, False], []]
+
+
+@pytest.mark.parametrize(
+    "argv, package",
+    [
+        (["table1"], False),
+        (["distance", "--lambda", "1000", "--n", "1032"], True),  # ndtri
+        (["verify", "--lambda", "16", "--n", "20"], True),  # ndtri_exp
+    ],
+    ids=["table1", "distance", "verify"],
+)
+def test_every_binding_is_the_scipy_ufunc_itself(argv, package):
     check = f"""
 import scipy.special
 from erlangdiff import _special
 print(json.dumps([getattr(_special, name) is getattr(scipy.special, name) for name in {SIX!r}]))
 """
-    assert _run(["distance", "--lambda", "1000", "--n", "1032"], check) == [
-        [0, True, True],
-        [True] * len(SIX),
-    ]
+    assert _run(argv, check) == [[0, package, package], [True] * len(SIX)]
 
 
 # prints the numpy and scipy modules loaded by then
@@ -133,4 +166,4 @@ print(json.dumps({"k_max": dist.k_max, **pkg.metrics.moment_error(dist, d, 2)}))
     params = ModelParams(lam=49.0, mu=1.0, n=50, alpha=0.0)
     dist = stationary_pmf(params, moment_order=2)
     want = {"k_max": dist.k_max, **moment_error(dist, build_density(dist.derived), 2)}
-    assert _run(None, probe) == [[None, False, False], json.loads(json.dumps(want))]
+    assert _run(None, probe + LOADED) == [[None, False, False], json.loads(json.dumps(want)), []]

@@ -80,6 +80,11 @@ EDGE_CASES = [
     ["distance", "--lambda", "1e-30", "--n", "40", "--alpha", "1e-300"],
     ["distance", "--lambda", "1e-08", "--n", "40", "--alpha", "1e-300"],
     ["distance", "--lambda", "0.5", "--n", "40", "--alpha", "1e-300"],
+    # the exp(zeta^2/2) range error once preceded by a RuntimeWarning from
+    # the identity's solution at far grid points
+    ["verify", "--lambda", "1e-08", "--n", "40", "--alpha", "1e+300"],
+    ["verify", "--lambda", "7.213573917123804e-20", "--n", "1", "--alpha", "2.940001338569436e+292"],
+    ["verify", "--lambda", "2.0358067795786205e-12", "--n", "1", "--alpha", "1.482162426149318e+298"],
     # an answer once given after RuntimeWarnings from the quadrature's brackets
     ["verify", "--lambda", "5e-201", "--mu", "1e-200", "--n", "1", "--alpha", "1e-200"],
 ]
