@@ -7,7 +7,8 @@ weight is written in closed form through log-gamma sums, so consecutive
 weights still satisfy flow balance to a few ulps and any block of states
 can be built on its own.  So nothing window-length is kept: one walk
 builds ``_BLOCK`` states at a time wherever the window is read (panel
-quadrature takes as many nodes a chunk).  The closed form is not exact,
+quadrature takes as many nodes a chunk; ``DiscreteStationary.cells``
+carries the chain CDF through it).  The closed form is not exact,
 though: its terms of size ~R log R cancel, so its absolute error grows
 like |log weight| * eps and the pmf at the mode is off by 1.8e-8 relative
 at R = 4.9e6 (ROADMAP item 1 tracks mode-anchored weights).  Truncation
@@ -204,10 +205,10 @@ class DiscreteStationary:
     nothing window-length is kept.  ``log_pmf``, ``pmf`` and ``x`` build
     their window array anew on each read; the moments, the tail bounds,
     the distances, the decompositions and the Stein-identity residual read
-    the walk, and each window quantity they share has one owner here:
-    P(X~ <= t) ``cdf``, interval masses ``prob_interval``, the states the
-    decompositions keep ``kept`` (one walk per window) and the window sums
-    of |x + offset|^m pmf ``_abs_moment_sum`` (one per (m, offset)).
+    the walk, and each window quantity they share has one owner here: the
+    chain CDF at the cell edges ``cells``, which P(X~ <= t) ``cdf`` reads,
+    interval masses ``prob_interval``, the states the decompositions keep
+    ``kept`` and the sums of |x + offset|^m pmf ``_abs_moment_sum``.
     ``k_max >= k_top`` is the certified truncation index and ``tail_ratio``
     = lam/d(k_max + 1) its tail ratio.  ``tail_bound`` certifies all the
     mass left out: the head below k_min, the gap (k_top, k_max] and the
@@ -312,18 +313,31 @@ class DiscreteStationary:
         der, k_min = self.derived, self.k_min
         return _first_true(lambda k: (k - der.x_inf) * der.delta > t, k_min, self.k_top + 1) - k_min
 
-    def cdf(self, t) -> np.ndarray:
-        """P(scaled state <= t); right-continuous step function.  The walk
-        up to the largest t carries the running sum from block to block
-        (np.cumsum adds left to right: one cumsum's bits)."""
-        t_arr = np.asarray(t, dtype=float)
-        out, before = np.zeros(t_arr.shape), 0.0
-        for _, x, p in self._walk(0, self._position(np.max(t_arr, initial=-np.inf))):
+    def cells(self, stop: int | None = None):
+        """(i, x, c) of each walk block from window position i up to stop:
+        its cell edges x (its states and the next block's first) and the
+        chain CDF c right of each edge but the last.  Each block's cumsum
+        starts from the last sum so far, so c keeps one cumsum's bits.  The
+        flat stretch k_top..k_max ends the window's last block as one cell,
+        two if the kink -zeta falls inside (which keeps d_W's bits)."""
+        flat = [-self.derived.zeta] if self.k_top < self.params.n < self.k_max else []
+        flat += [self.x_max] if self.k_top < self.k_max else []
+        before = 0.0
+        for i, x, p in self._walk(0, stop, edge=True):
             p[0] += before
             c = np.cumsum(p, out=p)
-            j = np.searchsorted(x, t_arr, side="right")
-            np.copyto(out, c[j - 1], where=j > 0)
+            if i + c.size == self._size:
+                x, c = np.append(x[:-1], flat), np.append(c, [c[-1]] * len(flat))
+            yield i, x, c
             before = c[-1]
+
+    def cdf(self, t) -> np.ndarray:
+        """P(scaled state <= t), a right-continuous step: ``cells`` up to the largest t."""
+        t_arr = np.asarray(t, dtype=float)
+        out = np.zeros(t_arr.shape)
+        for _, x, c in self.cells(self._position(np.max(t_arr, initial=-np.inf))):
+            j = np.searchsorted(x[: c.size], t_arr, side="right")
+            np.copyto(out, c[j - 1], where=j > 0)
         return out if np.ndim(t) else float(out)
 
     def prob_interval(self, lo: float, hi: float) -> float:

@@ -8,9 +8,9 @@ diffusion CDF is piecewise Gaussian/exponential with closed antiderivatives
 recovered by inverting the diffusion CDF piece in closed form.  The
 Kolmogorov distance is the exact supremum over the jump points.
 
-Both read one block stream over the chain's walk (``_blocks``), which
-carries the running CDF from block to block and evaluates the diffusion
-CDF once per cell edge; no window-length array is held (but for the
+Both read one block stream (``_blocks``): the cell edges and the running
+chain CDF of ``DiscreteStationary.cells``, and the diffusion CDF evaluated
+once per cell edge; no window-length array is held (but for the
 light-load survival levels of a window of a few states).
 """
 
@@ -49,27 +49,12 @@ _SURVIVAL_DELTA = 100.0
 
 
 def _blocks(dist: DiscreteStationary, d):
-    """(i, x, c, f, peaks) of each walk block from window position i: its
-    cell edges x, the chain CDF c right of each edge but the block's last
-    (the next block's first), F_Y at every edge, evaluated once, and the
-    block's two d_K candidates, |c - F_Y| at the edges from the right and
-    from the left.  The chain CDF is flat on each cell and F_Y monotone, so
-    these hold the supremum.
-
-    np.cumsum adds strictly left to right, so each block's cumsum, its
-    first term carrying the last sum so far, keeps the bits of one cumsum
-    over the whole pmf.  From k_top to k_max the chain CDF is flat: that
-    stretch joins the last block as one cell, two if the density's kink
-    -zeta falls inside (which keeps d_W's bits in heavily staffed Erlang-A).
-    """
-    flat = [-dist.derived.zeta] if dist.k_top < dist.params.n < dist.k_max else []
-    flat += [dist.x_max] if dist.k_top < dist.k_max else []
+    """(i, x, c, f, peaks) of each block (i, x, c) of ``dist.cells()``: F_Y
+    at every edge x, evaluated once, and the two d_K candidates, |c - F_Y|
+    at the edges from the right and from the left.  The chain CDF is flat
+    on each cell and F_Y monotone, so these hold the supremum."""
     before = 0.0
-    for i, x, p in dist._walk(edge=True):
-        p[0] += before
-        c = np.cumsum(p, out=p)
-        if i + c.size == dist._size:
-            x, c = np.append(x[:-1], flat), np.append(c, [c[-1]] * len(flat))
+    for i, x, c in dist.cells():
         f = np.asarray(d.cdf(x), dtype=float)
         f_c = f[: c.size]
         left = np.max(np.abs(c[:-1] - f_c[1:]), initial=abs(before - f_c[0]))

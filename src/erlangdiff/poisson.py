@@ -21,7 +21,8 @@ at the indicator jump the second derivative is the left limit.
 The gradient-bound suites evaluate each solution, and each density ratio
 that the auxiliary bounds use, once on one sample grid.  One reader,
 ``_read``, turns every (name, values, region, bound) entry into a row and
-rejects a bound that overflows a double (alpha/mu past about 1.3e154).
+rejects a bound that overflows a double (alpha/mu past about 1.3e154), or
+values that do (f''' in unscaled units at mu = 1e-200).
 """
 
 from __future__ import annotations
@@ -259,7 +260,8 @@ def _read(table: list, mode: str = "strict") -> list[Check]:
     name ending in ``_log``; an empirical row, or one with an array bound,
     reads the sup of values / bound against 1.  An empty region reads 0.0
     (-inf in logs), or drops an empirical row; a bound that overflows a
-    double on its region raises EvaluationRangeError."""
+    double on its region, or values whose sup there is nan or +inf, raises
+    EvaluationRangeError."""
     rows = []
     for name, values, region, bound in table:
         check = _log_row if name.endswith("_log") else _row
@@ -269,6 +271,8 @@ def _read(table: list, mode: str = "strict") -> list[Check]:
                 raise EvaluationRangeError(f"the bound of {name} overflows a double")
             shape = np.ndim(bound) or mode == "empirical"
             observed = np.max(values[region] / bound) if shape else values[region].max()
+            if np.isnan(observed) or observed == math.inf:
+                raise EvaluationRangeError(f"the values of {name} overflow a double")
             rows.append(check(name, observed, 1.0 if shape else bound, mode=mode))
         elif mode == "strict":
             rows.append(check(name, -math.inf if check is _log_row else 0.0, bound))
@@ -315,7 +319,11 @@ def gradient_bound_report(
     left, right = grid <= j, grid >= j
     below, above = grid < j, grid > j
 
-    fp, fpp, f3 = (np.abs(v) * mu for v in identity.derivatives(grid))
+    def scaled(sol):  # |f'|, |f''|, |f'''| times mu; _read rejects one past the double range
+        with np.errstate(over="ignore"):
+            return [np.abs(v) * mu for v in sol.derivatives(grid)]
+
+    fp, fpp, f3 = scaled(identity)
     if derived.is_erlang_c:
         mode, regime, bound_left, bound_right = "strict", "KC", 5.0, inv_az
         w_table = [
@@ -364,7 +372,7 @@ def gradient_bound_report(
     w_rows = _read(w_table, mode) + _ratio_rows(d, grid, gauss)
     anchor_rows, whole = [], np.full(grid.size, True)
     for sol in anchors:
-        fp, fpp = (np.abs(v) * mu for v in sol.derivatives(grid)[:2])
+        fp, fpp = scaled(sol)[:2]
         tag = f"[a={sol.h.parameter:+.3g}]"
         anchor_rows += [
             (f"{regime}der1_left{tag}", fp, left, bound_left),

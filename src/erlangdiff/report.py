@@ -18,7 +18,9 @@ from .ctmc import (
     stein_identity_residual,
 )
 from .diffusion import density_sup_check
-from .metrics import Scenario, _in_range, mean_error, moment_error, universality_sweep
+from .metrics import (
+    _WASSERSTEIN_BOUND, Scenario, _in_range, mean_error, moment_error, universality_sweep
+)
 from .model import Check, ModelParams
 from .poisson import _SUITE_NAMES, gradient_bound_report
 from .stein_verify import kolmogorov_decomposition, wasserstein_decomposition
@@ -166,7 +168,8 @@ def _expansion_suites(dist, sols, d_k: float) -> list[tuple[str, list[Check]]]:
         identity.append(Check.at_most(name, d.extras["generator_identity"], _IDENTITY_TOL))
     rows = [Check.at_most("wasserstein_lhs_le_total", dec.lhs, dec.total + _IDENTITY_TOL)]
     if universal:
-        rows.append(Check.at_most("wasserstein_total_le_205delta", dec.total, 205.0 * delta))
+        bound_w = _WASSERSTEIN_BOUND * delta  # the bound ``distance`` prints
+        rows.append(Check.at_most("wasserstein_total_le_205delta", dec.total, bound_w))
         rows.append(Check.at_most("wasserstein_f2b_le_111", dec.extras["mean_abs_f2b"], 111.0))
     for sol, deck in zip(sols[1:], decs[1:]):
         tag = f"[a={sol.h.parameter:+.3g}]"

@@ -376,6 +376,17 @@ class TestExitCodes:
                 "verify --lambda 2.0358067795786205e-12 --n 1 --alpha 1.482162426149318e+298",
                 "zeta = -700861: the bound exp(zeta^2/2) overflows",
             ),
+            # f''' in unscaled units divides by mu = 1e-200 and overflows: the
+            # first once answered gwu3_right = inf, the second warned before
+            # its straddle-majorant error; the reader now rejects the row
+            (
+                "verify --lambda 3e-200 --mu 1e-200 --n 40 --alpha 1e-70",
+                "the values of gwu3_right overflow a double",
+            ),
+            (
+                "verify --lambda 3e-200 --mu 1e-200 --n 40 --alpha 1e+100",
+                "the values of gwu3_right overflow a double",
+            ),
         ],
     )
     def test_typed_errors_come_without_warnings(self, capsys, argv, message):

@@ -691,6 +691,9 @@ class TestWalkReads:
     )
     @example(params=ModelParams(lam=4.9, mu=1.0, n=5, alpha=0.0), block=3, u=[0.5])
     @example(params=ModelParams(lam=20.0, mu=1.0, n=5, alpha=1.0), block=25, u=[-0.1, 1.1])
+    # k_top = 46 < n = 60 < k_max = 88: the flat stretch ends the last block
+    # as two cells, split at -zeta
+    @example(params=ModelParams(lam=4.0, mu=1.0, n=60, alpha=0.0), block=5, u=[1.1])
     def test_blocks_keep_every_bit(self, params, block, u):
         # the indicator anchored at the drift kink -zeta, as verify reads it
         dist, d = pmf_for(params, 1e-14), density_for(params)
@@ -715,6 +718,13 @@ class TestWalkReads:
             assert straddle.hex() == dist.prob_interval(a - delta, a + delta).hex()
             values = [row.observed for row in report._residual_rows(dist, ident, kink)]
             values += [*dist.cdf(t).tolist(), dist.prob_interval(t.min(), t.max())]
+            # the cell edges and levels of the one running CDF, and cdf there
+            cells = list(dist.cells())
+            assert all(x[-1] == after[1][0] for (_, x, _), after in zip(cells, cells[1:]))
+            edges = np.concatenate([x[: c.size] for _, x, c in cells])
+            levels = np.concatenate([c for _, _, c in cells]).tolist()
+            assert dist.cdf(edges).tolist() == levels
+            values += [*edges.tolist(), *levels]
             return [float(v).hex() for v in values + [lhs, straddle]]
 
         with pytest.MonkeyPatch.context() as mp:

@@ -79,3 +79,18 @@ def test_layers_import_only_lower_layers():
             if target in LAYERS and LAYERS.index(target) >= rank:
                 upward.append(f"{layer}.py:{line} imports {name}")
     assert not upward
+
+
+def test_only_the_window_owners_walk_it():
+    # the window is read through DiscreteStationary; past ctmc, only the
+    # decompositions' kept-state pass walks it (the distances read cells)
+    package = Path(erlangdiff.__file__).parent
+    walkers = {
+        path.name
+        for path in package.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "_walk"
+    }
+    assert walkers == {"ctmc.py", "stein_verify.py"}

@@ -13,6 +13,7 @@ from erlangdiff.poisson import (
     PoissonSolution,
     TestFunction,
     _log_row,
+    _read,
     build_solution,
     gradient_bound_report,
     mean_h,
@@ -293,6 +294,23 @@ class TestGradientBoundReport:
         # row whose shape overflows on its region
         with pytest.raises(EvaluationRangeError, match="the bound of gwo41_right overflows"):
             _suites(ModelParams(lam=3.0, mu=1.0, n=1, alpha=alpha))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["gwu3_right", "oingredient2_mid_log"])
+    def test_values_past_the_double_range(self, name, bad):
+        # a nan or +inf sup over a non-empty region is a typed error, not a row
+        values, region = np.array([1.0, bad, 2.0]), np.array([True, True, False])
+        with pytest.raises(EvaluationRangeError, match=f"the values of {name} overflow"):
+            _read([(name, values, region, 3.0)])
+        # off the region the value is never read
+        [row] = _read([(name, values, ~region, 3.0)])
+        assert row.observed == 2.0
+
+    def test_log_row_reads_a_minus_inf_sup(self):
+        # log values of a ratio that underflows to 0 on the whole region
+        values = np.array([-math.inf, -math.inf, 0.5])
+        [row] = _read([("oingredient4_mid_log", values, values < 0.0, 1.0)])
+        assert row.observed == -math.inf and row.satisfied
 
     def test_log_rows_get_relative_slack_on_negative_bounds(self):
         # a log row compares log observed <= log bound + log1p(1e-9), which

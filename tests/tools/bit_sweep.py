@@ -21,8 +21,9 @@ overloaded Erlang-A, a few input errors, a critical-load Erlang-A with
 alpha = 1e-300 (whose mode search once stepped one state at a time
 without end), and tail tolerances of 1e-14 and 1e-12.  A fixed list of
 edge cases rides along: exact zeta = 0 and +-1; sets past the double
-range that fail with a typed error, some of which once warned first; and
-W1 crossing cells that bisect or cross in survival form.  The random
+range that fail with a typed error, some of which once warned first or
+answered inf; W1 crossing cells that bisect or cross in survival form; and
+a window whose flat stretch past k_top holds the server count.  The random
 ``verify`` draws stop at R = 300, whose windows fit in one walk block
 (``erlangdiff.ctmc._BLOCK`` states), so a fixed list of larger ``verify``
 commands rides along in every stream; four of their windows span several
@@ -87,6 +88,19 @@ EDGE_CASES = [
     ["verify", "--lambda", "2.0358067795786205e-12", "--n", "1", "--alpha", "1.482162426149318e+298"],
     # an answer once given after RuntimeWarnings from the quadrature's brackets
     ["verify", "--lambda", "5e-201", "--mu", "1e-200", "--n", "1", "--alpha", "1e-200"],
+    # f''' in unscaled units past the double range at mu <= 1e-200: answers
+    # once given with gwu3_right = inf, then typed errors once preceded by a
+    # RuntimeWarning (a Stein residual, a straddle majorant, and one that
+    # now names gwo41_right)
+    ["verify", "--lambda", "3e-300", "--mu", "1e-300", "--n", "40", "--alpha", "1e-250"],
+    ["verify", "--lambda", "3e-300", "--mu", "1e-300", "--n", "40", "--alpha", "1e-200"],
+    ["verify", "--lambda", "3e-300", "--mu", "1e-300", "--n", "40", "--alpha", "1e-170"],
+    ["verify", "--lambda", "3e-200", "--mu", "1e-200", "--n", "40", "--alpha", "1e-70"],
+    ["verify", "--lambda", "5e-201", "--mu", "1e-200", "--n", "1", "--alpha", "1e-70"],
+    ["verify", "--lambda", "3e-200", "--mu", "1e-200", "--n", "40", "--alpha", "1e-40"],
+    ["verify", "--lambda", "3e-200", "--mu", "1e-200", "--n", "1", "--alpha", "1e-70"],
+    # k_top < n < k_max: the flat stretch ends the chain CDF as two cells
+    ["distance", "--lambda", "4", "--n", "60"],
 ]
 # W1 crossing cells: 8 cells whose closed-form piece inverse rounds outside
 # the cell, and light-load cells that cross in survival form
