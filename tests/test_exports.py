@@ -4,6 +4,7 @@ and every layer imports only the layers below it."""
 import ast
 import importlib
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -94,3 +95,28 @@ def test_only_the_window_owners_walk_it():
         and node.func.attr == "_walk"
     }
     assert walkers == {"ctmc.py", "stein_verify.py"}
+
+
+def test_only_the_missing_extension_fallback_imports_scipy_special():
+    # the scipy.special package __init__ costs about 24 MB: _special binds
+    # the xsf ufuncs without it and imports it only where the extension is
+    # missing, and no other module names it
+    package = Path(erlangdiff.__file__).parent
+    naming = [p.name for p in package.glob("*.py") if re.search(r"scipy\W+special", p.read_text())]
+    assert naming == ["_special.py"]
+    tree = ast.parse((package / "_special.py").read_text())
+    imports = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and "scipy" in ast.unparse(node)
+    ]
+    hook = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "__getattr__")
+    body = [ast.unparse(stmt).splitlines()[0] for stmt in hook.body]
+    fallback = [
+        stmt
+        for node in hook.body
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "module is None"
+        for stmt in node.body
+    ]
+    assert body.index("module = _xsf()") < body.index("if module is None:")
+    assert len(imports) == 1 and imports[0] in fallback

@@ -22,8 +22,10 @@ alpha = 1e-300 (whose mode search once stepped one state at a time
 without end), and tail tolerances of 1e-14 and 1e-12.  A fixed list of
 edge cases rides along: exact zeta = 0 and +-1; sets past the double
 range that fail with a typed error, some of which once warned first or
-answered inf; W1 crossing cells that bisect or cross in survival form; and
-a window whose flat stretch past k_top holds the server count.  The random
+answered inf; W1 crossing cells that bisect or cross in survival form, and
+whose inverses reach every branch of ``ndtri``; a tail point on each tail
+branch of ``ndtri_exp``; and a window whose flat stretch past k_top holds
+the server count.  The random
 ``verify`` draws stop at R = 300, whose windows fit in one walk block
 (``erlangdiff.ctmc._BLOCK`` states), so a fixed list of larger ``verify``
 commands rides along in every stream; four of their windows span several
@@ -101,13 +103,20 @@ EDGE_CASES = [
     ["verify", "--lambda", "3e-200", "--mu", "1e-200", "--n", "1", "--alpha", "1e-70"],
     # k_top < n < k_max: the flat stretch ends the chain CDF as two cells
     ["distance", "--lambda", "4", "--n", "60"],
+    # upper_point's ndtri_exp takes its y < -2 branch with x >= 8 on both
+    # pieces at (16, 20) above; here one piece has x < 8
+    ["verify", "--lambda", "4", "--n", "10", "--alpha", "100"],
 ]
 # W1 crossing cells: 8 cells whose closed-form piece inverse rounds outside
-# the cell, and light-load cells that cross in survival form
+# the cell, and light-load cells that cross in survival form.  Their ndtri
+# targets take the central branch, then the lower tail with x = sqrt(-2 log p)
+# below 8 and past 8; the last command's reach the upper tail past x = 8
+# (and every other branch)
 CROSSINGS = [
     ["distance", "--lambda", "0.99", "--n", "1"],
     ["distance", "--lambda", "1e-5", "--n", "1"],
     ["distance", "--lambda", "1e-40", "--n", "1"],
+    ["distance", "--lambda", "4", "--n", "2", "--alpha", "0.001"],
 ]
 
 
