@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import _special as special
-from .model import Check, DerivedQuantities, ModelParams, derive
+from .model import Check, DerivedQuantities, EvaluationRangeError, ModelParams, derive
 
 __all__ = [
     "DiffusionDensity",
@@ -528,7 +528,12 @@ def build_density(derived: DerivedQuantities) -> DiffusionDensity:
     log_mass_right = float(right.log_mass(j, np.inf))
     # continuity at the junction: amp_left * shapeL(j) = amp_right * shapeR(j)
     log_ratio = float(left.log_shape(j)) - float(right.log_shape(j))
-    log_amp_left = -np.logaddexp(log_mass_left, log_ratio + log_mass_right)
+    with np.errstate(invalid="ignore"):
+        log_amp_left = -np.logaddexp(log_mass_left, log_ratio + log_mass_right)
+    if np.isnan(log_amp_left):
+        raise EvaluationRangeError(
+            "the density's amplitude past the double range: invalid value encountered in logaddexp"
+        )
     return DiffusionDensity(
         derived=derived,
         regime=regime,

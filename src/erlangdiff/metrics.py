@@ -29,8 +29,8 @@ from .diffusion import (
     density_sup_check,
     moment as diff_moment,
 )
-from .model import ModelParams, derive
-from .poisson import EvaluationRangeError, PoissonSolution, TestFunction, _anchors, build_solution
+from .model import EvaluationRangeError, ModelParams, derive
+from .poisson import PoissonSolution, TestFunction, _anchors, build_solution
 
 __all__ = [
     "Scenario",

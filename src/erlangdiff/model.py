@@ -19,6 +19,7 @@ __all__ = [
     "ModelParams",
     "DerivedQuantities",
     "ValidationError",
+    "EvaluationRangeError",
     "derive",
     "departure_rate",
     "drift",
@@ -27,6 +28,10 @@ __all__ = [
 
 class ValidationError(ValueError):
     """Raised when model parameters violate the admissibility rules."""
+
+
+class EvaluationRangeError(ValueError):
+    """Raised when an admissible input needs a value past the double range."""
 
 
 @dataclass(frozen=True)

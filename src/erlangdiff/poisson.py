@@ -36,7 +36,7 @@ import numpy as np
 
 from . import _quad
 from .diffusion import DiffusionDensity, moment as _diffusion_moment
-from .model import Check, DerivedQuantities, drift
+from .model import Check, DerivedQuantities, EvaluationRangeError, drift
 
 __all__ = [
     "TestFunction",
@@ -49,10 +49,6 @@ __all__ = [
 
 _SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
-
-
-class EvaluationRangeError(ValueError):
-    """Evaluation point beyond the supported range of the 1/nu prefactor."""
 
 
 @dataclass(frozen=True)

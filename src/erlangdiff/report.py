@@ -18,10 +18,8 @@ from .ctmc import (
     stein_identity_residual,
 )
 from .diffusion import density_sup_check
-from .metrics import (
-    _WASSERSTEIN_BOUND, Scenario, _in_range, mean_error, moment_error, universality_sweep
-)
-from .model import Check, ModelParams
+from .metrics import _WASSERSTEIN_BOUND, Scenario, mean_error, moment_error, universality_sweep
+from .model import Check, EvaluationRangeError, ModelParams
 from .poisson import _SUITE_NAMES, gradient_bound_report
 from .stein_verify import kolmogorov_decomposition, wasserstein_decomposition
 
@@ -153,39 +151,48 @@ def _residual_rows(dist, sol_id, sol_kink) -> list[Check]:
     return rows
 
 
-def _expansion_suites(dist, sols, d_k: float) -> list[tuple[str, list[Check]]]:
+def _expansion_suites(dist, sols, d_k: float, sup_p: float) -> list[tuple[str, list[Check]]]:
     """The generator identity and decomposition suites of the identity
-    (``sols[0]``) and the anchors, both read from their decompositions."""
+    (``sols[0]``) and the anchors, both read from their decompositions; per
+    anchor a, also the straddle lemma, P(a - delta < X~ <= a + delta) against
+    one majorant 2 delta sup_p + d_K + 9 L delta^2 + 8 L^2 delta^4 with
+    L = max(alpha/mu, 1), and where the universal rows print the
+    intermediate bound straddle/2 + 75 delta."""
     der = dist.derived
     delta = der.delta
     universal = der.is_erlang_c and der.R >= 1.0
     dec = wasserstein_decomposition(dist, sols[0])
-    decs = [dec] + [kolmogorov_decomposition(dist, sol, d_k) for sol in sols[1:]]
+    decs = [dec] + [kolmogorov_decomposition(dist, sol) for sol in sols[1:]]
     # |E h(X~) - E h(Y)| against |E G_Y f_h(X~)| for each test function
     identity = []
     for sol, d in zip(sols, decs):
         name = f"generator_identity[{sol.h.kind}@{sol.h.parameter:+.3g}]"
         identity.append(Check.at_most(name, d.extras["generator_identity"], _IDENTITY_TOL))
+    load = max(der.alpha / der.mu, 1.0)
+    try:
+        majorant = 2.0 * delta * sup_p + d_k + 9.0 * load * delta**2 + 8.0 * load**2 * delta**4
+    except OverflowError:
+        majorant = np.inf
+    if not np.isfinite(majorant):
+        raise EvaluationRangeError(f"alpha/mu = {load:.6g}: the straddle majorant overflows")
     rows = [Check.at_most("wasserstein_lhs_le_total", dec.lhs, dec.total + _IDENTITY_TOL)]
     if universal:
         bound_w = _WASSERSTEIN_BOUND * delta  # the bound ``distance`` prints
         rows.append(Check.at_most("wasserstein_total_le_205delta", dec.total, bound_w))
         rows.append(Check.at_most("wasserstein_f2b_le_111", dec.extras["mean_abs_f2b"], 111.0))
     for sol, deck in zip(sols[1:], decs[1:]):
-        tag = f"[a={sol.h.parameter:+.3g}]"
-        extras = deck.extras
+        a = sol.h.parameter
+        tag = f"[a={a:+.3g}]"
+        straddle = dist.prob_interval(a - delta, a + delta)
         rows += [
             Check.at_most(f"kolmogorov_lhs_le_total{tag}", deck.lhs, deck.total + _IDENTITY_TOL),
             Check.at_most(
-                f"kolmogorov_straddle_majorant{tag}",
-                extras["straddle"],
-                extras["straddle_majorant"],
-                rtol=1e-12,
-                atol=1e-12,
+                f"kolmogorov_straddle_majorant{tag}", straddle, majorant, rtol=1e-12, atol=1e-12
             ),
         ]
         if universal:
-            rows.append(Check.at_most(f"kolmogorov_interm{tag}", deck.lhs, extras["interm_rhs"]))
+            interm = 0.5 * straddle + 75.0 * delta
+            rows.append(Check.at_most(f"kolmogorov_interm{tag}", deck.lhs, interm))
     return [("generator_identity", identity), ("decompositions", rows)]
 
 
@@ -194,23 +201,24 @@ def run_verify(params: ModelParams, tail_tol: float = 1e-14) -> dict:
 
     Returns ``{"suites": [(suite, [Check, ...]), ...], "all_passed": bool}``.
     Every suite reads one ``Scenario``: the pmf, the density, the identity
-    and the four anchor solutions are built once, and d_K is computed once
-    (d_W is not needed).  The gradient suites take one sample grid, and
-    each solution's decomposition one pass over the chain states.
+    and the four anchor solutions are built once, and d_K and the density
+    supremum are computed once (d_W is not needed).  The gradient suites
+    take one sample grid, and each solution's decomposition one pass over
+    the chain states.
     """
     s = Scenario(params, tail_tol, moment_order=2)
-    # built in this order up front, so a failing input names the same stage;
-    # the density under d_W's and d_K's range guard: a nan amplitude is typed
+    # built in this order up front, so a failing input names the same stage
     dist = s.dist
-    _in_range("the density's amplitude", lambda: s.density.left.log_amp)
     d, sol_id, anchor_sols, d_k = s.density, s.identity, s.anchors, s.d_k
     suites = [("moment_bounds", moment_bound_report(dist))]
     suites += gradient_bound_report(sol_id, anchor_sols)
+    # after the gradient suites, whose exp(zeta^2/2) range check comes first
+    sup_check = density_sup_check(d)
     suites += [
-        ("density_sup", [density_sup_check(d)]),
+        ("density_sup", [sup_check]),
         # anchor_sols[1] is the indicator at the drift kink -zeta
         ("stein_identity", _residual_rows(dist, sol_id, anchor_sols[1])),
-        *_expansion_suites(dist, [sol_id, *anchor_sols], d_k),
+        *_expansion_suites(dist, [sol_id, *anchor_sols], d_k, sup_check.observed),
     ]
     all_passed = all(c.satisfied is not False for _, checks in suites for c in checks)
     return {"suites": suites, "all_passed": all_passed}

@@ -14,8 +14,11 @@ integrands jump at the indicator anchor.  Each expansion is one term table
 that one builder sums over the exact pmf, with panel quadrature split at
 the drift kink and the anchor; one walk of the window per Poisson solution
 also gives the generator identity E h(X~) - E h(Y) = E G_Y f_h(X~).  No
-other code here walks the window: the states that walk keeps, P(X~ <= a)
-and the straddle are the chain's ``kept``, ``cdf`` and ``prob_interval``.
+other code here walks the window: the states that walk keeps and
+P(X~ <= a) are the chain's ``kept`` and ``cdf``.  The expansions only
+expand: the straddle lemma that bounds P(a - delta < X~ <= a + delta),
+and the bounds that compare the terms with the paper's constants, are
+rows of ``report``.
 """
 
 from __future__ import annotations
@@ -26,9 +29,8 @@ import numpy as np
 
 from . import _quad
 from .ctmc import DiscreteStationary, _exact_sum
-from .diffusion import density_sup_check
 from .model import drift
-from .poisson import EvaluationRangeError, PoissonSolution
+from .poisson import PoissonSolution
 
 __all__ = [
     "ErrorDecomposition",
@@ -177,7 +179,7 @@ def _weighted_f2_panels(
 
 
 def kolmogorov_decomposition(
-    dist: DiscreteStationary, sol: PoissonSolution, d_k: float
+    dist: DiscreteStationary, sol: PoissonSolution
 ) -> ErrorDecomposition:
     """Expansion bound for an indicator test function at anchor a.
 
@@ -185,11 +187,6 @@ def kolmogorov_decomposition(
     term2_eps1      lam E|eps1(X~)|
     term3_eps2      lam E|eps2(X~)|
     term4_drift_eps (1/delta) E|b(X~) eps2(X~)|
-
-    Also reads the straddle probability P(a - delta < X~ <= a + delta)
-    and evaluates its birth-death majorant from the pmf-maximizer argument,
-    which needs the Kolmogorov distance ``d_k`` between the chain and the
-    density of ``sol``.
     """
     if sol.h.kind != "indicator":
         raise ValueError("the Kolmogorov decomposition needs an indicator h")
@@ -205,26 +202,5 @@ def kolmogorov_decomposition(
         ("term3_eps2", dist.params.lam, [np.abs(eps2)]),
         ("term4_drift_eps", 1.0 / delta, [np.abs(b * eps2)]),
     ]
-    a = sol.h.parameter
-    straddle = dist.prob_interval(a - delta, a + delta)
-    omega = density_sup_check(sol.density).observed
-    load_factor = max(dist.derived.alpha / dist.derived.mu, 1.0)
-    try:
-        majorant = (
-            2.0 * delta * omega
-            + d_k
-            + 9.0 * load_factor * delta**2
-            + 8.0 * load_factor**2 * delta**4
-        )
-    except OverflowError:
-        majorant = np.inf
-    if not np.isfinite(majorant):
-        raise EvaluationRangeError(f"alpha/mu = {load_factor:.6g}: the straddle majorant overflows")
-    extras = {
-        "straddle": straddle,
-        "straddle_majorant": majorant,
-        "interm_rhs": 0.5 * straddle + 75.0 * delta,
-        "generator_identity": gap,
-    }
-    lhs = abs(dist.cdf(a) - sol.h_mean)
-    return _decomposition("kolmogorov", dist, p, lhs, table, extras)
+    lhs = abs(dist.cdf(sol.h.parameter) - sol.h_mean)
+    return _decomposition("kolmogorov", dist, p, lhs, table, {"generator_identity": gap})

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import oracles
-from erlangdiff import cli, ctmc, metrics, poisson, report
+from erlangdiff import cli, ctmc, diffusion, metrics, poisson, report
 from erlangdiff.ctmc import TruncationError, moment as chain_moment
 from erlangdiff.diffusion import DiffusionDensity
 from erlangdiff.model import Check, ModelParams
@@ -337,10 +337,11 @@ class TestExitCodes:
             # state, the mode, into a state of mass below 1e-32
             ("verify --lambda 0.5 --n 1 --alpha 1e33", "stein_identity f_linear: the residual"),
             ("verify --lambda 0.5 --n 1 --alpha 1e160", "stein_identity f_linear: the residual"),
-            # distances that came out nan: a right piece of variance 1e-300,
-            # and one whose mean overflows to -inf
+            # distances that came out nan: a right piece of variance 1e-300;
+            # and one whose mean overflows to -inf, so that the density's
+            # amplitude comes out nan, which build_density rejects
             ("distance --lambda 1e-08 --n 1 --alpha 1e300", "d_w, d_k past the double range"),
-            ("distance --lambda 1e-30 --n 1 --alpha 1e-300", "d_w, d_k past the double range"),
+            ("distance --lambda 1e-30 --n 1 --alpha 1e-300", "the density's amplitude past the"),
             ("sweep --regime qd --sizes 1e-8 --alpha-over-mu 1e300", "d_w, d_k past the double"),
         ],
     )
@@ -356,10 +357,10 @@ class TestExitCodes:
         "argv, message",
         [
             # the right piece's mean overflows to -inf, and its amplitude
-            # comes out nan: verify builds the density under a range guard
+            # comes out nan: build_density rejects it
             ("verify --lambda 1e-30 --n 1 --alpha 1e-300", "the density's amplitude past the double"),
+            ("distance --lambda 1e-30 --n 40 --alpha 1e-300", "the density's amplitude past the"),
             # the tail test's weight overflows, which fails the test silently
-            ("distance --lambda 1e-30 --n 40 --alpha 1e-300", "d_w, d_k past the double range"),
             ("distance --lambda 1e-08 --n 40 --alpha 1e-300", "stationary grid would exceed"),
             ("distance --lambda 0.5 --n 40 --alpha 1e-300", "stationary grid would exceed"),
             # |zeta| > 37.7 is rejected before the grid, far past the
@@ -527,3 +528,69 @@ class TestVerifyBuildsOnce:
         (dist,) = dists
         states = dist.x
         assert sum(x.size > 0 and np.isin(x, states).all() for x in points) == 5
+
+    def test_one_density_sup(self, monkeypatch):
+        # the density_sup suite and the straddle majorant read one
+        # supremum: the wrapper replaces every module's binding
+        calls = []
+        check = diffusion.density_sup_check
+
+        def counted(d):
+            calls.append(d)
+            return check(d)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("erlangdiff.") and hasattr(module, "density_sup_check"):
+                monkeypatch.setattr(module, "density_sup_check", counted)
+        report.run_verify(ModelParams(lam=12.0, mu=1.0, n=5, alpha=2.0))
+        assert len(calls) == 1
+
+
+def _census_points(seed: int, count: int = 30) -> list[list[str]]:
+    """--lambda/--n/--alpha of ``count`` seeded sets in the cheap regimes:
+    R log-uniform in [1e-6, 1e3], mu = 1; QED (beta in [-2, 3]),
+    efficiency-driven, quality-driven, light (n = R [3, 100] + 1) or one
+    server; alpha/mu = 0 with probability 0.4, else log-uniform in
+    [1e-4, 1e6].  An Erlang-A set with R (1 + mu/alpha) > 3e4 or an Erlang-C
+    set with n <= R is drawn again."""
+    rng = np.random.default_rng(seed)
+    points = []
+    while len(points) < count:
+        r = 10.0 ** rng.uniform(-6.0, 3.0)
+        staffing = rng.choice(["qed", "ed", "qd", "light", "one"])
+        if staffing == "qed":
+            n = math.ceil(r + rng.uniform(-2.0, 3.0) * math.sqrt(r))
+        elif staffing == "ed":
+            n = math.ceil(r * rng.uniform(0.5, 0.95))
+        elif staffing == "qd":
+            n = math.ceil(r * rng.uniform(1.1, 2.0))
+        elif staffing == "light":
+            n = math.ceil(r * rng.uniform(3.0, 100.0) + 1.0)
+        else:
+            n = 1
+        n = max(n, 1)
+        ratio = 0.0 if rng.random() < 0.4 else 10.0 ** rng.uniform(-4.0, 6.0)
+        if (ratio == 0.0 and n <= r) or (ratio > 0.0 and r * (1.0 + 1.0 / ratio) > 3e4):
+            continue
+        points.append(["--lambda", repr(r), "--n", str(n), "--alpha", repr(ratio)])
+    return points
+
+
+class TestCensus:
+    # every call answers (exit 0 or 2) or fails with one typed error line
+    # (exit 1); a RuntimeWarning is an error in this process, so no call
+    # warns either
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_cheap_regimes_answer_or_fail_typed(self, capsys, seed):
+        for point in _census_points(seed):
+            for command in ("distance", "verify"):
+                code = cli.main([command, *point, "--format", "json"])
+                captured = capsys.readouterr()
+                assert code in (0, 1, 2), (command, point)
+                if code == 1:
+                    assert captured.out == "", (command, point)
+                    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+                elif command == "distance":
+                    (row,) = json.loads(captured.out)["rows"]
+                    values = [row["d_w"], row["d_k"], row["mean_error"]]
+                    assert all(math.isfinite(v) for v in values), (point, values)

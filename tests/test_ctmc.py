@@ -679,9 +679,9 @@ def _one_array_residual(dist, f):
 
 class TestWalkReads:
     # the Stein-identity residual, cdf and prob_interval walk the window
-    # ctmc._BLOCK states at a time, and the Kolmogorov decomposition reads
-    # P(X <= a) and the straddle through cdf and prob_interval; with a
-    # small odd block, block seams fall all over the window, which one
+    # ctmc._BLOCK states at a time, the Kolmogorov decomposition reads
+    # P(X <= a) through cdf, and verify the straddle through prob_interval;
+    # with a small odd block, block seams fall all over the window, which one
     # block of 2^30 covers whole
     @settings(max_examples=15, deadline=None)
     @given(
@@ -704,7 +704,6 @@ class TestWalkReads:
         # points between the states and outside the window, and states themselves
         on = np.clip(np.round(u * (x.size - 1)), 0, x.size - 1).astype(int)
         t = np.concatenate((x[0] + u * (x[-1] - x[0]), x[on]))
-        d_k = metrics.kolmogorov_distance(dist, d)
         fs = [lambda x: x, lambda x: np.asarray(x) ** 2, ident.antiderivative, kink.antiderivative]
         want = [_one_array_residual(dist, f).hex() for f in fs]
 
@@ -712,10 +711,9 @@ class TestWalkReads:
             # a Poisson solution's antiderivative is carried across the blocks
             got = [stein_identity_residual(dist, f).residual for f in fs[:2] + [ident, kink]]
             assert [v.hex() for v in got] == want
-            dec = kolmogorov_decomposition(dist, kink, d_k)
-            lhs, straddle = dec.lhs, dec.extras["straddle"]
+            lhs = kolmogorov_decomposition(dist, kink).lhs
+            straddle = dist.prob_interval(a - delta, a + delta)
             assert lhs.hex() == abs(dist.cdf(a) - kink.h_mean).hex()
-            assert straddle.hex() == dist.prob_interval(a - delta, a + delta).hex()
             values = [row.observed for row in report._residual_rows(dist, ident, kink)]
             values += [*dist.cdf(t).tolist(), dist.prob_interval(t.min(), t.max())]
             # the cell edges and levels of the one running CDF, and cdf there

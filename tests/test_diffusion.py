@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from erlangdiff.diffusion import (
     moment,
     zeta_scaling_limit,
 )
-from erlangdiff.model import DerivedQuantities, ModelParams, derive, drift
+from erlangdiff.model import DerivedQuantities, EvaluationRangeError, ModelParams, derive, drift
 
 REGIME_EXAMPLES = {
     "erlangC": ModelParams(lam=4.0, mu=1.0, n=5, alpha=0.0),
@@ -76,6 +77,16 @@ class TestBuild:
         )
         with pytest.raises(ValueError):
             build_density(broken)
+
+    @pytest.mark.parametrize("n", [1, 40])
+    def test_nan_amplitude_is_a_typed_error(self, n):
+        # the right piece's mean (mu/alpha - 1) zeta overflows to -inf, so
+        # the amplitude comes out nan: a typed error, with no RuntimeWarning
+        der = derive(ModelParams(lam=1e-30, mu=1.0, n=n, alpha=1e-300))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EvaluationRangeError, match="the density's amplitude past the"):
+                build_density(der)
 
     def test_regime_continuity_at_critical_load(self):
         # both branch formulas coincide when R = n

@@ -82,6 +82,15 @@ def test_layers_import_only_lower_layers():
     assert not upward
 
 
+def test_the_expansions_only_expand():
+    # the straddle lemma's majorant, which needs the density supremum and
+    # its range error, is built in report; the expansions read no density law
+    package = Path(erlangdiff.__file__).parent
+    imports = [name for _, name in _package_imports(package / "stein_verify.py")]
+    assert "erlangdiff.diffusion" not in imports
+    assert "EvaluationRangeError" not in (package / "stein_verify.py").read_text()
+
+
 def test_only_the_window_owners_walk_it():
     # the window is read through DiscreteStationary; past ctmc, only the
     # decompositions' kept-state pass walks it (the distances read cells)

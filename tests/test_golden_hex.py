@@ -158,7 +158,7 @@ def decomposition_record(case: tuple) -> list[str]:
     lam, mu, n, alpha, tail_tol = case
     s = Scenario(ModelParams(lam=lam, mu=mu, n=n, alpha=alpha), tail_tol, moment_order=2)
     decs = [wasserstein_decomposition(s.dist, s.identity)]
-    decs += [kolmogorov_decomposition(s.dist, sol, s.d_k) for sol in s.anchors]
+    decs += [kolmogorov_decomposition(s.dist, sol) for sol in s.anchors]
     fields = [
         (i, dec, [*dec.terms.items(), ("total", dec.total), ("lhs", dec.lhs), *dec.extras.items()])
         for i, dec in enumerate(decs)

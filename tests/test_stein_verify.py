@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 from conftest import SPOT_SETS, density_for, pmf_for, small_window_params, window_states
 from erlangdiff import _quad, ctmc
 from erlangdiff.ctmc import DiscreteStationary, _exact_sum
-from erlangdiff.metrics import Scenario, kolmogorov_distance
-from erlangdiff.model import Check, ModelParams, departure_rate, drift
-from erlangdiff.poisson import EvaluationRangeError, PoissonSolution, TestFunction, build_solution
-from erlangdiff.report import run_verify
+from erlangdiff.diffusion import density_sup_check
+from erlangdiff.metrics import Scenario
+from erlangdiff.model import EvaluationRangeError, ModelParams, departure_rate, drift
+from erlangdiff.poisson import PoissonSolution, TestFunction, build_solution
+from erlangdiff.report import _expansion_suites, run_verify
 from erlangdiff.stein_verify import (
     ErrorDecomposition,
     _panel_abs_f3,
@@ -23,14 +24,6 @@ from erlangdiff.stein_verify import (
 )
 
 C_HEAVY = ModelParams(lam=4.9, mu=1.0, n=5, alpha=0.0)
-
-
-def _straddle_row(dec):
-    # the verify row's verdict, with its slack
-    extras = dec.extras
-    return Check.at_most(
-        "straddle", extras["straddle"], extras["straddle_majorant"], rtol=1e-12, atol=1e-12
-    )
 
 
 class TestWassersteinDecomposition:
@@ -138,7 +131,6 @@ class TestChunks:
         kink = build_solution(d, TestFunction.indicator(-dist.derived.zeta))
         x, delta = dist.x[dist.kept], dist.derived.delta
         lo, hi = np.concatenate(([x[0] - delta], x)), np.concatenate((x, [x[-1] + delta]))
-        d_k = kolmogorov_distance(dist, d)
 
         def run():
             return _bits(
@@ -149,7 +141,7 @@ class TestChunks:
                     ident.antiderivative(dist.x),
                     kink.antiderivative(dist.x),
                     wasserstein_decomposition(dist, ident),
-                    kolmogorov_decomposition(dist, kink, d_k),
+                    kolmogorov_decomposition(dist, kink),
                 ]
             )
 
@@ -170,11 +162,10 @@ class TestMemory:
         # matrices over the whole window take about 1.3 kB per active state
         s = Scenario(ModelParams(lam=99.9, mu=1.0, n=100, alpha=0.0), 1e-12)
         dist, ident, kink = s.dist, s.identity, s.anchors[1]
-        d_k = s.d_k
         tracemalloc.start()
         try:
             wasserstein_decomposition(dist, ident)
-            kolmogorov_decomposition(dist, kink, d_k)
+            kolmogorov_decomposition(dist, kink)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -218,11 +209,11 @@ class TestKolmogorovDecomposition:
         d = density_for(C_HEAVY)
         a = -dist.derived.zeta
         sol = build_solution(d, TestFunction.indicator(a))
-        dec = kolmogorov_decomposition(dist, sol, kolmogorov_distance(dist, d))
+        dec = kolmogorov_decomposition(dist, sol)
         delta = dist.derived.delta
-        assert dec.lhs <= 0.5 * dec.extras["straddle"] + 75.0 * delta
-        assert _straddle_row(dec).satisfied
+        assert dec.lhs <= 0.5 * dist.prob_interval(a - delta, a + delta) + 75.0 * delta
         assert dec.lhs <= dec.total + 1e-8
+        assert set(dec.extras) == {"generator_identity"}
 
     def test_far_tail_anchor_vanishes(self):
         # |zeta| = 2 here, so the tail truly carries no mass at -zeta + 40
@@ -231,7 +222,7 @@ class TestKolmogorovDecomposition:
         d = density_for(params)
         a = -dist.derived.zeta + 40.0
         sol = build_solution(d, TestFunction.indicator(a))
-        dec = kolmogorov_decomposition(dist, sol, kolmogorov_distance(dist, d))
+        dec = kolmogorov_decomposition(dist, sol)
         assert all(abs(v) < 1e-12 for v in dec.terms.values())
 
     @pytest.mark.parametrize("pars", SPOT_SETS)
@@ -239,25 +230,50 @@ class TestKolmogorovDecomposition:
         params = ModelParams(*pars)
         dist = pmf_for(params, 1e-14)
         d = density_for(params)
-        d_k = kolmogorov_distance(dist, d)
-        for a in (-params.n * 0.0 - dist.derived.zeta, 0.0):
-            dec = kolmogorov_decomposition(dist, build_solution(d, TestFunction.indicator(a)), d_k)
+        for a in (-dist.derived.zeta, 0.0):
+            dec = kolmogorov_decomposition(dist, build_solution(d, TestFunction.indicator(a)))
             assert dec.lhs <= dec.total + 1e-8
-            assert _straddle_row(dec).satisfied
 
     def test_rejects_lipschitz(self):
         dist = pmf_for(C_HEAVY, 1e-14)
         sol = build_solution(density_for(C_HEAVY), TestFunction.identity())
         with pytest.raises(ValueError):
-            kolmogorov_decomposition(dist, sol, 0.0)
+            kolmogorov_decomposition(dist, sol)
+
+
+class TestStraddleRows:
+    # the straddle lemma: verify's rows hold the chain's
+    # P(a - delta < X~ <= a + delta) at each anchor a against one majorant
+    # per scenario, 2 delta sup p_Y + d_K + 9 L delta^2 + 8 L^2 delta^4 with
+    # L = max(alpha/mu, 1)
+    @pytest.mark.parametrize("pars", SPOT_SETS)
+    def test_one_majorant_per_scenario(self, pars):
+        s = Scenario(ModelParams(*pars), moment_order=2)
+        dist, der = s.dist, s.dist.derived
+        delta, load = der.delta, max(der.alpha / der.mu, 1.0)
+        sup_p = density_sup_check(s.density).observed
+        majorant = 2.0 * delta * sup_p + s.d_k + 9.0 * load * delta**2 + 8.0 * load**2 * delta**4
+        rows = [
+            c
+            for _, checks in run_verify(ModelParams(*pars))["suites"]
+            for c in checks
+            if c.name.startswith("kolmogorov_straddle_majorant")
+        ]
+        # one row per anchor, in anchor order (at zeta = -1 two anchors coincide)
+        assert len(rows) == len(s.anchors) == 4
+        assert {c.bound for c in rows} == {majorant}
+        for sol, row in zip(s.anchors, rows):
+            a = sol.h.parameter
+            assert row.name == f"kolmogorov_straddle_majorant[a={a:+.3g}]"
+            assert row.observed == dist.prob_interval(a - delta, a + delta)
+            assert row.satisfied
 
     def test_majorant_past_the_double_range(self):
         # alpha/mu = 1e160: the majorant's 8 (alpha/mu)^2 delta^4 overflows a double
-        params = ModelParams(lam=0.5, mu=1.0, n=1, alpha=1e160)
-        dist = pmf_for(params, 1e-14)
-        sol = build_solution(density_for(params), TestFunction.indicator(0.0))
-        with pytest.raises(EvaluationRangeError, match="straddle majorant overflows"):
-            kolmogorov_decomposition(dist, sol, 0.0)
+        s = Scenario(ModelParams(lam=0.5, mu=1.0, n=1, alpha=1e160), moment_order=2)
+        sup_p = density_sup_check(s.density).observed
+        with pytest.raises(EvaluationRangeError, match="1e.160: the straddle majorant overflows"):
+            _expansion_suites(s.dist, [s.identity, *s.anchors], 0.0, sup_p)
 
 
 def _assert_expansion(dist, sol, atol):

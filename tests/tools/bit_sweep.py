@@ -11,8 +11,10 @@ tree and then of the other, in this process: the package is imported
 from one tree, run, dropped from ``sys.modules`` and imported from the
 other.  Each command's stdout, stderr, exit code (or ``SystemExit`` code)
 and the warnings it raised (category and message, without the file and
-line) are hashed with sha256; the script lists every command whose
-digests differ and exits 1 if any does.  Each command has a fixed budget
+line) are kept; the script lists every command whose outcomes differ,
+names the fields that differ and shows, for each tree, its exit code, the
+first line of its stderr and its first stdout line that differs from the
+other's, and exits 1 if any command differs.  Each command has a fixed budget
 of ``BUDGET_S`` seconds (``signal.alarm``, so POSIX only): one that runs
 past it records the outcome ``timeout`` and the sweep goes on.  The
 stream covers light load (delta past 100, the survival form), Erlang-C
@@ -43,7 +45,6 @@ from __future__ import annotations
 import argparse
 import collections
 import contextlib
-import hashlib
 import importlib
 import io
 import math
@@ -219,9 +220,12 @@ def _alarm(signum, frame):
     raise _Timeout
 
 
-def digests(src: str, argvs: list[list[str]]) -> list[str]:
-    """sha256 of (stdout, stderr, exit code, warnings) of each command, run
-    through the ``erlangdiff`` package found in ``src``."""
+FIELDS = ("stdout", "stderr", "code", "warnings")
+
+
+def outcomes(src: str, argvs: list[list[str]]) -> list[tuple]:
+    """(stdout, stderr, exit code, warnings) of each command, in ``FIELDS``
+    order, run through the ``erlangdiff`` package found in ``src``."""
     for name in [m for m in sys.modules if m.split(".")[0] == "erlangdiff"]:
         del sys.modules[name]
     sys.path.insert(0, src)
@@ -248,10 +252,32 @@ def digests(src: str, argvs: list[list[str]]) -> list[str]:
                     code = f"raised {type(exc).__name__}: {exc}"
                 finally:
                     signal.alarm(0)
-        seen = [f"{w.category.__name__}: {w.message}" for w in caught]
-        text = "\0".join([stdout.getvalue(), stderr.getvalue(), code, *seen])
-        out.append(hashlib.sha256(text.encode()).hexdigest())
+        seen = tuple(f"{w.category.__name__}: {w.message}" for w in caught)
+        out.append((stdout.getvalue(), stderr.getvalue(), code, seen))
     return out
+
+
+def _first_line(text: str) -> str:
+    return text.splitlines()[0] if text else "(empty)"
+
+
+def explain(parent: tuple, change: tuple) -> list[str]:
+    """What differs between two outcomes of one command: the fields, each
+    tree's exit code and first stderr line, and the first stdout line
+    where the two differ, from each side."""
+    fields = [name for name, a, b in zip(FIELDS, parent, change) if a != b]
+    lines = [f"  fields: {', '.join(fields)}"]
+    for side, (_, err, code, _) in (("parent", parent), ("change", change)):
+        lines.append(f"  {side}: code {code}; stderr {_first_line(err)}")
+    if "stdout" in fields:
+        a, b = parent[0].splitlines(), change[0].splitlines()
+        i = next((i for i, (u, v) in enumerate(zip(a, b)) if u != v), min(len(a), len(b)))
+        for side, out in (("parent", a), ("change", b)):
+            lines.append(f"  {side} stdout line {i + 1}: {out[i] if i < len(out) else '(none)'}")
+    if "warnings" in fields:
+        for side, seen in (("parent", parent[3]), ("change", change[3])):
+            lines.append(f"  {side} warnings: {'; '.join(seen) or '(none)'}")
+    return lines
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -264,11 +290,12 @@ def main(argv: list[str] | None = None) -> int:
     sides = []
     for src in (args.parent_src, args.change_src):
         start = time.perf_counter()
-        sides.append(digests(src, argvs))
+        sides.append(outcomes(src, argvs))
         print(f"{src}: {len(argvs)} commands in {time.perf_counter() - start:.1f} s")
-    differ = [argv for argv, a, b in zip(argvs, *sides) if a != b]
-    for argv in differ:
+    differ = [(argv, a, b) for argv, a, b in zip(argvs, *sides) if a != b]
+    for argv, a, b in differ:
         print("differs:", " ".join(argv))
+        print(*explain(a, b), sep="\n")
     kinds = dict(collections.Counter(argv[0] for argv in argvs))
     print(f"seed {args.seed}: {kinds}, {len(differ)} of {len(argvs)} differ")
     return 1 if differ else 0
