@@ -20,6 +20,7 @@ tenth moments near critical load span thirty orders of magnitude.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import Callable, NamedTuple, Sequence
@@ -155,21 +156,7 @@ _WINDOW_CUT = math.log(1e-32)
 def _mode(derived: DerivedQuantities) -> int:
     """Largest k with d(k) <= lam, where the weights peak; TruncationError past the state cap."""
     above = lambda k: departure_rate(derived.params, k) > derived.params.lam  # noqa: E731
-    return _capped(_first_true(above, 0, _STATE_CAP + 2) - 1)  # bisection on the nondecreasing d
-
-
-def _first_true(pred: Callable[[int], bool], lo: int, hi: int) -> int:
-    """Smallest k in [lo, hi] with pred(k), for pred monotone on [lo, hi].
-
-    pred(hi) is taken as true without being evaluated.
-    """
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if pred(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    return _capped(bisect_left(range(_STATE_CAP + 2), True, key=above) - 1)  # d nondecreasing
 
 
 def _geometric_majorant(p: float, ratio: float, a: float, m: int, delta: float) -> float:
@@ -311,7 +298,8 @@ class DiscreteStationary:
         """The number of window states with x <= t, by bisection on
         x_k = delta*(k - x_inf), rounded as the walk rounds it."""
         der, k_min = self.derived, self.k_min
-        return _first_true(lambda k: (k - der.x_inf) * der.delta > t, k_min, self.k_top + 1) - k_min
+        right = lambda k: (k - der.x_inf) * der.delta > t  # noqa: E731
+        return bisect_left(range(self.k_top + 1), True, k_min, key=right) - k_min
 
     def cells(self, stop: int | None = None):
         """(i, x, c) of each walk block from window position i up to stop:
@@ -372,30 +360,40 @@ class DiscreteStationary:
         return bound
 
 
-def _min_useful_k_hi(params: ModelParams, tail_tol: float, ell_mode: float) -> float:
-    """A lower bound on every Erlang-C k_hi that can pass the tail test.
+def _doomed(
+    params: ModelParams, k_min: int, k_mode: int, ell_mode: float, k_hi: int, q: float, tol: float
+) -> bool:
+    """Whether the tail test at k_hi fails for every window, so none is built.
 
-    The weights fall by q = R/n per state above n, and the window
-    normalizer is at most n mode weights plus nu_n/(1 - q), so a k_hi >= n
-    passes the tail test only ``steps`` states or more past n.  Below n the
-    weights fall more slowly than that, so the bound says nothing there
-    unless even k_hi = n fails: then every k_hi in [mode, n) has a larger
-    weight and ratio, hence a larger tail, and fails too (below the mode
-    q >= 1).  A bound that rules out nothing is -inf.  It is shaded down by
-    0.1% and one state, so rounding never rules out a k_hi that could
-    succeed.
+    Death rates are nondecreasing, so the log weights are concave and peak
+    at the mode: a closed-form weight above the mode's comes only from the
+    terms the closed form cancels (ROADMAP item 1), and no window up to it
+    is trusted.  Otherwise, in mode units, every window normalizer is at
+    most Z = (k* - k_min + 1) + w(k*) r/(1 - r), with k* = max(n, mode) and
+    r = lam/d(k* + 1) < 1: no weight tops the mode's, and past k* each falls
+    by r or more.  So the test fails where w(k_hi)/Z q/(1 - q) exceeds tol
+    by more than a slack that grows with the cancelled terms; where r
+    rounds to 1, q to 0 or the slack leaves the double range, no k_hi is.
     """
     n = params.n
-    q = params.offered_load / n
-    log_q = math.log(q)
-    log_1mq = math.log((n - params.offered_load) / n)
-    log_wn = _log_weight(params, n) - ell_mode
-    log_z = float(np.logaddexp(math.log(n), log_wn - log_1mq))
-    excess = math.log(tail_tol) + log_z + log_1mq - log_q - log_wn
-    steps = excess / log_q
-    if steps <= 1.0:
-        return -math.inf
-    return n + 0.999 * steps - 1.0
+    ell_hi = _log_weight(params, k_hi) - ell_mode
+    if ell_hi > 0.0:
+        return True
+    k_star = max(n, k_mode)
+    big = max(k_hi, k_star) + 1.0
+    try:
+        # k log R, k log q and the log-gammas: the terms the closed form cancels
+        erlang_c = params.is_erlang_c
+        log_d = math.log(n) if erlang_c else abs(math.log(params.alpha / params.mu))
+        base = 0.0 if erlang_c else n * params.mu / params.alpha
+        cancelled = big * (2.0 * abs(math.log(params.offered_load)) + log_d)
+        slack = 256.0 * np.finfo(float).eps * (cancelled + 3.0 * math.lgamma(big + base)) + 1e-12
+        r = params.lam / departure_rate(params, k_star + 1)
+        ell_star = _log_weight(params, k_star) - ell_mode
+        log_z = np.logaddexp(math.log(k_star - k_min + 1), ell_star + math.log(r / (1.0 - r)))
+        return ell_hi - log_z + math.log(q / (1.0 - q)) - slack > math.log(tol)
+    except (ArithmeticError, ValueError):
+        return False
 
 
 def stationary_pmf(
@@ -412,7 +410,10 @@ def stationary_pmf(
     is near critical.  The truncation index k_max is chosen on the full grid
     0..k_max, but only the window of states that carry mass is summed,
     block by block (see ``DiscreteStationary``); the window edges are found
-    by bisection on the concave closed-form log weight.
+    by bisection on the concave closed-form log weight.  k_max is the first
+    k_hi of a doubling whose window passes the tail test; one rule for both
+    models (``_doomed``) passes over, unbuilt, each k_hi whose test must
+    fail, so weights that rise past the mode meet the state cap at once.
     """
     if not 0.0 < tail_tol < 1.0:
         raise ValueError("tail_tol must be in (0, 1)")
@@ -421,28 +422,23 @@ def stationary_pmf(
     k_mode = _mode(derived)
     ell_mode = _log_weight(params, k_mode)
     floor = ell_mode + _WINDOW_CUT
-    k_min = _first_true(lambda k: _log_weight(params, k) >= floor, 0, k_mode)
-    # no Erlang-C k_hi below this bound passes the tail test: start the
-    # doubling at the first one that can, and past the state cap, fail now
-    # (Erlang-A's q test below skips its hopeless k_hi as cheaply)
-    if params.is_erlang_c:
-        k_need = _min_useful_k_hi(params, tail_tol, ell_mode)
-        while k_hi < k_need and k_hi <= _STATE_CAP:
-            k_hi = 2 * k_hi + 64
+    heavy = lambda k: _log_weight(params, k) >= floor  # noqa: E731
+    k_min = bisect_left(range(k_mode), True, key=heavy)
     while True:
         q = params.lam / departure_rate(params, _capped(k_hi) + 1)
         # Erlang-A keeps shrinking q; insist on q <= 1/2 there so the
         # geometric majorant is comfortably certified.
         q_ok = q < 1.0 if params.is_erlang_c else q <= 0.5
-        if q_ok:
+        if q_ok and not _doomed(params, k_min, k_mode, ell_mode, k_hi, q, tail_tol):
             dist = _truncated_pmf(derived, k_min, floor, k_hi, q, tail_tol)
             if dist is not None and moment_order:
                 dist = _with_certified_moments(dist, moment_order)
             if dist is True:
                 # states the window cut off spoil a moment, so no k_hi can
-                # mend it: cut 1e-32 deeper and try this k_hi again
+                # mend it: cut 1e-32 deeper (``heavy`` reads the new floor)
+                # and try this k_hi again
                 floor += _WINDOW_CUT
-                k_min = _first_true(lambda k: _log_weight(params, k) >= floor, 0, k_mode)
+                k_min = bisect_left(range(k_mode), True, key=heavy)
                 continue
             if dist is not None:
                 return dist
@@ -476,7 +472,8 @@ def _truncated_pmf(
     form, against the window's normalizer.
     """
     params = derived.params
-    k_top = _first_true(lambda k: _log_weight(params, k) < floor, k_min, k_hi + 1) - 1
+    light = lambda k: _log_weight(params, k) < floor  # noqa: E731
+    k_top = bisect_left(range(k_hi + 1), True, k_min, key=light) - 1
     # past n an Erlang-C log weight is c + (k - n) log q with log q < 0, and
     # rounding keeps that nonincreasing in k, so its maximum lies at or below n
     k_peak = min(k_top, params.n) if params.is_erlang_c else k_top

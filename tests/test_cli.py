@@ -13,6 +13,7 @@ from erlangdiff import cli, ctmc, diffusion, metrics, poisson, report
 from erlangdiff.ctmc import TruncationError, moment as chain_moment
 from erlangdiff.diffusion import DiffusionDensity
 from erlangdiff.model import Check, ModelParams
+from tools.census import census_points
 
 
 def run_cli(args, tmp_path, name="out.txt"):
@@ -338,10 +339,10 @@ class TestExitCodes:
             ("verify --lambda 0.5 --n 1 --alpha 1e33", "stein_identity f_linear: the residual"),
             ("verify --lambda 0.5 --n 1 --alpha 1e160", "stein_identity f_linear: the residual"),
             # distances that came out nan: a right piece of variance 1e-300;
-            # and one whose mean overflows to -inf, so that the density's
-            # amplitude comes out nan, which build_density rejects
+            # and a chain whose closed-form weights rise past the mode, so
+            # that no window is built before the state cap
             ("distance --lambda 1e-08 --n 1 --alpha 1e300", "d_w, d_k past the double range"),
-            ("distance --lambda 1e-30 --n 1 --alpha 1e-300", "the density's amplitude past the"),
+            ("distance --lambda 1e-30 --n 1 --alpha 1e-300", "stationary grid would exceed"),
             ("sweep --regime qd --sizes 1e-8 --alpha-over-mu 1e300", "d_w, d_k past the double"),
         ],
     )
@@ -356,11 +357,12 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            # the right piece's mean overflows to -inf, and its amplitude
-            # comes out nan: build_density rejects it
-            ("verify --lambda 1e-30 --n 1 --alpha 1e-300", "the density's amplitude past the double"),
-            ("distance --lambda 1e-30 --n 40 --alpha 1e-300", "the density's amplitude past the"),
-            # the tail test's weight overflows, which fails the test silently
+            # the closed-form weights rise past the mode, so no window is
+            # built before the state cap: at lambda = 1e-30 they once gave a
+            # point mass, whose density's amplitude came out nan, and the
+            # other two once walked every window up to the cap
+            ("verify --lambda 1e-30 --n 1 --alpha 1e-300", "stationary grid would exceed"),
+            ("distance --lambda 1e-30 --n 40 --alpha 1e-300", "stationary grid would exceed"),
             ("distance --lambda 1e-08 --n 40 --alpha 1e-300", "stationary grid would exceed"),
             ("distance --lambda 0.5 --n 40 --alpha 1e-300", "stationary grid would exceed"),
             # |zeta| > 37.7 is rejected before the grid, far past the
@@ -546,43 +548,13 @@ class TestVerifyBuildsOnce:
         assert len(calls) == 1
 
 
-def _census_points(seed: int, count: int = 30) -> list[list[str]]:
-    """--lambda/--n/--alpha of ``count`` seeded sets in the cheap regimes:
-    R log-uniform in [1e-6, 1e3], mu = 1; QED (beta in [-2, 3]),
-    efficiency-driven, quality-driven, light (n = R [3, 100] + 1) or one
-    server; alpha/mu = 0 with probability 0.4, else log-uniform in
-    [1e-4, 1e6].  An Erlang-A set with R (1 + mu/alpha) > 3e4 or an Erlang-C
-    set with n <= R is drawn again."""
-    rng = np.random.default_rng(seed)
-    points = []
-    while len(points) < count:
-        r = 10.0 ** rng.uniform(-6.0, 3.0)
-        staffing = rng.choice(["qed", "ed", "qd", "light", "one"])
-        if staffing == "qed":
-            n = math.ceil(r + rng.uniform(-2.0, 3.0) * math.sqrt(r))
-        elif staffing == "ed":
-            n = math.ceil(r * rng.uniform(0.5, 0.95))
-        elif staffing == "qd":
-            n = math.ceil(r * rng.uniform(1.1, 2.0))
-        elif staffing == "light":
-            n = math.ceil(r * rng.uniform(3.0, 100.0) + 1.0)
-        else:
-            n = 1
-        n = max(n, 1)
-        ratio = 0.0 if rng.random() < 0.4 else 10.0 ** rng.uniform(-4.0, 6.0)
-        if (ratio == 0.0 and n <= r) or (ratio > 0.0 and r * (1.0 + 1.0 / ratio) > 3e4):
-            continue
-        points.append(["--lambda", repr(r), "--n", str(n), "--alpha", repr(ratio)])
-    return points
-
-
 class TestCensus:
     # every call answers (exit 0 or 2) or fails with one typed error line
     # (exit 1); a RuntimeWarning is an error in this process, so no call
     # warns either
     @pytest.mark.parametrize("seed", [1, 2])
     def test_cheap_regimes_answer_or_fail_typed(self, capsys, seed):
-        for point in _census_points(seed):
+        for point in census_points(seed):
             for command in ("distance", "verify"):
                 code = cli.main([command, *point, "--format", "json"])
                 captured = capsys.readouterr()

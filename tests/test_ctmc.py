@@ -230,10 +230,9 @@ class TestWindow:
         monkeypatch.setattr(ctmc, "_STATE_CAP", k_max)
         assert stationary_pmf(params, 1e-12).k_max == k_max
 
-    def test_doubling_starts_at_the_first_useful_k_hi(self, monkeypatch):
-        # no k_hi below _min_useful_k_hi passes the tail test, so no window
-        # is built for one; the first k_hi that passes stays the same
-        params = ModelParams(lam=4.999, mu=1.0, n=5, alpha=0.0)
+    @staticmethod
+    def _walked(monkeypatch) -> list[int]:
+        """The k_hi of every window ``stationary_pmf`` builds from now on."""
         tries = []
         truncated_pmf = ctmc._truncated_pmf
 
@@ -242,11 +241,43 @@ class TestWindow:
             return truncated_pmf(derived, k_min, floor, k_hi, q, tail_tol)
 
         monkeypatch.setattr(ctmc, "_truncated_pmf", recorded)
-        dist = stationary_pmf(params, 1e-14)
-        ell_mode = ctmc._log_weight(params, _mode(dist.derived))
-        k_need = ctmc._min_useful_k_hi(params, 1e-14, ell_mode)
+        return tries
+
+    def test_doubling_starts_at_the_first_useful_k_hi(self, monkeypatch):
+        # every k_hi before the first that passes the tail test fails it
+        # against the largest normalizer any window can have: no window is
+        # built for one
+        tries = self._walked(monkeypatch)
+        dist = stationary_pmf(ModelParams(lam=4.999, mu=1.0, n=5, alpha=0.0), 1e-14)
         assert dist.k_max == 317_376
-        assert tries and all(k_hi >= k_need for k_hi in tries)
+        assert tries == [317_376]
+
+    def test_normalizer_bound_starts_at_the_window_head(self, monkeypatch):
+        # Z counts the states from k_min, not from 0: k_hi = 158,208 fails
+        # against it and is skipped, where n mode weights would not rule it out
+        tries = self._walked(monkeypatch)
+        params = ModelParams(lam=37132.47339856808, mu=1.0, n=37142, alpha=0.0)
+        dist = stationary_pmf(params, moment_order=1)
+        assert dist.k_max == 316_480
+        assert tries == [316_480]
+
+    @pytest.mark.parametrize("n", [1, 40])
+    def test_weights_above_the_mode_are_not_a_window(self, n):
+        # at alpha = 1e-300 gammaln(queue + base + 1) - gammaln(base + 1)
+        # cancels to 0, so the closed-form weights rise by lam/alpha a state
+        # past n: they once made a point mass at k_hi, far from the true
+        # chain's mass at k = 0
+        with pytest.raises(TruncationError, match="stationary grid would exceed"):
+            stationary_pmf(ModelParams(lam=1e-30, mu=1.0, n=n, alpha=1e-300))
+
+    @pytest.mark.parametrize("lam", [0.5, 1e-8])
+    def test_rising_weights_reach_the_cap_without_a_window(self, monkeypatch, lam):
+        # the doubling once built all 20 windows up to the state cap
+        tries = self._walked(monkeypatch)
+        start = time.perf_counter()
+        with pytest.raises(TruncationError, match="stationary grid would exceed"):
+            stationary_pmf(ModelParams(lam=lam, mu=1.0, n=40, alpha=1e-300))
+        assert tries == [] and time.perf_counter() - start < 0.5
 
     def test_fail_fast_at_light_load_and_large_n(self):
         # the tail test passes well below n = 1e8 here, so the geometric

@@ -11,16 +11,25 @@ import pytest
 import oracles
 from erlangdiff import report
 from erlangdiff.ctmc import moment as chain_moment
+from erlangdiff.ctmc import stationary_pmf
 from erlangdiff.diffusion import density_sup_check
 from erlangdiff.diffusion import moment as diff_moment
 from erlangdiff.metrics import Scenario, mean_error
 from erlangdiff.model import ModelParams
 
 
-def test_alpha_equal_to_mu_does_not_depend_on_n():
-    first = Scenario(ModelParams(lam=12.0, mu=1.0, n=1, alpha=1.0))
-    for n in range(1, 201):
-        s = Scenario(ModelParams(lam=12.0, mu=1.0, n=n, alpha=1.0), moment_order=2)
+@pytest.mark.parametrize(
+    "lam, ns",
+    [(1e-3, (1, 2, 5)), (0.1, (1, 2, 5)), (12.0, range(1, 201))],
+    ids=["lam1e-3", "lam0.1", "lam12"],
+)
+def test_alpha_equal_to_mu_does_not_depend_on_n(lam, ns):
+    first = Scenario(ModelParams(lam=lam, mu=1.0, n=1, alpha=1.0))
+    # the Poisson(R) chain's third and fourth scaled central moments
+    higher = ((3, lam**-0.5, 0.0), (4, 3.0 + 1.0 / lam, 3.0))
+    for n in ns:
+        params = ModelParams(lam=lam, mu=1.0, n=n, alpha=1.0)
+        s = Scenario(params, moment_order=2)
         dist, d = s.dist, s.density
         assert s.d_w == pytest.approx(first.d_w, rel=0.0, abs=5e-14)
         assert s.d_k == pytest.approx(first.d_k, rel=0.0, abs=5e-14)
@@ -30,6 +39,10 @@ def test_alpha_equal_to_mu_does_not_depend_on_n():
         for m, want in enumerate(oracles.MMINF_MOMENTS, start=1):
             assert chain_moment(dist, m, absolute=False) == pytest.approx(want, abs=5e-14)
             assert diff_moment(d, m) == pytest.approx(want, abs=5e-14)
+        dist4 = stationary_pmf(params, moment_order=4)
+        for m, chain, normal in higher:
+            assert chain_moment(dist4, m, absolute=False) == pytest.approx(chain, rel=5e-14)
+            assert diff_moment(d, m) == pytest.approx(normal, abs=5e-14)
 
 
 def _bits(c: float, verify: bool) -> list:
