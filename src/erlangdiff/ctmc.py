@@ -1,7 +1,7 @@
 """Exact stationary analysis of the birth-death customer-count chain.
 
-The stationary pmf follows the flow-balance recursion
-``log nu_k - log nu_{k-1} = log lam - log d(k)``.  Rather than accumulating
+The stationary pmf follows the flow-balance recursion (d per unit mu)
+``log nu_k - log nu_{k-1} = log R - log d(k)``.  Rather than accumulating
 that recursion (which drifts by ~sqrt(N) ulps over 10^5 states), each log
 weight is written in closed form through log-gamma sums, so consecutive
 weights still satisfy flow balance to a few ulps and any block of states
@@ -100,23 +100,22 @@ def _exact_sum(terms) -> float | list[float]:
     return sums if head[0].ndim > 1 else sums[0]
 
 
-def _log_weights(params: ModelParams, k_lo: int, k_hi: int) -> np.ndarray:
+def _log_weights(derived: DerivedQuantities, k_lo: int, k_hi: int) -> np.ndarray:
     """log of the unnormalized stationary weights for k = k_lo..k_hi.
 
-    Closed form: prod_{j<=k} lam/d(j) becomes log-gamma sums, split at the
-    server count where the death rate switches from mu*k to n*mu + alpha*q.
+    Closed form: prod_{j<=k} R/d(j) becomes log-gamma sums, split at the
+    server count where the death rate switches from k to n + a*q.
     Each entry depends on its own k only, so a sub-range carries the same
     values as the full grid.
     """
-    n, mu, alpha = params.n, params.mu, params.alpha
-    r = params.offered_load
+    n, a = derived.n, derived.a
+    r = derived.R
     log_r = math.log(r)
-    if params.is_erlang_c:
+    if derived.is_erlang_c:
         log_q = math.log(r / n)
     else:
-        beta = alpha / mu
-        base = n / beta
-        log_q = log_r - math.log(beta)
+        base = n / a
+        log_q = log_r - math.log(a)
         log_base = special.gammaln(base + 1.0)
     # from state n on, served = n: served*log(r) - lgamma(served + 1) is one
     # constant there, and the queue k - n is exact in floats
@@ -130,21 +129,21 @@ def _log_weights(params: ModelParams, k_lo: int, k_hi: int) -> np.ndarray:
     if below:  # the empty queue's term: -0.0 may become +0.0
         np.add(k * log_r - special.gammaln(k + 1.0), 0.0 * log_q, out=ell[:below])
     np.add(queue * log_q, served_n, out=ell[below:])
-    if queue.size and not params.is_erlang_c:
+    if queue.size and not derived.is_erlang_c:
         # below n this term is lgamma(base + 1) - log_base = +0.0
         ell[below:] -= special.gammaln(queue + (base + 1.0)) - log_base
     return ell
 
 
-def _log_weight_blocks(params: ModelParams, k_lo: int, k_hi: int):
+def _log_weight_blocks(derived: DerivedQuantities, k_lo: int, k_hi: int):
     """(k, log weights of states k, k+1, ...) for k_lo..k_hi, ``_BLOCK``
     states at a time (read at call time): the one loop over a window."""
     for lo in range(k_lo, k_hi + 1, _BLOCK):
-        yield lo, _log_weights(params, lo, min(lo + _BLOCK - 1, k_hi))
+        yield lo, _log_weights(derived, lo, min(lo + _BLOCK - 1, k_hi))
 
 
-def _log_weight(params: ModelParams, k: int) -> float:
-    return float(_log_weights(params, k, k)[0])
+def _log_weight(derived: DerivedQuantities, k: int) -> float:
+    return float(_log_weights(derived, k, k)[0])
 
 
 # States whose weight is below 1e-32 of the mode's are left out of the
@@ -154,8 +153,8 @@ _WINDOW_CUT = math.log(1e-32)
 
 
 def _mode(derived: DerivedQuantities) -> int:
-    """Largest k with d(k) <= lam, where the weights peak; TruncationError past the state cap."""
-    above = lambda k: departure_rate(derived.params, k) > derived.params.lam  # noqa: E731
+    """Largest k with d(k) <= R, where the weights peak; TruncationError past the state cap."""
+    above = lambda k: departure_rate(derived, k) > derived.R  # noqa: E731
     return _capped(bisect_left(range(_STATE_CAP + 2), True, key=above) - 1)  # d nondecreasing
 
 
@@ -197,7 +196,7 @@ class DiscreteStationary:
     interval masses ``prob_interval``, the states the decompositions keep
     ``kept`` and the sums of |x + offset|^m pmf ``_abs_moment_sum``.
     ``k_max >= k_top`` is the certified truncation index and ``tail_ratio``
-    = lam/d(k_max + 1) its tail ratio.  ``tail_bound`` certifies all the
+    = R/d(k_max + 1) its tail ratio.  ``tail_bound`` certifies all the
     mass left out: the head below k_min, the gap (k_top, k_max] and the
     tail beyond k_max.
     """
@@ -214,10 +213,6 @@ class DiscreteStationary:
     )
 
     @property
-    def params(self) -> ModelParams:
-        return self.derived.params
-
-    @property
     def _size(self) -> int:
         return self.k_top - self.k_min + 1
 
@@ -230,7 +225,7 @@ class DiscreteStationary:
         next block's first state, the right edge of the block's last cell.
         Positions past k_top are walked the same way."""
         stop = self._size if stop is None else stop
-        for k, ell in _log_weight_blocks(self.params, self.k_min + start, self.k_min + stop - 1):
+        for k, ell in _log_weight_blocks(self.derived, self.k_min + start, self.k_min + stop - 1):
             ell -= self.ell_max
             ell -= self.log_z
             # float states are exact below 2^53: delta*(states - x_inf) bit
@@ -288,7 +283,7 @@ class DiscreteStationary:
 
     @cached_property
     def tail_ratio(self) -> float:
-        return float(self.params.lam / departure_rate(self.params, self.k_max + 1))
+        return float(self.derived.R / departure_rate(self.derived, self.k_max + 1))
 
     @cached_property
     def tail_bound(self) -> float:
@@ -308,7 +303,7 @@ class DiscreteStationary:
         starts from the last sum so far, so c keeps one cumsum's bits.  The
         flat stretch k_top..k_max ends the window's last block as one cell,
         two if the kink -zeta falls inside (which keeps d_W's bits)."""
-        flat = [-self.derived.zeta] if self.k_top < self.params.n < self.k_max else []
+        flat = [-self.derived.zeta] if self.k_top < self.derived.n < self.k_max else []
         flat += [self.x_max] if self.k_top < self.k_max else []
         before = 0.0
         for i, x, p in self._walk(0, stop, edge=True):
@@ -338,30 +333,31 @@ class DiscreteStationary:
 
         Each region gets a geometric majorant from its edge state, with
         |x_k + shift| <= |x_edge| + |shift| + delta*|k - edge|: the head
-        below k_min backwards (nu_{k-1}/nu_k = d(k)/lam <= d(k_min)/lam
+        below k_min backwards (nu_{k-1}/nu_k = d(k)/R <= d(k_min)/R
         there), the gap past k_top and the tail past k_max forwards
-        (nu_{k+1}/nu_k = lam/d(k+1) <= lam/d(edge+1)); the last only if ``past_k_max``.
+        (nu_{k+1}/nu_k = R/d(k+1) <= R/d(edge+1)); the last only if ``past_k_max``.
         """
-        params = self.params
-        delta = self.derived.delta
+        der = self.derived
+        delta = der.delta
         s = abs(shift)
         bound = 0.0
         if past_k_max:
             x, pmf = self._ends[self.k_max]
             bound = _geometric_majorant(pmf, self.tail_ratio, x + s, m, delta)
         if self.k_min > 0:
-            ratio = departure_rate(params, self.k_min) / params.lam
+            ratio = departure_rate(der, self.k_min) / der.R
             x, pmf = self._ends[self.k_min]
             bound += _geometric_majorant(pmf, ratio, max(abs(x) + s, delta), m, delta)
         if self.k_top < self.k_max:
-            ratio = params.lam / departure_rate(params, self.k_top + 1)
+            ratio = der.R / departure_rate(der, self.k_top + 1)
             x, pmf = self._ends[self.k_top]
             bound += _geometric_majorant(pmf, ratio, max(abs(x) + s, delta), m, delta)
         return bound
 
 
 def _doomed(
-    params: ModelParams, k_min: int, k_mode: int, ell_mode: float, k_hi: int, q: float, tol: float
+    der: DerivedQuantities, k_min: int, k_mode: int, ell_mode: float, k_hi: int, q: float,
+    tol: float,
 ) -> bool:
     """Whether the tail test at k_hi fails for every window, so none is built.
 
@@ -370,26 +366,26 @@ def _doomed(
     terms the closed form cancels (ROADMAP item 1), and no window up to it
     is trusted.  Otherwise, in mode units, every window normalizer is at
     most Z = (k* - k_min + 1) + w(k*) r/(1 - r), with k* = max(n, mode) and
-    r = lam/d(k* + 1) < 1: no weight tops the mode's, and past k* each falls
+    r = R/d(k* + 1) < 1: no weight tops the mode's, and past k* each falls
     by r or more.  So the test fails where w(k_hi)/Z q/(1 - q) exceeds tol
     by more than a slack that grows with the cancelled terms; where r
     rounds to 1, q to 0 or the slack leaves the double range, no k_hi is.
     """
-    n = params.n
-    ell_hi = _log_weight(params, k_hi) - ell_mode
+    n = der.n
+    ell_hi = _log_weight(der, k_hi) - ell_mode
     if ell_hi > 0.0:
         return True
     k_star = max(n, k_mode)
     big = max(k_hi, k_star) + 1.0
     try:
         # k log R, k log q and the log-gammas: the terms the closed form cancels
-        erlang_c = params.is_erlang_c
-        log_d = math.log(n) if erlang_c else abs(math.log(params.alpha / params.mu))
-        base = 0.0 if erlang_c else n * params.mu / params.alpha
-        cancelled = big * (2.0 * abs(math.log(params.offered_load)) + log_d)
+        erlang_c = der.is_erlang_c
+        log_d = math.log(n) if erlang_c else abs(math.log(der.a))
+        base = 0.0 if erlang_c else n / der.a
+        cancelled = big * (2.0 * abs(math.log(der.R)) + log_d)
         slack = 256.0 * np.finfo(float).eps * (cancelled + 3.0 * math.lgamma(big + base)) + 1e-12
-        r = params.lam / departure_rate(params, k_star + 1)
-        ell_star = _log_weight(params, k_star) - ell_mode
+        r = der.R / departure_rate(der, k_star + 1)
+        ell_star = _log_weight(der, k_star) - ell_mode
         log_z = np.logaddexp(math.log(k_star - k_min + 1), ell_star + math.log(r / (1.0 - r)))
         return ell_hi - log_z + math.log(q / (1.0 - q)) - slack > math.log(tol)
     except (ArithmeticError, ValueError):
@@ -420,16 +416,16 @@ def stationary_pmf(
     derived = derive(params)
     k_hi = int(_capped(derived.x_inf + 12.0 * math.sqrt(derived.x_inf) + 60.0))
     k_mode = _mode(derived)
-    ell_mode = _log_weight(params, k_mode)
+    ell_mode = _log_weight(derived, k_mode)
     floor = ell_mode + _WINDOW_CUT
-    heavy = lambda k: _log_weight(params, k) >= floor  # noqa: E731
+    heavy = lambda k: _log_weight(derived, k) >= floor  # noqa: E731
     k_min = bisect_left(range(k_mode), True, key=heavy)
     while True:
-        q = params.lam / departure_rate(params, _capped(k_hi) + 1)
+        q = derived.R / departure_rate(derived, _capped(k_hi) + 1)
         # Erlang-A keeps shrinking q; insist on q <= 1/2 there so the
         # geometric majorant is comfortably certified.
-        q_ok = q < 1.0 if params.is_erlang_c else q <= 0.5
-        if q_ok and not _doomed(params, k_min, k_mode, ell_mode, k_hi, q, tail_tol):
+        q_ok = q < 1.0 if derived.is_erlang_c else q <= 0.5
+        if q_ok and not _doomed(derived, k_min, k_mode, ell_mode, k_hi, q, tail_tol):
             dist = _truncated_pmf(derived, k_min, floor, k_hi, q, tail_tol)
             if dist is not None and moment_order:
                 dist = _with_certified_moments(dist, moment_order)
@@ -471,15 +467,14 @@ def _truncated_pmf(
     Erlang-C).  The tail test reads the weight at k_hi from the closed
     form, against the window's normalizer.
     """
-    params = derived.params
-    light = lambda k: _log_weight(params, k) < floor  # noqa: E731
+    light = lambda k: _log_weight(derived, k) < floor  # noqa: E731
     k_top = bisect_left(range(k_hi + 1), True, k_min, key=light) - 1
     # past n an Erlang-C log weight is c + (k - n) log q with log q < 0, and
     # rounding keeps that nonincreasing in k, so its maximum lies at or below n
-    k_peak = min(k_top, params.n) if params.is_erlang_c else k_top
-    blocks = partial(_log_weight_blocks, params, k_min)
+    k_peak = min(k_top, derived.n) if derived.is_erlang_c else k_top
+    blocks = partial(_log_weight_blocks, derived, k_min)
     ell_max = np.max([ell.max() for _, ell in blocks(k_peak)])
-    shifted_end = np.float64(_log_weight(params, k_hi) - ell_max)
+    shifted_end = np.float64(_log_weight(derived, k_hi) - ell_max)
     z = _exact_sum(np.exp(np.subtract(ell, ell_max, out=ell), out=ell) for _, ell in blocks(k_top))
     with np.errstate(over="ignore"):  # an overflowing weight fails the test
         tail = (np.exp(shifted_end) / z) * q / (1.0 - q)
@@ -541,7 +536,7 @@ def _moment_terms(
 
 def _region_slice(dist: DiscreteStationary, region: str) -> slice:
     """Window indices of the states k <= n ("below") or k >= n ("above")."""
-    at_n = dist.params.n - dist.k_min  # may lie outside the window
+    at_n = dist.derived.n - dist.k_min  # may lie outside the window
     if region == "all":
         return slice(None)
     if region == "below":
@@ -603,12 +598,12 @@ class SteinResidual(NamedTuple):
 def stein_identity_residual(
     dist: DiscreteStationary, f: Callable[[np.ndarray], np.ndarray]
 ) -> SteinResidual:
-    """|E G f(X~)| over the exact pmf, with its truncation/rounding budget.
+    """|E G f(X~)| per unit mu over the exact pmf, with its truncation/rounding budget.
 
     ``f`` must accept numpy arrays and have at-most-quadratic growth (checked
     numerically on the truncated support).  For the stationary law the
     expectation over the window k_min..k_top telescopes through flow balance,
-    so the residual is pure truncation (lam * nu_top * forward difference at
+    so the residual is pure truncation (R * nu_top * forward difference at
     the top, d(k_min) * nu_min * backward difference at the bottom) plus
     rounding.  It walks the window, f taken on each block with one state of
     halo either side (x_min - delta and x_top + delta at the ends).  A
@@ -617,8 +612,8 @@ def stein_identity_residual(
     block's first point, so it keeps the bits of one pass over the window.
     """
     g = getattr(f, "antiderivative", None) or (lambda xs, _: f(xs))
-    params, delta = dist.params, dist.derived.delta
-    lam, parts = params.lam, []  # per block: bottom and top boundary terms, rounding
+    der, delta = dist.derived, dist.derived.delta
+    r, parts = der.R, []  # per block: bottom and top boundary terms, rounding
 
     def terms():
         xs = fx = None
@@ -630,12 +625,12 @@ def stein_identity_residual(
             if not np.isfinite(np.max(np.abs(fx) / (1.0 + xs**2))):
                 raise ValueError("test function is not dominated by a quadratic")
             fwd, bwd = fx[2:] - fx[1:-1], fx[:-2] - fx[1:-1]
-            rates = departure_rate(params, np.arange(dist.k_min + i, dist.k_min + i + p.size))
-            top = lam * float(p[-1]) * abs(float(fwd[-1]))
+            rates = departure_rate(der, np.arange(dist.k_min + i, dist.k_min + i + p.size))
+            top = r * float(p[-1]) * abs(float(fwd[-1]))
             # the rounding budget, not printed, needs no exact sum
-            rounding = np.sum(p * (lam * np.abs(fwd) + rates * np.abs(bwd)))
+            rounding = np.sum(p * (r * np.abs(fwd) + rates * np.abs(bwd)))
             parts.append((float(rates[0] * p[0] * abs(bwd[0])), top, rounding))
-            yield p * (lam * fwd + rates * bwd)
+            yield p * (r * fwd + rates * bwd)
 
     residual = abs(_exact_sum(terms()))
     rounding = 64.0 * np.finfo(float).eps * math.fsum(part[2] for part in parts)
@@ -657,9 +652,8 @@ def moment_bound_report(dist: DiscreteStationary) -> list[Check]:
     derived = dist.derived
     delta = derived.delta
     az = abs(derived.zeta)
-    mu, alpha = derived.mu, derived.alpha
     inv_az = math.inf if az == 0.0 else 1.0 / az
-    ratio = alpha / mu
+    ratio = derived.a
     q = delta**2 / 4.0  # delta^2/4 enters most bounds below
 
     if derived.is_erlang_c:
@@ -674,7 +668,7 @@ def moment_bound_report(dist: DiscreteStationary) -> list[Check]:
     elif derived.R <= derived.n:
         cap1 = (ratio * delta**2 + delta**2 + 4.0) / 3.0
         cap2 = ((1.0 / ratio) * delta**2 + 4.0 / ratio + delta**2) / 3.0
-        xabs_above = (1.0 + q + delta / 2.0 * math.sqrt(cap1)) * min(mu / min(mu, alpha), inv_az)
+        xabs_above = (1.0 + q + delta / 2.0 * math.sqrt(cap1)) * min(1.0 / min(1.0, ratio), inv_az)
         table = [
             ("u_xsquare_below", 2, "below", "none", cap1),
             ("u_xabs_below_o1", 1, "below", "none", math.sqrt(cap1)),
@@ -687,7 +681,7 @@ def moment_bound_report(dist: DiscreteStationary) -> list[Check]:
         ]
     else:
         cap3 = (delta**2 + 4.0 / ratio) / 3.0
-        xabs_below = math.sqrt((alpha * delta**2 / 4.0 + mu) / min(alpha, mu))
+        xabs_below = math.sqrt((ratio * delta**2 / 4.0 + 1.0) / min(ratio, 1.0))
         idle = (
             (3.0 + delta)
             * (16.0 / math.sqrt(2.0))

@@ -1,12 +1,12 @@
 """Stationary law of the piecewise Ornstein-Uhlenbeck diffusion model.
 
-The density is ``nu(x) = kappa * exp((1/mu) * int_0^x b)`` for the piecewise
-linear drift b of the model, which works out to two pieces glued at the drift
-kink ``-zeta``:
+The density is ``nu(x) = kappa * exp(int_0^x b)`` for the piecewise linear
+drift b of the model per unit mu, which works out to two pieces glued at the
+drift kink ``-zeta`` (a = alpha/mu):
 
   Erlang-C            N(0,1) shape left of -zeta, exponential(|zeta|) right
-  Erlang-A, R <= n    N(0,1) shape left, N((mu/alpha-1)*zeta, mu/alpha) right
-  Erlang-A, R >= n    N((alpha/mu-1)*zeta, 1) left, N(0, mu/alpha) right
+  Erlang-A, R <= n    N(0,1) shape left, N((1/a-1)*zeta, 1/a) right
+  Erlang-A, R >= n    N((a-1)*zeta, 1) left, N(0, 1/a) right
 
 Each piece carries its shape's closed forms and its amplitude, in log form:
 in heavily staffed systems the right-piece amplitude is exp(zeta^2/2)-sized
@@ -505,7 +505,7 @@ def build_density(derived: DerivedQuantities) -> DiffusionDensity:
 
     Closed-form piece integrals only; no quadrature.
     """
-    mu, alpha, zeta = derived.mu, derived.alpha, derived.zeta
+    a, zeta = derived.a, derived.zeta
     j = -zeta
     if derived.is_erlang_c:
         if zeta >= 0.0:
@@ -516,13 +516,11 @@ def build_density(derived: DerivedQuantities) -> DiffusionDensity:
     elif derived.R <= derived.n:
         regime = "erlangA_under"
         left = _GaussPiece(mean=0.0, var=1.0, lo=-np.inf, hi=j)
-        right = _GaussPiece(
-            mean=(mu / alpha - 1.0) * zeta, var=mu / alpha, lo=j, hi=np.inf
-        )
+        right = _GaussPiece(mean=(1.0 / a - 1.0) * zeta, var=1.0 / a, lo=j, hi=np.inf)
     else:
         regime = "erlangA_over"
-        left = _GaussPiece(mean=(alpha / mu - 1.0) * zeta, var=1.0, lo=-np.inf, hi=j)
-        right = _GaussPiece(mean=0.0, var=mu / alpha, lo=j, hi=np.inf)
+        left = _GaussPiece(mean=(a - 1.0) * zeta, var=1.0, lo=-np.inf, hi=j)
+        right = _GaussPiece(mean=0.0, var=1.0 / a, lo=j, hi=np.inf)
 
     log_mass_left = float(left.log_mass(-np.inf, j))
     log_mass_right = float(right.log_mass(j, np.inf))
@@ -559,13 +557,13 @@ def density_sup_check(d: DiffusionDensity) -> Check:
     """Supremum of the density against its regime bound.
 
     sqrt(2/pi) for Erlang-C and underloaded Erlang-A; an extra factor
-    sqrt(alpha/mu) for the overloaded case.  The sup is attained at a piece
+    sqrt(a) for the overloaded case.  The sup is attained at a piece
     mode or the junction, so no search is needed.
     """
     sup = float(np.max(d.pdf(np.asarray([d.switch_point, d.left.mode, d.right.mode]))))
     bound = math.sqrt(2.0 / math.pi)
     if d.regime == "erlangA_over":
-        bound *= math.sqrt(d.derived.alpha / d.derived.mu)
+        bound *= math.sqrt(d.derived.a)
     return Check.at_most("density_sup", sup, bound, rtol=1e-12)
 
 

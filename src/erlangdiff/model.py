@@ -4,7 +4,8 @@ The Erlang-C model is the M/M/n queue (Poisson arrivals at rate ``lam``,
 ``n`` exponential servers at rate ``mu``, infinite patience).  The Erlang-A
 model adds exponential abandonment at rate ``alpha`` per waiting customer.
 Everything downstream works on the centered and scaled customer-count chain
-whose grid spacing is ``delta = 1/sqrt(R)`` with offered load ``R = lam/mu``.
+whose grid spacing is ``delta = 1/sqrt(R)`` with offered load ``R = lam/mu``,
+and reads the rates only as ``R`` and ``a = alpha/mu`` (``DerivedQuantities``).
 """
 
 from __future__ import annotations
@@ -101,14 +102,16 @@ class ModelParams:
                 "Erlang-C requires offered load R < n for positive recurrence; "
                 f"got R = {self.offered_load} with n = {self.n}"
             )
+        # every layer reads the rates only as these two ratios
+        if not 0.0 < self.offered_load < math.inf:
+            raise ValidationError(f"lam/mu = {self.offered_load} is not a positive finite double")
+        a = self.alpha / self.mu
+        if self.alpha > 0.0 and not 0.0 < a < math.inf:
+            raise ValidationError(f"alpha/mu = {a} is not a positive finite double")
 
     @property
     def offered_load(self) -> float:
         return self.lam / self.mu
-
-    @property
-    def is_erlang_c(self) -> bool:
-        return self.alpha == 0.0
 
 
 @dataclass(frozen=True)
@@ -116,81 +119,80 @@ class DerivedQuantities:
     """Scalars derived from the model primitives.
 
     R      -- offered load lam/mu
+    a      -- abandonment rate per unit mu, alpha/mu
     delta  -- spatial scale 1/sqrt(R) of the scaled chain
     rho    -- utilization R/n
     x_inf  -- fluid equilibrium customer count (arrival = departure rate)
     zeta   -- delta*(x_inf - n); -zeta is the square-root staffing safety
               coefficient, and the scaled chain hits -zeta at state k = n
+
+    Every layer works per unit mu (time in mean service times): it reads
+    the rates only as R and a, so a set gives the bits of its twin
+    (R, 1, n, a).  ``params`` keeps the input as given.
     """
 
     params: ModelParams
     R: float
+    a: float
     delta: float
     rho: float
     x_inf: float
     zeta: float
 
     @property
-    def mu(self) -> float:
-        return self.params.mu
-
-    @property
     def n(self) -> int:
         return self.params.n
 
     @property
-    def alpha(self) -> float:
-        return self.params.alpha
-
-    @property
     def is_erlang_c(self) -> bool:
-        return self.params.is_erlang_c
+        return self.a == 0.0
 
 
 def derive(params: ModelParams) -> DerivedQuantities:
-    """Compute all derived scalar quantities for valid parameters.
+    """Compute all derived scalar quantities for valid parameters: the only
+    code that reads the rates lam, mu and alpha.
 
     The fluid equilibrium is the unique solution of
-    ``lam = (x_inf ^ n)*mu + (x_inf - n)^+ * alpha``: it equals R below
-    capacity and ``n + (lam - n*mu)/alpha`` at or above it.
+    ``R = (x_inf ^ n) + (x_inf - n)^+ * a``: it equals R below capacity and
+    ``n + (R - n)/a`` at or above it.
     """
     R = params.offered_load
+    a = params.alpha / params.mu
     delta = 1.0 / math.sqrt(R)
     if R < params.n:
         x_inf = R
     else:
-        # alpha > 0 here: Erlang-C with R >= n is rejected at construction.
-        x_inf = params.n + (params.lam - params.n * params.mu) / params.alpha
+        # a > 0 here: Erlang-C with R >= n is rejected at construction.
+        x_inf = params.n + (R - params.n) / a
     zeta = delta * (x_inf - params.n)
     return DerivedQuantities(
-        params=params, R=R, delta=delta, rho=R / params.n, x_inf=x_inf, zeta=zeta
+        params=params, R=R, a=a, delta=delta, rho=R / params.n, x_inf=x_inf, zeta=zeta
     )
 
 
-def departure_rate(params: ModelParams, k):
-    """Total departure rate ``mu*(k ^ n) + alpha*(k - n)^+`` in state k.
+def departure_rate(derived: DerivedQuantities, k):
+    """Departure rate per unit mu, ``(k ^ n) + a*(k - n)^+``, in state k.
 
     Accepts scalars or integer arrays; nondecreasing in k.
     """
     k_arr = np.asarray(k)
     if np.any(k_arr < 0):
         raise ValueError("state index must be nonnegative")
-    rate = params.mu * np.minimum(k_arr, params.n) + params.alpha * np.maximum(
-        k_arr - params.n, 0
-    )
+    n = derived.n
+    rate = np.minimum(k_arr, n) + derived.a * np.maximum(k_arr - n, 0)
     return float(rate) if k_arr.ndim == 0 else rate
 
 
 def drift(derived: DerivedQuantities, x):
-    """Drift ``b(x) = [(x+zeta)^- - zeta^-]*mu - [(x+zeta)^+ - zeta^+]*alpha``.
+    """Drift per unit mu, ``b(x) = [(x+zeta)^- - zeta^-] - [(x+zeta)^+ - zeta^+]*a``.
 
     Piecewise linear with its only kink at ``x = -zeta``; b(0) = 0; Lipschitz
-    with constant ``max(mu, alpha)``.  Vectorized over x.
+    with constant ``max(1, a)``.  Vectorized over x.
     """
     z = derived.zeta
     x_arr = np.asarray(x, dtype=float)
     shifted = x_arr + z
     neg_part = np.maximum(-shifted, 0.0) - max(-z, 0.0)
     pos_part = np.maximum(shifted, 0.0) - max(z, 0.0)
-    val = neg_part * derived.mu - pos_part * derived.alpha
+    val = neg_part - pos_part * derived.a
     return float(val) if x_arr.ndim == 0 else val

@@ -1,11 +1,11 @@
 """Solutions of the diffusion Poisson equation and their derivative bounds.
 
-For a test function h, the equation ``b(x) f'(x) + mu f''(x) = E h(Y) - h(x)``
-has the one-parameter-free solution (the member whose homogeneous weight is
-zero) with
+For a test function h, the equation ``b(x) f'(x) + f''(x) = E h(Y) - h(x)``,
+per unit mu (the drift b too), has the one-parameter-free solution (the
+member whose homogeneous weight is zero) with
 
-    f'(x) =  (1/nu(x)) int_{-inf}^x  (E h(Y) - h(y)) nu(y) dy / mu
-         = -(1/nu(x)) int_x^{inf}    (E h(Y) - h(y)) nu(y) dy / mu.
+    f'(x) =  (1/nu(x)) int_{-inf}^x  (E h(Y) - h(y)) nu(y) dy
+         = -(1/nu(x)) int_x^{inf}    (E h(Y) - h(y)) nu(y) dy.
 
 Both representations are exact and share one formula, with the sign and
 the tail ratios of their side; evaluation switches between them at the
@@ -21,8 +21,7 @@ at the indicator jump the second derivative is the left limit.
 The gradient-bound suites evaluate each solution, and each density ratio
 that the auxiliary bounds use, once on one sample grid.  One reader,
 ``_read``, turns every (name, values, region, bound) entry into a row and
-rejects a bound that overflows a double (alpha/mu past about 1.3e154), or
-values that do (f''' in unscaled units at mu = 1e-200).
+rejects a bound or values that overflow a double (alpha/mu past about 1.3e154).
 """
 
 from __future__ import annotations
@@ -121,7 +120,7 @@ class PoissonSolution:
         (``below``) or down from +inf.
 
         With H(x) = (1/nu(x)) int h nu over the same half-line, f' is
-        +-(E h(Y) ratio(x) - H(x)) / mu; an indicator's upper integral is
+        +-(E h(Y) ratio(x) - H(x)); an indicator's upper integral is
         the upper mass ratio less the part above its anchor.
         """
         d, h = self.density, self.h
@@ -132,7 +131,7 @@ class PoissonSolution:
             [mass], [cut] = ratio(x), ratio(x, cutoff=h.parameter)
             h_int = cut if below else mass - cut
         sign = 1.0 if below else -1.0
-        return sign * (self.h_mean * mass - h_int) / self.derived.mu
+        return sign * (self.h_mean * mass - h_int)
 
     def f_prime(self, x):
         """f', switching representations at the density mode (0 in every regime)."""
@@ -164,12 +163,11 @@ class PoissonSolution:
         """
         x_arr = np.atleast_1d(np.asarray(x, dtype=float))
         der = self.derived
-        mu = der.mu
         fp = self.f_prime(x_arr)
         b = drift(der, x_arr)
-        fpp = (self.h_mean - self.h.value(x_arr) - b * fp) / mu
-        bp = np.where(x_arr < -der.zeta, -der.mu, -der.alpha)
-        f3 = (-self.h.slope(x_arr) - fpp * b - fp * bp) / mu
+        fpp = self.h_mean - self.h.value(x_arr) - b * fp
+        bp = np.where(x_arr < -der.zeta, -1.0, -der.a)
+        f3 = -self.h.slope(x_arr) - fpp * b - fp * bp
         return fp, fpp, f3
 
     def f_second(self, x):
@@ -295,7 +293,7 @@ def gradient_bound_report(
     """
     d = identity.density
     derived = d.derived
-    mu, alpha, zeta = derived.mu, derived.alpha, derived.zeta
+    a, zeta = derived.a, derived.zeta
     az = abs(zeta)
     j = -zeta
     inv_az = math.inf if az == 0.0 else 1.0 / az
@@ -315,11 +313,11 @@ def gradient_bound_report(
     left, right = grid <= j, grid >= j
     below, above = grid < j, grid > j
 
-    def scaled(sol):  # |f'|, |f''|, |f'''| times mu; _read rejects one past the double range
+    def magnitudes(sol):  # |f'|, |f''|, |f'''|; _read rejects one past the double range
         with np.errstate(over="ignore"):
-            return [np.abs(v) * mu for v in sol.derivatives(grid)]
+            return [np.abs(v) for v in sol.derivatives(grid)]
 
-    fp, fpp, f3 = scaled(identity)
+    fp, fpp, f3 = magnitudes(identity)
     if derived.is_erlang_c:
         mode, regime, bound_left, bound_right = "strict", "KC", 5.0, inv_az
         w_table = [
@@ -332,43 +330,42 @@ def gradient_bound_report(
         ]
     else:
         mode = "empirical"
-        r = alpha / mu
-        sm, sa = math.sqrt(mu / alpha), math.sqrt(alpha / mu)
-        c = r + sa + 1.0
+        sm, sa = math.sqrt(1.0 / a), math.sqrt(a)
+        c = a + sa + 1.0
         if under:
             regime, bound_left = "ACu", _SQRT_2PI * math.exp(0.5)
-            bound_right = min(math.sqrt(math.pi / 2.0 * mu / alpha), inv_az)
+            bound_right = min(math.sqrt(math.pi / 2.0 / a), inv_az)
             su = min(sm, inv_az)
             w_table = [
                 ("gwu1_left", fp, below, su + 1.0),
-                ("gwu1_right", fp, above, mu / alpha + su + 1.0),
+                ("gwu1_right", fp, above, 1.0 / a + su + 1.0),
                 ("gwu2_neg", fpp, grid <= 0.0, su + 1.0),
                 ("gwu2_mid", fpp, (grid >= 0.0) & left, c * su + 1.0),
                 ("gwu2_right", fpp, above, c * max(su, 1e-300)),
                 ("gwu3_neg", f3, (grid <= 0.0) & below, su + 1.0),
-                ("gwu3_mid", f3, (grid > 0.0) & below, su + r + sa + 1.0),
+                ("gwu3_mid", f3, (grid > 0.0) & below, su + a + sa + 1.0),
                 ("gwu3_right", f3, above, c),
             ]
         else:
             regime, bound_left = "ACo", _SQRT_HALF_PI
             bound_right = _SQRT_HALF_PI * (1.0 + sm)
-            shape1_left = 1.0 + sm + min(zeta, mu / alpha)
+            shape1_left = 1.0 + sm + min(zeta, 1.0 / a)
             # _read rejects a shape that overflows on its region; np.float64 ** 2
             # is the C pow of float ** 2, with its bits, but gives inf past the range
             with np.errstate(over="ignore", invalid="ignore"):
                 w_table = [
                     ("gwo1_left", fp, below, shape1_left),
-                    ("gwo1_right", fp, above, 1.0 + sm + mu / alpha),
+                    ("gwo1_right", fp, above, 1.0 + sm + 1.0 / a),
                     ("gwo2_left", fpp, below, shape1_left),
                     ("gwo2_right", fpp, above, c * np.abs(grid) + 1.0 + sm),
                     ("gwo3_left", f3, below, shape1_left),
-                    ("gwo41_right", f3, above, c * (1.0 + r * grid**2) + (r + sa) * np.abs(grid)),
+                    ("gwo41_right", f3, above, c * (1.0 + a * grid**2) + (a + sa) * np.abs(grid)),
                     ("gwo42_right", f3, above, c + np.float64(c) ** 2 * np.abs(grid)),
                 ]
     w_rows = _read(w_table, mode) + _ratio_rows(d, grid, gauss)
     anchor_rows, whole = [], np.full(grid.size, True)
     for sol in anchors:
-        fp, fpp = scaled(sol)[:2]
+        fp, fpp = magnitudes(sol)[:2]
         tag = f"[a={sol.h.parameter:+.3g}]"
         anchor_rows += [
             (f"{regime}der1_left{tag}", fp, left, bound_left),
@@ -386,20 +383,20 @@ def _ratio_rows(d: DiffusionDensity, grid: np.ndarray, gauss: float | None) -> l
     included) and None in the overloaded one.
 
     Each ratio is evaluated once on the whole grid: the tail-mass ratios,
-    the |y|-weighted ratios and |b|/mu times the mass ratios.  A row takes
+    the |y|-weighted ratios and |b| times the mass ratios.  A row takes
     the sup of its values over a region: the outer side of 0 and -zeta on
     the left or right, the middle between them, or a half-line at 0.  The
     last row is E|Y|.
 
     Erlang-C is the alpha -> 0 member of the underloaded table: its rows are
     named ``fbound*``, its caps are 1/|zeta| where Erlang-A has
-    min(sqrt(pi mu / 2 alpha), 1/|zeta|) and min(sqrt(mu / alpha), 1/|zeta|),
-    and its fourth ratio is bounded pointwise on the right.  Deep in the
-    overloaded regime both the bound exp((alpha/2mu) zeta^2) and the observed
+    min(sqrt(pi / 2a), 1/|zeta|) and min(sqrt(1/a), 1/|zeta|), and its
+    fourth ratio is bounded pointwise on the right.  Deep in the
+    overloaded regime both the bound exp((a/2) zeta^2) and the observed
     upper-tail ratio exceed the double range, so the two middle upper-tail
     rows compare natural logs (names end in ``_log``).
     """
-    mu, alpha, zeta = d.derived.mu, d.derived.alpha, d.derived.zeta
+    a, zeta = d.derived.a, d.derived.zeta
     az = abs(zeta)
     j = -zeta
     inv_az = math.inf if az == 0.0 else 1.0 / az
@@ -413,8 +410,8 @@ def _ratio_rows(d: DiffusionDensity, grid: np.ndarray, gauss: float | None) -> l
         above, first_above = d.ratio_above(grid, first=True)
         abs_below = first_below - 2.0 * d.ratio_below(grid, cutoff=0.0, first=True)[1]
         abs_above = 2.0 * d.ratio_above(grid, cutoff=0.0, first=True)[1] - first_above
-        b_over_mu = np.abs(drift(d.derived, grid)) / mu
-        drift_below, drift_above = b_over_mu * below, b_over_mu * above
+        abs_b = np.abs(drift(d.derived, grid))
+        drift_below, drift_above = abs_b * below, abs_b * above
         if d.derived.is_erlang_c:
             tag, last = "fbound", ("5", "6", "7")
             cap2 = cap5 = inv_az
@@ -422,10 +419,10 @@ def _ratio_rows(d: DiffusionDensity, grid: np.ndarray, gauss: float | None) -> l
             bound4_right = grid / az + 1.0 / zeta**2
         elif under:
             tag, last = "ingredient", ("6", "7", "5")
-            cap2 = min(math.sqrt(math.pi / 2.0 * mu / alpha), inv_az)
-            cap5 = min(math.sqrt(mu / alpha), inv_az)
+            cap2 = min(math.sqrt(math.pi / 2.0 / a), inv_az)
+            cap5 = min(math.sqrt(1.0 / a), inv_az)
             bound4_mid = (2.0 + inv_az**2) if az > 0.0 else math.inf
-            bound4_right = 1.0 + mu / alpha
+            bound4_right = 1.0 + 1.0 / a
         else:
             # int_x^inf |y| nu dy for x <= 0: -int_x^0 y nu + int_0^inf y nu
             upper = d.partial_raw_moment(1, 0.0, np.inf)
@@ -448,21 +445,21 @@ def _ratio_rows(d: DiffusionDensity, grid: np.ndarray, gauss: float | None) -> l
         ]
         mean_abs, mean_abs_bound = f"{tag}{last[2]}", 1.0 + cap5
     else:
-        inv_zeta = math.inf if zeta == 0.0 else mu / (alpha * zeta)
-        spread = alpha / (2.0 * mu) * zeta**2
-        log_cap2 = math.log(2.0 * math.pi * mu / alpha) / 2.0
-        cap2 = math.sqrt(math.pi / 2.0 * mu / alpha)
+        inv_zeta = math.inf if zeta == 0.0 else 1.0 / (a * zeta)
+        spread = a / 2.0 * zeta**2
+        log_cap2 = math.log(2.0 * math.pi / a) / 2.0
+        cap2 = math.sqrt(math.pi / 2.0 / a)
         table = [
             ("oingredient1_left", below, low, min(_SQRT_HALF_PI, inv_zeta)),
             ("oingredient1_mid", below, mid, _SQRT_HALF_PI + min(cap2, zeta)),
             ("oingredient2_mid_log", log_above, mid, log_cap2 + spread),
             ("oingredient2_right", above, high, cap2),
-            ("oingredient3_left", abs_below, low, 1.0 + min(_SQRT_HALF_PI * zeta, mu / alpha)),
-            ("oingredient3_mid", abs_below, mid, mu / alpha + 1.0),
-            ("oingredient4_mid_log", log_abs_above, mid, math.log(2.0 * mu / alpha) + spread),
-            ("oingredient4_right", abs_above, high, mu / alpha),
+            ("oingredient3_left", abs_below, low, 1.0 + min(_SQRT_HALF_PI * zeta, 1.0 / a)),
+            ("oingredient3_mid", abs_below, mid, 1.0 / a + 1.0),
+            ("oingredient4_mid_log", log_abs_above, mid, math.log(2.0 / a) + spread),
+            ("oingredient4_right", abs_above, high, 1.0 / a),
             ("oingredient6", drift_below, nonpos, 2.0),
             ("oingredient7", drift_above, nonneg, 1.0),
         ]
-        mean_abs, mean_abs_bound = "oingredient5", math.sqrt(mu / alpha) + 1.0
+        mean_abs, mean_abs_bound = "oingredient5", math.sqrt(1.0 / a) + 1.0
     return _read(table) + [_row(mean_abs, _diffusion_moment(d, 1, absolute=True), mean_abs_bound)]

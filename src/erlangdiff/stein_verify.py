@@ -1,9 +1,10 @@
 """Taylor-expansion error decompositions coupling the chain and diffusion.
 
-Expanding the chain generator around a point x on the delta-grid gives
+Expanding the chain generator around a point x on the delta-grid gives,
+per unit mu (the drift b and the generators too),
 
-  G_chain f(x) = [b f'(x) + mu f''(x-)] - (delta/2) b(x) f''(x-)
-                 + lam (eps1(x) + eps2(x)) - (1/delta) b(x) eps2(x),
+  G_chain f(x) = [b f'(x) + f''(x-)] - (delta/2) b(x) f''(x-)
+                 + R (eps1(x) + eps2(x)) - (1/delta) b(x) eps2(x),
 
 an exact identity whose bracket is the diffusion generator (with the left
 limit of f'' at the indicator jump).  Taking stationary expectations, the
@@ -56,7 +57,7 @@ class ErrorDecomposition:
 def _kept_states(dist: DiscreteStationary, sol: PoissonSolution):
     """The one read of the chain states for ``sol``, one walk block at a
     time: on the whole window, |E h(X~) - E h(Y)| and its
-    generator-identity gap to |E G_Y f_h(X~)| = |E[b f' + mu f'']|, two
+    generator-identity gap to |E G_Y f_h(X~)| = |E[b f' + f'']|, two
     rows of one stacked block stream; on the ``dist.kept`` states, the pmf,
     the drift and f'' (elementwise, so the window's values) and the panel
     edges of both decompositions: [x_k - delta, x_k] for the lowest state,
@@ -71,7 +72,7 @@ def _kept_states(dist: DiscreteStationary, sol: PoissonSolution):
             fp, fpp, _ = sol.derivatives(x)
             lo, hi = np.clip([span.start - i, span.stop - i], 0, x.size)
             kept[:, i + lo - span.start : i + hi - span.start] = [v[lo:hi] for v in (x, p, b, fpp)]
-            yield np.stack((p * (b * fp + sol.derived.mu * fpp), p * sol.h.value(x)))
+            yield np.stack((p * (b * fp + fpp), p * sol.h.value(x)))
 
     gen_y, e_h = _exact_sum(blocks())
     lhs = abs(e_h - sol.h_mean)
@@ -127,8 +128,8 @@ def wasserstein_decomposition(
     """Four-term expansion bound for a Lipschitz test function.
 
     term1_drift_f2    (delta/2) E|f''(X~) b(X~)|
-    term2_forward_f3  (mu/2)    E int_{X~}^{X~+delta} |f'''|
-    term3_backward_f3 (mu/2)    E int_{X~-delta}^{X~} |f'''|
+    term2_forward_f3  (1/2)     E int_{X~}^{X~+delta} |f'''|
+    term3_backward_f3 (1/2)     E int_{X~-delta}^{X~} |f'''|
     term4_drift_f3    (delta/2) E[|b(X~)| int_{X~-delta}^{X~} |f'''|]
     """
     if not sol.h.is_lipschitz:
@@ -140,8 +141,8 @@ def wasserstein_decomposition(
     bwd = panel[:-1]
     table = [
         ("term1_drift_f2", 0.5 * der.delta, [np.abs(fpp * b)], "mean_abs_f2b"),
-        ("term2_forward_f3", 0.5 * der.mu, [fwd]),
-        ("term3_backward_f3", 0.5 * der.mu, [bwd]),
+        ("term2_forward_f3", 0.5, [fwd]),
+        ("term3_backward_f3", 0.5, [bwd]),
         ("term4_drift_f3", 0.5 * der.delta, [np.abs(b), bwd]),
     ]
     return _decomposition("wasserstein", dist, p, lhs, table, {"generator_identity": gap})
@@ -184,8 +185,8 @@ def kolmogorov_decomposition(
     """Expansion bound for an indicator test function at anchor a.
 
     term1_drift_f2  (delta/2) E|f''(X~-) b(X~)|
-    term2_eps1      lam E|eps1(X~)|
-    term3_eps2      lam E|eps2(X~)|
+    term2_eps1      R E|eps1(X~)|
+    term3_eps2      R E|eps2(X~)|
     term4_drift_eps (1/delta) E|b(X~) eps2(X~)|
     """
     if sol.h.kind != "indicator":
@@ -198,8 +199,8 @@ def kolmogorov_decomposition(
     eps2 = b_panel[:-1] - fpp_left * half_d2
     table = [
         ("term1_drift_f2", 0.5 * delta, [np.abs(fpp_left * b)]),
-        ("term2_eps1", dist.params.lam, [np.abs(eps1)]),
-        ("term3_eps2", dist.params.lam, [np.abs(eps2)]),
+        ("term2_eps1", dist.derived.R, [np.abs(eps1)]),
+        ("term3_eps2", dist.derived.R, [np.abs(eps2)]),
         ("term4_drift_eps", 1.0 / delta, [np.abs(b * eps2)]),
     ]
     lhs = abs(dist.cdf(sol.h.parameter) - sol.h_mean)

@@ -92,11 +92,11 @@ def full_grid_pmf(params: ModelParams, tail_tol: float = 1e-12) -> DiscreteStati
     der = derive(params)
     k_hi = int(der.x_inf + 12.0 * math.sqrt(der.x_inf) + 60.0)
     while True:
-        q = params.lam / departure_rate(params, k_hi + 1)
-        ell = _log_weights(params, 0, k_hi)
+        q = der.R / departure_rate(der, k_hi + 1)
+        ell = _log_weights(der, 0, k_hi)
         w = np.exp(ell - ell.max())
         z = math.fsum(w.tolist())
-        q_ok = q < 1.0 if params.is_erlang_c else q <= 0.5
+        q_ok = q < 1.0 if der.is_erlang_c else q <= 0.5
         if q_ok and (w[-1] / z) * q / (1.0 - q) <= tail_tol:
             return DiscreteStationary(der, 0, k_hi, k_hi, float(ell.max()), math.log(z))
         k_hi = 2 * k_hi + 64
@@ -141,10 +141,10 @@ def departure_rate_budget(monkeypatch):
     search that steps one state at a time fails instead of hanging."""
     rate, calls = ctmc.departure_rate, []
 
-    def counted(params, k):
+    def counted(derived, k):
         calls.append(k)
         if len(calls) > 10_000:
             raise AssertionError("departure_rate read 10^4 times")
-        return rate(params, k)
+        return rate(derived, k)
 
     monkeypatch.setattr(ctmc, "departure_rate", counted)

@@ -236,7 +236,7 @@ def test_criterion_08_generator_identity():
         b = drift(dist.derived, x)
         for h in hs:
             sol = build_solution(d, h)
-            gen_y = _exact_sum(pmf * (b * sol.f_prime(x) + d.derived.mu * sol.f_second(x)))
+            gen_y = _exact_sum(pmf * (b * sol.f_prime(x) + sol.f_second(x)))
             lhs = abs(_exact_sum(pmf * h.value(x)) - sol.h_mean)
             gap = abs(lhs - abs(gen_y))
             worst = max(worst, gap)

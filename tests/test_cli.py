@@ -379,16 +379,31 @@ class TestExitCodes:
                 "verify --lambda 2.0358067795786205e-12 --n 1 --alpha 1.482162426149318e+298",
                 "zeta = -700861: the bound exp(zeta^2/2) overflows",
             ),
-            # f''' in unscaled units divides by mu = 1e-200 and overflows: the
-            # first once answered gwu3_right = inf, the second warned before
-            # its straddle-majorant error; the reader now rejects the row
-            (
-                "verify --lambda 3e-200 --mu 1e-200 --n 40 --alpha 1e-70",
-                "the values of gwu3_right overflow a double",
-            ),
+            # alpha/mu = 1e300 at mu = 1e-200: once an overflow of f''' in
+            # the units of mu, which warned first; per unit mu, the error of
+            # its twin at mu = 1
             (
                 "verify --lambda 3e-200 --mu 1e-200 --n 40 --alpha 1e+100",
-                "the values of gwu3_right overflow a double",
+                "alpha/mu = 1e+300: the straddle majorant overflows",
+            ),
+            # lam/mu or alpha/mu past the double range, which once crashed
+            # with a ZeroDivisionError, warned or met the state cap
+            (
+                "distance --lambda 1e-300 --mu 1e300 --n 1 --alpha 1e-300",
+                "lam/mu = 0.0 is not a positive finite double",
+            ),
+            ("distance --lambda 1e-320 --mu 1e10 --n 1", "lam/mu = 0.0 is not a positive"),
+            (
+                "distance --lambda 0.5 --mu 1e300 --n 1 --alpha 1e-30",
+                "alpha/mu = 0.0 is not a positive finite double",
+            ),
+            (
+                "distance --lambda 1 --mu 1e-300 --n 1 --alpha 1e300",
+                "alpha/mu = inf is not a positive finite double",
+            ),
+            (
+                "distance --lambda 1e300 --mu 1e-300 --n 1 --alpha 1",
+                "lam/mu = inf is not a positive finite double",
             ),
         ],
     )
@@ -398,6 +413,17 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1
         assert captured.out == ""
+
+    def test_mu_1e_minus_200_answers_as_its_twin(self, capsys):
+        # every layer works per unit mu, so the set prints the bytes of its
+        # twin (lam/mu, 1, n, alpha/mu); f''' in the units of mu once
+        # overflowed here and exited 1 on gwu3_right
+        outs = []
+        for argv in ("--lambda 3e-200 --mu 1e-200 --alpha 1e-70", "--lambda 3 --alpha 1e130"):
+            assert cli.main(["verify", "--n", "40", *argv.split()]) == 0
+            outs.append(capsys.readouterr())
+        assert outs[0].err == outs[1].err == ""
+        assert outs[0].out == outs[1].out and outs[0].out.startswith("suite,")
 
     def test_answers_at_mu_1e_minus_200_without_warnings(self, capsys):
         # the quadrature's bracket test reads signs: the product of two

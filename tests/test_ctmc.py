@@ -63,8 +63,8 @@ class TestStationaryPmf:
     )
     def test_flow_balance(self, params):
         dist = pmf_for(params)
-        rates, pmf = departure_rate(params, window_states(dist)), dist.pmf
-        lhs = params.lam * pmf[:-1]
+        rates, pmf = departure_rate(dist.derived, window_states(dist)), dist.pmf
+        lhs = dist.derived.R * pmf[:-1]
         rhs = rates[1:] * pmf[1:]
         mask = pmf[1:] > 1e-300
         assert np.max(np.abs(lhs[mask] - rhs[mask]) / rhs[mask]) < 1e-10
@@ -99,9 +99,9 @@ class TestStationaryPmf:
             ModelParams(lam=12.0, mu=1.0, n=5, alpha=2.0),
         ]:
             dist = pmf_for(params)
-            ks = dist.k_min + int(np.argmax(dist.log_pmf))
-            assert departure_rate(params, ks) <= params.lam * (1 + 1e-15)
-            assert params.lam <= departure_rate(params, ks + 1) * (1 + 1e-15)
+            ks, der = dist.k_min + int(np.argmax(dist.log_pmf)), dist.derived
+            assert departure_rate(der, ks) <= der.R * (1 + 1e-15)
+            assert der.R <= departure_rate(der, ks + 1) * (1 + 1e-15)
 
     @pytest.mark.parametrize(
         "pars",
@@ -111,11 +111,11 @@ class TestStationaryPmf:
     def test_mode_is_the_last_state_with_rate_at_most_lam(self, pars):
         # stepping oracle: 5 + 1e-19 q rounds to 5 up to q = 4,440
         lam, n, alpha = pars
-        params = ModelParams(lam=lam, mu=1.0, n=n, alpha=alpha)
+        der = derive(ModelParams(lam=lam, mu=1.0, n=n, alpha=alpha))
         k = 0
-        while departure_rate(params, k + 1) <= lam:
+        while departure_rate(der, k + 1) <= der.R:
             k += 1
-        assert _mode(derive(params)) == k
+        assert _mode(der) == k
 
     @pytest.mark.parametrize("pars", [(5.0, 5, 1e-22), (5.0, 5, 1e-300), (1e6, 1_000_000, 1e-20)])
     def test_critical_load_tiny_alpha_fails_fast(self, departure_rate_budget, pars):
@@ -141,8 +141,8 @@ class TestStationaryPmf:
         mid = dist.k_min + int(np.argmax(dist.log_pmf))
         i = mid - dist.k_min
         if i >= 1:
-            assert params.lam * pmf[i - 1] == pytest.approx(
-                departure_rate(params, mid) * pmf[i], rel=1e-10
+            assert dist.derived.R * pmf[i - 1] == pytest.approx(
+                departure_rate(dist.derived, mid) * pmf[i], rel=1e-10
             )
 
 
@@ -317,7 +317,7 @@ class TestWindow:
 def _assert_moments_match_mask_oracle(dist, orders):
     """Every region x shift x absolute moment against the boolean-mask
     formula, bit for bit; an empty region reads 0.0."""
-    k, n, x, pmf = window_states(dist), dist.params.n, dist.x, dist.pmf
+    k, n, x, pmf = window_states(dist), dist.derived.n, dist.x, dist.pmf
     masks = {"all": k >= 0, "below": k <= n, "above": k >= n}
     for region, mask in masks.items():
         for shift, offset in (("none", 0.0), ("plus_zeta", dist.derived.zeta)):
@@ -352,7 +352,7 @@ class TestMoment:
         dist = pmf_for(ModelParams(lam=4.0, mu=1.0, n=5, alpha=0.0))
         below = moment(dist, 0, "below")
         above = moment(dist, 0, "above")
-        at_kink = dist.pmf[dist.params.n]
+        at_kink = dist.pmf[dist.derived.n]
         assert below + above - at_kink == pytest.approx(1.0, abs=1e-12)
 
     def test_signed_vs_absolute(self):
@@ -371,7 +371,7 @@ class TestMoment:
         # overloaded Erlang-A: P(X <= n) ~ 1e-46 lies wholly in the head
         # below k_min, which the certificate bounds next to the total mass
         dist = stationary_pmf(ModelParams(lam=2000.0, mu=1.0, n=1400, alpha=1.0))
-        assert dist.k_min > dist.params.n
+        assert dist.k_min > dist.derived.n
         assert moment(dist, 0, "below") == 0.0
         assert dist.tail_bound <= 1e-8
 
@@ -461,11 +461,11 @@ class TestMoment:
         weights = ctmc._log_weights
         calls = []
 
-        def counted(params, k_lo, k_hi):
+        def counted(der, k_lo, k_hi):
             calls.append((k_lo, k_hi))
-            return weights(params, k_lo, k_hi)
+            return weights(der, k_lo, k_hi)
 
-        monkeypatch.setattr(ctmc, "_log_weight", lambda params, k: float(weights(params, k, k)[0]))
+        monkeypatch.setattr(ctmc, "_log_weight", lambda der, k: float(weights(der, k, k)[0]))
         monkeypatch.setattr(ctmc, "_log_weights", counted)
         dist = stationary_pmf(params, moment_order=2)
         moment_error(dist, build_density(dist.derived), 2)
@@ -580,16 +580,16 @@ class TestExactSum:
         assert peak <= 12 * 8 * ctmc._BLOCK
 
 
-def _plain_log_weights(params, k_lo, k_hi):
+def _plain_log_weights(der, k_lo, k_hi):
     """The closed-form log weights as one-shot array expressions."""
     k = np.arange(k_lo, k_hi + 1, dtype=float)
-    served = np.minimum(k, float(params.n))
-    r = params.offered_load
+    served = np.minimum(k, float(der.n))
+    r = der.R
     ell = served * math.log(r) - gammaln(served + 1.0)
-    if params.is_erlang_c:
-        return ell + (k - served) * math.log(r / params.n)
-    beta = params.alpha / params.mu
-    base = params.n / beta
+    if der.is_erlang_c:
+        return ell + (k - served) * math.log(r / der.n)
+    beta = der.a
+    base = der.n / beta
     ell = ell + (k - served) * (math.log(r) - math.log(beta))
     return ell - (gammaln(k - served + (base + 1.0)) - gammaln(base + 1.0))
 
@@ -611,11 +611,11 @@ class TestBlocks:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(ctmc, "_BLOCK", block)
             dist = stationary_pmf(params, moment_order=m)
-            k_hi = dist.k_top
-            full = ctmc._log_weights(params, 0, k_hi)
-            assert full.tobytes() == _plain_log_weights(params, 0, k_hi).tobytes()
+            k_hi, der = dist.k_top, dist.derived
+            full = ctmc._log_weights(der, 0, k_hi)
+            assert full.tobytes() == _plain_log_weights(der, 0, k_hi).tobytes()
             k_lo = int(cut * k_hi)
-            sub = ctmc._log_weights(params, k_lo, k_hi)
+            sub = ctmc._log_weights(der, k_lo, k_hi)
             assert sub.tobytes() == full[k_lo:].tobytes()
             _assert_moments_match_mask_oracle(dist, (m,))
 
@@ -623,7 +623,7 @@ class TestBlocks:
 def _generator_at(der, f, k):
     """|G f(x_k)| from ``stein_identity_residual`` on a point mass at state k:
     a one-state window, normalized by its own weight."""
-    ell_k = ctmc._log_weight(der.params, k)
+    ell_k = ctmc._log_weight(der, k)
     point = DiscreteStationary(der, k_min=k, k_top=k, k_max=k + 1, ell_max=ell_k, log_z=0.0)
     assert point.pmf.tolist() == [1.0]
     return stein_identity_residual(point, f).residual, float(point.x[0])
@@ -643,11 +643,11 @@ class TestGenerator:
 
     def test_quadratic_closed_form(self):
         # below the kink in the Erlang-C model:
-        # G V(x) = mu(-2x^2 + delta x) + 2 mu for V(x) = x^2
+        # G V(x) = -2x^2 + delta x + 2 per unit mu for V(x) = x^2
         der = derive(ModelParams(lam=4.0, mu=1.0, n=5, alpha=0.0))
         for k in range(0, der.n + 1):
             got, x = _generator_at(der, lambda t: t * t, k)
-            want = der.mu * (-2.0 * x * x + der.delta * x) + 2.0 * der.mu
+            want = -2.0 * x * x + der.delta * x + 2.0
             assert got == pytest.approx(abs(want), rel=1e-12, abs=1e-12)
 
 
@@ -700,12 +700,12 @@ class TestSteinIdentity:
 def _one_array_residual(dist, f):
     """|E G f(X~)| from whole-window arrays: f on x_min - delta, every
     window state and x_top + delta in one call."""
-    x, pmf, delta, lam = dist.x, dist.pmf, dist.derived.delta, dist.params.lam
+    x, pmf, delta, r = dist.x, dist.pmf, dist.derived.delta, dist.derived.R
     x_ext = np.concatenate(([x[0] - delta], x, [x[-1] + delta]))
     fx = np.asarray(f(x_ext), dtype=float)
     fwd, bwd = fx[2:] - fx[1:-1], fx[:-2] - fx[1:-1]
-    rates = departure_rate(dist.params, window_states(dist))
-    return abs(ctmc._exact_sum(pmf * (lam * fwd + rates * bwd)))
+    rates = departure_rate(dist.derived, window_states(dist))
+    return abs(ctmc._exact_sum(pmf * (r * fwd + rates * bwd)))
 
 
 class TestWalkReads:

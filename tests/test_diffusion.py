@@ -70,6 +70,7 @@ class TestBuild:
         broken = DerivedQuantities(
             params=ModelParams(lam=4.0, mu=1.0, n=5, alpha=0.0),
             R=der.R,
+            a=0.0,
             delta=der.delta,
             rho=der.rho,
             x_inf=der.x_inf,
@@ -151,7 +152,7 @@ class TestPdfCdf:
                 assert [g.tobytes() for g in got] == [r.tobytes() for r in ref]
 
     def test_stationary_ode(self):
-        # -(d/dx) log pdf = -b(x)/mu away from the kink
+        # (d/dx) log pdf = b(x), per unit mu, away from the kink
         for params in REGIME_EXAMPLES.values():
             d = density_for(params)
             der = d.derived
@@ -159,7 +160,7 @@ class TestPdfCdf:
             xs = xs[np.abs(xs - d.switch_point) > 0.05]
             eps = 1e-6
             fd = (d.log_pdf(xs + eps) - d.log_pdf(xs - eps)) / (2 * eps)
-            assert np.max(np.abs(fd - drift(der, xs) / der.mu)) < 1e-6
+            assert np.max(np.abs(fd - drift(der, xs))) < 1e-6
 
 
 class TestMoments:

@@ -37,6 +37,11 @@ class TestValidation:
             dict(lam=1.0, mu=0.0, n=5),
             dict(lam=1.0, mu=1.0, n=0),
             dict(lam=1.0, mu=1.0, n=5, alpha=-0.5),
+            # lam/mu or alpha/mu past the double range: the layers read only these
+            dict(lam=1e-320, mu=1e10, n=1),
+            dict(lam=1e300, mu=1e-300, n=1, alpha=1.0),
+            dict(lam=0.5, mu=1e300, n=1, alpha=1e-30),
+            dict(lam=1.0, mu=1e-300, n=1, alpha=1e300),
         ],
     )
     def test_rejects_bad_rates(self, kwargs):
@@ -102,22 +107,22 @@ class TestDerive:
 
 class TestDepartureRate:
     def test_empty_system(self):
-        assert departure_rate(ModelParams(lam=1, mu=1, n=5, alpha=0.0), 0) == 0.0
+        assert departure_rate(derive(ModelParams(lam=1, mu=1, n=5, alpha=0.0)), 0) == 0.0
 
     def test_capped_at_servers(self):
-        assert departure_rate(ModelParams(lam=1, mu=1, n=5, alpha=0.0), 7) == 5.0
+        assert departure_rate(derive(ModelParams(lam=1, mu=1, n=5, alpha=0.0)), 7) == 5.0
 
     def test_abandonment_term(self):
-        assert departure_rate(ModelParams(lam=1, mu=1, n=5, alpha=2.0), 7) == 9.0
+        assert departure_rate(derive(ModelParams(lam=1, mu=1, n=5, alpha=2.0)), 7) == 9.0
 
     def test_rejects_negative_state(self):
         with pytest.raises(ValueError):
-            departure_rate(ModelParams(lam=1, mu=1, n=5), -1)
+            departure_rate(derive(ModelParams(lam=1, mu=1, n=5)), -1)
 
     @given(k=st.integers(min_value=0, max_value=10_000))
     def test_nondecreasing(self, k):
-        params = ModelParams(lam=2.0, mu=1.3, n=7, alpha=0.4)
-        assert departure_rate(params, k + 1) >= departure_rate(params, k)
+        der = derive(ModelParams(lam=2.0, mu=1.3, n=7, alpha=0.4))
+        assert departure_rate(der, k + 1) >= departure_rate(der, k)
 
 
 class TestDrift:
@@ -135,9 +140,9 @@ class TestDrift:
         der = derive(ModelParams(lam=4.0, mu=1.0, n=5, alpha=0.0))
         z = der.zeta
         for x in [-z + 0.3, -z + 2.0]:
-            assert drift(der, x) == pytest.approx(der.mu * z, rel=1e-15)
+            assert drift(der, x) == pytest.approx(z, rel=1e-15)
         for x in [-z - 0.3, -3.0, 0.0]:
-            assert drift(der, x) == pytest.approx(-der.mu * x, rel=1e-15, abs=1e-15)
+            assert drift(der, x) == pytest.approx(-x, rel=1e-15, abs=1e-15)
 
     @pytest.mark.parametrize(
         "params",
@@ -148,12 +153,12 @@ class TestDrift:
         ],
     )
     def test_grid_identity(self, params):
-        # b(x_k) = delta * (lam - d(k)) on every state of the pmf window
+        # b(x_k) = delta * (R - d(k)) on every state of the pmf window, per unit mu
         dist = stationary_pmf(params)
         der = dist.derived
         assert dist.k_top >= 10 * params.n
         lhs = drift(der, dist.x)
-        rhs = der.delta * (params.lam - departure_rate(params, window_states(dist)))
+        rhs = der.delta * (der.R - departure_rate(der, window_states(dist)))
         assert np.allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
 
     @settings(max_examples=200)
@@ -163,14 +168,14 @@ class TestDrift:
     )
     def test_lipschitz(self, x, y):
         der = derive(ModelParams(lam=6.0, mu=1.7, n=4, alpha=0.9))
-        cap = max(der.mu, der.alpha)
+        cap = max(1.0, der.a)
         assert abs(drift(der, x) - drift(der, y)) <= cap * abs(x - y) * (1 + 1e-12) + 1e-12
 
     def test_matched_rates_give_global_linear_drift(self):
-        # alpha = mu collapses both branches onto b(x) = -mu x
+        # alpha = mu collapses both branches onto b(x) = -x per unit mu
         der = derive(ModelParams(lam=5.0, mu=1.0, n=5, alpha=1.0))
         xs = np.linspace(-4.0, 4.0, 33)
-        assert np.allclose(drift(der, xs), -der.mu * xs, rtol=0, atol=1e-15)
+        assert np.allclose(drift(der, xs), -xs, rtol=0, atol=1e-15)
 
     def test_continuous_at_kink(self):
         der = derive(ModelParams(lam=6.0, mu=1.0, n=5, alpha=2.0))

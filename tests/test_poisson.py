@@ -33,9 +33,9 @@ ALL_H = [
 
 
 def _poisson_residual(sol, x):
-    """b f' + mu f'' - (h_mean - h), with f' and f'' evaluated separately."""
+    """b f' + f'' - (h_mean - h) per unit mu, with f' and f'' evaluated separately."""
     b = drift(sol.derived, x)
-    return b * sol.f_prime(x) + sol.derived.mu * sol.f_second(x) - (sol.h_mean - sol.h.value(x))
+    return b * sol.f_prime(x) + sol.f_second(x) - (sol.h_mean - sol.h.value(x))
 
 
 class TestTestFunction:
@@ -131,7 +131,7 @@ class TestSolutionEvaluation:
         right = sol.f_second(a + eps)
         at = sol.f_second(a)
         assert at == pytest.approx(left, abs=1e-6)
-        assert abs(right - left) == pytest.approx(1.0 / d.derived.mu, rel=1e-6)
+        assert abs(right - left) == pytest.approx(1.0, rel=1e-6)
 
     def test_third_derivative_rejections(self):
         sol = build_solution(density_for(C_PARAMS), TestFunction.identity())
@@ -163,10 +163,10 @@ class TestGradientBoundExamples:
         sol = build_solution(d, TestFunction.indicator(-der.zeta))
         below = np.linspace(-6.0, -der.zeta, 301)
         above = np.linspace(-der.zeta, 40.0, 301)
-        assert np.max(np.abs(sol.f_prime(below))) <= 5.0 / der.mu * (1 + 1e-9)
-        assert np.max(np.abs(sol.f_prime(above))) <= 1.0 / (der.mu * az) * (1 + 1e-9)
+        assert np.max(np.abs(sol.f_prime(below))) <= 5.0 * (1 + 1e-9)
+        assert np.max(np.abs(sol.f_prime(above))) <= 1.0 / az * (1 + 1e-9)
         allx = np.linspace(-6.0, 40.0, 601)
-        assert np.max(np.abs(sol.f_second(allx))) <= 3.0 / der.mu * (1 + 1e-9)
+        assert np.max(np.abs(sol.f_second(allx))) <= 3.0 * (1 + 1e-9)
 
     def test_wasserstein_c_pointwise(self):
         d = density_for(C_HEAVY)
@@ -174,21 +174,19 @@ class TestGradientBoundExamples:
         az = abs(der.zeta)
         sol = build_solution(d, TestFunction.identity())
         below = np.linspace(-6.0, -der.zeta, 301)
-        assert np.max(np.abs(sol.f_prime(below))) <= (6.5 + 4.2 / az) / der.mu * (1 + 1e-9)
+        assert np.max(np.abs(sol.f_prime(below))) <= (6.5 + 4.2 / az) * (1 + 1e-9)
         above = np.linspace(-der.zeta + 1e-6, 40.0, 301)
-        assert np.max(np.abs(sol.f_second(above))) <= 1.0 / (der.mu * az) * (1 + 1e-9)
-        assert np.max(np.abs(sol.f_third(above))) <= 2.0 / der.mu * (1 + 1e-9)
+        assert np.max(np.abs(sol.f_second(above))) <= 1.0 / az * (1 + 1e-9)
+        assert np.max(np.abs(sol.f_third(above))) <= 2.0 * (1 + 1e-9)
         strictly_below = np.linspace(-6.0, -der.zeta - 1e-6, 301)
-        assert np.max(np.abs(sol.f_third(strictly_below))) <= (23.0 + 13.0 / az) / der.mu * (
-            1 + 1e-9
-        )
+        assert np.max(np.abs(sol.f_third(strictly_below))) <= (23.0 + 13.0 / az) * (1 + 1e-9)
 
     def test_erlang_a_under_kolmogorov(self):
         der = derive(ModelParams(lam=5.0, mu=1.0, n=5, alpha=1.0))
         d = density_for(ModelParams(lam=5.0, mu=1.0, n=5, alpha=1.0))
         sol = build_solution(d, TestFunction.indicator(0.0))
         below = np.linspace(-8.0, -der.zeta, 301)
-        cap = math.sqrt(2.0 * math.pi) * math.exp(0.5) / der.mu
+        cap = math.sqrt(2.0 * math.pi) * math.exp(0.5)
         assert np.max(np.abs(sol.f_prime(below))) <= cap * (1 + 1e-9)
 
 

@@ -2,8 +2,9 @@
 
 With alpha = mu (M/M/infinity) the chain is Poisson(R) and the diffusion
 law N(0, 1) at every n, so nothing may depend on n and the moments and the
-density's supremum are the closed forms in ``oracles``.  Scaling
-(lam, mu, alpha) by c only changes the time unit.
+density's supremum are the closed forms in ``oracles``.  Every layer
+works per unit mu, so a set (lam, mu, n, alpha) prints the bits of its twin
+(lam/mu, 1, n, alpha/mu), each ratio rounded once.
 """
 
 import pytest
@@ -45,24 +46,26 @@ def test_alpha_equal_to_mu_does_not_depend_on_n(lam, ns):
             assert diff_moment(d, m) == pytest.approx(normal, abs=5e-14)
 
 
-def _bits(c: float, verify: bool) -> list:
-    """The distance row at (12 c, c, 5, 2 c) without its rate columns, and
-    with ``verify`` every verify row, floats by ``float.hex``."""
-    params = ModelParams(lam=12.0 * c, mu=c, n=5, alpha=2.0 * c)
+def _bits(params: ModelParams) -> list:
+    """The distance row without its rate columns and every verify row,
+    floats by ``float.hex``."""
     row = report.run_distance(params)[0]
     out = [
         float(v).hex() if isinstance(v, float) else v
         for k, v in row.items()
         if k not in ("lam", "mu", "alpha")
     ]
-    for suite, checks in report.run_verify(params)["suites"] if verify else ():
+    for suite, checks in report.run_verify(params)["suites"]:
         out += [(suite, ch.name, float(ch.observed).hex(), float(ch.bound).hex()) for ch in checks]
         out += [ch.satisfied for ch in checks]
     return out
 
 
-# at c = 3 and 1e3 the verify rows move by a few ulp, and the polynomial
-# identity residuals, rounding noise of 1e-17 to 4e-16, more
-@pytest.mark.parametrize("c, verify", [(2.0, True), (0.5, True), (3.0, False), (1e3, False)])
-def test_rate_scaling_keeps_every_bit(c, verify):
-    assert _bits(c, verify) == _bits(1.0, verify)
+@pytest.mark.parametrize(
+    "lam, mu, n, alpha",
+    [(12.0 * c, c, 5, 2.0 * c) for c in (2.0, 0.5, 3.0, 1e3, 1e-200)]
+    + [(3.4, 0.7, 5, 0.3), (3.4, 0.7, 5, 0.0)],
+)
+def test_rate_scaling_keeps_every_bit(lam, mu, n, alpha):
+    twin = ModelParams(lam=lam / mu, mu=1.0, n=n, alpha=alpha / mu)
+    assert _bits(ModelParams(lam=lam, mu=mu, n=n, alpha=alpha)) == _bits(twin)

@@ -71,7 +71,7 @@ class TestWassersteinDecomposition:
             sol, np.concatenate(([x[0] - der.delta], x)), np.concatenate((x, [x[-1] + der.delta]))
         )
         fwd, bwd = panel[1:], panel[:-1]
-        sup = np.max(0.5 * der.delta * (f2b + b * bwd) + 0.5 * der.mu * (fwd + bwd))
+        sup = np.max(0.5 * der.delta * (f2b + b * bwd) + 0.5 * (fwd + bwd))
         dropped = max(0.0, 1.0 - _exact_sum(p)) + 1e-6
         charged = (dec.tolerance - 1e-13 * (1.0 + dec.lhs)) / (4.0 * dropped)
         assert charged == pytest.approx(sup, rel=1e-9)
@@ -250,7 +250,7 @@ class TestStraddleRows:
     def test_one_majorant_per_scenario(self, pars):
         s = Scenario(ModelParams(*pars), moment_order=2)
         dist, der = s.dist, s.dist.derived
-        delta, load = der.delta, max(der.alpha / der.mu, 1.0)
+        delta, load = der.delta, max(der.a, 1.0)
         sup_p = density_sup_check(s.density).observed
         majorant = 2.0 * delta * sup_p + s.d_k + 9.0 * load * delta**2 + 8.0 * load**2 * delta**4
         rows = [
@@ -279,9 +279,9 @@ class TestStraddleRows:
 def _assert_expansion(dist, sol, atol):
     """The chain generator equals its Taylor expansion at every window state.
 
-    The chain side is lam (f(x+delta) - f(x)) + d(k) (f(x-delta) - f(x)) with
+    The chain side is R (f(x+delta) - f(x)) + d(k) (f(x-delta) - f(x)) with
     f from ``sol.antiderivative``; the expansion is G_Y f - (delta/2) b f''
-    + lam (eps1 + eps2) - b eps2 / delta, with eps1 and eps2 from the panels
+    + R (eps1 + eps2) - b eps2 / delta, all per unit mu, with eps1 and eps2 from the panels
     that ``kolmogorov_decomposition`` integrates.  The two agree to ``atol``
     plus 1e-12 of the chain's two terms: far in the tail f' grows like x,
     and rounding x +- delta alone moves a term by |x| eps relative.  f is
@@ -289,11 +289,11 @@ def _assert_expansion(dist, sol, atol):
     over the window rounds its differences like |f|, which grows like x^2.
     """
     der = dist.derived
-    lam, delta = dist.params.lam, der.delta
+    r, delta = der.R, der.delta
     x = dist.x
     f = np.array([sol.antiderivative(np.array([t - delta, t, t + delta])) for t in x])
-    up = lam * (f[:, 2] - f[:, 1])
-    down = departure_rate(dist.params, window_states(dist)) * (f[:, 0] - f[:, 1])
+    up = r * (f[:, 2] - f[:, 1])
+    down = departure_rate(der, window_states(dist)) * (f[:, 0] - f[:, 1])
     fp, fpp, _ = sol.derivatives(x)
     b = drift(der, x)
     lo = np.concatenate(([x[0] - delta], x))
@@ -301,8 +301,8 @@ def _assert_expansion(dist, sol, atol):
     a_panel, b_panel = _weighted_f2_panels(sol, lo, hi)
     eps1 = a_panel[1:] - fpp * (0.5 * delta * delta)
     eps2 = b_panel[:-1] - fpp * (0.5 * delta * delta)
-    gen_y = b * fp + der.mu * fpp
-    expansion = gen_y - 0.5 * delta * b * fpp + lam * (eps1 + eps2) - b * eps2 / delta
+    gen_y = b * fp + fpp
+    expansion = gen_y - 0.5 * delta * b * fpp + r * (eps1 + eps2) - b * eps2 / delta
     gap = np.abs(up + down - expansion)
     assert np.all(gap <= atol + 1e-12 * (np.abs(up) + np.abs(down)))
 
@@ -336,7 +336,7 @@ class TestTaylorAudit:
     def test_identity_solution_at_kink_state(self):
         dist = pmf_for(C_HEAVY, 1e-14)
         sol = build_solution(density_for(C_HEAVY), TestFunction.identity())
-        assert dist.k_min <= dist.params.n <= dist.k_top
+        assert dist.k_min <= dist.derived.n <= dist.k_top
         _assert_expansion(dist, sol, 1e-9)
 
     def test_indicator_at_anchor_state(self):

@@ -91,10 +91,10 @@ EDGE_CASES = [
     ["verify", "--lambda", "2.0358067795786205e-12", "--n", "1", "--alpha", "1.482162426149318e+298"],
     # an answer once given after RuntimeWarnings from the quadrature's brackets
     ["verify", "--lambda", "5e-201", "--mu", "1e-200", "--n", "1", "--alpha", "1e-200"],
-    # f''' in unscaled units past the double range at mu <= 1e-200: answers
+    # mu <= 1e-200, where f''' in the units of mu once overflowed: answers
     # once given with gwu3_right = inf, then typed errors once preceded by a
-    # RuntimeWarning (a Stein residual, a straddle majorant, and one that
-    # now names gwo41_right)
+    # RuntimeWarning; per unit mu each answers as its twin (lam/mu, 1, n,
+    # alpha/mu)
     ["verify", "--lambda", "3e-300", "--mu", "1e-300", "--n", "40", "--alpha", "1e-250"],
     ["verify", "--lambda", "3e-300", "--mu", "1e-300", "--n", "40", "--alpha", "1e-200"],
     ["verify", "--lambda", "3e-300", "--mu", "1e-300", "--n", "40", "--alpha", "1e-170"],
@@ -102,6 +102,13 @@ EDGE_CASES = [
     ["verify", "--lambda", "5e-201", "--mu", "1e-200", "--n", "1", "--alpha", "1e-70"],
     ["verify", "--lambda", "3e-200", "--mu", "1e-200", "--n", "40", "--alpha", "1e-40"],
     ["verify", "--lambda", "3e-200", "--mu", "1e-200", "--n", "1", "--alpha", "1e-70"],
+    # lam/mu or alpha/mu past the double range, a typed error: once a
+    # ZeroDivisionError, RuntimeWarnings or the state cap
+    ["distance", "--lambda", "1e-300", "--mu", "1e300", "--n", "1", "--alpha", "1e-300"],
+    ["distance", "--lambda", "1e-320", "--mu", "1e10", "--n", "1"],
+    ["distance", "--lambda", "0.5", "--mu", "1e300", "--n", "1", "--alpha", "1e-30"],
+    ["distance", "--lambda", "1", "--mu", "1e-300", "--n", "1", "--alpha", "1e300"],
+    ["distance", "--lambda", "1e300", "--mu", "1e-300", "--n", "1", "--alpha", "1"],
     # k_top < n < k_max: the flat stretch ends the chain CDF as two cells
     ["distance", "--lambda", "4", "--n", "60"],
     # upper_point's ndtri_exp takes its y < -2 branch with x >= 8 on both
