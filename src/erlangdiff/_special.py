@@ -109,7 +109,7 @@ def _polevl(x, coef, monic=False):
 def _log(a):
     """Elementwise libm log of a 1-d array (``np.log`` can differ in the last
     bit)."""
-    return np.fromiter(map(math.log, a.tolist()), float, a.size)
+    return np.fromiter(map(math.log, memoryview(a)), float, a.size)
 
 
 def _tail(x):

@@ -23,6 +23,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property, partial
+from itertools import chain
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -65,16 +66,14 @@ def _exact_sum(terms) -> float | list[float]:
     ``terms`` is one array or an iterable of arrays (blocks), summed as
     their concatenation, or of stacked row blocks (rows x states), whose
     rows are summed each as its own stream, bit for bit, into a list.
-    Shewchuk summation (exact) for up to 20,000 terms a row;
-    extended-precision pairwise summation for more, whose error bound
-    log2(n) * 2^-63 relative is orders of magnitude inside the
-    compensated-summation contract.  numpy reduces a cast input in buffers
-    of ``np.getbufsize()`` elements, one after another, so blocks chained
-    through ``initial`` keep the bits of the one-array sum when every block
-    but the last is a whole multiple of that size (``_BLOCK`` is).  Falls
-    back to exact summation where long double is not wider than double:
-    one row still streams, but stacked rows hold every block of the stream,
-    O(window) memory, as ``math.fsum`` sums one row at a time.
+    ``math.fsum`` (exact, so order-free) reads each row's blocks as buffers
+    for up to 20,000 terms a row, or more where long double is no wider than
+    double: one row streams, stacked rows hold every block.  Else pairwise
+    summation in long double, within log2(n) * 2^-63 relative, far inside
+    the compensated-summation contract; numpy reduces a cast input in
+    buffers of ``np.getbufsize()`` elements in turn, so blocks chained
+    through ``initial`` keep the one-array sum's bits when every block but
+    the last is a whole multiple of that size (``_BLOCK`` is).
     """
     stream = iter([terms] if isinstance(terms, np.ndarray) else terms)
     head, size = [], 0
@@ -87,11 +86,11 @@ def _exact_sum(terms) -> float | list[float]:
         return 0.0
     rows = len(np.atleast_2d(head[0]))
     blocks = (np.atleast_2d(block) for part in (head, stream) for block in part)
-    if size <= 20_000:
-        sums = [math.fsum(row) for row in np.concatenate(list(blocks), axis=1).tolist()]
-    elif not _LONGDOUBLE_EXACT:
+    if size <= 20_000 or not _LONGDOUBLE_EXACT:
         blocks = list(blocks) if rows > 1 else blocks
-        sums = [math.fsum(t for b in blocks for t in b[r].tolist()) for r in range(rows)]
+        sums = [
+            math.fsum(chain.from_iterable(memoryview(b[r]) for b in blocks)) for r in range(rows)
+        ]
     else:
         acc = [np.longdouble(0.0)] * rows
         for block in blocks:

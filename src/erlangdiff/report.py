@@ -141,8 +141,8 @@ def _residual_rows(dist, sol_id, sol_kink) -> list[Check]:
         residual, budget = stein_identity_residual(dist, f)
         if residual > _IDENTITY_TOL and residual <= budget:
             raise TruncationError(
-                f"stein_identity {name}: the residual {residual:.6g} is the flow "
-                "lam nu_top |f(x_top + delta) - f(x_top)| into a state the window dropped"
+                f"stein_identity {name}: the residual {residual:.6g} is the flow per unit mu "
+                "R nu_top |f(x_top + delta) - f(x_top)| into a state the window dropped"
             )
         rows.append(Check.at_most(name, residual, _IDENTITY_TOL))
     return rows

@@ -139,6 +139,14 @@ class TestOutputFormats:
         assert payload.endswith(b"\n")
 
 
+# the stein_identity error of f_linear at verify --lambda 0.5 --n 1
+# --alpha 1e33: the residual is the flow out of the window's top state
+_RESIDUAL_FLOW = (
+    "stein_identity f_linear: the residual 0.235702 is the flow per unit mu "
+    "R nu_top |f(x_top + delta) - f(x_top)| into a state the window dropped\n"
+)
+
+
 class TestExitCodes:
     def test_validation_error(self, capsys):
         assert cli.main(["distance", "--lambda", "6", "--n", "5"]) == 1
@@ -334,9 +342,11 @@ class TestExitCodes:
         [
             # overloaded shapes past the double range (alpha/mu > 1.3e154)
             ("verify --lambda 3 --n 1 --alpha 1e160", "the bound of gwo41_right overflows"),
-            # the residual of f_linear is the flow out of the window's top
-            # state, the mode, into a state of mass below 1e-32
-            ("verify --lambda 0.5 --n 1 --alpha 1e33", "stein_identity f_linear: the residual"),
+            # the window's top state is the mode, and the state it dropped
+            # has mass below 1e-32; the mu = 2 twin is the same chain per
+            # unit mu, so the same flow R nu_top
+            ("verify --lambda 0.5 --n 1 --alpha 1e33", _RESIDUAL_FLOW),
+            ("verify --lambda 1 --mu 2 --n 1 --alpha 2e33", _RESIDUAL_FLOW),
             ("verify --lambda 0.5 --n 1 --alpha 1e160", "stein_identity f_linear: the residual"),
             # distances that came out nan: a right piece of variance 1e-300;
             # and a chain whose closed-form weights rise past the mode, so

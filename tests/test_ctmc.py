@@ -579,6 +579,27 @@ class TestExactSum:
             tracemalloc.stop()
         assert peak <= 12 * 8 * ctmc._BLOCK
 
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_exact_branch_reads_blocks_in_place(self, rows):
+        # a stream of at most 20,000 terms a row is summed from its blocks'
+        # buffers: no joined copy of the row and no Python float per term
+        # held at once, so the peak is the blocks themselves and a little
+        size = 19_000
+        shape = (rows,) if rows > 1 else ()
+        tracemalloc.start()
+        try:
+            blocks = [
+                np.full((*shape, min(ctmc._BLOCK, size - lo)), 1.0 / (lo + 1))
+                for lo in range(0, size, ctmc._BLOCK)
+            ]
+            got = ctmc._exact_sum(iter(blocks))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        want = math.fsum(np.concatenate(blocks, axis=-1).reshape(rows, size)[0].tolist())
+        assert (got if rows == 1 else got[0]).hex() == want.hex()
+        assert peak <= sum(b.nbytes for b in blocks) + 4 * 8 * ctmc._BLOCK
+
 
 def _plain_log_weights(der, k_lo, k_hi):
     """The closed-form log weights as one-shot array expressions."""
